@@ -9,7 +9,7 @@ between chiral self-adjoint and chiral skew-adjoint families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,11 +65,6 @@ class SpectralWindow:
     a: float
     rank: int
     factor: Z2
-    frame_lo: np.ndarray = field(repr=False)
-    restricted_lo: np.ndarray = field(repr=False)
-    restricted_hi: np.ndarray = field(repr=False)
-    perturbation_lo: np.ndarray = field(repr=False)
-    perturbation_hi: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -160,10 +155,17 @@ def sf2_finite(t0, t1) -> Z2:
 
 
 class _PathData:
-    """Caches path evaluations and the eigensystem of -T^2 per parameter."""
+    """Caches path evaluations and their skew singular systems per parameter.
+
+    A record is (T, singular values ascending, directions, step matrix).
+    Chiral-skew paths are solved on their block B = T[:n_plus, n_plus:],
+    which is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.  A
+    plain skew path is its own step matrix.
+    """
 
     def __init__(self, path: OperatorPath):
         self.path = path
+        self.n_plus = path.frame.n_plus if path.symmetry_tag == "chiral-skew" else None
         self._cache = {}
         self.sigma_scale = 0.0
         self.step_bound = math.inf
@@ -174,30 +176,54 @@ class _PathData:
         if rec is None:
             m = self.path.at(key)
             m = (m - m.T) / 2.0
-            sv, v = skew_singular_system(m)
-            rec = (m, sv, v)
+            if self.n_plus is None:
+                step = m
+            else:  # drop the diagonal blocks, which validation bounds by tol.sym
+                p = self.n_plus
+                m[:p, :p] = 0.0
+                m[p:, p:] = 0.0
+                step = m[:p, p:]
+            sv, v = skew_singular_system(m, self.n_plus)
+            rec = (m, sv, v, step)
             self._cache[key] = rec
             if sv.size:
                 self.sigma_scale = max(self.sigma_scale, float(sv[-1]))
         return rec
+
+    def endpoint_singular_values(self, t: float) -> np.ndarray:
+        """Singular values at t that are accurate down to eps * sigma_max.
+
+        The block SVD of a chiral path already is; the squared solve of a
+        plain skew path floors them at sqrt(eps) * sigma_max, so those are
+        re-solved by a true SVD.
+        """
+        m, sv, _, _ = self.at(t)
+        return sv if self.n_plus is not None else singular_values(m)
 
     @property
     def evaluations(self) -> int:
         return len(self._cache)
 
 
-def _pairwise_window_continuity(bases) -> bool:
-    """Check that all pairs of equal-rank subspaces stay WINDOW_EPS-close."""
-    k = bases[0].shape[1]
-    if k == 0:
+def _step_norms(steps: np.ndarray) -> np.ndarray:
+    """2-norms of the differences of consecutive stacked step matrices."""
+    diffs = np.diff(steps, axis=0)
+    if diffs.size == 0:
+        return np.zeros(diffs.shape[0])
+    return np.linalg.svd(diffs, compute_uv=False)[:, 0]
+
+
+def _pairwise_window_continuity(bases: np.ndarray) -> bool:
+    """Check that all pairs of equal-rank subspaces stay WINDOW_EPS-close.
+
+    ``bases`` stacks one orthonormal basis per sample; the principal cosines
+    of every pair come from one batched SVD of the pair overlaps.
+    """
+    if bases.shape[2] == 0:
         return True
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            overlap = bases[i].T @ bases[j]
-            smin = np.linalg.svd(overlap, compute_uv=False)[-1]
-            if smin < _COS_MIN:
-                return False
-    return True
+    i, j = np.triu_indices(len(bases), 1)
+    overlaps = np.matmul(bases[i].transpose(0, 2, 1), bases[j])
+    return bool(np.linalg.svd(overlaps, compute_uv=False)[:, -1].min() >= _COS_MIN)
 
 
 def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
@@ -219,11 +245,10 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
     s_seg = float(svs.max()) if svs.size else 0.0
 
     # path continuity at this sampling resolution
-    bound = data.step_bound
-    steps = [np.linalg.norm(r0[0] - r1[0], 2) for r0, r1 in zip(recs[:-1], recs[1:])]
-    if steps and max(steps) > bound:
+    steps = _step_norms(np.stack([r[3] for r in recs]))
+    if steps.size and steps.max() > data.step_bound:
         return None
-    slack = 0.75 * max(steps) if steps else 0.0
+    slack = 0.75 * float(steps.max()) if steps.size else 0.0
 
     margin = 4.0 * tol.gap(max(s_seg, 1e-300)) + slack
     lo_env = svs.max(axis=0)
@@ -265,7 +290,7 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
             a = (glo + margin) + u * ((ghi - margin) - (glo + margin))
         if a <= margin:
             continue
-        bases = [r[2][:, :k] for r in recs]
+        bases = np.stack([r[2][:, :k] for r in recs])
         if not _pairwise_window_continuity(bases):
             continue
         return a, k
@@ -287,7 +312,7 @@ def _kernel_lift(data: _PathData, t: float, a_min: float,
     if rng is not None:
         delta *= float(rng.uniform(0.2, 1.0))
     threshold = delta / 2.0
-    _, sv, v = data.at(t)
+    _, sv, v, _ = data.at(t)
     cluster = sv < threshold
     m = int(cluster.sum())
     if m == 0:
@@ -352,9 +377,7 @@ def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
     t0, t1 = path.interval
 
     for t in (t0, t1):
-        # a true SVD resolves tiny singular values that the squared
-        # eigendecomposition floors at sqrt(eps) * sigma_max
-        sv = singular_values(data.at(t)[0])
+        sv = data.endpoint_singular_values(t)
         if sv.size == 0:
             continue
         if sv[0] <= tol.inv(sv[-1]):
@@ -423,8 +446,8 @@ def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
 
 def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
                    lifts) -> SpectralWindow:
-    m_lo, sv_lo, v_lo = data.at(lo)
-    m_hi, sv_hi, v_hi = data.at(hi)
+    m_lo, sv_lo, v_lo, _ = data.at(lo)
+    m_hi, sv_hi, v_hi, _ = data.at(hi)
     if int((sv_lo < a).sum()) != k or int((sv_hi < a).sum()) != k:
         raise RefinementError("window rank drifted between validation and use")
     u_p = v_lo[:, :k]
@@ -432,8 +455,9 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
 
     r_lo = lifts.get(lo)
     r_hi = lifts.get(hi)
-    pert_lo = u_p.T @ r_lo @ u_p if r_lo is not None else np.zeros((k, k))
-    s_lo = u_p.T @ m_lo @ u_p + pert_lo
+    s_lo = u_p.T @ m_lo @ u_p
+    if r_lo is not None:
+        s_lo += u_p.T @ r_lo @ u_p
     s_lo = (s_lo - s_lo.T) / 2.0
 
     if k:
@@ -446,8 +470,9 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
         f_q = u_q @ (phi @ psit)
     else:
         f_q = u_q
-    pert_hi = f_q.T @ r_hi @ f_q if r_hi is not None else np.zeros((k, k))
-    s_hi = f_q.T @ m_hi @ f_q + pert_hi
+    s_hi = f_q.T @ m_hi @ f_q
+    if r_hi is not None:
+        s_hi += f_q.T @ r_hi @ f_q
     s_hi = (s_hi - s_hi.T) / 2.0
 
     try:
@@ -456,7 +481,7 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
         raise RefinementError(
             f"restricted endpoint singular on window [{lo}, {hi}]: {exc}"
         ) from exc
-    return SpectralWindow(lo, hi, a, k, factor, u_p, s_lo, s_hi, pert_lo, pert_hi)
+    return SpectralWindow(lo, hi, a, k, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +538,9 @@ def parity_path_general(path: OperatorPath, *, rng=None,
     dim = n_rows + n_cols
     j_diag = np.concatenate([np.ones(n_rows), -np.ones(n_cols)])
 
-    # endpoint admissibility: kernel dimension exactly the block index,
-    # counted on a true SVD (accurate for tiny singular values)
+    # endpoint admissibility: kernel dimension exactly the block index
     for t in (t0, t1):
-        sv = singular_values(data.at(t)[0])
+        sv = data.endpoint_singular_values(t)
         k_dim = int((sv <= tol.inv(float(sv[-1])) * 10).sum())
         if k_dim != d:
             raise NotAdmissibleError(
@@ -527,10 +551,10 @@ def parity_path_general(path: OperatorPath, *, rng=None,
     frames = {}
 
     def kernel_frame(t, prev):
-        _, sv, v = data.at(t)
+        _, sv, v, _ = data.at(t)
+        # the d structural kernel values of the block solve are exact zeros
         floor = tol.inv(max(data.sigma_scale, 1e-300)) * 10
-        theta = max(floor, 2.0 * float(sv[d - 1]))
-        c = int((sv < theta).sum())
+        c = int((sv < floor).sum())
         if c < d:
             raise RefinementError(f"kernel family lost rank at t={t}")
         cluster = v[:, :c]

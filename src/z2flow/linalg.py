@@ -242,20 +242,46 @@ def sign_det(m) -> Z2:
 # spectral windows
 
 
-def skew_singular_system(t_mat: np.ndarray):
+def skew_singular_system(t_mat: np.ndarray, n_plus: int | None = None):
     """Singular values (ascending) and directions of a skew matrix.
 
-    Computed in purely real arithmetic from the symmetric PSD matrix -T^2;
-    the columns of the returned matrix are the corresponding orthonormal
-    directions.
+    The columns of the returned matrix are orthonormal directions, column i
+    belonging to singular value i.  A general skew matrix is solved in real
+    arithmetic through the symmetric eigenproblem of -T^2, which resolves
+    singular values only down to about sqrt(eps) * sigma_max.
+
+    With ``n_plus`` given, T is taken to be chiral, [[0, B], [-B^T, 0]] with
+    B = T[:n_plus, n_plus:], and only the block is decomposed: every
+    singular value s_i of B appears twice, with the grading-pure directions
+    [u_i; 0] and [0; v_i], and the |n_plus - n_minus| structural kernel
+    directions (listed first) come from the full U or V.  One SVD of B
+    resolves singular values down to eps * sigma_max and never squares the
+    entries, so it neither over- nor underflows where T itself does not.
     """
     n = t_mat.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
-    s = t_mat.T @ t_mat  # equals -T^2 for skew T
-    s = (s + s.T) / 2.0
-    w, v = np.linalg.eigh(s)
-    return np.sqrt(np.clip(w, 0.0, None)), v
+    if n_plus is None:
+        s = t_mat.T @ t_mat  # equals -T^2 for skew T
+        s = (s + s.T) / 2.0
+        w, v = np.linalg.eigh(s)
+        return np.sqrt(np.clip(w, 0.0, None)), v
+    b = t_mat[:n_plus, n_plus:]
+    if b.size == 0:
+        return np.zeros(n), np.eye(n)
+    u, s, vt = np.linalg.svd(b)
+    r = s.size
+    d = n - 2 * r
+    up = slice(None, n_plus)
+    down = slice(n_plus, None)
+    dirs = np.zeros((n, n))
+    if n_plus > n - n_plus:
+        dirs[up, :d] = u[:, r:]
+    else:
+        dirs[down, :d] = vt[r:].T
+    dirs[up, d::2] = u[:, r - 1::-1]
+    dirs[down, d + 1::2] = vt[r - 1::-1].T
+    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), dirs
 
 
 def spectral_window_projection(t_mat, a: float) -> Projection:

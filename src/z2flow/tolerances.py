@@ -2,12 +2,16 @@
 
 All tol_* thresholds are relative to the scale of the matrix at hand and can
 be multiplied globally through the environment variable
-``Z2FLOW_TOLERANCE_SCALE`` (default 1).  The window-continuity bound
-``WINDOW_EPS`` and the pair-certificate gap ``PAIR_GAP_MIN`` are structural
-constants of the algorithms, not tolerances, and are therefore not scaled.
+``Z2FLOW_TOLERANCE_SCALE`` (default 1; read once, must be finite and > 0).
+The window-continuity bound ``WINDOW_EPS`` and the pair-certificate gap
+``PAIR_GAP_MIN`` are structural constants of the algorithms, not
+tolerances, and are therefore not scaled.
 """
 
+import math
 import os
+
+from .errors import ConfigError
 
 SYM_REL = 1e-10        # symmetry checks: ||M - M^T|| or ||M + M^T|| vs ||M||
 PROJ_REL = 1e-10       # projection idempotency / trace checks
@@ -25,9 +29,31 @@ WINDOW_EPS = 0.5        # ||Q(t) - Q(t')|| bound inside one spectral window
 MIN_SEGMENT = 1e-6      # refinement floor for partition segments / sample spacing
 
 
+_scale = None
+
+
+def parse_scale(text: str) -> float:
+    """Parse a tolerance multiplier; it must be a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(
+            f"Z2FLOW_TOLERANCE_SCALE must be a finite number > 0, got {text!r}")
+    return value
+
+
 def scale() -> float:
-    """Global multiplier for the tol_* family, read from the environment."""
-    return float(os.environ.get("Z2FLOW_TOLERANCE_SCALE", "1"))
+    """Global multiplier for the tol_* family.
+
+    Read from the environment on first use and fixed for the rest of the
+    process, so one run never mixes two scales.
+    """
+    global _scale
+    if _scale is None:
+        _scale = parse_scale(os.environ.get("Z2FLOW_TOLERANCE_SCALE", "1"))
+    return _scale
 
 
 def sym(magnitude: float) -> float:

@@ -118,6 +118,14 @@ class TestReports:
         assert report["diagnostics"]["tolerances"]["scale"] == 10.0
         assert report["diagnostics"]["tolerances"]["sym_rel"] == 1e-9
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
+    def test_invalid_tolerance_scale_env(self, value):
+        proc = invoke("parity", "--model", "examp",
+                      env_extra={"Z2FLOW_TOLERANCE_SCALE": value})
+        assert proc.returncode == 4
+        assert "Z2FLOW_TOLERANCE_SCALE" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestExitStatuses:
     def test_unknown_flag(self):

@@ -12,6 +12,9 @@ from z2flow.errors import (
     SymmetryError,
 )
 from z2flow.flow import (
+    _COS_MIN,
+    _pairwise_window_continuity,
+    _step_norms,
     embed_chiral,
     embed_chiral_path,
     k_real_reduce,
@@ -36,6 +39,7 @@ from z2flow.paths import ChiralFrame, OperatorPath
 
 from conftest import (
     random_admissible_path,
+    random_chiral_skew_path,
     random_invertible_path,
     random_orthogonal_path,
 )
@@ -192,6 +196,115 @@ class TestSf2Path:
             lambda t: np.array([[0.0, t - 4.0], [-(t - 4.0), 0.0]]),
             "skew")
         assert sf2_path(path).value == -1
+
+
+class TestScaledPaths:
+    """The flow is scale-invariant; the block solve keeps it so at 1e+-200."""
+
+    @pytest.mark.parametrize("factor", [1e100, 1e-100, 1e200, 1e-200])
+    @pytest.mark.parametrize("name", ["examp", "examp_abs"])
+    def test_scaled_example(self, name, factor):
+        base = build_example_path(name)
+        scaled = OperatorPath(base.interval,
+                              lambda t: factor * base.evaluator(t),
+                              base.symmetry_tag, base.frame, 0)
+        expected = sf2_path(base).value
+        assert sf2_path(scaled).value == expected
+        assert parity_path(scaled) == expected
+
+
+class TestChiralCore:
+    """Chiral-skew paths are solved on their block; plain skew via -T^2."""
+
+    @staticmethod
+    def as_plain_skew(path):
+        return OperatorPath(path.interval, path.evaluator, "skew")
+
+    def test_fixed_line_partition(self):
+        rng = np.random.default_rng(9)
+        b0 = rng.standard_normal((16, 16))
+        b1 = b0.copy()
+        b1[0] *= -1.0
+        b1 += 0.1 * rng.standard_normal((16, 16))
+        line = OperatorPath((0.0, 1.0), lambda t: (1 - t) * b0 + t * b1, "general")
+        chiral = embed_chiral_path(line)
+        res = sf2_path(chiral)
+        assert res.value == parity_finite(line) == -1
+        assert (len(res.windows), res.evaluations, res.refinement_depth) == (64, 513, 6)
+        plain = sf2_path(self.as_plain_skew(chiral))
+        assert plain.value == res.value
+        assert plain.evaluations == res.evaluations
+        assert [(w.t_lo, w.t_hi, w.rank) for w in plain.windows] == \
+            [(w.t_lo, w.t_hi, w.rank) for w in res.windows]
+
+    def test_randomized_partitions_agree(self):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            n = int(rng.integers(1, 5))
+            path = random_chiral_skew_path(rng, n)
+            base = sf2_path(path).value
+            assert sf2_path(self.as_plain_skew(path)).value == base
+            for rep in range(3):
+                assert sf2_path(path, rng=np.random.default_rng(rep)).value == base
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_rectangular_blocks_agree_with_oracle(self, wide):
+        # rotated padded blocks as in the parity_path_general oracle test,
+        # tall (n_plus > n_minus) and transposed to wide (n_minus > n_plus)
+        rng = np.random.default_rng(42)
+        for _ in range(4):
+            n = int(rng.integers(1, 4))
+            d = int(rng.integers(1, 3))
+            mpath = random_admissible_path(rng, n)
+            qfun = random_orthogonal_path(rng, n + d)
+
+            def ev(t, _m=mpath, _q=qfun, _n=n, _d=d):
+                b = _q(t) @ np.vstack([_m.evaluator(t), np.zeros((_d, _n))])
+                return b.T if wide else b
+
+            path = OperatorPath((0.0, 1.0), ev, "general", None, -d if wide else d)
+            oracle = parity_finite(mpath)
+            assert parity_path_general(path) == oracle
+            assert parity_path_general(path, rng=np.random.default_rng(1)) == oracle
+
+
+class TestBatchedSegmentChecks:
+    """The batched step norms and window-continuity check against loops."""
+
+    def test_step_norms_match_loop(self):
+        rng = np.random.default_rng(43)
+        for shape in [(9, 4, 4), (9, 5, 2), (3, 1, 6), (9, 0, 3)]:
+            steps = rng.standard_normal(shape)
+            loop = [np.linalg.norm(b - a, 2) if a.size else 0.0
+                    for a, b in zip(steps[:-1], steps[1:])]
+            np.testing.assert_allclose(_step_norms(steps), loop, rtol=1e-14)
+
+    def test_window_continuity_matches_loop(self):
+        def loop(bases):
+            for i in range(len(bases)):
+                for j in range(i + 1, len(bases)):
+                    overlap = bases[i].T @ bases[j]
+                    if np.linalg.svd(overlap, compute_uv=False)[-1] < _COS_MIN:
+                        return False
+            return True
+
+        rng = np.random.default_rng(44)
+        outcomes = []
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n))
+            base = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            drift = float(rng.uniform(0.0, 0.4))
+            bases = []
+            for _ in range(int(rng.integers(2, 6))):
+                g = rng.standard_normal((n, n))
+                q = np.linalg.qr(np.eye(n) + drift * (g - g.T))[0]
+                bases.append((q * np.sign(np.diag(q)) @ base)[:, :k])
+            expected = loop(bases)
+            assert _pairwise_window_continuity(np.stack(bases)) == expected
+            outcomes.append(expected)
+        assert set(outcomes) == {True, False}
+        assert _pairwise_window_continuity(np.zeros((3, 4, 0)))
 
 
 class TestParityPath:

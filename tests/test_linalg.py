@@ -17,6 +17,7 @@ from z2flow.linalg import (
     pfaffian,
     pfaffian_sign,
     sign_det,
+    skew_singular_system,
     spectral_window_projection,
     transport_frame,
 )
@@ -191,6 +192,75 @@ class TestSpectralWindow:
             j = np.diag([1.0] * n + [-1.0] * n)
             q = spectral_window_projection(t, a).matrix
             assert np.max(np.abs(j @ q @ j - q)) < 1e-9
+
+
+class TestChiralSingularSystem:
+    """The half-block solve of [[0, B], [-B^T, 0]] against the doubled eigh."""
+
+    SHAPES = [(5, 5), (6, 3), (2, 5), (0, 4), (3, 0), (1, 1)]
+
+    @staticmethod
+    def doubled(b):
+        n_plus, n_minus = b.shape
+        t = np.zeros((n_plus + n_minus, n_plus + n_minus))
+        t[:n_plus, n_plus:] = b
+        t[n_plus:, :n_plus] = -b.T
+        return t
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_singular_values_match_doubled_eigh(self, shape):
+        rng = np.random.default_rng(sum(shape) + 40)
+        b = rng.standard_normal(shape)
+        t = self.doubled(b)
+        sv, _ = skew_singular_system(t, shape[0])
+        sv_eigh, _ = skew_singular_system(t)
+        assert sv.shape == sv_eigh.shape == (t.shape[0],)
+        assert np.all(np.diff(sv) >= 0.0)
+        scale = max(float(sv[-1]), 1.0) if sv.size else 1.0
+        d = abs(shape[0] - shape[1])
+        # the structural kernel is exact; the squared solve floors it
+        assert np.all(sv[:d] == 0.0)
+        np.testing.assert_allclose(sv_eigh[:d], 0.0, atol=1e-7 * scale)
+        np.testing.assert_allclose(sv[d:], sv_eigh[d:], rtol=1e-12, atol=1e-12 * scale)
+        if t.size:
+            true_sv = np.linalg.svd(t, compute_uv=False)[::-1]
+            np.testing.assert_allclose(sv, true_sv, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_directions(self, shape):
+        rng = np.random.default_rng(sum(shape) + 50)
+        b = rng.standard_normal(shape)
+        t = self.doubled(b)
+        sv, dirs = skew_singular_system(t, shape[0])
+        n = t.shape[0]
+        np.testing.assert_allclose(dirs.T @ dirs, np.eye(n), atol=1e-13)
+        # every direction is grading-pure and is scaled by its singular value
+        pure = np.minimum(np.linalg.norm(dirs[:shape[0]], axis=0),
+                          np.linalg.norm(dirs[shape[0]:], axis=0))
+        assert np.all(pure == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(t @ dirs, axis=0), sv,
+                                   atol=1e-13 * max(n, 1))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_window_subspaces_match_doubled_eigh(self, shape):
+        rng = np.random.default_rng(sum(shape) + 60)
+        b = rng.standard_normal(shape)
+        t = self.doubled(b)
+        sv, dirs = skew_singular_system(t, shape[0])
+        _, dirs_eigh = skew_singular_system(t)
+        gaps = [k for k in range(1, t.shape[0]) if sv[k] - sv[k - 1] > 1e-3]
+        if t.shape[0]:
+            gaps.append(t.shape[0])
+        for k in gaps:
+            cosines = np.linalg.svd(dirs[:, :k].T @ dirs_eigh[:, :k], compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-12
+
+    def test_extreme_scale(self):
+        # squaring overflows at 1e200 and underflows at 1e-200; the block does not
+        b = np.array([[2.0, 0.0], [0.0, 0.5]])
+        for factor in (1e200, 1e-200):
+            sv, _ = skew_singular_system(self.doubled(factor * b), 2)
+            np.testing.assert_allclose(sv, factor * np.array([0.5, 0.5, 2.0, 2.0]))
 
 
 class TestFrames:

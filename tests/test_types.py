@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from z2flow import tolerances as tol
 from z2flow.errors import ConfigError, DimensionError, SymmetryError
 from z2flow.linalg import OrthonormalFrame, Projection
 from z2flow.paths import ChiralFrame, OperatorPath
@@ -112,3 +113,19 @@ class TestOperatorPath:
         with pytest.raises(ConfigError):
             OperatorPath.from_samples(
                 [0.0, 1.0], [np.eye(1), np.eye(2)], "general")
+
+
+class TestToleranceScale:
+    def test_parse_valid(self):
+        assert tol.parse_scale("1") == 1.0
+        assert tol.parse_scale(" 2.5e1 ") == 25.0
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-1", "-0.0", "nan", "inf", ""])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ConfigError):
+            tol.parse_scale(text)
+
+    def test_scale_is_fixed_after_first_read(self, monkeypatch):
+        first = tol.scale()
+        monkeypatch.setenv("Z2FLOW_TOLERANCE_SCALE", "abc")
+        assert tol.scale() == first
