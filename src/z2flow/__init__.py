@@ -15,7 +15,6 @@ from .errors import (
     StructureError,
     SymmetryError,
     TransportError,
-    WindowCollisionError,
     Z2FlowError,
 )
 from .flow import (
@@ -33,16 +32,7 @@ from .flow import (
     sf2_finite,
     sf2_path,
 )
-from .linalg import (
-    OrthonormalFrame,
-    Projection,
-    frame_of_range,
-    pfaffian,
-    pfaffian_sign,
-    sign_det,
-    spectral_window_projection,
-    transport_frame,
-)
+from .linalg import pfaffian, pfaffian_sign, sign_det
 from .models import (
     GalerkinSpec,
     RingShiftSpec,

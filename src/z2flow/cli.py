@@ -23,10 +23,9 @@ from .errors import (
     ConfigError,
     NotAdmissibleError,
     RefinementError,
-    SymmetryError,
     Z2FlowError,
 )
-from .flow import embed_chiral_path, selfadjoint_path_to_skew, sf2_path
+from .flow import sf2_path, to_skew_path
 from .models import (
     EXAMPLE_NAMES,
     GalerkinSpec,
@@ -177,17 +176,6 @@ def _resolve_model_path(config: RunConfig) -> OperatorPath:
     raise ConfigError(f"unknown model {config.model!r}")
 
 
-def _as_skew_path(path: OperatorPath) -> OperatorPath:
-    if path.symmetry_tag in ("skew", "chiral-skew"):
-        return path
-    if path.symmetry_tag == "chiral-selfadjoint":
-        return selfadjoint_path_to_skew(path)
-    b = path.at(path.t_start)
-    if b.shape[0] != b.shape[1]:
-        raise ConfigError("rectangular paths are not supported by the CLI")
-    return embed_chiral_path(path)
-
-
 def run(config: RunConfig) -> dict:
     """Dispatch one configured computation and assemble its report."""
     started = time.perf_counter()
@@ -212,7 +200,7 @@ def run(config: RunConfig) -> dict:
         if config.command == "sf2" and path.symmetry_tag not in (
                 "skew", "chiral-skew"):
             raise ConfigError("sf2 requires a skew or chiral-skew path")
-        skew_path = _as_skew_path(path)
+        skew_path = to_skew_path(path)
         report["input_digest"] = _digest_path(skew_path)
         flow = sf2_path(skew_path, initial_samples=config.samples)
         report["result"] = int(flow.value)
@@ -250,7 +238,7 @@ def run(config: RunConfig) -> dict:
             path = build_insulator_disordered(spec, strength, config.seed)
         else:
             path = build_insulator_path(spec)
-        skew_path = selfadjoint_path_to_skew(path)
+        skew_path = to_skew_path(path)
         report["input_digest"] = _digest_path(skew_path)
         flow = sf2_path(skew_path, initial_samples=config.samples)
         report["result"] = int(flow.value)
@@ -263,7 +251,7 @@ def run(config: RunConfig) -> dict:
             delta=float(config.params.get("delta", 0.5)),
         )
         path = build_bifurcation_path(spec)
-        skew_path = embed_chiral_path(path)
+        skew_path = to_skew_path(path)
         report["input_digest"] = _digest_path(skew_path)
         flow = sf2_path(skew_path, initial_samples=config.samples)
         report["result"] = int(flow.value)

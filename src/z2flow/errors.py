@@ -17,20 +17,20 @@ class SingularError(Z2FlowError):
     """An operator required to be invertible is singular within tolerance."""
 
 
-class WindowCollisionError(Z2FlowError):
-    """A spectral window radius collides with a singular value."""
-
-
-class TransportError(Z2FlowError):
-    """Subspace transport is ill-conditioned (polar factor near singular)."""
-
-
 class NotAdmissibleError(Z2FlowError):
     """A path fails the admissibility requirement at its endpoints."""
 
 
 class RefinementError(Z2FlowError):
     """Adaptive refinement hit its resolution floor without succeeding."""
+
+
+class TransportError(RefinementError):
+    """Subspace transport is ill-conditioned (polar factor near singular).
+
+    A refinement failure: the frames on either side of the transport are
+    too far apart for the sampling resolution.
+    """
 
 
 class StructureError(Z2FlowError):
@@ -42,4 +42,5 @@ class NotFredholmPairError(Z2FlowError):
 
 
 class ConfigError(Z2FlowError):
-    """Invalid builder parameters, CLI flags or path-file schema."""
+    """Invalid input: builder parameters, CLI flags, path-file schema or
+    non-finite matrix entries."""

@@ -45,6 +45,8 @@ __all__ = [
     "sf2_path",
     "parity_path",
     "parity_path_general",
+    "to_skew_path",
+    "refine",
     "leray_schauder_degree",
     "selfadjoint_to_skew",
     "selfadjoint_path_to_skew",
@@ -148,6 +150,57 @@ def sf2_finite(t0, t1) -> Z2:
     if s0 == 0 or s1 == 0:
         raise NotAdmissibleError("Pfaffian sign vanished on a nominally invertible input")
     return Z2(s0) * Z2(s1)
+
+
+# ---------------------------------------------------------------------------
+# refinement and transport
+
+
+def refine(points, accept, what: str = "acceptable segment"):
+    """Adaptive partition of the segments between consecutive ``points``.
+
+    Segments are visited left to right and ``accept(lo, hi)`` is called on
+    each; a result of None bisects the segment at its midpoint, anything
+    else is kept as the segment's value.  Returns the accepted
+    ``(lo, hi, value)`` triples in order and the deepest bisection level.
+    A segment shorter than the refinement floor that is still refused
+    raises ``RefinementError``.
+    """
+    stack = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])][::-1]
+    accepted = []
+    max_depth = 0
+    while stack:
+        lo, hi, depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        value = accept(lo, hi)
+        if value is not None:
+            accepted.append((lo, hi, value))
+            continue
+        if hi - lo < tol.MIN_SEGMENT:
+            raise RefinementError(
+                f"no {what} above segment length {tol.MIN_SEGMENT} "
+                f"on [{lo}, {hi}]"
+            )
+        mid = lo + (hi - lo) / 2.0
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+    return accepted, max_depth
+
+
+def _polar(x: np.ndarray, floor: float) -> np.ndarray:
+    """Orthogonal factor of the polar decomposition of a tall matrix.
+
+    The columns of x are the images of an orthonormal frame; the result is
+    the orthonormal frame of the same span closest to them.  A smallest
+    singular value below ``floor`` means the frame was carried too far to
+    be transported and raises ``TransportError``.
+    """
+    w, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s.size and s[-1] < floor:
+        raise TransportError(
+            f"polar factor ill-conditioned (sigma_min={s[-1]:.3e})"
+        )
+    return w @ vt
 
 
 # ---------------------------------------------------------------------------
@@ -407,39 +460,19 @@ def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
         if c - points[-1] > 10 * tol.MIN_SEGMENT and t1 - c > 10 * tol.MIN_SEGMENT:
             points.append(c)
     points.append(t1)
-    stack = [(points[i], points[i + 1], 0) for i in range(len(points) - 1)]
-
-    accepted = []
-    max_depth = 0
-    while stack:
-        lo, hi, depth = stack.pop()
-        max_depth = max(max_depth, depth)
-        choice = _segment_window(data, lo, hi, n_grid, rng)
-        if choice is None:
-            if hi - lo < tol.MIN_SEGMENT:
-                raise RefinementError(
-                    f"no valid spectral window above segment length "
-                    f"{tol.MIN_SEGMENT} near t={lo}"
-                )
-            mid = lo + (hi - lo) / 2.0
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-            continue
-        accepted.append((lo, hi, choice[0], choice[1]))
-    accepted.sort(key=lambda seg: seg[0])
+    accepted, max_depth = refine(
+        points, lambda lo, hi: _segment_window(data, lo, hi, n_grid, rng),
+        "valid spectral window")
 
     # shared kernel lifts at interior partition points
     lifts = {}
-    for i in range(len(accepted) - 1):
-        t_mid = accepted[i][1]
-        a_min = min(accepted[i][2], accepted[i + 1][2])
-        r = _kernel_lift(data, t_mid, a_min, path.frame, rng)
+    for (_, t_mid, left), (_, _, right) in zip(accepted, accepted[1:]):
+        r = _kernel_lift(data, t_mid, min(left[0], right[0]), path.frame, rng)
         if r is not None:
             lifts[t_mid] = r
 
-    windows = []
-    for lo, hi, a, k in accepted:
-        windows.append(_window_factor(data, lo, hi, a, k, lifts))
+    windows = [_window_factor(data, lo, hi, a, k, lifts)
+               for lo, hi, (a, k) in accepted]
     value = z2_product(w.factor for w in windows)
     return FlowResult(value, windows, max_depth, data.evaluations)
 
@@ -460,16 +493,7 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
         s_lo += u_p.T @ r_lo @ u_p
     s_lo = (s_lo - s_lo.T) / 2.0
 
-    if k:
-        overlap = u_q.T @ u_p
-        phi, sig, psit = np.linalg.svd(overlap)
-        if sig[-1] < max(tol.transport(), _COS_MIN / 2.0):
-            raise TransportError(
-                f"window transport ill-conditioned on [{lo}, {hi}]"
-            )
-        f_q = u_q @ (phi @ psit)
-    else:
-        f_q = u_q
+    f_q = u_q @ _polar(u_q.T @ u_p, max(tol.transport(), _COS_MIN / 2.0))
     s_hi = f_q.T @ m_hi @ f_q
     if r_hi is not None:
         s_hi += f_q.T @ r_hi @ f_q
@@ -488,28 +512,28 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
 # parity engines
 
 
-def parity_path(path: OperatorPath, *, rng=None, initial_samples: int = 9) -> Z2:
-    """Parity of an admissible path, via the windowed Z2 flow.
+def to_skew_path(path: OperatorPath) -> OperatorPath:
+    """The skew path whose Z2 flow is the parity of ``path``.
 
-    General square families are doubled to chiral skew-adjoint form first;
+    General square families are doubled to chiral skew-adjoint form;
     chiral self-adjoint families are converted through the grading root;
     skew families are passed through unchanged.
     """
-    tag = path.symmetry_tag
-    if tag == "general":
-        b = path.at(path.t_start)
-        if b.shape[0] != b.shape[1]:
-            raise DimensionError(
-                "rectangular families need parity_path_general"
-            )
-        flow = sf2_path(embed_chiral_path(path), rng=rng,
-                        initial_samples=initial_samples)
-    elif tag == "chiral-selfadjoint":
-        flow = sf2_path(selfadjoint_path_to_skew(path), rng=rng,
-                        initial_samples=initial_samples)
-    else:
-        flow = sf2_path(path, rng=rng, initial_samples=initial_samples)
-    return flow.value
+    if path.symmetry_tag == "chiral-selfadjoint":
+        return selfadjoint_path_to_skew(path)
+    if path.symmetry_tag != "general":
+        return path
+    doubled = embed_chiral_path(path)
+    if doubled.declared_index:
+        raise DimensionError("rectangular families need parity_path_general")
+    return doubled
+
+
+def parity_path(path: OperatorPath, *, rng=None, initial_samples: int = 9) -> Z2:
+    """Parity of an admissible path, via the windowed Z2 flow of its skew
+    form (see ``to_skew_path``)."""
+    return sf2_path(to_skew_path(path), rng=rng,
+                    initial_samples=initial_samples).value
 
 
 def parity_path_general(path: OperatorPath, *, rng=None,
@@ -547,9 +571,6 @@ def parity_path_general(path: OperatorPath, *, rng=None,
                 f"endpoint kernel dimension {k_dim} != |index| {d} at t={t}"
             )
 
-    ts = list(np.linspace(t0, t1, max(3, n_samples)))
-    frames = {}
-
     def kernel_frame(t, prev):
         _, sv, v, _ = data.at(t)
         # the d structural kernel values of the block solve are exact zeros
@@ -561,13 +582,7 @@ def parity_path_general(path: OperatorPath, *, rng=None,
         if c == d or prev is None:
             f = cluster[:, :d]
         else:
-            coords = cluster.T @ prev
-            phi, sig, psit = np.linalg.svd(coords, full_matrices=False)
-            if sig[-1] < tol.transport():
-                raise RefinementError(
-                    f"kernel family discontinuous at t={t}"
-                )
-            f = cluster @ (phi @ psit)
+            f = cluster @ _polar(cluster.T @ prev, tol.transport())
         # symmetrize to a grading-invariant family and re-project
         p = f @ f.T
         p = (p + (j_diag[:, None] * p) * j_diag[None, :]) / 2.0
@@ -578,41 +593,28 @@ def parity_path_general(path: OperatorPath, *, rng=None,
             )
         return vec[:, -d:]
 
-    # first pass with refinement of the sample grid
-    while True:
-        ok = True
-        prev = None
-        frames.clear()
-        inserts = []
-        for i, t in enumerate(ts):
-            f = kernel_frame(t, prev)
-            if prev is not None:
-                smin = np.linalg.svd(prev.T @ f, compute_uv=False)[-1]
-                if smin < _COS_MIN:
-                    if ts[i] - ts[i - 1] < tol.MIN_SEGMENT:
-                        raise RefinementError(
-                            "kernel family discontinuous at the resolution floor"
-                        )
-                    inserts.append((i, (ts[i - 1] + ts[i]) / 2.0))
-                    ok = False
-            frames[t] = f
-            prev = f
-        if ok:
-            break
-        for i, t_new in reversed(inserts):
-            ts.insert(i, t_new)
+    # kernel frames on a sample grid refined until consecutive frames are
+    # WINDOW_EPS-close; refine's left-to-right order makes every frame the
+    # transport of its left neighbour
+    frames = {t0: kernel_frame(t0, None)}
+
+    def continue_frame(a, b):
+        f = kernel_frame(b, frames[a])
+        if np.linalg.svd(frames[a].T @ f, compute_uv=False)[-1] < _COS_MIN:
+            return None
+        frames[b] = f
+        return f
+
+    segments, _ = refine(np.linspace(t0, t1, max(3, n_samples)),
+                         continue_frame, "continuous kernel family")
+    ts = [t0] + [hi for _, hi, _ in segments]
 
     # complement frames, transported along the samples
-    comp = np.linalg.svd(frames[ts[0]], full_matrices=True)[0][:, d:]
+    comp = np.linalg.svd(frames[t0], full_matrices=True)[0][:, d:]
     restricted = []
     for t in ts:
         f = frames[t]
-        q = np.eye(dim) - f @ f.T
-        x = q @ comp
-        phi, sig, psit = np.linalg.svd(x, full_matrices=False)
-        if sig[-1] < tol.transport():
-            raise RefinementError(f"complement transport degenerate at t={t}")
-        comp = phi @ psit
+        comp = _polar((np.eye(dim) - f @ f.T) @ comp, tol.transport())
         m = data.at(t)[0]
         s = comp.T @ m @ comp
         restricted.append((s - s.T) / 2.0)

@@ -16,7 +16,8 @@ import numpy as np
 from . import tolerances as tol
 from .errors import ConfigError, NotAdmissibleError
 from .linalg import singular_values
-from .pairs import ComplexStructure, embed_unitary
+from .flow import embed_chiral
+from .pairs import ComplexStructure
 from .paths import ChiralFrame, OperatorPath
 
 __all__ = [
@@ -96,7 +97,7 @@ def build_rank_one_pair(n: int):
     """
     if n < 1:
         raise ConfigError("ambient half-dimension must be >= 1")
-    structure = ComplexStructure(embed_unitary(np.eye(n)), ChiralFrame(n, n))
+    structure = ComplexStructure(embed_chiral(np.eye(n)), ChiralFrame(n, n))
     reflect = np.eye(n)
     reflect[0, 0] = -1.0
     o = np.block([

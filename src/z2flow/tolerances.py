@@ -14,10 +14,10 @@ import os
 from .errors import ConfigError
 
 SYM_REL = 1e-10        # symmetry checks: ||M - M^T|| or ||M + M^T|| vs ||M||
-PROJ_REL = 1e-10       # projection idempotency / trace checks
+PROJ_REL = 1e-10       # projection checks; kept in run reports, no check uses it
 INV_REL = 1e-10        # invertibility: sigma_min vs sigma_max
 GAP_REL = 1e-8         # window radius vs singular-value collision
-FRAME_ABS = 1e-9       # orthonormal frame Gram deviation (frames are unit scale)
+FRAME_ABS = 1e-9       # frame Gram deviation; kept in run reports, no check uses it
 TRANSPORT_MIN = 1e-6   # smallest singular value allowed in a polar transport
 EIG_IMAG_REL = 1e-8    # eigenvalue realness threshold vs ||K||
 
@@ -60,20 +60,12 @@ def sym(magnitude: float) -> float:
     return SYM_REL * magnitude * scale()
 
 
-def proj(magnitude: float) -> float:
-    return PROJ_REL * magnitude * scale()
-
-
 def inv(sigma_max: float) -> float:
     return INV_REL * sigma_max * scale()
 
 
 def gap(sigma_max: float) -> float:
     return GAP_REL * sigma_max * scale()
-
-
-def frame() -> float:
-    return FRAME_ABS * scale()
 
 
 def transport() -> float:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from z2flow.pairs import ComplexStructure, FredholmPair, embed_unitary
+from z2flow.flow import embed_chiral
+from z2flow.pairs import ComplexStructure, FredholmPair
 from z2flow.paths import ChiralFrame, OperatorPath
 
 
@@ -62,7 +63,7 @@ def random_orthogonal_path(rng, dim, rotations=2):
 def random_chiral_structure(rng, n):
     """Random chiral complex structure [[0, U], [-U^T, 0]]."""
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return ComplexStructure(embed_unitary(u), ChiralFrame(n, n))
+    return ComplexStructure(embed_chiral(u), ChiralFrame(n, n))
 
 
 def random_grading_orthogonal(rng, n, reflections=True, rotations=True):

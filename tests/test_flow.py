@@ -22,6 +22,7 @@ from z2flow.flow import (
     parity_finite,
     parity_path,
     parity_path_general,
+    refine,
     selfadjoint_path_to_skew,
     selfadjoint_to_skew,
     sf2_finite,
@@ -189,6 +190,17 @@ class TestSf2Path:
         with pytest.raises(RefinementError):
             sf2_path(path)
 
+    def test_non_finite_evaluation_is_config_error(self):
+        # NaN inside the interval is invalid input, not a numpy failure
+        def bad(t):
+            s = np.nan if 0.85 < t < 0.95 else t - 0.5
+            return np.array([[0.0, s], [-s, 0.0]])
+        with pytest.raises(ConfigError, match="finite"):
+            sf2_path(OperatorPath((0.0, 1.0), bad, "skew"))
+        general = OperatorPath((0.0, 1.0), lambda t: bad(t)[:1, 1:], "general")
+        with pytest.raises(ConfigError, match="finite"):
+            parity_path(general)
+
     def test_interval_rescaling(self):
         # same family on a shifted interval gives the same flow
         path = OperatorPath(
@@ -199,7 +211,8 @@ class TestSf2Path:
 
 
 class TestScaledPaths:
-    """The flow is scale-invariant; the block solve keeps it so at 1e+-200."""
+    """The flow is scale-invariant; both singular-system routes keep it so
+    at 1e+-200."""
 
     @pytest.mark.parametrize("factor", [1e100, 1e-100, 1e200, 1e-200])
     @pytest.mark.parametrize("name", ["examp", "examp_abs"])
@@ -208,9 +221,34 @@ class TestScaledPaths:
         scaled = OperatorPath(base.interval,
                               lambda t: factor * base.evaluator(t),
                               base.symmetry_tag, base.frame, 0)
+        # the same path tagged plain skew takes the squared solve
+        plain = OperatorPath(base.interval, scaled.evaluator, "skew")
         expected = sf2_path(base).value
-        assert sf2_path(scaled).value == expected
-        assert parity_path(scaled) == expected
+        for path in (scaled, plain):
+            assert sf2_path(path).value == expected
+            assert parity_path(path) == expected
+
+
+class TestRefine:
+    def test_left_to_right_bisection(self):
+        visited = []
+
+        def accept(lo, hi):
+            visited.append((lo, hi))
+            if lo < 0.3 < hi and hi - lo > 0.2:
+                return None
+            return 0 if hi == 1.0 else hi - lo  # any value but None is kept
+
+        segments, depth = refine([0.0, 0.5, 1.0], accept)
+        assert visited == [(0.0, 0.5), (0.0, 0.25), (0.25, 0.5),
+                           (0.25, 0.375), (0.375, 0.5), (0.5, 1.0)]
+        assert segments == [(0.0, 0.25, 0.25), (0.25, 0.375, 0.125),
+                            (0.375, 0.5, 0.125), (0.5, 1.0, 0)]
+        assert depth == 2
+
+    def test_floor_names_the_segment(self):
+        with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
+            refine([0.0, 1.0], lambda lo, hi: None, "thing")
 
 
 class TestChiralCore:
@@ -375,6 +413,15 @@ class TestParityPathGeneral:
 
             path = OperatorPath((0.0, 1.0), ev, "general", None, d)
             assert parity_path_general(path) == parity_finite(mpath)
+
+    def test_kernel_jump_refused(self):
+        # the kernel direction of the 2x1 block jumps at t = 0.377: no
+        # continuous kernel family exists at any sampling resolution
+        def jump(t):
+            return np.array([[1.0], [0.0]]) if t < 0.377 else np.array([[0.0], [1.0]])
+        path = OperatorPath((0.0, 1.0), jump, "general", None, 1)
+        with pytest.raises(RefinementError, match="continuous kernel family"):
+            parity_path_general(path)
 
     def test_singular_nonzero_endpoint_rejected(self):
         # endpoint with a kernel but nonzero entries must still be refused

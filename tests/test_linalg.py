@@ -3,23 +3,20 @@
 import numpy as np
 import pytest
 
+from z2flow import tolerances as tol
 from z2flow.errors import (
     DimensionError,
+    RefinementError,
     SingularError,
     SymmetryError,
     TransportError,
-    WindowCollisionError,
 )
+from z2flow.flow import _polar
 from z2flow.linalg import (
-    OrthonormalFrame,
-    Projection,
-    frame_of_range,
     pfaffian,
     pfaffian_sign,
     sign_det,
     skew_singular_system,
-    spectral_window_projection,
-    transport_frame,
 )
 
 from conftest import pf_matchings
@@ -28,6 +25,23 @@ from conftest import pf_matchings
 def skew(rng, dim):
     m = rng.standard_normal((dim, dim))
     return m - m.T
+
+
+def chiral(b):
+    """[[0, B], [-B^T, 0]] for a block B."""
+    n_plus, n_minus = b.shape
+    t = np.zeros((n_plus + n_minus, n_plus + n_minus))
+    t[:n_plus, n_plus:] = b
+    t[n_plus:, :n_plus] = -b.T
+    return t
+
+
+def window_projection(t, a, n_plus=None):
+    """Projection onto the directions of T below radius a and its rank, cut
+    from the singular system the way the engine cuts its windows."""
+    sv, dirs = skew_singular_system(t, n_plus)
+    basis = dirs[:, sv < a]
+    return basis @ basis.T, basis.shape[1]
 
 
 class TestPfaffian:
@@ -134,64 +148,64 @@ class TestSignDet:
 
 
 class TestSpectralWindow:
+    """Window subspaces of skew_singular_system on both routes."""
+
     def test_full_window(self):
         t = np.array([[0.0, 0.7], [-0.7, 0.0]])
-        p = spectral_window_projection(t, 1.0)
-        assert p.rank == 2
-        np.testing.assert_allclose(p.matrix, np.eye(2), atol=1e-12)
+        for n_plus in (None, 1):
+            q, rank = window_projection(t, 1.0, n_plus)
+            assert rank == 2
+            np.testing.assert_allclose(q, np.eye(2), atol=1e-12)
 
     def test_empty_window(self):
         t = np.array([[0.0, 0.7], [-0.7, 0.0]])
-        p = spectral_window_projection(t, 0.2)
-        assert p.rank == 0
-        np.testing.assert_allclose(p.matrix, np.zeros((2, 2)), atol=1e-12)
+        for n_plus in (None, 1):
+            q, rank = window_projection(t, 0.2, n_plus)
+            assert rank == 0
+            np.testing.assert_allclose(q, np.zeros((2, 2)), atol=1e-12)
 
     def test_block_selection(self):
         t = np.zeros((4, 4))
         t[0, 1], t[1, 0] = 1.0, -1.0
         t[2, 3], t[3, 2] = 0.1, -0.1
-        p = spectral_window_projection(t, 0.5)
-        assert p.rank == 2
+        q, rank = window_projection(t, 0.5)
+        assert rank == 2
         expected = np.diag([0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_allclose(p.matrix, expected, atol=1e-12)
-
-    def test_collision_rejected(self):
-        t = np.array([[0.0, 0.5], [-0.5, 0.0]])
-        with pytest.raises(WindowCollisionError):
-            spectral_window_projection(t, 0.5)
+        np.testing.assert_allclose(q, expected, atol=1e-12)
 
     def test_invariants_random(self):
+        # the window subspace is invariant under the operator it was cut from
         rng = np.random.default_rng(16)
-        for _ in range(50):
-            dim = 2 * int(rng.integers(1, 5))
-            m = rng.standard_normal((dim, dim))
-            t = m - m.T
+        for i in range(100):
+            if i % 2:
+                n_plus = int(rng.integers(1, 5))
+                n_minus = int(rng.integers(1, 5))
+                t = chiral(rng.standard_normal((n_plus, n_minus)))
+            else:
+                n_plus = None
+                t = skew(rng, 2 * int(rng.integers(1, 5)))
             sv = np.linalg.svd(t, compute_uv=False)
             a = (sv.min() + sv.max()) / 2.0 if sv.min() < sv.max() else sv.max() * 2
             if np.min(np.abs(sv - a)) < 1e-6:
                 continue
-            p = spectral_window_projection(t, a)
-            q = p.matrix
+            q, _ = window_projection(t, a, n_plus)
             assert np.max(np.abs(q @ q - q)) < 1e-10
             assert np.max(np.abs(q - q.T)) < 1e-12
-            # commutes with the operator it was cut from
             assert np.max(np.abs(q @ t - t @ q)) < 1e-9 * max(sv.max(), 1)
 
     def test_chiral_projection_commutes_with_grading(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            b = rng.standard_normal((n, n))
-            t = np.zeros((2 * n, 2 * n))
-            t[:n, n:] = b
-            t[n:, :n] = -b.T
+            t = chiral(rng.standard_normal((n, n)))
             sv = np.linalg.svd(t, compute_uv=False)
             a = float(sv.max()) * 2.0 if n == 1 else float(np.median(sv)) * 1.01
             if np.min(np.abs(sv - a)) < 1e-8:
                 continue
             j = np.diag([1.0] * n + [-1.0] * n)
-            q = spectral_window_projection(t, a).matrix
-            assert np.max(np.abs(j @ q @ j - q)) < 1e-9
+            for n_plus in (None, n):
+                q, _ = window_projection(t, a, n_plus)
+                assert np.max(np.abs(j @ q @ j - q)) < 1e-9
 
 
 class TestChiralSingularSystem:
@@ -199,13 +213,7 @@ class TestChiralSingularSystem:
 
     SHAPES = [(5, 5), (6, 3), (2, 5), (0, 4), (3, 0), (1, 1)]
 
-    @staticmethod
-    def doubled(b):
-        n_plus, n_minus = b.shape
-        t = np.zeros((n_plus + n_minus, n_plus + n_minus))
-        t[:n_plus, n_plus:] = b
-        t[n_plus:, :n_plus] = -b.T
-        return t
+    doubled = staticmethod(chiral)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_singular_values_match_doubled_eigh(self, shape):
@@ -256,56 +264,32 @@ class TestChiralSingularSystem:
             assert cosines.min() >= 1.0 - 1e-12
 
     def test_extreme_scale(self):
-        # squaring overflows at 1e200 and underflows at 1e-200; the block does not
+        # squaring would overflow at 1e200 and underflow at 1e-200; the block
+        # route never squares and the plain route squares a power-of-two
+        # rescaled copy
         b = np.array([[2.0, 0.0], [0.0, 0.5]])
         for factor in (1e200, 1e-200):
-            sv, _ = skew_singular_system(self.doubled(factor * b), 2)
-            np.testing.assert_allclose(sv, factor * np.array([0.5, 0.5, 2.0, 2.0]))
-
-
-class TestFrames:
-    def test_identity_gives_canonical_basis(self):
-        f = frame_of_range(Projection(np.eye(2), 2))
-        np.testing.assert_allclose(f.vectors, np.eye(2), atol=1e-12)
-
-    def test_zero_projection_gives_empty_frame(self):
-        f = frame_of_range(Projection(np.zeros((3, 3)), 0))
-        assert len(f) == 0
-
-    def test_rank_one_deterministic(self):
-        v = np.array([3.0, 4.0]) / 5.0
-        p = Projection(np.outer(v, v), 1)
-        f1 = frame_of_range(p)
-        f2 = frame_of_range(p)
-        np.testing.assert_array_equal(f1.vectors, f2.vectors)
-        assert abs(abs(float(f1.vectors[:, 0] @ v)) - 1.0) < 1e-12
-
-    def test_spans_range(self):
-        rng = np.random.default_rng(18)
-        for _ in range(30):
-            dim = int(rng.integers(2, 7))
-            r = int(rng.integers(1, dim + 1))
-            basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :r]
-            p = Projection(basis @ basis.T, r)
-            f = frame_of_range(p)
-            assert len(f) == r
-            np.testing.assert_allclose(
-                f.vectors @ f.vectors.T, p.matrix, atol=1e-9)
+            for n_plus in (2, None):
+                sv, _ = skew_singular_system(self.doubled(factor * b), n_plus)
+                np.testing.assert_allclose(sv, factor * np.array([0.5, 0.5, 2.0, 2.0]))
 
 
 class TestTransport:
+    """The polar factor that carries a frame onto a nearby subspace."""
+
+    @staticmethod
+    def transport(frame, target):
+        return _polar(target @ frame, tol.transport())
+
     def test_identity_transport(self):
-        f = OrthonormalFrame(3, np.eye(3)[:, :2])
-        q = f.projection()
-        out = transport_frame(f, q)
-        np.testing.assert_allclose(out.vectors, f.vectors, atol=1e-12)
+        f = np.eye(3)[:, :2]
+        np.testing.assert_allclose(self.transport(f, f @ f.T), f, atol=1e-12)
 
     def test_single_vector(self):
         theta = 0.1
         v = np.array([np.cos(theta), np.sin(theta)])
-        f = OrthonormalFrame(2, np.eye(2)[:, :1])
-        out = transport_frame(f, Projection(np.outer(v, v), 1))
-        np.testing.assert_allclose(out.vectors[:, 0], v, atol=1e-12)
+        out = self.transport(np.eye(2)[:, :1], np.outer(v, v))
+        np.testing.assert_allclose(out[:, 0], v, atol=1e-12)
 
     def test_rotation_about_axis(self):
         theta = 0.2
@@ -314,10 +298,9 @@ class TestTransport:
             [0.0, np.cos(theta), -np.sin(theta)],
             [0.0, np.sin(theta), np.cos(theta)],
         ])
-        f = OrthonormalFrame(3, np.eye(3)[:, :2])
-        q = Projection(rot @ f.projection().matrix @ rot.T, 2)
-        out = transport_frame(f, q)
-        np.testing.assert_allclose(out.vectors, rot @ f.vectors, atol=1e-12)
+        f = np.eye(3)[:, :2]
+        out = self.transport(f, rot @ f @ f.T @ rot.T)
+        np.testing.assert_allclose(out, rot @ f, atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(19)
@@ -325,21 +308,20 @@ class TestTransport:
             dim = int(rng.integers(2, 7))
             r = int(rng.integers(1, dim))
             basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :r]
-            f = OrthonormalFrame(dim, basis)
             other = np.linalg.qr(
                 basis + 0.2 * rng.standard_normal((dim, r)))[0]
-            q_other = Projection(other @ other.T, r)
-            there = transport_frame(f, q_other)
-            back = transport_frame(there, f.projection())
-            np.testing.assert_allclose(back.vectors, f.vectors, atol=1e-9)
+            there = self.transport(basis, other @ other.T)
+            np.testing.assert_allclose(there @ there.T, other @ other.T, atol=1e-12)
+            back = self.transport(there, basis @ basis.T)
+            np.testing.assert_allclose(back, basis, atol=1e-9)
 
     def test_rank_mismatch_rejected(self):
-        f = OrthonormalFrame(3, np.eye(3)[:, :2])
-        with pytest.raises(DimensionError):
-            transport_frame(f, Projection(np.zeros((3, 3)), 0))
+        # a target of lower rank than the frame collapses a frame direction
+        with pytest.raises(TransportError):
+            self.transport(np.eye(3)[:, :2], np.diag([1.0, 0.0, 0.0]))
 
     def test_orthogonal_target_rejected(self):
-        f = OrthonormalFrame(2, np.eye(2)[:, :1])
-        q = Projection(np.diag([0.0, 1.0]), 1)
         with pytest.raises(TransportError):
-            transport_frame(f, q)
+            self.transport(np.eye(2)[:, :1], np.diag([0.0, 1.0]))
+        # an ill-conditioned transport is a refinement failure
+        assert issubclass(TransportError, RefinementError)

@@ -8,12 +8,11 @@ from z2flow.errors import (
     NotFredholmPairError,
     SymmetryError,
 )
-from z2flow.flow import sf2_path
+from z2flow.flow import embed_chiral, sf2_path
 from z2flow.models import build_example_path, build_rank_one_pair
 from z2flow.pairs import (
     ComplexStructure,
     FredholmPair,
-    embed_unitary,
     index_pairing_rhs,
     j_index,
     parity_via_pairs,
@@ -38,11 +37,11 @@ def kernel_dim(m, tol=1e-8):
 
 class TestComplexStructure:
     def test_standard_structure(self):
-        s = ComplexStructure(embed_unitary(np.eye(3)), ChiralFrame(3, 3))
+        s = ComplexStructure(embed_chiral(np.eye(3)), ChiralFrame(3, 3))
         np.testing.assert_allclose(s.matrix @ s.matrix, -np.eye(6), atol=1e-12)
 
     def test_non_orthogonal_rejected(self):
-        bad = embed_unitary(np.diag([1.0, 2.0]))
+        bad = embed_chiral(np.diag([1.0, 2.0]))
         with pytest.raises(SymmetryError):
             ComplexStructure(bad, ChiralFrame(2, 2))
 
@@ -74,7 +73,7 @@ class TestFredholmPair:
         # a conjugation angle close to pi leaves small nonzero singular
         # values in the sum: no certifiable gap
         n = 2
-        base = ComplexStructure(embed_unitary(np.eye(n)), ChiralFrame(n, n))
+        base = ComplexStructure(embed_chiral(np.eye(n)), ChiralFrame(n, n))
         th = np.pi - 1e-3
         g = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         o = np.block([[g, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
@@ -95,7 +94,7 @@ class TestPiIndex:
 
     def test_doubled_reflection(self):
         n = 5
-        structure = ComplexStructure(embed_unitary(np.eye(n)), ChiralFrame(n, n))
+        structure = ComplexStructure(embed_chiral(np.eye(n)), ChiralFrame(n, n))
         reflect = np.eye(n)
         reflect[0, 0] = reflect[1, 1] = -1.0
         o = np.block([[reflect, np.zeros((n, n))],
@@ -276,7 +275,7 @@ class TestIndexMap:
 
     def test_two_disjoint_reflections(self):
         n = 5
-        structure = ComplexStructure(embed_unitary(np.eye(n)),
+        structure = ComplexStructure(embed_chiral(np.eye(n)),
                                      ChiralFrame(n, n))
         reflect = np.eye(n)
         reflect[0, 0] = reflect[1, 1] = -1.0
@@ -290,7 +289,7 @@ class TestIndexMap:
     def test_block_diagonal_two_sectors(self):
         # the rank-one pattern repeated in two independent sectors
         n = 6
-        structure = ComplexStructure(embed_unitary(np.eye(n)),
+        structure = ComplexStructure(embed_chiral(np.eye(n)),
                                      ChiralFrame(n, n))
         reflect = np.eye(n)
         reflect[0, 0] = reflect[3, 3] = -1.0
@@ -312,7 +311,7 @@ class TestIndexMap:
     def test_homomorphism_on_certified_products(self):
         rng = np.random.default_rng(11)
         n = 6
-        structure = ComplexStructure(embed_unitary(np.eye(n)),
+        structure = ComplexStructure(embed_chiral(np.eye(n)),
                                      ChiralFrame(n, n))
         done = 0
         while done < 15:

@@ -1,11 +1,10 @@
-"""Domain-type invariants: group elements, projections, frames, paths."""
+"""Domain-type invariants: group elements, chiral frames, paths."""
 
 import numpy as np
 import pytest
 
 from z2flow import tolerances as tol
-from z2flow.errors import ConfigError, DimensionError, SymmetryError
-from z2flow.linalg import OrthonormalFrame, Projection
+from z2flow.errors import ConfigError, SymmetryError
 from z2flow.paths import ChiralFrame, OperatorPath
 from z2flow.z2 import MINUS, PLUS, Z2, z2_product
 
@@ -27,39 +26,6 @@ class TestZ2:
     def test_product(self):
         assert z2_product([]) == PLUS
         assert z2_product([MINUS, MINUS, MINUS]) == MINUS
-
-
-class TestProjection:
-    def test_valid(self):
-        p = Projection(np.diag([1.0, 0.0]), 1)
-        assert p.rank == 1 and p.dim == 2
-
-    def test_not_idempotent(self):
-        with pytest.raises(SymmetryError):
-            Projection(np.diag([0.5, 0.0]), 1)
-
-    def test_not_symmetric(self):
-        m = np.array([[1.0, 0.1], [0.0, 0.0]])
-        with pytest.raises(SymmetryError):
-            Projection(m, 1)
-
-    def test_trace_rank_mismatch(self):
-        with pytest.raises(DimensionError):
-            Projection(np.diag([1.0, 1.0]), 1)
-
-
-class TestOrthonormalFrame:
-    def test_valid(self):
-        f = OrthonormalFrame(3, np.eye(3)[:, :2])
-        assert len(f) == 2
-
-    def test_not_orthonormal(self):
-        with pytest.raises(SymmetryError):
-            OrthonormalFrame(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    def test_wrong_ambient(self):
-        with pytest.raises(DimensionError):
-            OrthonormalFrame(3, np.eye(2))
 
 
 class TestChiralFrame:
