@@ -184,7 +184,7 @@ def run(config: RunConfig) -> dict:
         "command": config.command,
         "seed": config.seed,
     }
-    flow = None
+    path = None  # set by the path commands, whose flow is run below
 
     if config.command in ("sf2", "parity", "example"):
         if config.command == "example":
@@ -200,10 +200,6 @@ def run(config: RunConfig) -> dict:
         if config.command == "sf2" and path.symmetry_tag not in (
                 "skew", "chiral-skew"):
             raise ConfigError("sf2 requires a skew or chiral-skew path")
-        skew_path = to_skew_path(path)
-        report["input_digest"] = _digest_path(skew_path)
-        flow = sf2_path(skew_path, initial_samples=config.samples)
-        report["result"] = int(flow.value)
 
     elif config.command == "pi-index":
         n = int(config.params.get("n", 4))
@@ -238,10 +234,6 @@ def run(config: RunConfig) -> dict:
             path = build_insulator_disordered(spec, strength, config.seed)
         else:
             path = build_insulator_path(spec)
-        skew_path = to_skew_path(path)
-        report["input_digest"] = _digest_path(skew_path)
-        flow = sf2_path(skew_path, initial_samples=config.samples)
-        report["result"] = int(flow.value)
         report["half_flux_kernel_dim"] = half_flux_kernel_dim(spec)
 
     elif config.command == "bifurcation":
@@ -251,18 +243,17 @@ def run(config: RunConfig) -> dict:
             delta=float(config.params.get("delta", 0.5)),
         )
         path = build_bifurcation_path(spec)
+        report["crossing_modes"] = [list(m) for m in
+                                    bifurcation_crossing_modes(spec)]
+
+    diagnostics = {"tolerances": tol.snapshot()}
+    if path is not None:
         skew_path = to_skew_path(path)
         report["input_digest"] = _digest_path(skew_path)
         flow = sf2_path(skew_path, initial_samples=config.samples)
         report["result"] = int(flow.value)
-        report["crossing_modes"] = [list(m) for m in
-                                    bifurcation_crossing_modes(spec)]
-
-    if flow is not None and config.report_windows:
-        report["windows"] = _window_rows(flow)
-
-    diagnostics = {"tolerances": tol.snapshot()}
-    if flow is not None:
+        if config.report_windows:
+            report["windows"] = _window_rows(flow)
         diagnostics["refinement_depth"] = int(flow.refinement_depth)
         diagnostics["path_evaluations"] = int(flow.evaluations)
     diagnostics["wall_time_s"] = time.perf_counter() - started
@@ -391,6 +382,10 @@ def main(argv=None) -> int:
         return _EXIT_REFINEMENT
     except Z2FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as exc:  # a builder asked for more than fits
+        print(f"error: out of memory, reduce the problem size: {exc}",
+              file=sys.stderr)
         return _EXIT_CONFIG
 
 

@@ -32,7 +32,7 @@ from .linalg import (
     singular_values,
     skew_singular_system,
 )
-from .paths import ChiralFrame, OperatorPath
+from .paths import ChiralFrame, OperatorPath, validate_symmetry
 from .z2 import Z2, z2_product
 
 __all__ = [
@@ -243,16 +243,6 @@ class _PathData:
                 self.sigma_scale = max(self.sigma_scale, float(sv[-1]))
         return rec
 
-    def endpoint_singular_values(self, t: float) -> np.ndarray:
-        """Singular values at t that are accurate down to eps * sigma_max.
-
-        The block SVD of a chiral path already is; the squared solve of a
-        plain skew path floors them at sqrt(eps) * sigma_max, so those are
-        re-solved by a true SVD.
-        """
-        m, sv, _, _ = self.at(t)
-        return sv if self.n_plus is not None else singular_values(m)
-
     @property
     def evaluations(self) -> int:
         return len(self._cache)
@@ -430,7 +420,7 @@ def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
     t0, t1 = path.interval
 
     for t in (t0, t1):
-        sv = data.endpoint_singular_values(t)
+        sv = data.at(t)[1]
         if sv.size == 0:
             continue
         if sv[0] <= tol.inv(sv[-1]):
@@ -564,7 +554,7 @@ def parity_path_general(path: OperatorPath, *, rng=None,
 
     # endpoint admissibility: kernel dimension exactly the block index
     for t in (t0, t1):
-        sv = data.endpoint_singular_values(t)
+        sv = data.at(t)[1]
         k_dim = int((sv <= tol.inv(float(sv[-1])) * 10).sum())
         if k_dim != d:
             raise NotAdmissibleError(
@@ -658,15 +648,8 @@ def selfadjoint_to_skew(h_mat, frame: ChiralFrame) -> np.ndarray:
     real form of conjugation by the square root of the grading.
     """
     h = as_real_matrix(h_mat)
-    if h.shape[0] != h.shape[1] or h.shape[0] != frame.dim:
-        raise DimensionError("matrix does not match the chiral frame")
-    t = tol.sym(max_abs(h))
-    if max_abs(h - h.T) > t:
-        raise SymmetryError("matrix is not symmetric")
-    np_ = frame.n_plus
-    if max_abs(h[:np_, :np_]) > t or max_abs(h[np_:, np_:]) > t:
-        raise SymmetryError("matrix does not anticommute with the grading")
-    return embed_chiral(h[:np_, np_:])
+    validate_symmetry(h, "chiral-selfadjoint", frame)
+    return embed_chiral(h[:frame.n_plus, frame.n_plus:])
 
 
 def selfadjoint_path_to_skew(path: OperatorPath) -> OperatorPath:

@@ -1,14 +1,13 @@
 """Dense real linear algebra with exact sign bookkeeping.
 
 Pfaffians, determinant signs and the singular system of skew matrices that
-the windowed engine cuts its spectral windows from.  Matrices are plain
+the windowed engine cuts its spectral windows from; that system is one SVD,
+of T itself or of the off-diagonal block of a chiral T.  Matrices are plain
 two-dimensional float64 numpy arrays (the universal operator carrier
 throughout the package); inputs are never mutated.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -179,34 +178,25 @@ def skew_singular_system(t_mat: np.ndarray, n_plus: int | None = None):
     """Singular values (ascending) and directions of a skew matrix.
 
     The columns of the returned matrix are orthonormal directions, column i
-    belonging to singular value i.  A general skew matrix is solved in real
-    arithmetic through the symmetric eigenproblem of -T^2, which resolves
-    singular values only down to about sqrt(eps) * sigma_max.  A T whose
-    largest entry lies outside 2**(+-256) is first scaled by the power of two
-    that brings that entry into [0.5, 1), which is exact, so squaring neither
-    over- nor underflows at any scale.
+    belonging to singular value i.  A plain skew T is solved by one SVD,
+    whose right singular vectors are the directions.
 
     With ``n_plus`` given, T is taken to be chiral, [[0, B], [-B^T, 0]] with
     B = T[:n_plus, n_plus:], and only the block is decomposed: every
     singular value s_i of B appears twice, with the grading-pure directions
     [u_i; 0] and [0; v_i], and the |n_plus - n_minus| structural kernel
-    directions (listed first) come from the full U or V.  One SVD of B
-    resolves singular values down to eps * sigma_max and never squares the
-    entries, so it neither over- nor underflows where T itself does not.
+    directions (listed first) come from the full U or V.
+
+    Both routes resolve singular values down to eps * sigma_max and never
+    square the entries, so they neither over- nor underflow where T itself
+    does not.
     """
     n = t_mat.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
     if n_plus is None:
-        # entries of magnitude 2**(+-256) and below square to normal
-        # numbers down to eps * sigma_max; only outside that is T rescaled
-        e = math.frexp(max_abs(t_mat))[1]
-        t = t_mat if abs(e) < 256 else np.ldexp(t_mat, -e)
-        s = t.T @ t  # equals -T^2 for skew T
-        s = (s + s.T) / 2.0
-        w, v = np.linalg.eigh(s)
-        sv = np.sqrt(np.clip(w, 0.0, None))
-        return (sv if t is t_mat else np.ldexp(sv, e)), v
+        _, s, vt = np.linalg.svd(t_mat)
+        return s[::-1], vt[::-1].T
     b = t_mat[:n_plus, n_plus:]
     if b.size == 0:
         return np.zeros(n), np.eye(n)

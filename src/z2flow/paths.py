@@ -44,8 +44,8 @@ def validate_symmetry(mat: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -
     t = tol.sym(scale)
     if tag == "general":
         return
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"{tag} requires a square matrix, got {mat.shape}")
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{tag} requires a square matrix, got {m.shape}")
     if tag == "skew":
         if max_abs(m + m.T) > t:
             raise SymmetryError("matrix is not skew-symmetric within tolerance")
@@ -85,8 +85,9 @@ class OperatorPath:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not lo < hi:
-            raise ConfigError(f"invalid parameter interval {self.interval}")
+        if not (np.isfinite(self.interval).all() and lo < hi):
+            raise ConfigError(f"invalid parameter interval {self.interval}; "
+                              "a finite lo < hi is required")
         if self.symmetry_tag not in SYMMETRY_TAGS:
             raise ConfigError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag.startswith("chiral") and self.frame is None:
@@ -125,8 +126,9 @@ class OperatorPath:
                      frame: Optional[ChiralFrame] = None) -> "OperatorPath":
         """Piecewise-linear path through the given samples."""
         ts = np.asarray([float(t) for t in ts])
-        if ts.size < 2 or np.any(np.diff(ts) <= 0):
-            raise ConfigError("samples require strictly increasing parameters")
+        if (ts.size < 2 or not np.isfinite(ts).all()
+                or not np.all(np.diff(ts) > 0)):
+            raise ConfigError("samples require finite, strictly increasing parameters")
         mats = [as_real_matrix(m) for m in mats]
         if len(mats) != ts.size:
             raise ConfigError("sample count mismatch")

@@ -178,6 +178,29 @@ class TestExitStatuses:
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["parity", "--model", "examp"]) == 3
 
+    @pytest.mark.parametrize("ts", [[0.0, float("inf")],
+                                    [0.0, float("nan"), 1.0]])
+    def test_non_finite_parameter_is_config_error(self, tmp_path, ts):
+        doc = {
+            "symmetry": "general",
+            "samples": [{"t": t, "matrix": [[1.0 + i]]} for i, t in enumerate(ts)],
+        }
+        f = tmp_path / "nonfinite.json"
+        f.write_text(json.dumps(doc))  # writes the Infinity / NaN literals
+        with pytest.raises(ConfigError):
+            ingest_path(str(f))
+        proc = invoke("parity", "--path-file", str(f))
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+
+    def test_oversized_builder_exits_4(self, capsys):
+        import z2flow.cli as cli
+
+        # a 10^7 x 10^7 float matrix (728 TiB) exceeds any address space,
+        # so the allocation fails at once
+        assert cli.main(["insulator", "--M", "10000000"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIngestPath:
     def test_constant_path(self, tmp_path):

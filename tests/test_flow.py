@@ -212,7 +212,7 @@ class TestSf2Path:
 
 class TestScaledPaths:
     """The flow is scale-invariant; both singular-system routes keep it so
-    at 1e+-200."""
+    at 1e+-200, and the plain route at 1e+-300."""
 
     @pytest.mark.parametrize("factor", [1e100, 1e-100, 1e200, 1e-200])
     @pytest.mark.parametrize("name", ["examp", "examp_abs"])
@@ -221,12 +221,18 @@ class TestScaledPaths:
         scaled = OperatorPath(base.interval,
                               lambda t: factor * base.evaluator(t),
                               base.symmetry_tag, base.frame, 0)
-        # the same path tagged plain skew takes the squared solve
+        # the same path tagged plain skew takes the plain SVD route
         plain = OperatorPath(base.interval, scaled.evaluator, "skew")
         expected = sf2_path(base).value
         for path in (scaled, plain):
             assert sf2_path(path).value == expected
             assert parity_path(path) == expected
+        if name == "examp":  # near the ends of the float range too
+            extreme = 1e300 if factor > 1 else 1e-300
+            edge = OperatorPath(base.interval,
+                                lambda t: extreme * base.evaluator(t), "skew")
+            assert expected == -1
+            assert sf2_path(edge).value == expected
 
 
 class TestRefine:

@@ -208,8 +208,26 @@ class TestSpectralWindow:
                 assert np.max(np.abs(j @ q @ j - q)) < 1e-9
 
 
+class TestPlainSingularSystem:
+    def test_small_pair_resolved(self):
+        # a squared solve would return this pair as 0; one SVD resolves it
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        d = np.zeros((6, 6))
+        for i, s in enumerate((1e-12, 0.5, 2.0)):
+            d[2 * i:2 * i + 2, 2 * i:2 * i + 2] = s * j
+        q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((6, 6)))
+        t = q @ d @ q.T
+        sv, dirs = skew_singular_system(t)
+        np.testing.assert_allclose(sv[:2], 1e-12, rtol=1e-3)
+        np.testing.assert_allclose(sv[2:], [0.5, 0.5, 2.0, 2.0], rtol=1e-12)
+        np.testing.assert_allclose(dirs.T @ dirs, np.eye(6), atol=1e-13)
+        np.testing.assert_allclose(np.linalg.norm(t @ dirs, axis=0), sv,
+                                   atol=1e-14)
+
+
 class TestChiralSingularSystem:
-    """The half-block solve of [[0, B], [-B^T, 0]] against the doubled eigh."""
+    """The half-block solve of [[0, B], [-B^T, 0]] against the plain route
+    (one SVD of the doubled matrix)."""
 
     SHAPES = [(5, 5), (6, 3), (2, 5), (0, 4), (3, 0), (1, 1)]
 
@@ -226,7 +244,7 @@ class TestChiralSingularSystem:
         assert np.all(np.diff(sv) >= 0.0)
         scale = max(float(sv[-1]), 1.0) if sv.size else 1.0
         d = abs(shape[0] - shape[1])
-        # the structural kernel is exact; the squared solve floors it
+        # the structural kernel is exact; the plain SVD leaves rounding
         assert np.all(sv[:d] == 0.0)
         np.testing.assert_allclose(sv_eigh[:d], 0.0, atol=1e-7 * scale)
         np.testing.assert_allclose(sv[d:], sv_eigh[d:], rtol=1e-12, atol=1e-12 * scale)
@@ -264,9 +282,8 @@ class TestChiralSingularSystem:
             assert cosines.min() >= 1.0 - 1e-12
 
     def test_extreme_scale(self):
-        # squaring would overflow at 1e200 and underflow at 1e-200; the block
-        # route never squares and the plain route squares a power-of-two
-        # rescaled copy
+        # squaring would overflow at 1e200 and underflow at 1e-200; neither
+        # route squares
         b = np.array([[2.0, 0.0], [0.0, 0.5]])
         for factor in (1e200, 1e-200):
             for n_plus in (2, None):

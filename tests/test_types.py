@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from z2flow import tolerances as tol
-from z2flow.errors import ConfigError, SymmetryError
-from z2flow.paths import ChiralFrame, OperatorPath
+from z2flow.errors import ConfigError, DimensionError, SymmetryError
+from z2flow.paths import ChiralFrame, OperatorPath, validate_symmetry
 from z2flow.z2 import MINUS, PLUS, Z2, z2_product
 
 
@@ -79,6 +79,29 @@ class TestOperatorPath:
         with pytest.raises(ConfigError):
             OperatorPath.from_samples(
                 [0.0, 1.0], [np.eye(1), np.eye(2)], "general")
+
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0),
+                                          (0.0, np.nan)])
+    def test_non_finite_interval(self, interval):
+        with pytest.raises(ConfigError):
+            OperatorPath(interval, lambda t: np.eye(2), "general")
+
+    @pytest.mark.parametrize("ts", [[0.0, np.inf], [0.0, np.nan, 1.0],
+                                    [-np.inf, 0.0, 1.0]])
+    def test_from_samples_requires_finite(self, ts):
+        with pytest.raises(ConfigError):
+            OperatorPath.from_samples(ts, [np.eye(1)] * len(ts), "general")
+
+
+class TestValidateSymmetry:
+    def test_accepts_nested_lists(self):
+        validate_symmetry([[0.0, 1.0], [-1.0, 0.0]], "skew", None)
+        validate_symmetry([[0.0, 2.0], [2.0, 0.0]], "chiral-selfadjoint",
+                          ChiralFrame(1, 1))
+        with pytest.raises(SymmetryError):
+            validate_symmetry([[0.0, 1.0], [1.0, 0.0]], "skew", None)
+        with pytest.raises(DimensionError):
+            validate_symmetry([[0.0, 1.0]], "skew", None)
 
 
 class TestToleranceScale:
