@@ -230,7 +230,7 @@ def run(config: RunConfig) -> dict:
             link_site=int(config.params.get("link_site", 0)),
         )
         strength = float(config.params.get("disorder", 0.0))
-        if strength > 0:
+        if strength != 0:  # the builder refuses negative and non-finite values
             path = build_insulator_disordered(spec, strength, config.seed)
         else:
             path = build_insulator_path(spec)

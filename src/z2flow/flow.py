@@ -398,8 +398,8 @@ def _random_orthogonal(rng, k: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
-             presplit=()) -> FlowResult:
+def sf2_path(path: OperatorPath, *, rng=None,
+             initial_samples: int = 9) -> FlowResult:
     """Z2-valued spectral flow of an admissible path of skew matrices.
 
     The interval is partitioned adaptively; on each segment the flow is
@@ -439,16 +439,13 @@ def sf2_path(path: OperatorPath, *, rng=None, initial_samples: int = 9,
 
     n_grid = max(3, int(initial_samples))
 
-    cuts = sorted(set(float(c) for c in presplit if t0 < float(c) < t1))
-    if rng is not None and not cuts:
+    points = [t0]
+    if rng is not None:  # random cuts, comfortably above the refinement floor
         extra = int(rng.integers(0, 3))
         pad = 0.05 * (t1 - t0)
-        cuts = sorted(float(t) for t in
-                      rng.uniform(t0 + pad, t1 - pad, size=extra))
-    points = [t0]
-    for c in cuts:  # keep segments comfortably above the refinement floor
-        if c - points[-1] > 10 * tol.MIN_SEGMENT and t1 - c > 10 * tol.MIN_SEGMENT:
-            points.append(c)
+        for c in sorted(rng.uniform(t0 + pad, t1 - pad, size=extra)):
+            if c - points[-1] > 10 * tol.MIN_SEGMENT and t1 - c > 10 * tol.MIN_SEGMENT:
+                points.append(float(c))
     points.append(t1)
     accepted, max_depth = refine(
         points, lambda lo, hi: _segment_window(data, lo, hi, n_grid, rng),
@@ -505,7 +502,8 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
 def to_skew_path(path: OperatorPath) -> OperatorPath:
     """The skew path whose Z2 flow is the parity of ``path``.
 
-    General square families are doubled to chiral skew-adjoint form;
+    General families are doubled to chiral skew-adjoint form, rectangular
+    ones after reduction to a square block path (``_square_block_path``);
     chiral self-adjoint families are converted through the grading root;
     skew families are passed through unchanged.
     """
@@ -513,75 +511,71 @@ def to_skew_path(path: OperatorPath) -> OperatorPath:
         return selfadjoint_path_to_skew(path)
     if path.symmetry_tag != "general":
         return path
-    doubled = embed_chiral_path(path)
-    if doubled.declared_index:
-        raise DimensionError("rectangular families need parity_path_general")
-    return doubled
+    if path.declared_index:
+        path = _square_block_path(path)
+    return embed_chiral_path(path)
 
 
-def parity_path(path: OperatorPath, *, rng=None, initial_samples: int = 9) -> Z2:
+def parity_path(path: OperatorPath, *, rng=None) -> Z2:
     """Parity of an admissible path, via the windowed Z2 flow of its skew
-    form (see ``to_skew_path``)."""
-    return sf2_path(to_skew_path(path), rng=rng,
-                    initial_samples=initial_samples).value
+    form (see ``to_skew_path``); rectangular families take
+    ``parity_path_general``."""
+    if path.symmetry_tag == "general" and path.declared_index:
+        raise DimensionError("rectangular families need parity_path_general")
+    return sf2_path(to_skew_path(path), rng=rng).value
 
 
-def parity_path_general(path: OperatorPath, *, rng=None,
-                        n_samples: int = 65) -> Z2:
-    """Parity of a path of rectangular blocks with constant nonzero index.
-
-    At the endpoints the doubled skew operator must have kernel dimension
-    exactly ``|declared_index|``.  A continuous grading-invariant family of
-    kernel projections is tracked along the path; the flow of the family
-    restricted to its orthocomplement (expressed in transported frames) is
-    the parity.  The result does not depend on the kernel-family choice.
-    """
+def parity_path_general(path: OperatorPath, *, rng=None) -> Z2:
+    """Parity of a path of blocks with constant, possibly nonzero, index:
+    the Z2 flow of ``to_skew_path(path)``.  At the endpoints the block may
+    have no kernel or cokernel beyond the ``|declared_index|`` structural
+    directions."""
     if path.symmetry_tag != "general":
         raise ConfigError("parity_path_general expects a path of plain blocks")
-    b0 = path.at(path.t_start)
-    n_rows, n_cols = b0.shape
-    d = abs(path.declared_index)
-    if d != abs(n_rows - n_cols):
-        raise ConfigError("declared index inconsistent with block shape")
-    if d == 0:
-        return parity_path(path, rng=rng)
+    return sf2_path(to_skew_path(path), rng=rng).value
 
-    embedded = embed_chiral_path(path)
-    data = _PathData(embedded)
+
+def _square_block_path(path: OperatorPath) -> OperatorPath:
+    """Square block path with the parity of a rectangular one.
+
+    With B(t) tall (a wide block is transposed), N x k, a continuous
+    d-dimensional near-cokernel frame F(t), d = N - k, is polar-transported
+    along samples refined until consecutive frames are WINDOW_EPS-close.
+    The result interpolates W(t)^T B(t), W(t) the transported complement of
+    F(t); its parity does not depend on the choice of F.
+    """
+    wide = path.declared_index < 0
+    d = abs(path.declared_index)
     t0, t1 = path.interval
-    dim = n_rows + n_cols
-    j_diag = np.concatenate([np.ones(n_rows), -np.ones(n_cols)])
+    cache = {}
+    sigma_max = 0.0
+
+    def at(t):  # (B, U, singular values) of the tall block at t
+        nonlocal sigma_max
+        if t not in cache:
+            b = path.at(t).T if wide else path.at(t)
+            u, s, _ = np.linalg.svd(b)
+            cache[t] = (b, u, s)
+            sigma_max = max(sigma_max, s.max(initial=0.0))
+        return cache[t]
 
     # endpoint admissibility: kernel dimension exactly the block index
     for t in (t0, t1):
-        sv = data.at(t)[1]
-        k_dim = int((sv <= tol.inv(float(sv[-1])) * 10).sum())
-        if k_dim != d:
+        s = at(t)[2]
+        extra = 2 * int((s <= tol.inv(s.max(initial=0.0)) * 10).sum())
+        if extra:
             raise NotAdmissibleError(
-                f"endpoint kernel dimension {k_dim} != |index| {d} at t={t}"
+                f"endpoint kernel dimension {d + extra} != |index| {d} at t={t}"
             )
 
     def kernel_frame(t, prev):
-        _, sv, v, _ = data.at(t)
-        # the d structural kernel values of the block solve are exact zeros
-        floor = tol.inv(max(data.sigma_scale, 1e-300)) * 10
-        c = int((sv < floor).sum())
-        if c < d:
-            raise RefinementError(f"kernel family lost rank at t={t}")
-        cluster = v[:, :c]
-        if c == d or prev is None:
-            f = cluster[:, :d]
-        else:
-            f = cluster @ _polar(cluster.T @ prev, tol.transport())
-        # symmetrize to a grading-invariant family and re-project
-        p = f @ f.T
-        p = (p + (j_diag[:, None] * p) * j_diag[None, :]) / 2.0
-        w, vec = np.linalg.eigh((p + p.T) / 2.0)
-        if w[-d] < 0.5:
-            raise RefinementError(
-                f"kernel family is not grading-invariant at t={t}"
-            )
-        return vec[:, -d:]
+        _, u, s = at(t)
+        k = s.size
+        cluster = s < tol.inv(max(sigma_max, 1e-300)) * 10
+        if prev is None or not cluster.any():
+            return u[:, k:]
+        near = np.concatenate([u[:, k:], u[:, :k][:, cluster]], axis=1)
+        return near @ _polar(near.T @ prev, tol.transport())
 
     # kernel frames on a sample grid refined until consecutive frames are
     # WINDOW_EPS-close; refine's left-to-right order makes every frame the
@@ -595,22 +589,19 @@ def parity_path_general(path: OperatorPath, *, rng=None,
         frames[b] = f
         return f
 
-    segments, _ = refine(np.linspace(t0, t1, max(3, n_samples)),
-                         continue_frame, "continuous kernel family")
+    segments, _ = refine(np.linspace(t0, t1, 65), continue_frame,
+                         "continuous kernel family")
     ts = [t0] + [hi for _, hi, _ in segments]
 
     # complement frames, transported along the samples
-    comp = np.linalg.svd(frames[t0], full_matrices=True)[0][:, d:]
-    restricted = []
+    _, u, s = at(t0)
+    w = u[:, :s.size]
+    blocks = []
     for t in ts:
         f = frames[t]
-        comp = _polar((np.eye(dim) - f @ f.T) @ comp, tol.transport())
-        m = data.at(t)[0]
-        s = comp.T @ m @ comp
-        restricted.append((s - s.T) / 2.0)
-
-    reduced = OperatorPath.from_samples(ts, restricted, "skew")
-    return sf2_path(reduced, rng=rng).value
+        w = _polar(w - f @ (f.T @ w), tol.transport())
+        blocks.append(w.T @ at(t)[0])
+    return OperatorPath.from_samples(ts, blocks, "general")
 
 
 # ---------------------------------------------------------------------------

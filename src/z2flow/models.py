@@ -175,8 +175,8 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
     equal to ``strength`` and must stay below half the spectral gap of the
     clean endpoints so the path remains admissible.
     """
-    if strength < 0:
-        raise ConfigError("disorder strength must be >= 0")
+    if not (math.isfinite(strength) and strength >= 0):
+        raise ConfigError(f"disorder strength must be finite and >= 0, got {strength}")
     clean = build_insulator_path(spec)
     gap = min(
         float(singular_values(clean.at(0.0))[0]),

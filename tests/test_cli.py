@@ -193,6 +193,12 @@ class TestExitStatuses:
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("strength", ["-0.5", "nan", "inf"])
+    def test_invalid_disorder_exits_4(self, strength):
+        proc = invoke("insulator", "--M", "8", "--disorder", strength)
+        assert proc.returncode == 4
+        assert "disorder strength" in proc.stderr
+
     def test_oversized_builder_exits_4(self, capsys):
         import z2flow.cli as cli
 
@@ -264,6 +270,27 @@ class TestIngestPath:
             with pytest.raises(ConfigError):
                 ingest_path(str(f))
 
+    @pytest.mark.parametrize("ends, expected", [
+        ([[[-1.0], [0.0], [0.0]], [[1.0], [0.0], [0.0]]], -1),  # tall 3x1
+        ([[[-1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]], -1),          # wide 1x3
+        ([[[1.0], [0.0]], [[0.0], [1.0]]], 1),                  # tall 2x1
+    ])
+    def test_rectangular_parity(self, tmp_path, ends, expected):
+        doc = {
+            "symmetry": "general",
+            "samples": [{"t": t, "matrix": m} for t, m in zip((-1.0, 1.0), ends)],
+        }
+        f = tmp_path / "rect.json"
+        f.write_text(json.dumps(doc))
+        report = parse_stdout(invoke("parity", "--path-file", str(f),
+                                     "--report-windows"))
+        assert report["result"] == expected
+        product = 1
+        for w in report["windows"]:
+            product *= w["factor"]
+        assert report["windows"] and product == expected
+        assert invoke("sf2", "--path-file", str(f)).returncode == 4
+
     def test_interpolation_is_linear(self, tmp_path):
         doc = {
             "symmetry": "general",
@@ -300,3 +327,45 @@ class TestRunConfig:
     def test_run_requires_input(self):
         with pytest.raises(ConfigError):
             run(RunConfig(command="parity"))
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_reports.json")
+with open(GOLDEN, encoding="utf-8") as _fh:
+    GOLDEN_REPORTS = json.load(_fh)
+
+
+def _assert_report_matches(actual, expected, where="report"):
+    """Equal field by field, window radii to a relative 1e-9."""
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), where
+        for key in expected:
+            if key == "a":
+                assert actual[key] == pytest.approx(expected[key], rel=1e-9, abs=0), where
+            else:
+                _assert_report_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (x, y) in enumerate(zip(actual, expected)):
+            _assert_report_matches(x, y, f"{where}[{i}]")
+    else:
+        assert actual == expected and type(actual) is type(expected), where
+
+
+class TestGoldenReports:
+    """Reports of fixed commands against ``data/cli_reports.json``.
+
+    Every field but the wall time must match; window radii may differ in
+    the last bits between equally accurate solves.  Path-file arguments are
+    relative to ``tests/data``.
+    """
+
+    @pytest.mark.parametrize("entry", GOLDEN_REPORTS,
+                             ids=[" ".join(e["argv"]) for e in GOLDEN_REPORTS])
+    def test_report_unchanged(self, entry):
+        data = os.path.dirname(GOLDEN)
+        argv = [os.path.join(data, a) if a.endswith(".json") else a
+                for a in entry["argv"]]
+        report = run(config_from_args(argv))
+        del report["diagnostics"]["wall_time_s"]
+        # the JSON round trip turns tuples into lists, as the CLI output does
+        _assert_report_matches(json.loads(json.dumps(report)), entry["report"])

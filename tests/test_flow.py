@@ -27,6 +27,7 @@ from z2flow.flow import (
     selfadjoint_to_skew,
     sf2_finite,
     sf2_path,
+    to_skew_path,
 )
 from z2flow.linalg import sign_det
 from z2flow.models import (
@@ -390,6 +391,19 @@ class TestParityPathGeneral:
                             lambda t: np.array([[t], [0.0], [0.0]]),
                             "general", None, 2)
         assert parity_path_general(path) == -1
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_skew_form_is_square_doubling(self, wide):
+        # the 3x1 crossing and its transpose reduce to a 1x1 block path whose
+        # doubling carries the parity through sf2_path
+        def ev(t):
+            b = np.array([[t], [0.0], [0.0]])
+            return b.T if wide else b
+        path = OperatorPath((-1.0, 1.0), ev, "general", None, -2 if wide else 2)
+        skew = to_skew_path(path)
+        assert skew.symmetry_tag == "chiral-skew"
+        assert skew.frame == ChiralFrame(1, 1) and skew.declared_index == 0
+        assert sf2_path(skew).value == parity_path_general(path) == -1
 
     def test_wrong_endpoint_kernel_rejected(self):
         # kernel dimension at the endpoints exceeds the declared index

@@ -160,6 +160,11 @@ class TestInsulator:
         with pytest.raises(NotAdmissibleError):
             build_insulator_disordered(RingShiftSpec(8, 1, 1), 0.6, seed=0)
 
+    @pytest.mark.parametrize("strength", [-0.5, float("nan"), float("inf")])
+    def test_disorder_strength_must_be_finite_non_negative(self, strength):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            build_insulator_disordered(RingShiftSpec(8, 1, 1), strength, seed=0)
+
     def test_disorder_preserves_parity(self):
         for (k, n, expected) in [(1, 1, -1), (1, 2, 1)]:
             spec = RingShiftSpec(8, k, n)
