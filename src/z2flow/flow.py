@@ -115,17 +115,20 @@ def embed_chiral(b) -> np.ndarray:
     return t
 
 
+def _doubling(source: OperatorPath, frame: ChiralFrame) -> OperatorPath:
+    """Chiral-skew doubling [[0, B], [-B^T, 0]] of the blocks of ``source``;
+    only its ``at`` builds the doubled matrix, the engine reads ``block``."""
+    def evaluator(t):
+        return embed_chiral(source.block(t))
+
+    evaluator.block = source.block
+    return OperatorPath(source.interval, evaluator, "chiral-skew", frame,
+                        frame.n_plus - frame.n_minus)
+
+
 def embed_chiral_path(path: OperatorPath) -> OperatorPath:
     """Chiral skew-adjoint doubling of a path of general matrices."""
-    n, m = path.at(path.t_start).shape
-    frame = ChiralFrame(n, m)
-    return OperatorPath(
-        path.interval,
-        lambda t: embed_chiral(path.evaluator(t)),
-        "chiral-skew",
-        frame,
-        n - m,
-    )
+    return _doubling(path, ChiralFrame(*path.block(path.t_start).shape))
 
 
 def sf2_finite(t0, t1) -> Z2:
@@ -210,15 +213,17 @@ def _polar(x: np.ndarray, floor: float) -> np.ndarray:
 class _PathData:
     """Caches path evaluations and their skew singular systems per parameter.
 
-    A record is (T, singular values ascending, directions, step matrix).
-    Chiral-skew paths are solved on their block B = T[:n_plus, n_plus:],
-    which is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.  A
-    plain skew path is its own step matrix.
+    A record is (M, singular values of T ascending, frames).  A chiral-skew
+    path is carried by its block: M = B = ``path.block(t)`` and the frames
+    are the left and right singular vectors (X, Y) of B (see
+    ``skew_singular_system``); the doubled T is never formed.  A plain skew
+    path has M = T and the one frame (V,).  M is also the step matrix:
+    ||T_i - T_j||_2 = ||B_i - B_j||_2.
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
-        self.n_plus = path.frame.n_plus if path.symmetry_tag == "chiral-skew" else None
+        self.chiral = path.symmetry_tag == "chiral-skew"
         self._cache = {}
         self.sigma_scale = 0.0
         self.step_bound = math.inf
@@ -227,17 +232,15 @@ class _PathData:
         key = float(t)
         rec = self._cache.get(key)
         if rec is None:
-            m = self.path.at(key)
-            m = (m - m.T) / 2.0
-            if self.n_plus is None:
-                step = m
-            else:  # drop the diagonal blocks, which validation bounds by tol.sym
-                p = self.n_plus
-                m[:p, :p] = 0.0
-                m[p:, p:] = 0.0
-                step = m[:p, p:]
-            sv, v = skew_singular_system(m, self.n_plus)
-            rec = (m, sv, v, step)
+            if self.chiral:
+                m = self.path.block(key)
+                sv, frames = skew_singular_system(m, True)
+            else:
+                m = self.path.at(key)
+                m = (m - m.T) / 2.0
+                sv, v = skew_singular_system(m)
+                frames = (v,)
+            rec = (m, sv, frames)
             self._cache[key] = rec
             if sv.size:
                 self.sigma_scale = max(self.sigma_scale, float(sv[-1]))
@@ -283,12 +286,12 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
     """
     ts = np.linspace(lo, hi, n_grid)
     recs = [data.at(t) for t in ts]
-    n = recs[0][0].shape[0]
     svs = np.stack([r[1] for r in recs])
+    n = svs.shape[1]
     s_seg = float(svs.max()) if svs.size else 0.0
 
     # path continuity at this sampling resolution
-    steps = _step_norms(np.stack([r[3] for r in recs]))
+    steps = _step_norms(np.stack([r[0] for r in recs]))
     if steps.size and steps.max() > data.step_bound:
         return None
     slack = 0.75 * float(steps.max()) if steps.size else 0.0
@@ -333,67 +336,62 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
             a = (glo + margin) + u * ((ghi - margin) - (glo + margin))
         if a <= margin:
             continue
-        bases = np.stack([r[2][:, :k] for r in recs])
-        if not _pairwise_window_continuity(bases):
+        frames = [_window_frames(r, k) for r in recs]
+        if not all(_pairwise_window_continuity(np.stack(side))
+                   for side in zip(*frames)):
             continue
         return a, k
     return None
 
 
-def _kernel_lift(data: _PathData, t: float, a_min: float,
-                 frame: Optional[ChiralFrame], rng) -> Optional[np.ndarray]:
-    """Skew perturbation lifting the near-kernel of the path matrix at t.
+def _window_frames(rec, k: int):
+    """Frames of the window of the k smallest singular values: the first k
+    directions of a plain record; on a block, the longer side's d structural
+    directions and both sides' directions of (k - d) / 2 values of B."""
+    frames = rec[2]
+    if len(frames) == 1:
+        return [frames[0][:, :k]]
+    r = min(f.shape[1] for f in frames)
+    pairs = (k - sum(f.shape[1] - r for f in frames)) // 2
+    return [f[:, :f.shape[1] - r + pairs] for f in frames]
 
-    Pairs of near-kernel directions receive canonical 2x2 skew blocks of
-    scale delta = a_min/10 (kept inside both adjacent windows); in the
-    chiral case each pair joins a +grading vector with a -grading vector so
-    the perturbation stays chiral.  Directions strictly below delta/2 count
-    as kernel, so the lifted block dominates them and the unlifted part is
-    untouched (the cluster spans an invariant subspace).
+
+def _kernel_lift(data: _PathData, t: float, a_min: float,
+                 rng) -> Optional[np.ndarray]:
+    """Perturbation R of the record matrix lifting the near-kernel at t.
+
+    Directions strictly below delta/2 count as kernel, delta = a_min/10
+    (kept inside both adjacent windows), so the lift dominates them and the
+    unlifted part is untouched (the cluster spans an invariant subspace).
+    On a chiral block path the i-th left null vector x_i of B is paired
+    with the i-th right one y_i: R = delta * sum x_i y_i^T is an
+    n_plus x n_minus block, whose doubling joins [x_i; 0] with [0; y_i] in
+    a chiral 2x2 skew block.  On a plain skew path consecutive kernel
+    directions are joined by n x n skew blocks.
     """
     delta = a_min / 10.0
     if rng is not None:
         delta *= float(rng.uniform(0.2, 1.0))
     threshold = delta / 2.0
-    _, sv, v, _ = data.at(t)
-    cluster = sv < threshold
-    m = int(cluster.sum())
+    rec = data.at(t)
+    m = int((rec[1] < threshold).sum())
     if m == 0:
         return None
     if m % 2:
         raise RefinementError(
             f"odd near-kernel cluster of size {m} at t={t}; cannot lift"
         )
-    basis = v[:, cluster]
-
-    pairs = []
-    if frame is not None:
-        j_diag = np.concatenate([np.ones(frame.n_plus), -np.ones(frame.n_minus)])
-        c = basis.T @ (j_diag[:, None] * basis)
-        c = (c + c.T) / 2.0
-        w, rot = np.linalg.eigh(c)
-        if np.all(np.abs(np.abs(w) - 1.0) < 0.1):
-            minus = basis @ rot[:, w < 0]
-            plus = basis @ rot[:, w > 0]
-            if plus.shape[1] == minus.shape[1]:
-                if rng is not None:
-                    plus = plus @ _random_orthogonal(rng, plus.shape[1])
-                    minus = minus @ _random_orthogonal(rng, minus.shape[1])
-                pairs = [(plus[:, i], minus[:, i]) for i in range(plus.shape[1])]
-    if not pairs:
-        if rng is not None:
-            basis = basis @ _random_orthogonal(rng, m)
-        pairs = [(basis[:, 2 * i], basis[:, 2 * i + 1]) for i in range(m // 2)]
-
-    r = np.zeros((basis.shape[0], basis.shape[0]))
-    for u, w_ in pairs:
-        r += delta * (np.outer(u, w_) - np.outer(w_, u))
-    return r
+    kernels = _window_frames(rec, m)
+    if rng is not None:
+        kernels = [c @ _random_orthogonal(rng, c.shape[1]) for c in kernels]
+    if data.chiral:  # an admissible chiral path has no structural kernel
+        x, y = kernels
+        return delta * (x @ y.T)
+    u, w = kernels[0][:, 0::2], kernels[0][:, 1::2]
+    return delta * (u @ w.T - w @ u.T)
 
 
 def _random_orthogonal(rng, k: int) -> np.ndarray:
-    if k == 0:
-        return np.zeros((0, 0))
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
 
@@ -427,15 +425,13 @@ def sf2_path(path: OperatorPath, *, rng=None,
             raise NotAdmissibleError(
                 f"path endpoint at t={t} is singular (sigma_min={sv[0]:.3e})"
             )
-    if data.at(t0)[0].shape[0] % 2:
+    if data.at(t0)[1].size % 2:
         raise DimensionError("skew flow requires even ambient dimension")
 
-    data.step_bound = 0.1 * min(
+    data.step_bound = 0.1 * min(  # inf for a 0-dimensional path
         float(data.at(t0)[1][0]) if data.at(t0)[1].size else math.inf,
         float(data.at(t1)[1][0]) if data.at(t1)[1].size else math.inf,
     )
-    if not math.isfinite(data.step_bound):
-        data.step_bound = math.inf  # 0-dimensional path
 
     n_grid = max(3, int(initial_samples))
 
@@ -454,7 +450,7 @@ def sf2_path(path: OperatorPath, *, rng=None,
     # shared kernel lifts at interior partition points
     lifts = {}
     for (_, t_mid, left), (_, _, right) in zip(accepted, accepted[1:]):
-        r = _kernel_lift(data, t_mid, min(left[0], right[0]), path.frame, rng)
+        r = _kernel_lift(data, t_mid, min(left[0], right[0]), rng)
         if r is not None:
             lifts[t_mid] = r
 
@@ -464,28 +460,29 @@ def sf2_path(path: OperatorPath, *, rng=None,
     return FlowResult(value, windows, max_depth, data.evaluations)
 
 
+def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
+    """Restriction of a record's operator to window frames: F^T (T + R) F
+    antisymmetrized, or for a block's frames (X, Y) the chiral S - S^T with
+    S = [[0, X^T (B + R) Y], [0, 0]]."""
+    s = frames[0].T @ (m if r is None else m + r) @ frames[-1]
+    if len(frames) == 1:
+        return (s - s.T) / 2.0
+    k = s.shape[0]
+    up = np.zeros((k + s.shape[1],) * 2)
+    up[:k, k:] = s
+    return up - up.T
+
+
 def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
                    lifts) -> SpectralWindow:
-    m_lo, sv_lo, v_lo, _ = data.at(lo)
-    m_hi, sv_hi, v_hi, _ = data.at(hi)
-    if int((sv_lo < a).sum()) != k or int((sv_hi < a).sum()) != k:
+    rec_lo, rec_hi = data.at(lo), data.at(hi)
+    if int((rec_lo[1] < a).sum()) != k or int((rec_hi[1] < a).sum()) != k:
         raise RefinementError("window rank drifted between validation and use")
-    u_p = v_lo[:, :k]
-    u_q = v_hi[:, :k]
-
-    r_lo = lifts.get(lo)
-    r_hi = lifts.get(hi)
-    s_lo = u_p.T @ m_lo @ u_p
-    if r_lo is not None:
-        s_lo += u_p.T @ r_lo @ u_p
-    s_lo = (s_lo - s_lo.T) / 2.0
-
-    f_q = u_q @ _polar(u_q.T @ u_p, max(tol.transport(), _COS_MIN / 2.0))
-    s_hi = f_q.T @ m_hi @ f_q
-    if r_hi is not None:
-        s_hi += f_q.T @ r_hi @ f_q
-    s_hi = (s_hi - s_hi.T) / 2.0
-
+    p = _window_frames(rec_lo, k)
+    floor = max(tol.transport(), _COS_MIN / 2.0)
+    q = [f @ _polar(f.T @ g, floor) for f, g in zip(_window_frames(rec_hi, k), p)]
+    s_lo = _restricted(rec_lo[0], lifts.get(lo), p)
+    s_hi = _restricted(rec_hi[0], lifts.get(hi), q)
     try:
         factor = sf2_finite(s_lo, s_hi)
     except NotAdmissibleError as exc:
@@ -505,7 +502,8 @@ def to_skew_path(path: OperatorPath) -> OperatorPath:
     General families are doubled to chiral skew-adjoint form, rectangular
     ones after reduction to a square block path (``_square_block_path``);
     chiral self-adjoint families are converted through the grading root;
-    skew families are passed through unchanged.
+    skew families are passed through unchanged.  The doublings are carried
+    by the source's blocks (``OperatorPath.block``).
     """
     if path.symmetry_tag == "chiral-selfadjoint":
         return selfadjoint_path_to_skew(path)
@@ -644,17 +642,11 @@ def selfadjoint_to_skew(h_mat, frame: ChiralFrame) -> np.ndarray:
 
 
 def selfadjoint_path_to_skew(path: OperatorPath) -> OperatorPath:
-    """Pointwise chiral-selfadjoint to chiral-skew conversion of a path."""
+    """Pointwise chiral-selfadjoint to chiral-skew conversion of a path;
+    its block is the validated source's upper block."""
     if path.symmetry_tag != "chiral-selfadjoint":
         raise ConfigError("expected a chiral-selfadjoint path")
-    frame = path.frame
-    return OperatorPath(
-        path.interval,
-        lambda t: selfadjoint_to_skew(path.evaluator(t), frame),
-        "chiral-skew",
-        frame,
-        frame.n_plus - frame.n_minus,
-    )
+    return _doubling(path, path.frame)
 
 
 def k_real_reduce(h_mat, k_mat, frame: ChiralFrame) -> np.ndarray:

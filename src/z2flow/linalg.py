@@ -174,42 +174,28 @@ def sign_det(m) -> Z2:
 # spectral windows
 
 
-def skew_singular_system(t_mat: np.ndarray, n_plus: int | None = None):
-    """Singular values (ascending) and directions of a skew matrix.
+def skew_singular_system(mat: np.ndarray, chiral: bool = False):
+    """Singular values (ascending) and directions of a skew matrix T.
 
-    The columns of the returned matrix are orthonormal directions, column i
-    belonging to singular value i.  A plain skew T is solved by one SVD,
-    whose right singular vectors are the directions.
+    A plain skew T is solved by one SVD: the directions are its right
+    singular vectors, column i belonging to singular value i.
 
-    With ``n_plus`` given, T is taken to be chiral, [[0, B], [-B^T, 0]] with
-    B = T[:n_plus, n_plus:], and only the block is decomposed: every
-    singular value s_i of B appears twice, with the grading-pure directions
-    [u_i; 0] and [0; v_i], and the |n_plus - n_minus| structural kernel
-    directions (listed first) come from the full U or V.
+    With ``chiral`` set, ``mat`` is the block B (n_plus x n_minus) of
+    T = [[0, B], [-B^T, 0]], and only B is decomposed; T is never built.
+    The d = |n_plus - n_minus| structural zeros come first, then every
+    singular value s_i of B twice, with the grading-pure directions [x_i; 0]
+    and [0; y_i].  The directions are the pair (X, Y) of the left and the
+    right singular vectors, each square with the structural kernel of its
+    side (from the full U or V) first and then ascending in s_i.
 
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
     does not.
     """
-    n = t_mat.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if n_plus is None:
-        _, s, vt = np.linalg.svd(t_mat)
+    u, s, vt = np.linalg.svd(mat)
+    if not chiral:
         return s[::-1], vt[::-1].T
-    b = t_mat[:n_plus, n_plus:]
-    if b.size == 0:
-        return np.zeros(n), np.eye(n)
-    u, s, vt = np.linalg.svd(b)
     r = s.size
-    d = n - 2 * r
-    up = slice(None, n_plus)
-    down = slice(n_plus, None)
-    dirs = np.zeros((n, n))
-    if n_plus > n - n_plus:
-        dirs[up, :d] = u[:, r:]
-    else:
-        dirs[down, :d] = vt[r:].T
-    dirs[up, d::2] = u[:, r - 1::-1]
-    dirs[down, d + 1::2] = vt[r - 1::-1].T
-    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), dirs
+    x, y = (np.concatenate([w[:, r:], w[:, :r][:, ::-1]], axis=1) for w in (u, vt.T))
+    d = x.shape[1] + y.shape[1] - 2 * r
+    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), (x, y)

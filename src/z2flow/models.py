@@ -53,8 +53,8 @@ def build_example_path(name: str, s: float = None) -> OperatorPath:
     if name == "doubled_perturbed":
         if s is None:
             s = 1.0
-        if s < 0:
-            raise ConfigError("perturbation strength s must be >= 0")
+        if not (math.isfinite(s) and s >= 0):
+            raise ConfigError(f"perturbation strength s must be finite and >= 0, got {s}")
     elif s is not None:
         raise ConfigError(f"example {name!r} takes no strength parameter")
 

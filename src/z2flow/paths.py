@@ -40,10 +40,9 @@ class ChiralFrame:
 def validate_symmetry(mat: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -> None:
     """Check that a matrix satisfies its declared symmetry class."""
     m = as_real_matrix(mat)
-    scale = max_abs(m)
-    t = tol.sym(scale)
     if tag == "general":
         return
+    t = tol.sym(max_abs(m))
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{tag} requires a square matrix, got {m.shape}")
     if tag == "skew":
@@ -92,14 +91,13 @@ class OperatorPath:
             raise ConfigError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag.startswith("chiral") and self.frame is None:
             raise ConfigError("chiral symmetry tags require a chiral frame")
-        m0 = as_real_matrix(self.evaluator(lo))
         if self.symmetry_tag == "general":
-            expected = m0.shape[0] - m0.shape[1]
+            rows, cols = as_real_matrix(self.evaluator(lo)).shape
+            expected = rows - cols
+        elif self.frame is not None:
+            expected = self.frame.n_plus - self.frame.n_minus
         else:
-            if self.frame is not None:
-                expected = self.frame.n_plus - self.frame.n_minus
-            else:
-                expected = 0
+            expected = 0
         if self.declared_index != expected:
             raise ConfigError(
                 f"declared index {self.declared_index} inconsistent with "
@@ -119,6 +117,27 @@ class OperatorPath:
         m = as_real_matrix(self.evaluator(t))
         validate_symmetry(m, self.symmetry_tag, self.frame)
         return m
+
+    def block(self, t: float) -> np.ndarray:
+        """The block B(t) that carries a chiral path T = [[0, B], [-B^T, 0]].
+
+        A general path is its own block; a chiral path gives the upper block
+        of its validated matrix, antisymmetrized if chiral-skew.  An
+        evaluator with a ``block`` attribute (the doublings built in
+        ``flow``) answers from it, without building T.
+        """
+        source = getattr(self.evaluator, "block", None)
+        if source is not None:
+            return source(t)
+        if self.symmetry_tag == "skew":
+            raise ConfigError("a plain skew path has no chiral block")
+        m = self.at(t)
+        if self.symmetry_tag == "general":
+            return m
+        p = self.frame.n_plus
+        if self.symmetry_tag == "chiral-selfadjoint":
+            return m[:p, p:]
+        return (m[:p, p:] - m[p:, :p].T) / 2.0
 
     @staticmethod
     def from_samples(ts: Sequence[float], mats: Sequence[np.ndarray],

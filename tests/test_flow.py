@@ -259,7 +259,8 @@ class TestRefine:
 
 
 class TestChiralCore:
-    """Chiral-skew paths are solved on their block; plain skew via -T^2."""
+    """Chiral-skew paths are solved on their block; plain skew by one SVD
+    of T."""
 
     @staticmethod
     def as_plain_skew(path):
@@ -311,6 +312,63 @@ class TestChiralCore:
             oracle = parity_finite(mpath)
             assert parity_path_general(path) == oracle
             assert parity_path_general(path, rng=np.random.default_rng(1)) == oracle
+
+
+class TestBlockPaths:
+    """Chiral paths are carried by their block; the engine never doubles."""
+
+    def test_block_of_each_path_kind(self):
+        rng = np.random.default_rng(45)
+        general = random_admissible_path(rng, 3)
+        ring = build_insulator_path(RingShiftSpec(6))
+        chiral = random_chiral_skew_path(rng, 2)
+        for t in (0.0, 0.3, 1.0):
+            b = general.at(t)
+            np.testing.assert_array_equal(general.block(t), b)
+            doubled = to_skew_path(general)
+            np.testing.assert_array_equal(doubled.block(t), b)
+            np.testing.assert_array_equal(doubled.at(t), embed_chiral(b))
+            h = ring.at(t)
+            skew = selfadjoint_path_to_skew(ring)
+            np.testing.assert_array_equal(skew.block(t), h[:6, 6:])
+            np.testing.assert_array_equal(
+                skew.at(t), selfadjoint_to_skew(h, ring.frame))
+            m = chiral.at(t)
+            np.testing.assert_array_equal(chiral.block(t),
+                                          (m[:2, 2:] - m[2:, :2].T) / 2.0)
+        with pytest.raises(ConfigError):
+            OperatorPath((0.0, 1.0), lambda t: np.zeros((2, 2)), "skew").block(0.5)
+
+    def test_engine_builds_no_doubling(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        calls = []
+        for name in ("embed_chiral", "selfadjoint_to_skew"):
+            def counted(*args, _fn=getattr(flow_module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(flow_module, name, counted)
+        general = random_admissible_path(np.random.default_rng(46), 4)
+        assert parity_path(general) == parity_finite(general)
+        assert parity_path(build_insulator_path(RingShiftSpec(12))) == -1
+        tall = OperatorPath((-1.0, 1.0), lambda t: np.array([[t], [0.0], [0.0]]),
+                            "general", None, 2)
+        assert parity_path_general(tall) == -1
+        assert calls == []
+
+    def test_doubled_factors_are_products(self):
+        # examp + examp: every window factor is the product of the summands'
+        # factors, whatever order the kernel directions come in
+        examp = sf2_path(build_example_path("examp"))
+        factors = {(w.t_lo, w.t_hi): w.factor for w in examp.windows}
+        path = build_example_path("doubled")
+        doubled = sf2_path(path)
+        assert [(w.t_lo, w.t_hi) for w in doubled.windows] == list(factors)
+        for w in doubled.windows:
+            f = factors[w.t_lo, w.t_hi]
+            assert w.factor == f * f == 1
+        for seed in range(5):  # randomized partitions and chiral lifts
+            assert sf2_path(path, rng=np.random.default_rng(seed)).value == 1
 
 
 class TestBatchedSegmentChecks:

@@ -36,10 +36,30 @@ def chiral(b):
     return t
 
 
+def doubled_system(b):
+    """Singular values and directions of [[0, B], [-B^T, 0]] from the chiral
+    route on the block B, laid out in the doubled space: the structural
+    kernel first, then [x_i; 0] and [0; y_i] for each singular value."""
+    sv, (x, y) = skew_singular_system(b, True)
+    n_plus, n_minus = b.shape
+    r = min(b.shape)
+    d = abs(n_plus - n_minus)
+    dirs = np.zeros((n_plus + n_minus, n_plus + n_minus))
+    dirs[:n_plus, :n_plus - r] = x[:, :n_plus - r]
+    dirs[n_plus:, :n_minus - r] = y[:, :n_minus - r]
+    dirs[:n_plus, d::2] = x[:, n_plus - r:]
+    dirs[n_plus:, d + 1::2] = y[:, n_minus - r:]
+    return sv, dirs
+
+
 def window_projection(t, a, n_plus=None):
     """Projection onto the directions of T below radius a and its rank, cut
-    from the singular system the way the engine cuts its windows."""
-    sv, dirs = skew_singular_system(t, n_plus)
+    from the singular system the way the engine cuts its windows; with
+    n_plus given, from the chiral route on the block T[:n_plus, n_plus:]."""
+    if n_plus is None:
+        sv, dirs = skew_singular_system(t)
+    else:
+        sv, dirs = doubled_system(t[:n_plus, n_plus:])
     basis = dirs[:, sv < a]
     return basis @ basis.T, basis.shape[1]
 
@@ -226,8 +246,8 @@ class TestPlainSingularSystem:
 
 
 class TestChiralSingularSystem:
-    """The half-block solve of [[0, B], [-B^T, 0]] against the plain route
-    (one SVD of the doubled matrix)."""
+    """The block solve of [[0, B], [-B^T, 0]], which takes B alone, against
+    the plain route (one SVD of the doubled matrix)."""
 
     SHAPES = [(5, 5), (6, 3), (2, 5), (0, 4), (3, 0), (1, 1)]
 
@@ -238,7 +258,7 @@ class TestChiralSingularSystem:
         rng = np.random.default_rng(sum(shape) + 40)
         b = rng.standard_normal(shape)
         t = self.doubled(b)
-        sv, _ = skew_singular_system(t, shape[0])
+        sv, _ = doubled_system(b)
         sv_eigh, _ = skew_singular_system(t)
         assert sv.shape == sv_eigh.shape == (t.shape[0],)
         assert np.all(np.diff(sv) >= 0.0)
@@ -257,7 +277,7 @@ class TestChiralSingularSystem:
         rng = np.random.default_rng(sum(shape) + 50)
         b = rng.standard_normal(shape)
         t = self.doubled(b)
-        sv, dirs = skew_singular_system(t, shape[0])
+        sv, dirs = doubled_system(b)
         n = t.shape[0]
         np.testing.assert_allclose(dirs.T @ dirs, np.eye(n), atol=1e-13)
         # every direction is grading-pure and is scaled by its singular value
@@ -272,7 +292,7 @@ class TestChiralSingularSystem:
         rng = np.random.default_rng(sum(shape) + 60)
         b = rng.standard_normal(shape)
         t = self.doubled(b)
-        sv, dirs = skew_singular_system(t, shape[0])
+        sv, dirs = doubled_system(b)
         _, dirs_eigh = skew_singular_system(t)
         gaps = [k for k in range(1, t.shape[0]) if sv[k] - sv[k - 1] > 1e-3]
         if t.shape[0]:
@@ -286,8 +306,8 @@ class TestChiralSingularSystem:
         # route squares
         b = np.array([[2.0, 0.0], [0.0, 0.5]])
         for factor in (1e200, 1e-200):
-            for n_plus in (2, None):
-                sv, _ = skew_singular_system(self.doubled(factor * b), n_plus)
+            for sv, _ in (doubled_system(factor * b),
+                          skew_singular_system(self.doubled(factor * b))):
                 np.testing.assert_allclose(sv, factor * np.array([0.5, 0.5, 2.0, 2.0]))
 
 

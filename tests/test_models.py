@@ -44,8 +44,9 @@ class TestExamplePaths:
             build_example_path("nope")
 
     def test_negative_strength(self):
-        with pytest.raises(ConfigError):
-            build_example_path("doubled_perturbed", s=-1.0)
+        for s in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="strength s must be finite"):
+                build_example_path("doubled_perturbed", s=s)
 
     def test_strength_only_for_perturbed(self):
         with pytest.raises(ConfigError):
