@@ -64,7 +64,6 @@ class RunConfig:
     command: str
     model: Optional[str] = None
     path_file: Optional[str] = None
-    samples: int = 9
     seed: int = 0
     output_format: str = "json"
     output: Optional[str] = None
@@ -78,8 +77,6 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.output_format == "csv" and not self.output:
             raise ConfigError("csv output requires an output file path")
-        if self.samples < 3:
-            raise ConfigError("sampling resolution must be at least 3")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +247,7 @@ def run(config: RunConfig) -> dict:
     if path is not None:
         skew_path = to_skew_path(path)
         report["input_digest"] = _digest_path(skew_path)
-        flow = sf2_path(skew_path, initial_samples=config.samples)
+        flow = sf2_path(skew_path)
         report["result"] = int(flow.value)
         if config.report_windows:
             report["windows"] = _window_rows(flow)
@@ -275,8 +272,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--samples", type=int, default=9,
-                       help="initial samples per partition segment")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output-format", choices=("json", "csv"),
                        default="json")
@@ -331,7 +326,6 @@ def config_from_args(argv) -> RunConfig:
         command=args.command,
         model=getattr(args, "model", None),
         path_file=getattr(args, "path_file", None),
-        samples=args.samples,
         seed=args.seed,
         output_format=args.output_format,
         output=args.output,

@@ -57,6 +57,9 @@ __all__ = [
 # lower bound on the smallest principal cosine between the two subspaces
 _COS_MIN = math.sqrt(1.0 - tol.WINDOW_EPS ** 2)
 
+# equispaced samples per partition segment, endpoints included
+_SEGMENT_SAMPLES = 9
+
 
 @dataclass
 class SpectralWindow:
@@ -115,20 +118,25 @@ def embed_chiral(b) -> np.ndarray:
     return t
 
 
-def _doubling(source: OperatorPath, frame: ChiralFrame) -> OperatorPath:
-    """Chiral-skew doubling [[0, B], [-B^T, 0]] of the blocks of ``source``;
-    only its ``at`` builds the doubled matrix, the engine reads ``block``."""
+def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPath:
+    """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
+    the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
+    Only its ``at`` builds the doubled matrix; the engine reads ``block``."""
     def evaluator(t):
-        return embed_chiral(source.block(t))
+        m = embed_chiral(source.block(t))
+        if tag == "chiral-selfadjoint":
+            m[frame.n_plus:, :frame.n_plus] *= -1.0
+        return m
 
     evaluator.block = source.block
-    return OperatorPath(source.interval, evaluator, "chiral-skew", frame,
+    return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
 
 
 def embed_chiral_path(path: OperatorPath) -> OperatorPath:
     """Chiral skew-adjoint doubling of a path of general matrices."""
-    return _doubling(path, ChiralFrame(*path.block(path.t_start).shape))
+    return _doubling(path, ChiralFrame(*path.block(path.t_start).shape),
+                     "chiral-skew")
 
 
 def sf2_finite(t0, t1) -> Z2:
@@ -166,9 +174,10 @@ def refine(points, accept, what: str = "acceptable segment"):
     each; a result of None bisects the segment at its midpoint, anything
     else is kept as the segment's value.  Returns the accepted
     ``(lo, hi, value)`` triples in order and the deepest bisection level.
-    A segment shorter than the refinement floor that is still refused
-    raises ``RefinementError``.
+    A segment still refused below the refinement floor, ``MIN_SEGMENT``
+    times the length of the whole interval, raises ``RefinementError``.
     """
+    floor = tol.MIN_SEGMENT * (points[-1] - points[0])
     stack = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])][::-1]
     accepted = []
     max_depth = 0
@@ -179,9 +188,9 @@ def refine(points, accept, what: str = "acceptable segment"):
         if value is not None:
             accepted.append((lo, hi, value))
             continue
-        if hi - lo < tol.MIN_SEGMENT:
+        if hi - lo < floor:
             raise RefinementError(
-                f"no {what} above segment length {tol.MIN_SEGMENT} "
+                f"no {what} above segment length {floor:.3g} "
                 f"on [{lo}, {hi}]"
             )
         mid = lo + (hi - lo) / 2.0
@@ -272,7 +281,7 @@ def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     return bool(np.linalg.svd(overlaps, compute_uv=False)[:, -1].min() >= _COS_MIN)
 
 
-def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
+def _segment_window(data: _PathData, lo: float, hi: float, rng):
     """Try to find a valid window radius for one segment.
 
     Returns (a, rank) or None when the segment must be bisected.  A valid
@@ -284,7 +293,7 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
     The windowed subspaces of all samples must also be pairwise
     WINDOW_EPS-close.
     """
-    ts = np.linspace(lo, hi, n_grid)
+    ts = np.linspace(lo, hi, _SEGMENT_SAMPLES)
     recs = [data.at(t) for t in ts]
     svs = np.stack([r[1] for r in recs])
     n = svs.shape[1]
@@ -292,9 +301,9 @@ def _segment_window(data: _PathData, lo: float, hi: float, n_grid: int, rng):
 
     # path continuity at this sampling resolution
     steps = _step_norms(np.stack([r[0] for r in recs]))
-    if steps.size and steps.max() > data.step_bound:
+    if steps.max() > data.step_bound:
         return None
-    slack = 0.75 * float(steps.max()) if steps.size else 0.0
+    slack = 0.75 * float(steps.max())
 
     margin = 4.0 * tol.gap(max(s_seg, 1e-300)) + slack
     lo_env = svs.max(axis=0)
@@ -396,8 +405,7 @@ def _random_orthogonal(rng, k: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def sf2_path(path: OperatorPath, *, rng=None,
-             initial_samples: int = 9) -> FlowResult:
+def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     """Z2-valued spectral flow of an admissible path of skew matrices.
 
     The interval is partitioned adaptively; on each segment the flow is
@@ -433,18 +441,17 @@ def sf2_path(path: OperatorPath, *, rng=None,
         float(data.at(t1)[1][0]) if data.at(t1)[1].size else math.inf,
     )
 
-    n_grid = max(3, int(initial_samples))
-
     points = [t0]
     if rng is not None:  # random cuts, comfortably above the refinement floor
         extra = int(rng.integers(0, 3))
         pad = 0.05 * (t1 - t0)
+        guard = 10 * tol.MIN_SEGMENT * (t1 - t0)
         for c in sorted(rng.uniform(t0 + pad, t1 - pad, size=extra)):
-            if c - points[-1] > 10 * tol.MIN_SEGMENT and t1 - c > 10 * tol.MIN_SEGMENT:
+            if c - points[-1] > guard and t1 - c > guard:
                 points.append(float(c))
     points.append(t1)
     accepted, max_depth = refine(
-        points, lambda lo, hi: _segment_window(data, lo, hi, n_grid, rng),
+        points, lambda lo, hi: _segment_window(data, lo, hi, rng),
         "valid spectral window")
 
     # shared kernel lifts at interior partition points
@@ -462,19 +469,20 @@ def sf2_path(path: OperatorPath, *, rng=None,
 
 def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
     """Restriction of a record's operator to window frames: F^T (T + R) F
-    antisymmetrized, or for a block's frames (X, Y) the chiral S - S^T with
-    S = [[0, X^T (B + R) Y], [0, 0]]."""
+    antisymmetrized, or for a block's frames (X, Y) the square
+    S = X^T (B + R) Y that carries the window's [[0, S], [-S^T, 0]]."""
     s = frames[0].T @ (m if r is None else m + r) @ frames[-1]
-    if len(frames) == 1:
-        return (s - s.T) / 2.0
-    k = s.shape[0]
-    up = np.zeros((k + s.shape[1],) * 2)
-    up[:k, k:] = s
-    return up - up.T
+    return (s - s.T) / 2.0 if len(frames) == 1 else s
 
 
 def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
                    lifts) -> SpectralWindow:
+    """Z2 factor of one window: the two-endpoint flow of the restrictions.
+
+    On a block window, Pf [[0, S], [-S^T, 0]] = (-1)^(m(m-1)/2) det S for
+    the m x m restriction S; the sign (-1)^(m(m-1)/2) is the same at both
+    ends, so the factor is sign det S_lo * sign det S_hi.
+    """
     rec_lo, rec_hi = data.at(lo), data.at(hi)
     if int((rec_lo[1] < a).sum()) != k or int((rec_hi[1] < a).sum()) != k:
         raise RefinementError("window rank drifted between validation and use")
@@ -484,8 +492,11 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
     s_lo = _restricted(rec_lo[0], lifts.get(lo), p)
     s_hi = _restricted(rec_hi[0], lifts.get(hi), q)
     try:
-        factor = sf2_finite(s_lo, s_hi)
-    except NotAdmissibleError as exc:
+        if data.chiral:
+            factor = sign_det(s_lo) * sign_det(s_hi)
+        else:
+            factor = sf2_finite(s_lo, s_hi)
+    except (NotAdmissibleError, SingularError) as exc:
         raise RefinementError(
             f"restricted endpoint singular on window [{lo}, {hi}]: {exc}"
         ) from exc
@@ -643,10 +654,10 @@ def selfadjoint_to_skew(h_mat, frame: ChiralFrame) -> np.ndarray:
 
 def selfadjoint_path_to_skew(path: OperatorPath) -> OperatorPath:
     """Pointwise chiral-selfadjoint to chiral-skew conversion of a path;
-    its block is the validated source's upper block."""
+    its block is the source's block (``OperatorPath.block``)."""
     if path.symmetry_tag != "chiral-selfadjoint":
         raise ConfigError("expected a chiral-selfadjoint path")
-    return _doubling(path, path.frame)
+    return _doubling(path, path.frame, "chiral-skew")
 
 
 def k_real_reduce(h_mat, k_mat, frame: ChiralFrame) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import ConfigError, NotAdmissibleError
 from .linalg import singular_values
-from .flow import embed_chiral
+from .flow import _doubling, embed_chiral
 from .pairs import ComplexStructure
 from .paths import ChiralFrame, OperatorPath
 
@@ -135,12 +135,22 @@ class RingShiftSpec:
         return self.sites * self.fiber_dim
 
 
-def _ring_shift(sites: int, weight: float, link_site: int) -> np.ndarray:
-    s = np.zeros((sites, sites))
-    for i in range(sites):
-        s[i, (i + 1) % sites] = 1.0
-    s[link_site, (link_site + 1) % sites] = weight
-    return s
+def _ring_block(spec: RingShiftSpec, t: float) -> np.ndarray:
+    """The ring's hopping block at t: the k-th power of the cyclic shift
+    whose marked link carries weight cos(pi t), tensored with the fiber."""
+    m = spec.sites
+    s = np.roll(np.eye(m), 1, axis=1)
+    s[spec.link_site, (spec.link_site + 1) % m] = math.cos(math.pi * t)
+    b = np.linalg.matrix_power(s, spec.shift_power)
+    return np.kron(b, np.eye(spec.fiber_dim)) if spec.fiber_dim > 1 else b
+
+
+def _ring_path(spec: RingShiftSpec, block) -> OperatorPath:
+    """Chiral self-adjoint doubling [[0, B], [B^T, 0]] of the block path
+    ``block`` on [0, 1]; the engine reads the block alone."""
+    blocks = OperatorPath((0.0, 1.0), block)
+    return _doubling(blocks, ChiralFrame(spec.block_dim, spec.block_dim),
+                     "chiral-selfadjoint")
 
 
 def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
@@ -150,21 +160,7 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     single marked link carries weight cos(pi t); at t = 1/2 the link opens
     and the chain disconnects, producing protected zero modes.
     """
-    m, k, nf = spec.sites, spec.shift_power, spec.fiber_dim
-
-    def ev(t):
-        s = _ring_shift(m, math.cos(math.pi * t), spec.link_site)
-        b = np.linalg.matrix_power(s, k)
-        if nf > 1:
-            b = np.kron(b, np.eye(nf))
-        dim = b.shape[0]
-        h = np.zeros((2 * dim, 2 * dim))
-        h[:dim, dim:] = b
-        h[dim:, :dim] = b.T
-        return h
-
-    frame = ChiralFrame(spec.block_dim, spec.block_dim)
-    return OperatorPath((0.0, 1.0), ev, "chiral-selfadjoint", frame, 0)
+    return _ring_path(spec, lambda t: _ring_block(spec, t))
 
 
 def build_insulator_disordered(spec: RingShiftSpec, strength: float,
@@ -177,39 +173,26 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
     """
     if not (math.isfinite(strength) and strength >= 0):
         raise ConfigError(f"disorder strength must be finite and >= 0, got {strength}")
-    clean = build_insulator_path(spec)
-    gap = min(
-        float(singular_values(clean.at(0.0))[0]),
-        float(singular_values(clean.at(1.0))[0]),
-    )
+    gap = min(float(singular_values(_ring_block(spec, t))[0]) for t in (0.0, 1.0))
     if strength >= gap / 2.0:
         raise NotAdmissibleError(
             f"disorder strength {strength} reaches half the endpoint gap {gap}"
         )
     dim = spec.block_dim
-    v = np.zeros((2 * dim, 2 * dim))
+    w = np.zeros((dim, dim))
     if strength > 0:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((dim, dim))
         w *= strength / float(singular_values(w)[-1])
-        v[:dim, dim:] = w
-        v[dim:, :dim] = w.T
-
-    return OperatorPath(
-        clean.interval,
-        lambda t: clean.evaluator(t) + v,
-        "chiral-selfadjoint",
-        clean.frame,
-        0,
-    )
+    return _ring_path(spec, lambda t: _ring_block(spec, t) + w)
 
 
 def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
-    """Kernel dimension of the ring Hamiltonian at the open-link point."""
-    h = build_insulator_path(spec).at(0.5)
-    sv = singular_values(h)
+    """Kernel dimension of the ring Hamiltonian at the open-link point:
+    twice that of its block."""
+    sv = singular_values(_ring_block(spec, 0.5))
     smax = max(float(sv[-1]), 1e-300)
-    return int((sv < 1e-8 * smax).sum())
+    return 2 * int((sv < 1e-8 * smax).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ orthogonal and anticommuting with the grading, hence of the form
 read off the kernel of the sum; it agrees with the straight-line flow
 between the two structures and feeds the index map over grading-preserving
 orthogonals.
+
+Everything that only depends on the structures is computed on their n x n
+blocks: the kernel of I0 + I1 is twice that of U0 + U1, the straight line
+is the doubling of (1 - t) U0 + t U1, and the phases along a path are the
+orthogonal blocks W V^T of its blocks.  ``ComplexStructure`` values, the
+complex cross-check of ``pi_index`` and the index map keep the 2n x 2n
+matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .errors import (
     StructureError,
     SymmetryError,
 )
-from .flow import embed_chiral, refine, sf2_path
+from .flow import _random_orthogonal, embed_chiral, embed_chiral_path, refine, sf2_path
 from .linalg import as_real_matrix, max_abs, singular_values
 from .paths import ChiralFrame, OperatorPath
 from .z2 import Z2, z2_product
@@ -68,13 +75,38 @@ class ComplexStructure:
         return self.matrix.shape[0]
 
 
+def _block(structure: ComplexStructure) -> np.ndarray:
+    """The orthogonal block U of a structure [[0, U], [-U^T, 0]]."""
+    n = structure.frame.n_plus
+    return structure.matrix[:n, n:]
+
+
+def _half_kernel(u_sum: np.ndarray, kernel_tol: float) -> int:
+    """Certified kernel dimension of a sum U0 + U1 of orthogonal blocks.
+
+    The singular values below ``kernel_tol`` are the kernel proxy; the rest
+    must lie above the structural gap ``PAIR_GAP_MIN``, or the pair is not
+    certified.  The doubled sum I0 + I1 has twice this kernel.
+    """
+    sv = singular_values(u_sum)
+    cluster = int((sv < kernel_tol).sum())
+    rest = sv[cluster:]
+    if rest.size and float(rest.min()) <= tol.PAIR_GAP_MIN:
+        raise NotFredholmPairError(
+            "no spectral gap: singular values of the sum fall between "
+            f"{kernel_tol:.1e} and {tol.PAIR_GAP_MIN}"
+        )
+    return cluster
+
+
 @dataclass(frozen=True)
 class FredholmPair:
     """Two chiral complex structures whose sum certifies a spectral gap.
 
     The singular values of first + second must split into a kernel proxy
     below the pair tolerance and a remainder above the structural gap; the
-    size of the proxy is stored as the gap certificate.
+    size of the proxy, twice that of the block sum, is stored as the gap
+    certificate.
     """
 
     first: ComplexStructure
@@ -84,16 +116,9 @@ class FredholmPair:
     def __post_init__(self):
         if self.first.dim != self.second.dim or self.first.frame != self.second.frame:
             raise DimensionError("pair members must share shape and frame")
-        sv = singular_values(self.first.matrix + self.second.matrix)
-        kernel_tol = tol.pair_kernel()
-        cluster = int((sv < kernel_tol).sum())
-        rest = sv[cluster:]
-        if rest.size and float(rest.min()) <= tol.PAIR_GAP_MIN:
-            raise NotFredholmPairError(
-                "no spectral gap: singular values of the sum fall between "
-                f"{kernel_tol:.1e} and {tol.PAIR_GAP_MIN}"
-            )
-        object.__setattr__(self, "gap_certificate", cluster)
+        cluster = _half_kernel(_block(self.first) + _block(self.second),
+                               tol.pair_kernel())
+        object.__setattr__(self, "gap_certificate", 2 * cluster)
 
 
 def pi_index(pair: FredholmPair) -> Z2:
@@ -104,10 +129,6 @@ def pi_index(pair: FredholmPair) -> Z2:
     of first - second +/- 2i over the complexification, for both signs.
     """
     k = pair.gap_certificate
-    if k % 2:
-        raise StructureError(
-            f"kernel proxy of the sum has odd dimension {k}; inputs invalid"
-        )
     value = Z2(1) if (k // 2) % 2 == 0 else Z2(-1)
 
     diff = pair.first.matrix - pair.second.matrix
@@ -126,27 +147,40 @@ def pi_index(pair: FredholmPair) -> Z2:
 
 
 def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
-    """Flow of the straight-line path between the two structures."""
-    i0 = pair.first.matrix
-    i1 = pair.second.matrix
-    path = OperatorPath(
-        (0.0, 1.0),
-        lambda t: (1.0 - t) * i0 + t * i1,
-        "chiral-skew",
-        pair.first.frame,
-        0,
-    )
-    return sf2_path(path, rng=rng).value
+    """Flow of the straight-line path between the two structures: the
+    chiral doubling of the block line (1 - t) U0 + t U1."""
+    u0, u1 = _block(pair.first), _block(pair.second)
+    line = OperatorPath((0.0, 1.0), lambda t: (1.0 - t) * u0 + t * u1)
+    return sf2_path(embed_chiral_path(line), rng=rng).value
 
 
-def phase_complete(t_mat, frame: ChiralFrame, *, _kernel_mix=None) -> ComplexStructure:
+def _phase(b: np.ndarray, rng=None) -> np.ndarray:
+    """Orthogonal phase W V^T of a square block B = W S V^T.
+
+    The SVD signs are fixed deterministically (largest-magnitude entry of
+    each left singular vector positive).  With ``rng``, the left singular
+    vectors of the kernel of B are mixed by a random orthogonal matrix.
+    """
+    w, s, vt = np.linalg.svd(b)
+    for j in range(b.shape[0]):
+        i = int(np.argmax(np.abs(w[:, j])))
+        if w[i, j] < 0:
+            w[:, j] = -w[:, j]
+            vt[j, :] = -vt[j, :]
+    if rng is not None:
+        kernel_tol = tol.gap(max(float(s[0]) if s.size else 0.0, 1.0))
+        k_idx = np.where(s < kernel_tol)[0]
+        if k_idx.size:
+            w[:, k_idx] = w[:, k_idx] @ _random_orthogonal(rng, int(k_idx.size))
+    return w @ vt
+
+
+def phase_complete(t_mat, frame: ChiralFrame) -> ComplexStructure:
     """Complete the phase of a chiral skew matrix to a complex structure.
 
     With T = [[0, B], [-B^T, 0]] and the full SVD B = W S V^T, the result is
     built from the orthogonal factor W V^T, which agrees with the phase of T
-    on the range of |T| and extends it over the kernel.  The SVD signs are
-    fixed deterministically (largest-magnitude entry of each left singular
-    vector positive).
+    on the range of |T| and extends it over the kernel.
     """
     t = as_real_matrix(t_mat)
     if frame.n_plus != frame.n_minus:
@@ -154,51 +188,12 @@ def phase_complete(t_mat, frame: ChiralFrame, *, _kernel_mix=None) -> ComplexStr
     if t.shape[0] != t.shape[1] or t.shape[0] != frame.dim:
         raise DimensionError("matrix does not match the chiral frame")
     n = frame.n_plus
-    b = t[:n, n:]
-    w, s, vt = np.linalg.svd(b)
-    for j in range(n):
-        i = int(np.argmax(np.abs(w[:, j])))
-        if w[i, j] < 0:
-            w[:, j] = -w[:, j]
-            vt[j, :] = -vt[j, :]
-    if _kernel_mix is not None:
-        kernel_tol = tol.gap(max(float(s[0]) if s.size else 0.0, 1.0))
-        k_idx = np.where(s < kernel_tol)[0]
-        if k_idx.size:
-            mix = _kernel_mix(int(k_idx.size))
-            w = w.copy()
-            w[:, k_idx] = w[:, k_idx] @ mix
-    return ComplexStructure(embed_chiral(w @ vt), frame)
+    return ComplexStructure(embed_chiral(_phase(t[:n, n:])), frame)
 
 
 # [[0, U], [-U^T, 0]] from an orthogonal block U, kept importable under the
 # name the acceptance suite uses; flow.embed_chiral builds the same matrix
 embed_unitary = embed_chiral
-
-
-def _half_kernel_parity(i0: np.ndarray, i1: np.ndarray) -> Z2:
-    """Z2-index of a consecutive phase pair along a partition.
-
-    Unlike the rigid certificate of :class:`FredholmPair`, a pair that
-    straddles a crossing of the underlying path has a kernel proxy that is
-    only dynamically small (it shrinks with the partition spacing but never
-    reaches machine zero), so the cluster is recognized through a relative
-    spectral gap: everything below the partition bound counts as kernel and
-    nothing may fall between that bound and the structural gap.
-    """
-    sv = singular_values(i0 + i1)
-    cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
-    cluster = int((sv < cluster_tol).sum())
-    rest = sv[cluster:]
-    if rest.size and float(rest.min()) <= tol.PAIR_GAP_MIN:
-        raise NotFredholmPairError(
-            "phase pair has spectrum between the kernel proxy and the gap"
-        )
-    if cluster % 2:
-        raise StructureError(
-            f"kernel proxy of a phase pair has odd dimension {cluster}"
-        )
-    return Z2(1) if (cluster // 2) % 2 == 0 else Z2(-1)
 
 
 def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
@@ -210,30 +205,36 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     Z2-indices.  Interior kernel completions appear in two adjacent pairs
     and cancel, so randomizing them (via ``rng``) leaves the result
     unchanged.
+
+    Unlike the rigid certificate of :class:`FredholmPair`, a phase pair that
+    straddles a crossing of the path has a kernel proxy that is only
+    dynamically small (it shrinks with the partition spacing but never
+    reaches machine zero), so everything below the looser partition bound
+    ``PAIR_PARTITION_ABS`` counts as kernel.  The phases are the n x n
+    blocks W V^T of ``path.block(t)``.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
-    frame = path.frame
+    if path.frame.n_plus != path.frame.n_minus:
+        raise DimensionError("phase completion needs balanced chiral blocks")
     t0, t1 = path.interval
+    cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
 
     phases = {}
 
     def phase(t):
         key = float(t)
         if key not in phases:
-            mix = None
-            if rng is not None and key not in (float(t0), float(t1)):
-                def mix(k, _rng=rng):
-                    q, r = np.linalg.qr(_rng.standard_normal((k, k)))
-                    return q * np.sign(np.diag(r))
-            phases[key] = phase_complete(path.at(key), frame, _kernel_mix=mix)
+            mix = None if key in (float(t0), float(t1)) else rng
+            phases[key] = _phase(path.block(key), mix)
         return phases[key]
 
     def certify(a, b):
         try:
-            return _half_kernel_parity(phase(a).matrix, phase(b).matrix)
+            k = _half_kernel(phase(a) + phase(b), cluster_tol)
         except NotFredholmPairError:
             return None
+        return Z2(1) if k % 2 == 0 else Z2(-1)
 
     certified, _ = refine(np.linspace(t0, t1, 9), certify,
                           "certifiable phase pair")

@@ -26,7 +26,7 @@ PAIR_GAP_MIN = 0.1       # the rest of that spectrum must sit above this
 PAIR_PARTITION_ABS = 1e-3  # looser cluster bound for consecutive phases along a path
 
 WINDOW_EPS = 0.5        # ||Q(t) - Q(t')|| bound inside one spectral window
-MIN_SEGMENT = 1e-6      # refinement floor for partition segments / sample spacing
+MIN_SEGMENT = 1e-6      # refinement floor: segment length over interval length
 
 
 _scale = None

@@ -35,7 +35,16 @@ from z2flow.models import (
     RingShiftSpec,
     build_bifurcation_path,
     build_example_path,
+    build_insulator_disordered,
     build_insulator_path,
+    build_rank_one_pair,
+    half_flux_kernel_dim,
+)
+from z2flow.pairs import (
+    ComplexStructure,
+    FredholmPair,
+    parity_via_pairs,
+    straight_line_sf2,
 )
 from z2flow.paths import ChiralFrame, OperatorPath
 
@@ -257,6 +266,61 @@ class TestRefine:
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
             refine([0.0, 1.0], lambda lo, hi: None, "thing")
 
+    def test_floor_is_relative_to_the_interval(self):
+        # the same refusal pattern bisects equally deep on [0, 1] and on
+        # [0, 1e-9]: the floor scales with the interval length
+        for length in (1.0, 1e-9):
+            def accept(lo, hi, _l=length):
+                refused = lo < 0.3 * _l < hi and hi - lo > 1e-5 * _l
+                return None if refused else hi - lo
+            segments, depth = refine([0.0, length], accept)
+            assert depth == 17 and len(segments) == 18
+        with pytest.raises(RefinementError):
+            refine([0.0, 1e-9], lambda lo, hi: None if hi - lo > 1e-16 else 0)
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+
+
+class TestShortIntervals:
+    """The flow does not depend on the parametrization: paths squeezed onto
+    intervals far below the old absolute refinement floor of 1e-6 give the
+    endpoint oracle's value."""
+
+    @pytest.mark.parametrize("length", [1e-7, 1e-9])
+    def test_diagonal_crossing(self, length):
+        path = OperatorPath((0.0, length),
+                            lambda t: np.diag([t / length - 0.5, 1.0]))
+        assert parity_finite(path) == -1
+        assert parity_path(path) == parity_finite(path)
+
+    @pytest.mark.parametrize("length", [1e-7, 1e-9])
+    def test_plane_rotation(self, length):
+        path = OperatorPath((0.0, length),
+                            lambda t: _rotation(np.pi * t / length))
+        assert parity_path(path) == parity_finite(path) == 1
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_reparametrized_example(self, seed):
+        examp = build_example_path("examp")
+        path = OperatorPath((0.0, 1e-8),
+                            lambda s: examp.evaluator(-1.0 + 2e8 * s),
+                            "chiral-skew", examp.frame)
+        rng = None if seed is None else np.random.default_rng(seed)
+        oracle = sf2_finite(path.at(0.0), path.at(1e-8))
+        assert sf2_path(path, rng=rng).value == oracle == -1
+
+    def test_tall_crossing(self):
+        length = 1e-8
+        tall = OperatorPath((0.0, length),
+                            lambda t: np.array([[t / length - 0.5], [0.0], [0.0]]),
+                            "general", None, 2)
+        square = OperatorPath((0.0, length),
+                              lambda t: np.array([[t / length - 0.5]]))
+        assert parity_path_general(tall) == parity_finite(square) == -1
+
 
 class TestChiralCore:
     """Chiral-skew paths are solved on their block; plain skew by one SVD
@@ -355,6 +419,40 @@ class TestBlockPaths:
                             "general", None, 2)
         assert parity_path_general(tall) == -1
         assert calls == []
+
+    def test_pairs_and_ring_build_no_doubling(self, monkeypatch):
+        import z2flow.flow as flow_module
+        import z2flow.pairs as pairs_module
+
+        structure, o = build_rank_one_pair(5)
+        pair = FredholmPair(
+            structure, ComplexStructure(o @ structure.matrix @ o.T, structure.frame))
+        spec = RingShiftSpec(12)
+        ring = selfadjoint_path_to_skew(build_insulator_path(spec))
+        disordered = build_insulator_disordered(RingShiftSpec(8), 0.1, 3)
+        calls = []
+        for module, name in [(flow_module, "embed_chiral"),
+                             (pairs_module, "embed_chiral"),
+                             (pairs_module, "phase_complete")]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        assert parity_via_pairs(ring) == -1
+        assert straight_line_sf2(pair) == -1
+        assert half_flux_kernel_dim(spec) == 2
+        assert parity_path(disordered) == -1
+        assert calls == []
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_block_window_factor_is_det_sign_product(self, m):
+        # the identity behind the block window factor:
+        # sf2 of two chiral doublings is the product of their det signs
+        rng = np.random.default_rng(47 + m)
+        for _ in range(10):
+            s0, s1 = rng.standard_normal((2, m, m))
+            assert (sf2_finite(embed_chiral(s0), embed_chiral(s1))
+                    == sign_det(s0) * sign_det(s1))
 
     def test_doubled_factors_are_products(self):
         # examp + examp: every window factor is the product of the summands'
