@@ -236,6 +236,7 @@ class _PathData:
         self._cache = {}
         self.sigma_scale = 0.0
         self.step_bound = math.inf
+        self.near_zero = 0.0
 
     def at(self, t: float):
         key = float(t)
@@ -292,6 +293,15 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     (a crossing inside a segment is forced into a positive-rank window).
     The windowed subspaces of all samples must also be pairwise
     WINDOW_EPS-close.
+
+    The step bound is relative to the path's scale (a tenth of the largest
+    endpoint singular value), so the partition does not refine as the
+    endpoints approach a kernel; it still refuses a jump, which does not
+    shrink under bisection.  The window rank is capped at max(2, k_near),
+    k_near the number of singular values whose minimum over the samples is
+    below half the smallest endpoint singular value, rounded up to even:
+    a long segment cannot fall back to one full-rank window, which would be
+    the endpoint oracle.
     """
     ts = np.linspace(lo, hi, _SEGMENT_SAMPLES)
     recs = [data.at(t) for t in ts]
@@ -309,8 +319,11 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     lo_env = svs.max(axis=0)
     hi_env = svs.min(axis=0)
 
+    # windows hold at most the values that come near zero on the segment
+    k_near = int((hi_env < data.near_zero).sum())
+    k_max = max(2, k_near + k_near % 2)
     candidates = []
-    for k in range(0, n + 1, 2):
+    for k in range(0, min(n, k_max) + 1, 2):
         glo = float(lo_env[k - 1]) if k > 0 else 0.0
         ghi = float(hi_env[k]) if k < n else math.inf
         if ghi - glo > 2.0 * margin:
@@ -425,21 +438,18 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     data = _PathData(path)
     t0, t1 = path.interval
 
-    for t in (t0, t1):
-        sv = data.at(t)[1]
-        if sv.size == 0:
-            continue
-        if sv[0] <= tol.inv(sv[-1]):
+    ends = [data.at(t)[1] for t in (t0, t1)]
+    for t, sv in zip((t0, t1), ends):
+        if sv.size and sv[0] <= tol.inv(sv[-1]):
             raise NotAdmissibleError(
                 f"path endpoint at t={t} is singular (sigma_min={sv[0]:.3e})"
             )
-    if data.at(t0)[1].size % 2:
+    if ends[0].size % 2:
         raise DimensionError("skew flow requires even ambient dimension")
 
-    data.step_bound = 0.1 * min(  # inf for a 0-dimensional path
-        float(data.at(t0)[1][0]) if data.at(t0)[1].size else math.inf,
-        float(data.at(t1)[1][0]) if data.at(t1)[1].size else math.inf,
-    )
+    if ends[0].size:  # a 0-dimensional path keeps the infinite step bound
+        data.step_bound = 0.1 * max(float(sv[-1]) for sv in ends)
+        data.near_zero = 0.5 * min(float(sv[0]) for sv in ends)
 
     points = [t0]
     if rng is not None:  # random cuts, comfortably above the refinement floor

@@ -13,6 +13,7 @@ from z2flow.errors import (
 )
 from z2flow.flow import (
     _COS_MIN,
+    _SEGMENT_SAMPLES,
     _pairwise_window_continuity,
     _step_norms,
     embed_chiral,
@@ -322,6 +323,110 @@ class TestShortIntervals:
         assert parity_path_general(tall) == parity_finite(square) == -1
 
 
+def _fixed_line():
+    """A 16x16 straight line whose determinant changes sign."""
+    rng = np.random.default_rng(9)
+    b0 = rng.standard_normal((16, 16))
+    b1 = b0.copy()
+    b1[0] *= -1.0
+    b1 += 0.1 * rng.standard_normal((16, 16))
+    return OperatorPath((0.0, 1.0), lambda t: (1 - t) * b0 + t * b1, "general")
+
+
+def _diagonal_path(*entries):
+    """The path t -> diag(f(t) for f in entries) of general matrices on [0, 1]."""
+    return OperatorPath((0.0, 1.0), lambda t: np.diag([f(t) for f in entries]))
+
+
+class TestOracleRegressions:
+    """Hard paths against the endpoint oracle ``parity_finite``: crossings
+    next to an endpoint, fast oscillation, a clustered crossing and a near
+    touch.  The partition does not refine as the endpoints near a kernel."""
+
+    @staticmethod
+    def check(path, expected, rng=None):
+        res = sf2_path(to_skew_path(path), rng=rng)
+        assert res.value == parity_finite(path) == expected
+        return res
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    @pytest.mark.parametrize("crossing", [lambda eps: eps, lambda eps: 1.0 - eps],
+                             ids=["start", "end"])
+    def test_crossing_near_an_endpoint(self, crossing, eps):
+        # diag(t - eps, 1) and diag(t - 1 + eps, 1): the window count does
+        # not grow as 1/eps
+        c = crossing(eps)
+        res = self.check(_diagonal_path(lambda t: t - c, lambda t: 1.0), -1)
+        assert len(res.windows) <= 4
+
+    def test_fast_oscillation(self):
+        # 40 crossings, an even number
+        wave = _diagonal_path(lambda t: np.sin(40 * np.pi * t + 0.1) + 0.5,
+                              lambda t: 1.0)
+        self.check(wave, 1)
+        self.check(wave, 1, np.random.default_rng(5))
+
+    def test_fast_oscillation_four_channels(self):
+        # four waves mixed by a fixed rotation; the 41 pi channel crosses an
+        # odd number of times
+        waves = [(40, 0.1, 0.5), (41, 0.7, 0.3), (40, 1.3, -0.2), (40, 2.9, 0.6)]
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+
+        def ev(t):
+            d = [np.sin(k * np.pi * t + p) + c for k, p, c in waves]
+            return q @ np.diag(d) @ q.T
+
+        self.check(OperatorPath((0.0, 1.0), ev), -1)
+
+    def test_clustered_triple_crossing(self):
+        path = _diagonal_path(lambda t: t - 0.5, lambda t: t - 0.5 - 1e-4,
+                              lambda t: t - 0.5 + 1e-4, lambda t: 1.0)
+        self.check(path, -1)
+        self.check(path, -1, np.random.default_rng(2))
+
+    def test_tangential_touch(self):
+        self.check(_diagonal_path(lambda t: (t - 0.5) ** 2 + 1e-3, lambda t: 1.0), 1)
+
+
+def _near_zero_rank(path, lo, hi, theta):
+    """Singular values of T whose minimum over the samples of [lo, hi] is
+    below theta, rounded up to even."""
+    svs = np.stack([np.linalg.svd(path.at(t), compute_uv=False)
+                    for t in np.linspace(lo, hi, _SEGMENT_SAMPLES)])
+    k = int((svs.min(axis=0) < theta).sum())
+    return k + k % 2
+
+
+class TestWindowRank:
+    """Windows hold only the values that come near zero: a long segment never
+    falls back to one full-rank window, which would be the endpoint oracle."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("which", ["bifurcation", "line"])
+    def test_rank_at_most_near_zero_count(self, which, seed):
+        source = (build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
+                  if which == "bifurcation" else _fixed_line())
+        skew = to_skew_path(source)
+        rng = None if seed is None else np.random.default_rng(seed)
+        res = sf2_path(skew, rng=rng)
+        assert res.value == parity_finite(source) == -1
+        theta = 0.5 * min(np.linalg.svd(skew.at(t), compute_uv=False).min()
+                          for t in skew.interval)
+        for w in res.windows:
+            assert w.rank <= max(2, _near_zero_rank(skew, w.t_lo, w.t_hi, theta))
+        assert max(w.rank for w in res.windows) < skew.at(skew.t_start).shape[0]
+
+    @pytest.mark.parametrize("path", [
+        build_example_path("examp"),
+        embed_chiral_path(_diagonal_path(lambda t: t - 0.5, lambda t: 1.0)),
+        embed_chiral_path(_fixed_line()),
+    ], ids=["examp", "diagonal", "line"])
+    def test_interior_crossing_takes_several_windows(self, path):
+        res = sf2_path(path)
+        assert res.value == -1
+        assert len(res.windows) > 1
+
+
 class TestChiralCore:
     """Chiral-skew paths are solved on their block; plain skew by one SVD
     of T."""
@@ -331,16 +436,11 @@ class TestChiralCore:
         return OperatorPath(path.interval, path.evaluator, "skew")
 
     def test_fixed_line_partition(self):
-        rng = np.random.default_rng(9)
-        b0 = rng.standard_normal((16, 16))
-        b1 = b0.copy()
-        b1[0] *= -1.0
-        b1 += 0.1 * rng.standard_normal((16, 16))
-        line = OperatorPath((0.0, 1.0), lambda t: (1 - t) * b0 + t * b1, "general")
+        line = _fixed_line()
         chiral = embed_chiral_path(line)
         res = sf2_path(chiral)
         assert res.value == parity_finite(line) == -1
-        assert (len(res.windows), res.evaluations, res.refinement_depth) == (64, 513, 6)
+        assert (len(res.windows), res.evaluations, res.refinement_depth) == (11, 89, 5)
         plain = sf2_path(self.as_plain_skew(chiral))
         assert plain.value == res.value
         assert plain.evaluations == res.evaluations
