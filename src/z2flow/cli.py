@@ -136,10 +136,14 @@ def ingest_path(file) -> OperatorPath:
 
 
 def _digest_path(path: OperatorPath, n: int = 33) -> str:
+    # a doubling built in ``flow`` (its evaluator carries ``block``) is
+    # chiral and skew by construction and validates its source through
+    # ``block``, so its matrices are hashed without checking them again
+    sample = path.evaluator if hasattr(path.evaluator, "block") else path.at
     h = hashlib.sha256()
     for t in np.linspace(path.t_start, path.t_end, n):
         h.update(np.float64(t).tobytes())
-        h.update(np.ascontiguousarray(path.at(t), dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(sample(t), dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -335,30 +339,36 @@ def config_from_args(argv) -> RunConfig:
 
 
 def _emit(report: dict, config: RunConfig) -> None:
-    if config.output_format == "json":
-        text = json.dumps(report, sort_keys=True)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+    if config.output_format == "json" and not config.output:
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return
-    # csv: one window per row, scalar fields repeated
+    try:
+        if config.output_format == "json":
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report, sort_keys=True) + "\n")
+        else:
+            with open(config.output, "w", encoding="utf-8", newline="") as fh:
+                _write_csv(report, fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
+
+
+def _write_csv(report: dict, fh) -> None:
+    """One window per row, the scalar fields repeated."""
     rows = report.get("windows") or [{}]
     fields = ["schema", "command", "result", "input_digest",
               "t_lo", "t_hi", "a", "rank", "factor"]
-    with open(config.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            record = {
-                "schema": report.get("schema"),
-                "command": report.get("command"),
-                "result": report.get("result"),
-                "input_digest": report.get("input_digest"),
-            }
-            record.update(row)
-            writer.writerow(record)
+    writer = csv.DictWriter(fh, fieldnames=fields)
+    writer.writeheader()
+    for row in rows:
+        record = {
+            "schema": report.get("schema"),
+            "command": report.get("command"),
+            "result": report.get("result"),
+            "input_digest": report.get("input_digest"),
+        }
+        record.update(row)
+        writer.writerow(record)
 
 
 def main(argv=None) -> int:

@@ -121,7 +121,8 @@ def embed_chiral(b) -> np.ndarray:
 def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPath:
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
-    Only its ``at`` builds the doubled matrix; the engine reads ``block``."""
+    Only its ``at`` builds the doubled matrix; the engine reads ``block``,
+    and the source's ``knots`` if it declares any."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
@@ -129,6 +130,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
         return m
 
     evaluator.block = source.block
+    evaluator.knots = getattr(source.evaluator, "knots", None)
     return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
 
@@ -226,28 +228,49 @@ class _PathData:
     path is carried by its block: M = B = ``path.block(t)`` and the frames
     are the left and right singular vectors (X, Y) of B (see
     ``skew_singular_system``); the doubled T is never formed.  A plain skew
-    path has M = T and the one frame (V,).  M is also the step matrix:
-    ||T_i - T_j||_2 = ||B_i - B_j||_2.
+    path has M = T antisymmetrized and the one frame (V,).  M is also the
+    step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
+
+    An evaluator that declares ``knots`` is affine between them (see
+    ``OperatorPath.from_samples``); ``arc`` then bounds its steps.
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
+        self.knots = getattr(path.evaluator, "knots", None)
+        self._arc = None
         self._cache = {}
         self.sigma_scale = 0.0
         self.step_bound = math.inf
         self.near_zero = 0.0
 
+    def _matrix(self, t: float) -> np.ndarray:
+        if self.chiral:
+            return self.path.block(t)
+        m = self.path.at(t)
+        return (m - m.T) / 2.0
+
+    def arc(self, ts: np.ndarray) -> np.ndarray:
+        """Arc length of M from the first knot to each of ``ts``.
+
+        Computed once from the knot matrices, ||M(t) - M(s)||_2 <= |arc(t)
+        - arc(s)|: on a piece M moves along a line at constant speed, and
+        the distance of two points is at most the length between them.
+        """
+        if self._arc is None:
+            mats = np.stack([self._matrix(float(k)) for k in self.knots])
+            self._arc = np.concatenate([[0.0], np.cumsum(_step_norms(mats))])
+        return np.interp(ts, self.knots, self._arc)
+
     def at(self, t: float):
         key = float(t)
         rec = self._cache.get(key)
         if rec is None:
+            m = self._matrix(key)
             if self.chiral:
-                m = self.path.block(key)
                 sv, frames = skew_singular_system(m, True)
             else:
-                m = self.path.at(key)
-                m = (m - m.T) / 2.0
                 sv, v = skew_singular_system(m)
                 frames = (v,)
             rec = (m, sv, frames)
@@ -287,47 +310,65 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
 
     Returns (a, rank) or None when the segment must be bisected.  A valid
     radius lies in a gap of the singular spectrum common to all samples,
-    inflated by the largest step between consecutive samples: by Weyl's
-    inequality this guarantees that no singular value can cross the radius
-    between samples, so the window rank is constant over the whole segment
-    (a crossing inside a segment is forced into a positive-rank window).
-    The windowed subspaces of all samples must also be pairwise
-    WINDOW_EPS-close.
+    inflated by a slack that bounds how far any singular value can move
+    between samples (Weyl: |sigma_j(M) - sigma_j(M')| <= ||M - M'||_2), so
+    no singular value crosses the radius inside the segment and the window
+    rank is constant over it (a crossing inside a segment is forced into a
+    positive-rank window).  The windowed subspaces of all samples must also
+    be pairwise WINDOW_EPS-close.
 
-    The step bound is relative to the path's scale (a tenth of the largest
-    endpoint singular value), so the partition does not refine as the
-    endpoints approach a kernel; it still refuses a jump, which does not
-    shrink under bisection.  The window rank is capped at max(2, k_near),
-    k_near the number of singular values whose minimum over the samples is
-    below half the smallest endpoint singular value, rounded up to even:
-    a long segment cannot fall back to one full-rank window, which would be
-    the endpoint oracle.
+    On a path that declares knots the slack is half the largest arc length
+    between consecutive samples (``_PathData.arc``): every point between
+    two samples is that close to one of them.  Such a path cannot jump, so
+    no step bound applies.  On an opaque path the slack is 0.75 times the
+    largest sampled step ||M_i+1 - M_i||_2, and a step above the path's
+    step bound (a tenth of the largest endpoint singular value, so the
+    partition does not refine as the endpoints approach a kernel) refuses
+    the segment: a jump does not shrink under bisection.  The step norms
+    are solved only when they decide: max |sigma(M_i+1) - sigma(M_i)|
+    bounds every step from below, and a segment that already fails the
+    bound or has no candidate gap with that slack is refused without them.
+
+    The window rank is capped at max(2, k_near), k_near the number of
+    singular values whose minimum over the samples is below half the
+    smallest endpoint singular value, rounded up to even: a long segment
+    cannot fall back to a full-rank window, the endpoint oracle, unless T
+    has only two singular values.
     """
     ts = np.linspace(lo, hi, _SEGMENT_SAMPLES)
     recs = [data.at(t) for t in ts]
     svs = np.stack([r[1] for r in recs])
     n = svs.shape[1]
     s_seg = float(svs.max()) if svs.size else 0.0
-
-    # path continuity at this sampling resolution
-    steps = _step_norms(np.stack([r[0] for r in recs]))
-    if steps.max() > data.step_bound:
-        return None
-    slack = 0.75 * float(steps.max())
-
-    margin = 4.0 * tol.gap(max(s_seg, 1e-300)) + slack
     lo_env = svs.max(axis=0)
     hi_env = svs.min(axis=0)
 
     # windows hold at most the values that come near zero on the segment
     k_near = int((hi_env < data.near_zero).sum())
     k_max = max(2, k_near + k_near % 2)
-    candidates = []
-    for k in range(0, min(n, k_max) + 1, 2):
-        glo = float(lo_env[k - 1]) if k > 0 else 0.0
-        ghi = float(hi_env[k]) if k < n else math.inf
-        if ghi - glo > 2.0 * margin:
-            candidates.append((k, glo, ghi))
+
+    def gaps(slack):
+        """Margin and the (rank, glo, ghi) gaps wide enough for a radius."""
+        margin = 4.0 * tol.gap(max(s_seg, 1e-300)) + slack
+        found = []
+        for k in range(0, min(n, k_max) + 1, 2):
+            glo = float(lo_env[k - 1]) if k > 0 else 0.0
+            ghi = float(hi_env[k]) if k < n else math.inf
+            if ghi - glo > 2.0 * margin:
+                found.append((k, glo, ghi))
+        return margin, found
+
+    if data.knots is not None:
+        slack = 0.5 * float(np.diff(data.arc(ts)).max())
+    else:
+        lower = float(np.abs(np.diff(svs, axis=0)).max(initial=0.0))
+        if lower > data.step_bound or not gaps(0.75 * lower)[1]:
+            return None
+        steps = _step_norms(np.stack([r[0] for r in recs]))
+        if steps.max() > data.step_bound:
+            return None
+        slack = 0.75 * float(steps.max())
+    margin, candidates = gaps(slack)
     if not candidates:
         return None
 

@@ -251,6 +251,7 @@ def build_bifurcation_path(spec: GalerkinSpec) -> OperatorPath:
         out[m:, :m] = np.diag(t * kdiag)
         return out
 
+    ev.knots = spec.interval  # affine in t
     return OperatorPath(spec.interval, ev, "general", None, 0)
 
 

@@ -150,8 +150,13 @@ def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
     """Flow of the straight-line path between the two structures: the
     chiral doubling of the block line (1 - t) U0 + t U1."""
     u0, u1 = _block(pair.first), _block(pair.second)
-    line = OperatorPath((0.0, 1.0), lambda t: (1.0 - t) * u0 + t * u1)
-    return sf2_path(embed_chiral_path(line), rng=rng).value
+
+    def line(t):
+        return (1.0 - t) * u0 + t * u1
+
+    line.knots = (0.0, 1.0)
+    return sf2_path(embed_chiral_path(OperatorPath((0.0, 1.0), line)),
+                    rng=rng).value
 
 
 def _phase(b: np.ndarray, rng=None) -> np.ndarray:

@@ -74,6 +74,10 @@ class OperatorPath:
     The evaluator must return matrices of a fixed shape; the symmetry tag is
     validated at every evaluated parameter.  ``declared_index`` is the block
     index rows - cols of the off-diagonal block (0 for square families).
+    An evaluator may carry ``knots``, increasing parameters from the start
+    to the end of the interval between which it is affine in t (as
+    ``from_samples`` does); the flow engine then certifies its segments by
+    arc length.  Any other evaluator is sampled as an opaque callable.
     """
 
     interval: tuple
@@ -143,7 +147,12 @@ class OperatorPath:
     def from_samples(ts: Sequence[float], mats: Sequence[np.ndarray],
                      symmetry_tag: str = "general",
                      frame: Optional[ChiralFrame] = None) -> "OperatorPath":
-        """Piecewise-linear path through the given samples."""
+        """Piecewise-linear path through the given samples.
+
+        Its evaluator carries the sample parameters as ``knots``: the path
+        is affine between consecutive knots, which lets the flow engine
+        bound its steps by arc length instead of sampling them.
+        """
         ts = np.asarray([float(t) for t in ts])
         if (ts.size < 2 or not np.isfinite(ts).all()
                 or not np.all(np.diff(ts) > 0)):
@@ -166,6 +175,7 @@ class OperatorPath:
             w = (t - _ts[j]) / h
             return (1.0 - w) * _m[j] + w * _m[j + 1]
 
+        evaluator.knots = ts
         if symmetry_tag == "general":
             index = shape[0] - shape[1]
         elif frame is not None:

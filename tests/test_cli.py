@@ -193,6 +193,15 @@ class TestExitStatuses:
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_exits_4(self, tmp_path, fmt):
+        target = tmp_path / "missing" / f"report.{fmt}"
+        proc = invoke("parity", "--model", "examp", "--output-format", fmt,
+                      "--output", str(target))
+        assert proc.returncode == 4
+        assert "cannot write output file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("strength", ["-0.5", "nan", "inf"])
     def test_invalid_disorder_exits_4(self, strength):
         proc = invoke("insulator", "--M", "8", "--disorder", strength)

@@ -11,9 +11,11 @@ from z2flow.errors import (
     SingularError,
     SymmetryError,
 )
+import z2flow.pairs as pairs_module
 from z2flow.flow import (
     _COS_MIN,
     _SEGMENT_SAMPLES,
+    _PathData,
     _pairwise_window_continuity,
     _step_norms,
     embed_chiral,
@@ -425,6 +427,100 @@ class TestWindowRank:
         res = sf2_path(path)
         assert res.value == -1
         assert len(res.windows) > 1
+
+
+def _opaque(path):
+    """The same path behind an evaluator that declares no knots."""
+    return OperatorPath(path.interval, lambda t: path.evaluator(t),
+                        path.symmetry_tag, path.frame, path.declared_index)
+
+
+def _tagged_sample_path(rng, tag):
+    """A from_samples path of the given tag on irregular knots."""
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
+    if tag == "general":
+        return OperatorPath.from_samples(
+            ts, [rng.standard_normal((3, 3)) for _ in ts])
+    if tag == "skew":
+        mats = [rng.standard_normal((4, 4)) for _ in ts]
+        return OperatorPath.from_samples(ts, [g - g.T for g in mats], "skew")
+    mats = [embed_chiral(rng.standard_normal((3, 2))) for _ in ts]
+    if tag == "chiral-selfadjoint":  # [[0, B], [B^T, 0]]
+        for m in mats:
+            m[3:, :3] *= -1.0
+    return OperatorPath.from_samples(ts, mats, tag, ChiralFrame(3, 2))
+
+
+class TestPiecewiseAffine:
+    """Sampled paths declare their knots; the engine bounds their steps by
+    arc length instead of sampling them, so a steep ramp is no jump."""
+
+    @pytest.mark.parametrize("height", [0.5, 0.8])
+    def test_steep_ramp(self, height):
+        # the first entry drops by `height` over 1e-9 at t = 0.5, more than
+        # the step bound of a sampled (opaque) path
+        ts = [0.0, 0.5, 0.5 + 1e-9, 1.0]
+        firsts = [1.0, height / 2, -height / 2, -1.0]
+        path = OperatorPath.from_samples(ts, [np.diag([f, 2.0]) for f in firsts])
+        assert parity_path(path) == parity_finite(path) == -1
+        assert parity_path(path, rng=np.random.default_rng(6)) == -1
+
+    @pytest.mark.parametrize("tag", ["general", "skew", "chiral-skew",
+                                     "chiral-selfadjoint"])
+    def test_arc_bounds_every_step(self, tag):
+        path = _tagged_sample_path(np.random.default_rng(51), tag)
+        data = _PathData(to_skew_path(path))
+        knots = path.evaluator.knots
+        assert np.array_equal(data.knots, knots)
+        grid = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 41), knots,
+            np.clip(knots - 1e-7, 0.0, 1.0), np.clip(knots + 1e-7, 0.0, 1.0)]))
+        mats = np.stack([data._matrix(t) for t in grid])
+        arc = data.arc(grid)
+        i, j = np.triu_indices(len(grid), 1)
+        dist = np.linalg.svd(mats[j] - mats[i], compute_uv=False)[:, 0]
+        assert np.all(dist <= arc[j] - arc[i] + 1e-12 * arc[-1])
+        # the bound is tight within a piece
+        piece = (grid >= knots[1]) & (grid <= knots[2])
+        lo, hi = np.flatnonzero(piece)[[0, -1]]
+        assert dist[(i == lo) & (j == hi)][0] == pytest.approx(arc[hi] - arc[lo])
+
+    def test_declared_knots_reach_the_engine(self, monkeypatch):
+        spec = GalerkinSpec(mode_cutoff=4)
+        assert to_skew_path(build_bifurcation_path(spec)).evaluator.knots == spec.interval
+        rng = np.random.default_rng(52)
+        general = random_admissible_path(rng, 3)
+        assert np.array_equal(to_skew_path(general).evaluator.knots,
+                              general.evaluator.knots)
+        assert to_skew_path(_opaque(general)).evaluator.knots is None
+
+        seen = []
+
+        def spy(path, *, rng=None):
+            seen.append(path.evaluator.knots)
+            return sf2_path(path, rng=rng)
+
+        monkeypatch.setattr(pairs_module, "sf2_path", spy)
+        structure, o = build_rank_one_pair(4)
+        pair = FredholmPair(structure, ComplexStructure(o @ structure.matrix @ o.T,
+                                                         structure.frame))
+        assert straight_line_sf2(pair) == -1
+        assert seen == [(0.0, 1.0)]
+
+    def test_declared_path_agrees_with_opaque(self):
+        rng = np.random.default_rng(53)
+        paths = [random_admissible_path(rng, n, knots=k)
+                 for n, k in [(1, 2), (2, 3), (3, 4), (4, 3), (5, 5)]]
+        paths += [random_chiral_skew_path(rng, n) for n in (1, 2, 3)]
+        paths.append(build_bifurcation_path(GalerkinSpec(mode_cutoff=4)))
+        for path in paths:
+            declared, opaque = to_skew_path(path), to_skew_path(_opaque(path))
+            res, ref = sf2_path(declared), sf2_path(opaque)
+            assert res.value == ref.value
+            assert len(res.windows) <= len(ref.windows)
+            for seed in range(3):
+                assert sf2_path(declared, rng=np.random.default_rng(seed)).value \
+                    == sf2_path(opaque, rng=np.random.default_rng(seed)).value == ref.value
 
 
 class TestChiralCore:
