@@ -177,7 +177,8 @@ def refine(points, accept, what: str = "acceptable segment"):
     else is kept as the segment's value.  Returns the accepted
     ``(lo, hi, value)`` triples in order and the deepest bisection level.
     A segment still refused below the refinement floor, ``MIN_SEGMENT``
-    times the length of the whole interval, raises ``RefinementError``.
+    times the length of the whole interval, or too short for its midpoint
+    to fall strictly inside it, raises ``RefinementError``.
     """
     floor = tol.MIN_SEGMENT * (points[-1] - points[0])
     stack = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])][::-1]
@@ -190,12 +191,17 @@ def refine(points, accept, what: str = "acceptable segment"):
         if value is not None:
             accepted.append((lo, hi, value))
             continue
+        mid = lo + (hi - lo) / 2.0
         if hi - lo < floor:
             raise RefinementError(
                 f"no {what} above segment length {floor:.3g} "
                 f"on [{lo}, {hi}]"
             )
-        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            raise RefinementError(
+                f"no {what} on [{lo:.17g}, {hi:.17g}], and the segment "
+                "cannot be bisected in floating point"
+            )
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
     return accepted, max_depth
@@ -241,7 +247,6 @@ class _PathData:
         self.knots = getattr(path.evaluator, "knots", None)
         self._arc = None
         self._cache = {}
-        self.sigma_scale = 0.0
         self.step_bound = math.inf
         self.near_zero = 0.0
 
@@ -275,8 +280,6 @@ class _PathData:
                 frames = (v,)
             rec = (m, sv, frames)
             self._cache[key] = rec
-            if sv.size:
-                self.sigma_scale = max(self.sigma_scale, float(sv[-1]))
         return rec
 
     @property
@@ -372,11 +375,11 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     if not candidates:
         return None
 
-    # preferred radius: half the smallest nonzero endpoint singular value
-    floor = tol.inv(max(data.sigma_scale, 1e-300))
+    # preferred radius: half the smallest endpoint singular value above
+    # the margin
     pref = None
     end_sv = np.concatenate([recs[0][1], recs[-1][1]])
-    positive = end_sv[end_sv > max(floor, margin)]
+    positive = end_sv[end_sv > margin]
     if positive.size:
         pref = float(positive.min()) / 2.0
 
@@ -608,20 +611,20 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     d = abs(path.declared_index)
     t0, t1 = path.interval
     cache = {}
-    sigma_max = 0.0
 
     def at(t):  # (B, U, singular values) of the tall block at t
-        nonlocal sigma_max
         if t not in cache:
             b = path.at(t).T if wide else path.at(t)
             u, s, _ = np.linalg.svd(b)
             cache[t] = (b, u, s)
-            sigma_max = max(sigma_max, s.max(initial=0.0))
         return cache[t]
 
-    # endpoint admissibility: kernel dimension exactly the block index
+    # endpoint admissibility: kernel dimension exactly the block index; the
+    # near-cokernel cluster is read against the endpoints' largest value
+    sigma_max = 0.0
     for t in (t0, t1):
         s = at(t)[2]
+        sigma_max = max(sigma_max, s.max(initial=0.0))
         extra = 2 * int((s <= tol.inv(s.max(initial=0.0)) * 10).sum())
         if extra:
             raise NotAdmissibleError(

@@ -16,7 +16,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import ConfigError, NotAdmissibleError
 from .linalg import singular_values
-from .flow import _doubling, embed_chiral
+from .flow import _doubling, embed_chiral, embed_chiral_path
 from .pairs import ComplexStructure
 from .paths import ChiralFrame, OperatorPath
 
@@ -41,12 +41,16 @@ EXAMPLE_NAMES = ("examp", "examp_abs", "doubled", "doubled_perturbed")
 
 
 def build_example_path(name: str, s: float = None) -> OperatorPath:
-    """The toy chiral-skew paths on [-1, 1].
+    """The toy chiral-skew paths on [-1, 1]: chiral doublings
+    [[0, B], [-B^T, 0]] of 1x1 and 2x2 block paths B(t).
 
-    ``examp``              the simple crossing [[0, t], [-t, 0]]
-    ``examp_abs``          its isospectral twin with |t|
-    ``doubled``            the 4x4 direct double of the crossing
-    ``doubled_perturbed``  the doubled path with gap-opening strength s >= 0
+    ``examp``              the simple crossing B = [[t]]
+    ``examp_abs``          its isospectral twin B = [[|t|]]
+    ``doubled``            the direct double B = diag(t, t)
+    ``doubled_perturbed``  B = [[t, -s], [s, t]], gap-opening strength s >= 0
+
+    The block paths declare no ``knots``, so the engine samples them as
+    opaque callables.
     """
     if name not in EXAMPLE_NAMES:
         raise ConfigError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
@@ -59,29 +63,14 @@ def build_example_path(name: str, s: float = None) -> OperatorPath:
         raise ConfigError(f"example {name!r} takes no strength parameter")
 
     if name == "examp":
-        ev = lambda t: np.array([[0.0, t], [-t, 0.0]])
-        frame = ChiralFrame(1, 1)
+        block = lambda t: np.array([[t]])
     elif name == "examp_abs":
-        ev = lambda t: np.array([[0.0, abs(t)], [-abs(t), 0.0]])
-        frame = ChiralFrame(1, 1)
+        block = lambda t: np.array([[abs(t)]])
     elif name == "doubled":
-        def ev(t):
-            b = np.diag([t, t])
-            out = np.zeros((4, 4))
-            out[:2, 2:] = b
-            out[2:, :2] = -b.T
-            return out
-        frame = ChiralFrame(2, 2)
+        block = lambda t: np.diag([t, t])
     else:
-        def ev(t, _s=float(s)):
-            return np.array([
-                [0.0, 0.0, t, -_s],
-                [0.0, 0.0, _s, t],
-                [-t, -_s, 0.0, 0.0],
-                [_s, -t, 0.0, 0.0],
-            ])
-        frame = ChiralFrame(2, 2)
-    return OperatorPath((-1.0, 1.0), ev, "chiral-skew", frame, 0)
+        block = lambda t, _s=float(s): np.array([[t, -_s], [_s, t]])
+    return embed_chiral_path(OperatorPath((-1.0, 1.0), block))
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +87,8 @@ def build_rank_one_pair(n: int):
     if n < 1:
         raise ConfigError("ambient half-dimension must be >= 1")
     structure = ComplexStructure(embed_chiral(np.eye(n)), ChiralFrame(n, n))
-    reflect = np.eye(n)
-    reflect[0, 0] = -1.0
-    o = np.block([
-        [reflect, np.zeros((n, n))],
-        [np.zeros((n, n)), np.eye(n)],
-    ])
+    o = np.eye(2 * n)
+    o[0, 0] = -1.0
     return structure, o
 
 
@@ -173,6 +158,8 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
     """
     if not (math.isfinite(strength) and strength >= 0):
         raise ConfigError(f"disorder strength must be finite and >= 0, got {strength}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError(f"disorder seed must be an integer >= 0, got {seed!r}")
     gap = min(float(singular_values(_ring_block(spec, t))[0]) for t in (0.0, 1.0))
     if strength >= gap / 2.0:
         raise NotAdmissibleError(
@@ -192,7 +179,7 @@ def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
     twice that of its block."""
     sv = singular_values(_ring_block(spec, 0.5))
     smax = max(float(sv[-1]), 1e-300)
-    return 2 * int((sv < 1e-8 * smax).sum())
+    return 2 * int((sv < tol.gap(smax)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -162,16 +162,12 @@ def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
 def _phase(b: np.ndarray, rng=None) -> np.ndarray:
     """Orthogonal phase W V^T of a square block B = W S V^T.
 
-    The SVD signs are fixed deterministically (largest-magnitude entry of
-    each left singular vector positive).  With ``rng``, the left singular
-    vectors of the kernel of B are mixed by a random orthogonal matrix.
+    Flipping the sign of a left singular vector together with its right one
+    leaves W V^T unchanged, so the SVD's sign choice does not matter.  With
+    ``rng``, the left singular vectors of the kernel of B are mixed by a
+    random orthogonal matrix, which only picks another kernel completion.
     """
     w, s, vt = np.linalg.svd(b)
-    for j in range(b.shape[0]):
-        i = int(np.argmax(np.abs(w[:, j])))
-        if w[i, j] < 0:
-            w[:, j] = -w[:, j]
-            vt[j, :] = -vt[j, :]
     if rng is not None:
         kernel_tol = tol.gap(max(float(s[0]) if s.size else 0.0, 1.0))
         k_idx = np.where(s < kernel_tol)[0]

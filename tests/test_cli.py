@@ -13,13 +13,13 @@ from z2flow.cli import RunConfig, config_from_args, ingest_path, run
 from z2flow.errors import ConfigError, SymmetryError
 
 
-def invoke(*args, env_extra=None):
+def invoke(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "z2flow", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc
 
@@ -207,6 +207,29 @@ class TestExitStatuses:
         proc = invoke("insulator", "--M", "8", "--disorder", strength)
         assert proc.returncode == 4
         assert "disorder strength" in proc.stderr
+
+    def test_disorder_seed_must_be_non_negative(self):
+        proc = invoke("insulator", "--M", "8", "--disorder", "0.1",
+                      "--seed", "-1")
+        assert proc.returncode == 4
+        assert "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unbisectable_interval_exits_3(self, tmp_path):
+        # on [0, 1e-320] the refinement floor underflows to 0; bisection
+        # must still stop once a midpoint rounds to an end
+        doc = {
+            "symmetry": "general",
+            "samples": [
+                {"t": 0.0, "matrix": [[-0.5, 0.0], [0.0, 1.0]]},
+                {"t": 1e-320, "matrix": [[0.5, 0.0], [0.0, 1.0]]},
+            ],
+        }
+        f = tmp_path / "subnormal.json"
+        f.write_text(json.dumps(doc))
+        proc = invoke("parity", "--path-file", str(f), timeout=60)
+        assert proc.returncode == 3
+        assert "cannot be bisected" in proc.stderr
 
     def test_oversized_builder_exits_4(self, capsys):
         import z2flow.cli as cli

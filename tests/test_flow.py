@@ -248,6 +248,23 @@ class TestScaledPaths:
             assert sf2_path(edge).value == expected
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _bounded(fn, limit=1000):
+    """``fn`` that raises AssertionError after ``limit`` calls, so a
+    refinement that does not terminate fails instead of hanging."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) > limit:
+            raise AssertionError(f"refinement still running after {limit} calls")
+        return fn(*args)
+
+    return wrapped
+
+
 class TestRefine:
     def test_left_to_right_bisection(self):
         visited = []
@@ -280,6 +297,27 @@ class TestRefine:
             assert depth == 17 and len(segments) == 18
         with pytest.raises(RefinementError):
             refine([0.0, 1e-9], lambda lo, hi: None if hi - lo > 1e-16 else 0)
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0 + 2 * _EPS), (0.0, 1e-320)])
+    def test_unbisectable_segment_raises(self, interval):
+        # only empty segments are accepted: once a midpoint rounds to an
+        # end, bisection makes no progress; on [0, 1e-320] the floor
+        # underflows to 0 and never stops it
+        accept = _bounded(lambda lo, hi: 0 if hi <= lo else None)
+        with pytest.raises(RefinementError,
+                           match="cannot be bisected in floating point"):
+            refine(list(interval), accept, "thing")
+
+    def test_unbisectable_crossing_raises(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        monkeypatch.setattr(flow_module, "_segment_window",
+                            _bounded(flow_module._segment_window))
+        path = OperatorPath((1.0, 1.0 + 2 * _EPS), lambda t: np.diag(
+            [(t - 1.0) / (2 * _EPS) - 0.5, 1.0]))
+        assert parity_finite(path) == -1
+        with pytest.raises(RefinementError, match="cannot be bisected"):
+            parity_path(path)
 
 
 def _rotation(theta):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from z2flow import tolerances as tol
 from z2flow.errors import ConfigError, NotAdmissibleError
-from z2flow.flow import embed_chiral, parity_path, selfadjoint_to_skew
+from z2flow.flow import embed_chiral, parity_path, selfadjoint_to_skew, sf2_path
 from z2flow.linalg import sign_det
 from z2flow.models import (
+    EXAMPLE_NAMES,
     GalerkinSpec,
     RingShiftSpec,
     bifurcation_crossing_modes,
@@ -58,6 +60,41 @@ class TestExamplePaths:
             path = build_example_path(name)
             for t in rng.uniform(-1, 1, size=50):
                 path.at(t)  # validates the chiral-skew tag
+
+    @pytest.mark.parametrize("name, s", [("examp", None), ("examp_abs", None),
+                                         ("doubled", None),
+                                         ("doubled_perturbed", 1.0),
+                                         ("doubled_perturbed", 0.3)])
+    def test_doublings_match_the_explicit_matrices(self, name, s):
+        path = build_example_path(name, s)
+        for t in np.linspace(-1.0, 1.0, 33):
+            if name == "examp":
+                expected = np.array([[0.0, t], [-t, 0.0]])
+            elif name == "examp_abs":
+                expected = np.array([[0.0, abs(t)], [-abs(t), 0.0]])
+            elif name == "doubled":
+                expected = np.zeros((4, 4))
+                expected[:2, 2:] = np.diag([t, t])
+                expected[2:, :2] = -np.diag([t, t]).T
+            else:
+                expected = np.array([[0.0, 0.0, t, -s], [0.0, 0.0, s, t],
+                                     [-t, -s, 0.0, 0.0], [s, -t, 0.0, 0.0]])
+            assert path.at(t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_flow_reads_the_block(self, name, monkeypatch):
+        # the engine reads the block path; no chiral matrix is validated
+        import z2flow.paths as paths_module
+
+        tags = []
+
+        def spy(mat, tag, frame, _fn=paths_module.validate_symmetry):
+            tags.append(tag)
+            return _fn(mat, tag, frame)
+
+        monkeypatch.setattr(paths_module, "validate_symmetry", spy)
+        sf2_path(build_example_path(name))
+        assert tags and not [t for t in tags if t.startswith("chiral")]
 
 
 class TestRankOnePair:
@@ -165,6 +202,16 @@ class TestInsulator:
     def test_disorder_strength_must_be_finite_non_negative(self, strength):
         with pytest.raises(ConfigError, match="finite and >= 0"):
             build_insulator_disordered(RingShiftSpec(8, 1, 1), strength, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_disorder_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            build_insulator_disordered(RingShiftSpec(8, 1, 1), 0.1, seed)
+
+    def test_half_flux_kernel_follows_the_tolerance_scale(self, monkeypatch):
+        # at scale 1e9 the kernel threshold lies above every singular value
+        monkeypatch.setattr(tol, "_scale", 1e9)
+        assert half_flux_kernel_dim(RingShiftSpec(12)) == 24
 
     def test_disorder_preserves_parity(self):
         for (k, n, expected) in [(1, 1, -1), (1, 2, 1)]:

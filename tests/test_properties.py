@@ -6,8 +6,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from z2flow.flow import parity_finite, parity_path, sf2_finite, sf2_path  # noqa: E402
-from z2flow.paths import OperatorPath  # noqa: E402
+from z2flow.flow import (  # noqa: E402
+    embed_chiral,
+    parity_finite,
+    parity_path,
+    parity_path_general,
+    sf2_finite,
+    sf2_path,
+)
+from z2flow.pairs import parity_via_pairs  # noqa: E402
+from z2flow.paths import ChiralFrame, OperatorPath  # noqa: E402
+
+from conftest import random_orthogonal_path  # noqa: E402
 
 # fixed examples, no example database: the same cases on every run
 FIXED = settings(derandomize=True, deadline=None, max_examples=30,
@@ -34,13 +44,22 @@ def _knot_mats(rng, n, knots, draw):
     return mats
 
 
-def _sampled_path(seed, n, knots, draw, tag):
-    rng = np.random.default_rng(seed)
+def _knot_params(rng, knots):
     ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, knots - 2)), [1.0]])
     if np.any(np.diff(ts) <= 0.0):
         ts = np.linspace(0.0, 1.0, knots)
+    return ts
+
+
+def _sampled_path(seed, n, knots, draw, tag):
+    rng = np.random.default_rng(seed)
+    ts = _knot_params(rng, knots)
     mats = _knot_mats(rng, n, knots, draw)
     return OperatorPath.from_samples(ts, mats, tag), mats
+
+
+def _det_sign(b):
+    return int(np.linalg.slogdet(b)[0])
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -64,3 +83,54 @@ def test_skew_flow_matches_oracle(seed, n, knots, randomized):
     rng = np.random.default_rng(seed) if randomized else None
     res = sf2_path(path, rng=rng)
     assert res.value == res.window_product() == sf2_finite(mats[0], mats[-1])
+
+
+@FIXED
+@given(seed=seeds, n=st.integers(1, 4), knots=knot_counts,
+       randomized=st.booleans())
+def test_chiral_flow_matches_block_determinants(seed, n, knots, randomized):
+    rng = np.random.default_rng(seed)
+    ts = _knot_params(rng, knots)
+    blocks = _knot_mats(rng, n, knots, _square)
+    path = OperatorPath.from_samples(ts, [embed_chiral(b) for b in blocks],
+                                     "chiral-skew", ChiralFrame(n, n))
+    expected = _det_sign(blocks[0]) * _det_sign(blocks[-1])
+    mix = np.random.default_rng(seed) if randomized else None
+    res = sf2_path(path, rng=mix)
+    assert res.value == res.window_product() == expected
+    mix = np.random.default_rng(seed) if randomized else None
+    assert parity_via_pairs(path, rng=mix) == expected
+
+
+@FIXED
+@given(seed=seeds, n=st.integers(1, 3), d=st.integers(1, 3),
+       knots=knot_counts, wide=st.booleans(), randomized=st.booleans())
+def test_rectangular_parity_matches_square_core(seed, n, d, knots, wide,
+                                                randomized):
+    # a rotating frame carries the square n x n path and d zero rows
+    rng = np.random.default_rng(seed)
+    square = OperatorPath.from_samples(_knot_params(rng, knots),
+                                       _knot_mats(rng, n, knots, _square))
+    q = random_orthogonal_path(rng, n + d)
+    pad = np.zeros((d, n))
+
+    def tall(t):
+        return q(t) @ np.vstack([square.evaluator(t), pad])
+
+    if wide:
+        path = OperatorPath((0.0, 1.0), lambda t: tall(t).T, "general", None, -d)
+    else:
+        path = OperatorPath((0.0, 1.0), tall, "general", None, d)
+    mix = np.random.default_rng(seed) if randomized else None
+    assert parity_path_general(path, rng=mix) == parity_finite(square)
+
+
+@FIXED
+@given(seed=seeds, n=st.integers(1, 4), knots=knot_counts,
+       randomized=st.booleans())
+def test_opaque_general_parity_matches_oracle(seed, n, knots, randomized):
+    # the same sampled path behind a callable that declares no knots
+    sampled, _ = _sampled_path(seed, n, knots, _square, "general")
+    path = OperatorPath(sampled.interval, lambda t: sampled.evaluator(t))
+    rng = np.random.default_rng(seed) if randomized else None
+    assert parity_path(path, rng=rng) == parity_finite(path)
