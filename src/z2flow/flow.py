@@ -25,6 +25,7 @@ from .errors import (
     TransportError,
 )
 from .linalg import (
+    _step_norms,
     as_real_matrix,
     max_abs,
     pfaffian_sign,
@@ -122,7 +123,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
     Only its ``at`` builds the doubled matrix; the engine reads ``block``,
-    and the source's ``knots`` if it declares any."""
+    and the source's ``arc`` if it declares one."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
@@ -130,7 +131,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
         return m
 
     evaluator.block = source.block
-    evaluator.knots = getattr(source.evaluator, "knots", None)
+    evaluator.arc = getattr(source.evaluator, "arc", None)
     return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
 
@@ -237,45 +238,27 @@ class _PathData:
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
-    An evaluator that declares ``knots`` is affine between them (see
-    ``OperatorPath.from_samples``); ``arc`` then bounds its steps.
+    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``) or None.
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
-        self.knots = getattr(path.evaluator, "knots", None)
-        self._arc = None
+        self.arc = getattr(path.evaluator, "arc", None)
         self._cache = {}
         self.step_bound = math.inf
         self.near_zero = 0.0
-
-    def _matrix(self, t: float) -> np.ndarray:
-        if self.chiral:
-            return self.path.block(t)
-        m = self.path.at(t)
-        return (m - m.T) / 2.0
-
-    def arc(self, ts: np.ndarray) -> np.ndarray:
-        """Arc length of M from the first knot to each of ``ts``.
-
-        Computed once from the knot matrices, ||M(t) - M(s)||_2 <= |arc(t)
-        - arc(s)|: on a piece M moves along a line at constant speed, and
-        the distance of two points is at most the length between them.
-        """
-        if self._arc is None:
-            mats = np.stack([self._matrix(float(k)) for k in self.knots])
-            self._arc = np.concatenate([[0.0], np.cumsum(_step_norms(mats))])
-        return np.interp(ts, self.knots, self._arc)
 
     def at(self, t: float):
         key = float(t)
         rec = self._cache.get(key)
         if rec is None:
-            m = self._matrix(key)
             if self.chiral:
+                m = self.path.block(key)
                 sv, frames = skew_singular_system(m, True)
             else:
+                m = self.path.at(key)
+                m = (m - m.T) / 2.0
                 sv, v = skew_singular_system(m)
                 frames = (v,)
             rec = (m, sv, frames)
@@ -285,14 +268,6 @@ class _PathData:
     @property
     def evaluations(self) -> int:
         return len(self._cache)
-
-
-def _step_norms(steps: np.ndarray) -> np.ndarray:
-    """2-norms of the differences of consecutive stacked step matrices."""
-    diffs = np.diff(steps, axis=0)
-    if diffs.size == 0:
-        return np.zeros(diffs.shape[0])
-    return np.linalg.svd(diffs, compute_uv=False)[:, 0]
 
 
 def _pairwise_window_continuity(bases: np.ndarray) -> bool:
@@ -320,15 +295,15 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     positive-rank window).  The windowed subspaces of all samples must also
     be pairwise WINDOW_EPS-close.
 
-    On a path that declares knots the slack is half the largest arc length
-    between consecutive samples (``_PathData.arc``): every point between
-    two samples is that close to one of them.  Such a path cannot jump, so
-    no step bound applies.  On an opaque path the slack is 0.75 times the
-    largest sampled step ||M_i+1 - M_i||_2, and a step above the path's
-    step bound (a tenth of the largest endpoint singular value, so the
-    partition does not refine as the endpoints approach a kernel) refuses
-    the segment: a jump does not shrink under bisection.  The step norms
-    are solved only when they decide: max |sigma(M_i+1) - sigma(M_i)|
+    On a path that declares an arc modulus the slack is half the largest
+    arc length between consecutive samples (``_PathData.arc``): every
+    point between two samples is that close to one of them.  Such a path
+    cannot jump, so no step bound applies.  On an opaque path the slack is
+    0.75 times the largest sampled step ||M_i+1 - M_i||_2, and a step above
+    the path's step bound (a tenth of the largest endpoint singular value,
+    so the partition does not refine as the endpoints approach a kernel)
+    refuses the segment: a jump does not shrink under bisection.  The step
+    norms are solved only when they decide: max |sigma(M_i+1) - sigma(M_i)|
     bounds every step from below, and a segment that already fails the
     bound or has no candidate gap with that slack is refused without them.
 
@@ -361,7 +336,7 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
                 found.append((k, glo, ghi))
         return margin, found
 
-    if data.knots is not None:
+    if data.arc is not None:
         slack = 0.5 * float(np.diff(data.arc(ts)).max())
     else:
         lower = float(np.abs(np.diff(svs, axis=0)).max(initial=0.0))

@@ -62,6 +62,14 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[::-1].copy()
 
 
+def _step_norms(steps: np.ndarray) -> np.ndarray:
+    """2-norms of the differences of consecutive stacked step matrices."""
+    diffs = np.diff(steps, axis=0)
+    if diffs.size == 0:
+        return np.zeros(diffs.shape[0])
+    return np.linalg.svd(diffs, compute_uv=False)[:, 0]
+
+
 # ---------------------------------------------------------------------------
 # Pfaffian
 

@@ -49,8 +49,9 @@ def build_example_path(name: str, s: float = None) -> OperatorPath:
     ``doubled``            the direct double B = diag(t, t)
     ``doubled_perturbed``  B = [[t, -s], [s, t]], gap-opening strength s >= 0
 
-    The block paths declare no ``knots``, so the engine samples them as
-    opaque callables.
+    The blocks are 1-Lipschitz but declare no arc modulus: all their
+    singular values come near zero, so only the step bound of an opaque
+    path keeps one full-rank window, the endpoint oracle, off the crossing.
     """
     if name not in EXAMPLE_NAMES:
         raise ConfigError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
@@ -133,6 +134,9 @@ def _ring_block(spec: RingShiftSpec, t: float) -> np.ndarray:
 def _ring_path(spec: RingShiftSpec, block) -> OperatorPath:
     """Chiral self-adjoint doubling [[0, B], [B^T, 0]] of the block path
     ``block`` on [0, 1]; the engine reads the block alone."""
+    # with M >= 2k + 2 the marked link enters B(t) once, so B(t) = B(1/2) +
+    # cos(pi t) E with ||E||_2 = 1, and 1 - cos(pi t) is an arc modulus
+    block.arc = lambda ts: 1.0 - np.cos(np.pi * np.asarray(ts))
     blocks = OperatorPath((0.0, 1.0), block)
     return _doubling(blocks, ChiralFrame(spec.block_dim, spec.block_dim),
                      "chiral-selfadjoint")
@@ -238,7 +242,8 @@ def build_bifurcation_path(spec: GalerkinSpec) -> OperatorPath:
         out[m:, :m] = np.diag(t * kdiag)
         return out
 
-    ev.knots = spec.interval  # affine in t
+    speed = float(np.abs(kdiag).max())  # ||ev(t) - ev(s)||_2 = speed |t - s|
+    ev.arc = lambda ts: speed * (np.asarray(ts) - spec.interval[0])
     return OperatorPath(spec.interval, ev, "general", None, 0)
 
 

@@ -147,14 +147,15 @@ def pi_index(pair: FredholmPair) -> Z2:
 
 
 def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
-    """Flow of the straight-line path between the two structures: the
-    chiral doubling of the block line (1 - t) U0 + t U1."""
+    """Flow of the straight line between the two structures: the chiral
+    doubling of the block line (1 - t) U0 + t U1, of arc ||U1 - U0||_2 t."""
     u0, u1 = _block(pair.first), _block(pair.second)
+    speed = float(singular_values(u1 - u0)[-1])
 
     def line(t):
         return (1.0 - t) * u0 + t * u1
 
-    line.knots = (0.0, 1.0)
+    line.arc = lambda ts: speed * np.asarray(ts)
     return sf2_path(embed_chiral_path(OperatorPath((0.0, 1.0), line)),
                     rng=rng).value
 

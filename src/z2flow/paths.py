@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ConfigError, DimensionError, SymmetryError
-from .linalg import as_real_matrix, max_abs
+from .linalg import _step_norms, as_real_matrix, max_abs
 
 __all__ = ["SYMMETRY_TAGS", "ChiralFrame", "OperatorPath", "validate_symmetry"]
 
@@ -74,10 +74,11 @@ class OperatorPath:
     The evaluator must return matrices of a fixed shape; the symmetry tag is
     validated at every evaluated parameter.  ``declared_index`` is the block
     index rows - cols of the off-diagonal block (0 for square families).
-    An evaluator may carry ``knots``, increasing parameters from the start
-    to the end of the interval between which it is affine in t (as
-    ``from_samples`` does); the flow engine then certifies its segments by
-    arc length.  Any other evaluator is sampled as an opaque callable.
+    An evaluator may declare an arc modulus ``arc(ts)``, elementwise and
+    nondecreasing, with ||M(t) - M(s)||_2 <= |arc(t) - arc(s)| for M the
+    path's matrix or its chiral ``block`` (``L * ts`` on an L-Lipschitz
+    path): the flow engine then certifies segments by arc length instead of
+    sampling the evaluator as an opaque callable.
     """
 
     interval: tuple
@@ -149,9 +150,10 @@ class OperatorPath:
                      frame: Optional[ChiralFrame] = None) -> "OperatorPath":
         """Piecewise-linear path through the given samples.
 
-        Its evaluator carries the sample parameters as ``knots``: the path
-        is affine between consecutive knots, which lets the flow engine
-        bound its steps by arc length instead of sampling them.
+        Its evaluator declares the knot arc, the cumulative 2-norm of the
+        sample differences interpolated linearly (between samples the path
+        moves along a line at constant speed), computed on first use over
+        (t - t0) / (t1 - t0), which stays finite on a subnormal interval.
         """
         ts = np.asarray([float(t) for t in ts])
         if (ts.size < 2 or not np.isfinite(ts).all()
@@ -175,7 +177,16 @@ class OperatorPath:
             w = (t - _ts[j]) / h
             return (1.0 - w) * _m[j] + w * _m[j + 1]
 
-        evaluator.knots = ts
+        lengths = []
+
+        def arc(s, _unit=(ts - ts[0]) / (ts[-1] - ts[0])):
+            if not lengths:
+                steps = _step_norms(stacked)
+                lengths.append(np.concatenate([[0.0], np.cumsum(steps)]))
+            return np.interp((np.asarray(s) - ts[0]) / (ts[-1] - ts[0]),
+                             _unit, lengths[0])
+
+        evaluator.arc = arc
         if symmetry_tag == "general":
             index = shape[0] - shape[1]
         elif frame is not None:

@@ -1,5 +1,8 @@
 """Unit tests for the parity and flow engines."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,20 @@ class TestShortIntervals:
         oracle = sf2_finite(path.at(0.0), path.at(1e-8))
         assert sf2_path(path, rng=rng).value == oracle == -1
 
+    @pytest.mark.parametrize("interval", [(0.0, 1e-320), (1.0, 1.0 + 2 * _EPS)])
+    def test_sampled_crossing(self, interval):
+        # the knot arc is taken in the normalised parameter, so it stays
+        # finite on a subnormal interval.  On [1, 1 + 2 ulp] the samples
+        # are three adjacent floats: the crossing's whole step must fit in
+        # the gap to the other singular value, which a ramp of +-0.25 does
+        path = OperatorPath.from_samples(
+            interval, [np.diag([-0.25, 1.0]), np.diag([0.25, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parity_path(path) == parity_finite(path) == -1
+            for seed in range(3):
+                assert parity_path(path, rng=np.random.default_rng(seed)) == -1
+
     def test_tall_crossing(self):
         length = 1e-8
         tall = OperatorPath((0.0, length),
@@ -468,30 +485,60 @@ class TestWindowRank:
 
 
 def _opaque(path):
-    """The same path behind an evaluator that declares no knots."""
+    """The same path behind an evaluator that declares no arc modulus."""
     return OperatorPath(path.interval, lambda t: path.evaluator(t),
                         path.symmetry_tag, path.frame, path.declared_index)
 
 
 def _tagged_sample_path(rng, tag):
-    """A from_samples path of the given tag on irregular knots."""
+    """A from_samples path of the given tag on irregular knots, and its knots."""
     ts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
     if tag == "general":
         return OperatorPath.from_samples(
-            ts, [rng.standard_normal((3, 3)) for _ in ts])
+            ts, [rng.standard_normal((3, 3)) for _ in ts]), ts
     if tag == "skew":
         mats = [rng.standard_normal((4, 4)) for _ in ts]
-        return OperatorPath.from_samples(ts, [g - g.T for g in mats], "skew")
+        return OperatorPath.from_samples(ts, [g - g.T for g in mats], "skew"), ts
     mats = [embed_chiral(rng.standard_normal((3, 2))) for _ in ts]
     if tag == "chiral-selfadjoint":  # [[0, B], [B^T, 0]]
         for m in mats:
             m[3:, :3] *= -1.0
-    return OperatorPath.from_samples(ts, mats, tag, ChiralFrame(3, 2))
+    return OperatorPath.from_samples(ts, mats, tag, ChiralFrame(3, 2)), ts
+
+
+def _straight_line(monkeypatch):
+    """The value of ``straight_line_sf2`` on the n = 4 rank-one pair and the
+    path it hands to the engine."""
+    seen = []
+
+    def spy(path, *, rng=None):
+        seen.append(path)
+        return sf2_path(path, rng=rng)
+
+    monkeypatch.setattr(pairs_module, "sf2_path", spy)
+    structure, o = build_rank_one_pair(4)
+    pair = FredholmPair(structure, ComplexStructure(o @ structure.matrix @ o.T,
+                                                     structure.frame))
+    value = straight_line_sf2(pair)
+    assert len(seen) == 1
+    return value, seen[0]
+
+
+_SAMPLE_TAGS = ["general", "skew", "chiral-skew", "chiral-selfadjoint"]
+_MODULUS_PATHS = {
+    "ring-k1": lambda: build_insulator_path(RingShiftSpec(8, 1)),
+    "ring-k2": lambda: build_insulator_path(RingShiftSpec(8, 2)),
+    "ring-k3": lambda: build_insulator_path(RingShiftSpec(8, 3)),
+    "ring-fibre2": lambda: build_insulator_path(RingShiftSpec(6, 1, 2)),
+    "ring-disorder": lambda: build_insulator_disordered(RingShiftSpec(8), 0.1, 3),
+    "bifurcation": lambda: build_bifurcation_path(GalerkinSpec(mode_cutoff=4)),
+}
 
 
 class TestPiecewiseAffine:
-    """Sampled paths declare their knots; the engine bounds their steps by
-    arc length instead of sampling them, so a steep ramp is no jump."""
+    """Paths that declare an arc modulus (every sampled path, the ring, the
+    bifurcation model and the pair line) are certified by arc length
+    instead of sampled, so a steep ramp is no jump."""
 
     @pytest.mark.parametrize("height", [0.5, 0.8])
     def test_steep_ramp(self, height):
@@ -503,47 +550,78 @@ class TestPiecewiseAffine:
         assert parity_path(path) == parity_finite(path) == -1
         assert parity_path(path, rng=np.random.default_rng(6)) == -1
 
-    @pytest.mark.parametrize("tag", ["general", "skew", "chiral-skew",
-                                     "chiral-selfadjoint"])
-    def test_arc_bounds_every_step(self, tag):
-        path = _tagged_sample_path(np.random.default_rng(51), tag)
+    @pytest.mark.parametrize("case", _SAMPLE_TAGS + list(_MODULUS_PATHS) + ["line"])
+    def test_arc_bounds_every_step(self, case, monkeypatch):
+        # kinks: where the arc may bend; piece: a stretch where it is exact
+        if case in _SAMPLE_TAGS:
+            path, kinks = _tagged_sample_path(np.random.default_rng(51), case)
+            piece = kinks[1:3]
+        else:
+            path = (_straight_line(monkeypatch)[1] if case == "line"
+                    else _MODULUS_PATHS[case]())
+            kinks = piece = np.array(path.interval)
         data = _PathData(to_skew_path(path))
-        knots = path.evaluator.knots
-        assert np.array_equal(data.knots, knots)
+        assert data.arc is not None
+        t0, t1 = path.interval
         grid = np.unique(np.concatenate([
-            np.linspace(0.0, 1.0, 41), knots,
-            np.clip(knots - 1e-7, 0.0, 1.0), np.clip(knots + 1e-7, 0.0, 1.0)]))
-        mats = np.stack([data._matrix(t) for t in grid])
+            np.linspace(t0, t1, 41), kinks,
+            np.clip(kinks - 1e-7, t0, t1), np.clip(kinks + 1e-7, t0, t1)]))
+        mats = np.stack([data.at(t)[0] for t in grid])
         arc = data.arc(grid)
+        assert np.all(np.diff(arc) >= 0.0)
         i, j = np.triu_indices(len(grid), 1)
         dist = np.linalg.svd(mats[j] - mats[i], compute_uv=False)[:, 0]
-        assert np.all(dist <= arc[j] - arc[i] + 1e-12 * arc[-1])
+        assert np.all(dist <= arc[j] - arc[i] + 1e-12 * (arc[-1] - arc[0]))
         # the bound is tight within a piece
-        piece = (grid >= knots[1]) & (grid <= knots[2])
-        lo, hi = np.flatnonzero(piece)[[0, -1]]
+        lo, hi = np.searchsorted(grid, piece)
         assert dist[(i == lo) & (j == hi)][0] == pytest.approx(arc[hi] - arc[lo])
 
-    def test_declared_knots_reach_the_engine(self, monkeypatch):
-        spec = GalerkinSpec(mode_cutoff=4)
-        assert to_skew_path(build_bifurcation_path(spec)).evaluator.knots == spec.interval
-        rng = np.random.default_rng(52)
-        general = random_admissible_path(rng, 3)
-        assert np.array_equal(to_skew_path(general).evaluator.knots,
-                              general.evaluator.knots)
-        assert to_skew_path(_opaque(general)).evaluator.knots is None
+    def test_declared_arcs_reach_the_engine(self, monkeypatch):
+        bifurcation = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
+        assert to_skew_path(bifurcation).evaluator.arc is bifurcation.evaluator.arc
+        general = random_admissible_path(np.random.default_rng(52), 3)
+        assert general.evaluator.arc is not None
+        assert to_skew_path(general).evaluator.arc is general.evaluator.arc
+        assert to_skew_path(_opaque(general)).evaluator.arc is None
 
-        seen = []
+        value, line = _straight_line(monkeypatch)
+        assert value == -1
+        # ||U1 - U0||_2 = 2 for the rank-one reflection of the identity block
+        np.testing.assert_allclose(line.evaluator.arc(np.array([0.0, 1.0])),
+                                   [0.0, 2.0])
 
-        def spy(path, *, rng=None):
-            seen.append(path.evaluator.knots)
-            return sf2_path(path, rng=rng)
+    def test_certified_commands_take_no_step_norms(self, monkeypatch, capsys):
+        import z2flow.cli as cli
+        import z2flow.flow as flow_module
 
-        monkeypatch.setattr(pairs_module, "sf2_path", spy)
-        structure, o = build_rank_one_pair(4)
-        pair = FredholmPair(structure, ComplexStructure(o @ structure.matrix @ o.T,
-                                                         structure.frame))
-        assert straight_line_sf2(pair) == -1
-        assert seen == [(0.0, 1.0)]
+        def refuse(steps):
+            raise AssertionError("step norms solved on a certified path")
+
+        monkeypatch.setattr(flow_module, "_step_norms", refuse)
+        readme = str(Path(__file__).parent / "data" / "readme_chiral_skew.json")
+        for argv in (["insulator", "--M", "12"],
+                     ["insulator", "--M", "12", "--disorder", "0.1"],
+                     ["bifurcation"], ["parity", "--path-file", readme]):
+            assert cli.main(argv) == 0, argv
+        assert _straight_line(monkeypatch)[0] == -1
+        # an opaque path still takes them
+        with pytest.raises(AssertionError, match="step norms"):
+            sf2_path(build_example_path("examp"))
+
+    def test_declared_lipschitz_callable(self):
+        # a library user declares the Lipschitz bound 40 pi of an oscillating
+        # callable; the sampled version takes 216 windows
+        def wave(t):
+            return np.diag([np.sin(40 * np.pi * t + 0.1), 1.0])
+
+        declared = OperatorPath((0.0, 1.0), wave)
+        wave.arc = lambda ts: 40 * np.pi * np.asarray(ts)
+        res = sf2_path(to_skew_path(declared))
+        assert res.value == parity_finite(declared) == 1
+        assert len(res.windows) <= 128
+        opaque = sf2_path(to_skew_path(_opaque(declared)))
+        assert opaque.value == res.value
+        assert len(opaque.windows) > len(res.windows)
 
     def test_declared_path_agrees_with_opaque(self):
         rng = np.random.default_rng(53)

@@ -129,8 +129,25 @@ def test_rectangular_parity_matches_square_core(seed, n, d, knots, wide,
 @given(seed=seeds, n=st.integers(1, 4), knots=knot_counts,
        randomized=st.booleans())
 def test_opaque_general_parity_matches_oracle(seed, n, knots, randomized):
-    # the same sampled path behind a callable that declares no knots
+    # the same sampled path behind a callable that declares no arc modulus
     sampled, _ = _sampled_path(seed, n, knots, _square, "general")
     path = OperatorPath(sampled.interval, lambda t: sampled.evaluator(t))
     rng = np.random.default_rng(seed) if randomized else None
+    assert parity_path(path, rng=rng) == parity_finite(path)
+
+
+@FIXED
+@given(omega=st.floats(1.0, 30.0), phase=st.floats(0.0, 2 * np.pi),
+       declared=st.booleans(), randomized=st.booleans())
+def test_wave_parity_matches_oracle(omega, phase, declared, randomized):
+    # diag(sin(omega t + phase), 1), opaque or declaring its Lipschitz arc
+    hypothesis.assume(min(abs(np.sin(phase)), abs(np.sin(omega + phase))) > 0.05)
+
+    def wave(t):
+        return np.diag([np.sin(omega * t + phase), 1.0])
+
+    if declared:
+        wave.arc = lambda ts: omega * np.asarray(ts)
+    path = OperatorPath((0.0, 1.0), wave)
+    rng = np.random.default_rng(int(omega * 1e6)) if randomized else None
     assert parity_path(path, rng=rng) == parity_finite(path)
