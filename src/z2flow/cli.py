@@ -1,7 +1,7 @@
 """Command-line driver with machine-readable reports.
 
 Every computation in the package is reachable from the command line with
-deterministic seeds and a versioned JSON report (schema ``z2flow/1``); CSV
+deterministic seeds and a versioned JSON report (schema ``z2flow/2``); CSV
 output flattens one spectral window per row for spreadsheet audits.
 """
 
@@ -25,7 +25,7 @@ from .errors import (
     RefinementError,
     Z2FlowError,
 )
-from .flow import sf2_path, to_skew_path
+from .flow import _record_matrix, sf2_path, to_skew_path
 from .models import (
     EXAMPLE_NAMES,
     GalerkinSpec,
@@ -47,7 +47,7 @@ from .pairs import (
 )
 from .paths import SYMMETRY_TAGS, ChiralFrame, OperatorPath
 
-SCHEMA = "z2flow/1"
+SCHEMA = "z2flow/2"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
             "bifurcation", "example")
 
@@ -136,14 +136,28 @@ def ingest_path(file) -> OperatorPath:
 
 
 def _digest_path(path: OperatorPath, n: int = 33) -> str:
-    # a doubling built in ``flow`` (its evaluator carries ``block``) is
-    # chiral and skew by construction and validates its source through
-    # ``block``, so its matrices are hashed without checking them again
-    sample = path.evaluator if hasattr(path.evaluator, "block") else path.at
+    """SHA-256 of the record matrices the engine reads, at n parameters: a
+    chiral path's block, a plain skew path's matrix, or the blocks of a
+    declared direct sum's parts after their row and column placements."""
+    parts = getattr(path.evaluator, "parts", None)
     h = hashlib.sha256()
+    if parts is None:
+        parts, read = [(path, None, None)], _record_matrix
+    else:
+        # a part's block is its evaluator's matrix; the engine validates
+        # the parts where it solves them
+        read = lambda part, t: part.evaluator(t)
+        for _, rows, cols in parts:
+            h.update(np.asarray(rows, dtype=np.int64).tobytes())
+            h.update(np.asarray(cols, dtype=np.int64).tobytes())
     for t in np.linspace(path.t_start, path.t_end, n):
+        blocks = {}
+        for part, _, _ in parts:
+            if id(part) not in blocks:
+                blocks[id(part)] = np.ascontiguousarray(
+                    read(part, t), dtype=np.float64).tobytes()
         h.update(np.float64(t).tobytes())
-        h.update(np.ascontiguousarray(sample(t), dtype=np.float64).tobytes())
+        h.update(b"".join(blocks[id(part)] for part, _, _ in parts))
     return h.hexdigest()
 
 
@@ -162,6 +176,7 @@ def _window_rows(flow):
             "a": float(w.a),
             "rank": int(w.rank),
             "factor": int(w.factor),
+            "summand": int(w.summand),
         }
         for w in flow.windows
     ]
@@ -357,7 +372,7 @@ def _write_csv(report: dict, fh) -> None:
     """One window per row, the scalar fields repeated."""
     rows = report.get("windows") or [{}]
     fields = ["schema", "command", "result", "input_digest",
-              "t_lo", "t_hi", "a", "rank", "factor"]
+              "summand", "t_lo", "t_hi", "a", "rank", "factor"]
     writer = csv.DictWriter(fh, fieldnames=fields)
     writer.writeheader()
     for row in rows:

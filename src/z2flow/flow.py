@@ -9,7 +9,7 @@ between chiral self-adjoint and chiral skew-adjoint families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -64,13 +64,18 @@ _SEGMENT_SAMPLES = 9
 
 @dataclass
 class SpectralWindow:
-    """One partition segment of the windowed flow computation."""
+    """One partition segment of the windowed flow computation.
+
+    ``summand`` is the position of its part in a declared direct sum (see
+    ``sf2_path``), 0 on a path solved whole.
+    """
 
     t_lo: float
     t_hi: float
     a: float
     rank: int
     factor: Z2
+    summand: int = 0
 
 
 @dataclass
@@ -123,7 +128,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
     Only its ``at`` builds the doubled matrix; the engine reads ``block``,
-    and the source's ``arc`` if it declares one."""
+    and the source's ``arc`` and direct-sum ``parts`` if it declares them."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
@@ -132,14 +137,14 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
 
     evaluator.block = source.block
     evaluator.arc = getattr(source.evaluator, "arc", None)
+    evaluator.parts = getattr(source.evaluator, "parts", None)
     return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
 
 
 def embed_chiral_path(path: OperatorPath) -> OperatorPath:
     """Chiral skew-adjoint doubling of a path of general matrices."""
-    return _doubling(path, ChiralFrame(*path.block(path.t_start).shape),
-                     "chiral-skew")
+    return _doubling(path, ChiralFrame(*path.block_shape), "chiral-skew")
 
 
 def sf2_finite(t0, t1) -> Z2:
@@ -228,6 +233,15 @@ def _polar(x: np.ndarray, floor: float) -> np.ndarray:
 # windowed path engine
 
 
+def _record_matrix(path: OperatorPath, t: float) -> np.ndarray:
+    """The matrix the engine solves at t: the block of a chiral-skew path,
+    the antisymmetrized matrix of a plain skew path."""
+    if path.symmetry_tag == "chiral-skew":
+        return path.block(t)
+    m = path.at(t)
+    return (m - m.T) / 2.0
+
+
 class _PathData:
     """Caches path evaluations and their skew singular systems per parameter.
 
@@ -238,13 +252,21 @@ class _PathData:
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
-    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``) or None.
+    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``) and
+    ``arc_length`` its increase over the interval; an arc whose length is
+    not a finite float bounds nothing, and the path is taken as opaque
+    (``arc`` None, ``arc_length`` inf).
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
-        self.arc = getattr(path.evaluator, "arc", None)
+        arc = getattr(path.evaluator, "arc", None)
+        self.arc_length = math.inf
+        if arc is not None:
+            lo, hi = arc(np.asarray(path.interval, dtype=float))
+            self.arc_length = float(hi) - float(lo)
+        self.arc = arc if math.isfinite(self.arc_length) else None
         self._cache = {}
         self.step_bound = math.inf
         self.near_zero = 0.0
@@ -253,12 +275,10 @@ class _PathData:
         key = float(t)
         rec = self._cache.get(key)
         if rec is None:
+            m = _record_matrix(self.path, key)
             if self.chiral:
-                m = self.path.block(key)
                 sv, frames = skew_singular_system(m, True)
             else:
-                m = self.path.at(key)
-                m = (m - m.T) / 2.0
                 sv, v = skew_singular_system(m)
                 frames = (v,)
             rec = (m, sv, frames)
@@ -448,12 +468,50 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     every window with its radius, rank and Z2 factor; their product is the
     flow.
 
+    A path that declares an arc modulus and whose smallest endpoint
+    singular values s0 and s1 exceed its total arc L by more than the gap
+    margin stays invertible (Weyl: sigma_min >= (s0 + s1 - L) / 2
+    throughout); its flow is +1, recorded as one rank-0 window from the two
+    endpoint solves.
+
+    The doubling of a declared direct sum (``OperatorPath.direct_sum``) is
+    solved part by part: the flow is multiplicative over direct sums, so
+    each distinct part is solved once, and a part listed c times
+    contributes its flow to the power c and its windows c times, tagged
+    with the part's position (``SpectralWindow.summand``).  The report
+    counts the evaluations of the distinct parts and their deepest
+    refinement.
+
     A generator ``rng`` randomizes all admissible choices (partition,
     radii, lift perturbations); by the well-definedness of the flow the
     result does not depend on them.
     """
     if path.symmetry_tag not in ("skew", "chiral-skew"):
         raise ConfigError("sf2_path requires a skew or chiral-skew path")
+    return _flow(path, rng)
+
+
+def _flow(path: OperatorPath, rng) -> FlowResult:
+    """``sf2_path`` without the tag check: a declared sum part by part,
+    any other path by ``_windowed_flow``."""
+    parts = getattr(path.evaluator, "parts", None)
+    if parts is None:
+        return _windowed_flow(path, rng)
+    solved = {}
+    windows = []
+    for i, (part, rows, cols) in enumerate(parts):
+        if id(part) not in solved:
+            frame = ChiralFrame(len(rows), len(cols))
+            solved[id(part)] = _flow(_doubling(part, frame, "chiral-skew"), rng)
+        windows += [replace(w, summand=i) for w in solved[id(part)].windows]
+    results = [solved[id(part)] for part, _, _ in parts]
+    return FlowResult(z2_product(r.value for r in results), windows,
+                      max(r.refinement_depth for r in solved.values()),
+                      sum(r.evaluations for r in solved.values()))
+
+
+def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
+    """The windowed flow of one path (see ``sf2_path``)."""
     data = _PathData(path)
     t0, t1 = path.interval
 
@@ -467,6 +525,9 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
         raise DimensionError("skew flow requires even ambient dimension")
 
     if ends[0].size:  # a 0-dimensional path keeps the infinite step bound
+        window = _invertible_window(data, ends)
+        if window is not None:
+            return FlowResult(Z2(1), [window], 0, data.evaluations)
         data.step_bound = 0.1 * max(float(sv[-1]) for sv in ends)
         data.near_zero = 0.5 * min(float(sv[0]) for sv in ends)
 
@@ -494,6 +555,26 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
                for lo, hi, (a, k) in accepted]
     value = z2_product(w.factor for w in windows)
     return FlowResult(value, windows, max_depth, data.evaluations)
+
+
+def _invertible_window(data: _PathData, ends) -> Optional[SpectralWindow]:
+    """One rank-0 window over a path whose declared arc keeps it invertible.
+
+    By Weyl, sigma_min(t) >= sigma_min(t_i) - |arc(t) - arc(t_i)| from
+    either endpoint t_i, so sigma_min >= (s0 + s1 - L) / 2 on the whole path
+    of total arc L.  When s0 + s1 exceeds L by more than the margin
+    4 tol.gap(sigma_max), the window radius is half that floor; otherwise
+    (or on an opaque path) the result is None.
+    """
+    if data.arc is None:
+        return None
+    s0, s1 = (float(sv[0]) for sv in ends)
+    margin = 4.0 * tol.gap(max(float(sv[-1]) for sv in ends))
+    floor = s0 / 2.0 + s1 / 2.0 - data.arc_length / 2.0
+    if not floor > margin / 2.0:
+        return None
+    t0, t1 = data.path.interval
+    return SpectralWindow(t0, t1, floor / 2.0, 0, Z2(1))
 
 
 def _restricted(m: np.ndarray, r, frames) -> np.ndarray:

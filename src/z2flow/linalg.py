@@ -63,10 +63,20 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def _step_norms(steps: np.ndarray) -> np.ndarray:
-    """2-norms of the differences of consecutive stacked step matrices."""
-    diffs = np.diff(steps, axis=0)
+    """2-norms of the differences of consecutive stacked step matrices.
+
+    Differences that overflow are taken of the steps scaled by their
+    largest entry; a norm beyond the float range is then inf, without a
+    numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        diffs = np.diff(steps, axis=0)
     if diffs.size == 0:
         return np.zeros(diffs.shape[0])
+    if not np.isfinite(diffs).all():
+        scale = max_abs(steps)
+        with np.errstate(over="ignore"):
+            return _step_norms(steps / scale) * scale
     return np.linalg.svd(diffs, compute_uv=False)[:, 0]
 
 

@@ -122,22 +122,39 @@ class RingShiftSpec:
 
 
 def _ring_block(spec: RingShiftSpec, t: float) -> np.ndarray:
-    """The ring's hopping block at t: the k-th power of the cyclic shift
-    whose marked link carries weight cos(pi t), tensored with the fiber."""
+    """One ring's hopping block at t, without the fiber: the k-th power of
+    the cyclic shift whose marked link carries weight cos(pi t)."""
     m = spec.sites
     s = np.roll(np.eye(m), 1, axis=1)
     s[spec.link_site, (spec.link_site + 1) % m] = math.cos(math.pi * t)
-    b = np.linalg.matrix_power(s, spec.shift_power)
-    return np.kron(b, np.eye(spec.fiber_dim)) if spec.fiber_dim > 1 else b
+    return np.linalg.matrix_power(s, spec.shift_power)
 
 
-def _ring_path(spec: RingShiftSpec, block) -> OperatorPath:
-    """Chiral self-adjoint doubling [[0, B], [B^T, 0]] of the block path
-    ``block`` on [0, 1]; the engine reads the block alone."""
+def _ring_arc(ts):
     # with M >= 2k + 2 the marked link enters B(t) once, so B(t) = B(1/2) +
     # cos(pi t) E with ||E||_2 = 1, and 1 - cos(pi t) is an arc modulus
-    block.arc = lambda ts: 1.0 - np.cos(np.pi * np.asarray(ts))
-    blocks = OperatorPath((0.0, 1.0), block)
+    return 1.0 - np.cos(np.pi * np.asarray(ts))
+
+
+def _ring_blocks(spec: RingShiftSpec) -> OperatorPath:
+    """The ring's block path on [0, 1], B(t) tensored with the fiber: the
+    direct sum of one copy of the ring's block per fiber direction, copy a
+    on the rows and columns a, a + N, a + 2N, ... of the N-dim fiber."""
+    block = lambda t: _ring_block(spec, t)
+    block.arc = _ring_arc
+    ring = OperatorPath((0.0, 1.0), block)
+    n = spec.fiber_dim
+    if n == 1:
+        return ring
+    place = [np.arange(a, spec.block_dim, n) for a in range(n)]
+    fibred = OperatorPath.direct_sum([ring] * n, place, place)
+    fibred.evaluator.arc = _ring_arc  # the copies move together
+    return fibred
+
+
+def _ring_path(spec: RingShiftSpec, blocks: OperatorPath) -> OperatorPath:
+    """Chiral self-adjoint doubling [[0, B], [B^T, 0]] of the block path
+    ``blocks``; the engine reads the block alone."""
     return _doubling(blocks, ChiralFrame(spec.block_dim, spec.block_dim),
                      "chiral-selfadjoint")
 
@@ -146,10 +163,12 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     """Chiral self-adjoint hopping path on a ring with one weakening link.
 
     The off-diagonal block is the k-th power of the cyclic shift whose
-    single marked link carries weight cos(pi t); at t = 1/2 the link opens
-    and the chain disconnects, producing protected zero modes.
+    single marked link carries weight cos(pi t), tensored with the fiber;
+    at t = 1/2 the link opens and the chain disconnects, producing
+    protected zero modes.  A fibred ring is the direct sum of its fiber's
+    copies of one ring, which the flow engine solves once.
     """
-    return _ring_path(spec, lambda t: _ring_block(spec, t))
+    return _ring_path(spec, _ring_blocks(spec))
 
 
 def build_insulator_disordered(spec: RingShiftSpec, strength: float,
@@ -175,15 +194,19 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((dim, dim))
         w *= strength / float(singular_values(w)[-1])
-    return _ring_path(spec, lambda t: _ring_block(spec, t) + w)
+    clean = _ring_blocks(spec).evaluator
+    block = lambda t: clean(t) + w
+    block.arc = _ring_arc
+    return _ring_path(spec, OperatorPath((0.0, 1.0), block))
 
 
 def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
     """Kernel dimension of the ring Hamiltonian at the open-link point:
-    twice that of its block."""
+    twice that of its block, which holds one ring's block per fiber
+    direction."""
     sv = singular_values(_ring_block(spec, 0.5))
     smax = max(float(sv[-1]), 1e-300)
-    return 2 * int((sv < tol.gap(smax)).sum())
+    return 2 * spec.fiber_dim * int((sv < tol.gap(smax)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +248,38 @@ class GalerkinSpec:
         return (self.t_center - self.delta, self.t_center + self.delta)
 
 
+def _mode_path(interval, k: float) -> OperatorPath:
+    """The 2 x 2 path [[1, t k], [t k, 1]] of one mode, of arc |k| (t - t0)."""
+    def ev(t):
+        return np.array([[1.0, t * k], [t * k, 1.0]])
+
+    ev.arc = lambda ts: abs(k) * (np.asarray(ts) - interval[0])
+    return OperatorPath(interval, ev)
+
+
 def build_bifurcation_path(spec: GalerkinSpec) -> OperatorPath:
     """Linearization path [[1, tK], [tK, 1]] in the sine product basis.
 
     K is the diagonal inverse Laplacian over the modes (lexicographic order,
     u-block before v-block); the (1, 1) mode crosses zero at t equal to its
-    Laplace eigenvalue.
+    Laplace eigenvalue.  Since K is diagonal, the path is the direct sum of
+    one 2 x 2 path [[1, t k], [t k, 1]] per mode, on the mode's u and v
+    coordinates; modes with equal k share one part.
     """
     modes = spec.modes()
-    kdiag = np.array([-1.0 / (k1 * k1 + k2 * k2) for k1, k2 in modes])
     m = len(modes)
-
-    def ev(t):
-        out = np.eye(2 * m)
-        out[:m, m:] = np.diag(t * kdiag)
-        out[m:, :m] = np.diag(t * kdiag)
-        return out
-
-    speed = float(np.abs(kdiag).max())  # ||ev(t) - ev(s)||_2 = speed |t - s|
-    ev.arc = lambda ts: speed * (np.asarray(ts) - spec.interval[0])
-    return OperatorPath(spec.interval, ev, "general", None, 0)
+    shared = {}
+    parts = []
+    for k1, k2 in modes:
+        q = k1 * k1 + k2 * k2
+        if q not in shared:
+            shared[q] = _mode_path(spec.interval, -1.0 / q)
+        parts.append(shared[q])
+    place = [[i, m + i] for i in range(m)]
+    path = OperatorPath.direct_sum(parts, place, place)
+    speed = 1.0 / min(shared)  # ||B(t) - B(s)||_2 = max|k| |t - s|
+    path.evaluator.arc = lambda ts: speed * (np.asarray(ts) - spec.interval[0])
+    return path
 
 
 def bifurcation_crossing_modes(spec: GalerkinSpec):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -78,7 +79,10 @@ class OperatorPath:
     nondecreasing, with ||M(t) - M(s)||_2 <= |arc(t) - arc(s)| for M the
     path's matrix or its chiral ``block`` (``L * ts`` on an L-Lipschitz
     path): the flow engine then certifies segments by arc length instead of
-    sampling the evaluator as an opaque callable.
+    sampling the evaluator as an opaque callable.  Next to ``arc``, the
+    evaluator of a block path may declare its direct-sum ``parts``, the
+    (part, rows, cols) triples of ``direct_sum``: the flow engine then
+    solves each distinct part once instead of the assembled block.
     """
 
     interval: tuple
@@ -89,15 +93,17 @@ class OperatorPath:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not (np.isfinite(self.interval).all() and lo < hi):
+        if not (np.isfinite(self.interval).all() and lo < hi
+                and math.isfinite(float(hi) - float(lo))):
             raise ConfigError(f"invalid parameter interval {self.interval}; "
-                              "a finite lo < hi is required")
+                              "a finite lo < hi with a finite length hi - lo "
+                              "is required")
         if self.symmetry_tag not in SYMMETRY_TAGS:
             raise ConfigError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag.startswith("chiral") and self.frame is None:
             raise ConfigError("chiral symmetry tags require a chiral frame")
         if self.symmetry_tag == "general":
-            rows, cols = as_real_matrix(self.evaluator(lo)).shape
+            rows, cols = self.block_shape
             expected = rows - cols
         elif self.frame is not None:
             expected = self.frame.n_plus - self.frame.n_minus
@@ -123,6 +129,18 @@ class OperatorPath:
         validate_symmetry(m, self.symmetry_tag, self.frame)
         return m
 
+    @property
+    def block_shape(self) -> tuple:
+        """Shape of the block B(t) (see ``block``); a declared direct sum
+        gives it from its parts' placements, without assembling B."""
+        parts = getattr(self.evaluator, "parts", None)
+        if parts is not None:
+            return (sum(len(r) for _, r, _ in parts),
+                    sum(len(c) for _, _, c in parts))
+        if self.symmetry_tag == "general":  # a general path is its own block
+            return as_real_matrix(self.evaluator(self.t_start)).shape
+        return self.block(self.t_start).shape
+
     def block(self, t: float) -> np.ndarray:
         """The block B(t) that carries a chiral path T = [[0, B], [-B^T, 0]].
 
@@ -145,6 +163,58 @@ class OperatorPath:
         return (m[:p, p:] - m[p:, :p].T) / 2.0
 
     @staticmethod
+    def direct_sum(parts: Sequence["OperatorPath"], rows=None,
+                   cols=None) -> "OperatorPath":
+        """Block path of the direct sum of the ``general`` paths ``parts``.
+
+        Part i fills the rows ``rows[i]`` and the columns ``cols[i]`` of the
+        block, zeros elsewhere (by default the next rows and columns, a
+        block diagonal); together the placements must take every row and
+        every column once.  The parts share one interval, and one part may
+        be listed several times.  The evaluator declares ``parts``, the
+        (part, rows, cols) triples, which chiral doublings forward, so the
+        flow engine solves each distinct part once.
+        """
+        parts = list(parts)
+        if not parts:
+            raise ConfigError("a direct sum needs at least one part")
+        interval = parts[0].interval
+        shapes = {}
+        for part in parts:
+            if part.symmetry_tag != "general" or part.interval != interval:
+                raise ConfigError("direct-sum parts must be general paths on "
+                                  "one interval")
+            if id(part) not in shapes:
+                shapes[id(part)] = part.block_shape
+        placed = []
+        for i, axis in enumerate((rows, cols)):
+            sizes = [shapes[id(part)][i] for part in parts]
+            if axis is None:
+                ends = np.cumsum([0] + sizes)
+                axis = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
+            axis = [np.asarray(a, dtype=np.intp).ravel() for a in axis]
+            if ([a.size for a in axis] != sizes or not np.array_equal(
+                    np.sort(np.concatenate(axis)), np.arange(sum(sizes)))):
+                raise ConfigError("direct-sum placements must match the part "
+                                  "shapes and take every row and column once")
+            placed.append(axis)
+        triples = tuple(zip(parts, *placed))
+        shape = (sum(r.size for r in placed[0]), sum(c.size for c in placed[1]))
+
+        def evaluator(t):
+            out = np.zeros(shape)
+            blocks = {}
+            for part, r, c in triples:
+                if id(part) not in blocks:
+                    blocks[id(part)] = part.block(t)
+                out[np.ix_(r, c)] = blocks[id(part)]
+            return out
+
+        evaluator.parts = triples
+        return OperatorPath(interval, evaluator, "general", None,
+                            shape[0] - shape[1])
+
+    @staticmethod
     def from_samples(ts: Sequence[float], mats: Sequence[np.ndarray],
                      symmetry_tag: str = "general",
                      frame: Optional[ChiralFrame] = None) -> "OperatorPath":
@@ -154,11 +224,17 @@ class OperatorPath:
         sample differences interpolated linearly (between samples the path
         moves along a line at constant speed), computed on first use over
         (t - t0) / (t1 - t0), which stays finite on a subnormal interval.
+        A knot arc too long for a float is infinite, and the flow engine
+        then treats the path as opaque.
         """
         ts = np.asarray([float(t) for t in ts])
         if (ts.size < 2 or not np.isfinite(ts).all()
-                or not np.all(np.diff(ts) > 0)):
+                or not np.all(ts[1:] > ts[:-1])):
             raise ConfigError("samples require finite, strictly increasing parameters")
+        if not math.isfinite(float(ts[-1]) - float(ts[0])):
+            raise ConfigError(
+                f"sample parameters span [{ts[0]}, {ts[-1]}], whose length "
+                "overflows; rescale the parameter")
         mats = [as_real_matrix(m) for m in mats]
         if len(mats) != ts.size:
             raise ConfigError("sample count mismatch")
@@ -181,8 +257,9 @@ class OperatorPath:
 
         def arc(s, _unit=(ts - ts[0]) / (ts[-1] - ts[0])):
             if not lengths:
-                steps = _step_norms(stacked)
-                lengths.append(np.concatenate([[0.0], np.cumsum(steps)]))
+                with np.errstate(over="ignore"):
+                    steps = np.cumsum(_step_norms(stacked))
+                lengths.append(np.concatenate([[0.0], steps]))
             return np.interp((np.asarray(s) - ts[0]) / (ts[-1] - ts[0]),
                              _unit, lengths[0])
 

@@ -14,10 +14,8 @@ import os
 from .errors import ConfigError
 
 SYM_REL = 1e-10        # symmetry checks: ||M - M^T|| or ||M + M^T|| vs ||M||
-PROJ_REL = 1e-10       # projection checks; kept in run reports, no check uses it
 INV_REL = 1e-10        # invertibility: sigma_min vs sigma_max
 GAP_REL = 1e-8         # window radius vs singular-value collision
-FRAME_ABS = 1e-9       # frame Gram deviation; kept in run reports, no check uses it
 TRANSPORT_MIN = 1e-6   # smallest singular value allowed in a polar transport
 EIG_IMAG_REL = 1e-8    # eigenvalue realness threshold vs ||K||
 
@@ -86,10 +84,8 @@ def snapshot() -> dict:
     return {
         "scale": s,
         "sym_rel": SYM_REL * s,
-        "proj_rel": PROJ_REL * s,
         "inv_rel": INV_REL * s,
         "gap_rel": GAP_REL * s,
-        "frame_abs": FRAME_ABS * s,
         "transport_min": TRANSPORT_MIN * s,
         "eig_imag_rel": EIG_IMAG_REL * s,
         "pair_kernel_abs": PAIR_KERNEL_ABS * s,

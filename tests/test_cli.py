@@ -33,7 +33,7 @@ class TestCommands:
     def test_parity_example(self):
         report = parse_stdout(invoke("parity", "--model", "examp"))
         assert report["result"] == -1
-        assert report["schema"] == "z2flow/1"
+        assert report["schema"] == "z2flow/2"
 
     def test_sf2_absolute_twin(self):
         report = parse_stdout(invoke("sf2", "--model", "examp_abs"))
@@ -102,7 +102,8 @@ class TestReports:
         assert rows
         product = 1
         for row in rows:
-            assert row["schema"] == "z2flow/1"
+            assert row["schema"] == "z2flow/2"
+            assert row["summand"] == "0"
             product *= int(row["factor"])
         assert product == int(rows[0]["result"]) == -1
 
@@ -229,6 +230,37 @@ class TestExitStatuses:
         f = tmp_path / "subnormal.json"
         f.write_text(json.dumps(doc))
         proc = invoke("parity", "--path-file", str(f), timeout=60,
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert parse_stdout(proc)["result"] == -1
+        assert proc.stderr == ""
+
+    def test_overflowing_parameter_span_exits_4(self, tmp_path):
+        # t1 - t0 overflows to inf: refused before any numpy arithmetic
+        doc = {
+            "symmetry": "general",
+            "samples": [{"t": -1e308, "matrix": [[-1.0]]},
+                        {"t": 1e308, "matrix": [[1.0]]}],
+        }
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="overflows"):
+            ingest_path(str(f))
+        proc = invoke("parity", "--path-file", str(f),
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_overflowing_knot_arc_returns_oracle(self, tmp_path):
+        # the knot difference overflows: the knot arc is infinite, and the
+        # path is solved as an opaque one
+        doc = {
+            "symmetry": "general",
+            "samples": [{"t": 0.0, "matrix": [[1e308]]},
+                        {"t": 1.0, "matrix": [[-1e308]]}],
+        }
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        proc = invoke("parity", "--path-file", str(f),
                       env_extra={"PYTHONWARNINGS": "error"})
         assert parse_stdout(proc)["result"] == -1
         assert proc.stderr == ""

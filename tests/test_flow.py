@@ -1,5 +1,6 @@
 """Unit tests for the parity and flow engines."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -628,15 +629,125 @@ class TestPiecewiseAffine:
         paths = [random_admissible_path(rng, n, knots=k)
                  for n, k in [(1, 2), (2, 3), (3, 4), (4, 3), (5, 5)]]
         paths += [random_chiral_skew_path(rng, n) for n in (1, 2, 3)]
-        paths.append(build_bifurcation_path(GalerkinSpec(mode_cutoff=4)))
+        # a declared sum lists its parts' windows once per summand, so the
+        # window count is compared part by part and the whole sum by value
+        bifurcation = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
+        paths += list({id(p): p for p, _, _ in bifurcation.evaluator.parts}.values())
+        paths.append(bifurcation)
         for path in paths:
             declared, opaque = to_skew_path(path), to_skew_path(_opaque(path))
             res, ref = sf2_path(declared), sf2_path(opaque)
             assert res.value == ref.value
-            assert len(res.windows) <= len(ref.windows)
+            if path is not bifurcation:
+                assert len(res.windows) <= len(ref.windows)
             for seed in range(3):
                 assert sf2_path(declared, rng=np.random.default_rng(seed)).value \
                     == sf2_path(opaque, rng=np.random.default_rng(seed)).value == ref.value
+
+
+class TestDirectSum:
+    """Declared direct sums: assembled by placement, solved part by part."""
+
+    @staticmethod
+    def ramp(lo, hi):
+        return OperatorPath.from_samples([0.0, 1.0], [[[lo]], [[hi]]])
+
+    def test_assembly_and_declarations(self):
+        a, b = self.ramp(-1.0, 1.0), self.ramp(2.0, 3.0)
+        total = OperatorPath.direct_sum([a, b, a], [[2], [0], [1]], [[0], [2], [1]])
+        np.testing.assert_array_equal(
+            total.at(0.25), [[0.0, 0.0, 2.25], [0.0, -0.5, 0.0], [-0.5, 0.0, 0.0]])
+        assert total.block_shape == (3, 3)
+        skew = to_skew_path(total)
+        assert skew.evaluator.parts is total.evaluator.parts
+        res = sf2_path(skew)
+        assert res.value == parity_finite(total) == 1  # (-1) * 1 * (-1)
+        assert [w.summand for w in res.windows].count(1) == 1
+        assert res.evaluations == sf2_path(to_skew_path(a)).evaluations + 2
+
+    def test_default_placement_is_block_diagonal(self):
+        a = OperatorPath.from_samples([0.0, 1.0], [np.eye(2), 2 * np.eye(2)])
+        b = self.ramp(-1.0, 1.0)
+        total = OperatorPath.direct_sum([a, b])
+        np.testing.assert_array_equal(total.at(0.0), np.diag([1.0, 1.0, -1.0]))
+        assert parity_path(total) == -1
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([[0], [0]], [[0], [1]]),         # a row taken twice
+        ([[0], [2]], [[0], [1]]),         # row 1 left out
+        ([[0, 1], [2]], [[0], [1]]),      # a placement of the wrong size
+    ])
+    def test_bad_placements_refused(self, rows, cols):
+        a = self.ramp(1.0, 2.0)
+        with pytest.raises(ConfigError, match="placements"):
+            OperatorPath.direct_sum([a, a], rows, cols)
+
+    def test_bad_parts_refused(self):
+        a = self.ramp(1.0, 2.0)
+        other = OperatorPath.from_samples([0.0, 2.0], [[[1.0]], [[2.0]]])
+        with pytest.raises(ConfigError):
+            OperatorPath.direct_sum([])
+        with pytest.raises(ConfigError, match="one interval"):
+            OperatorPath.direct_sum([a, other])
+        with pytest.raises(ConfigError, match="general"):
+            OperatorPath.direct_sum([to_skew_path(a)])
+
+    def test_endpoint_certificate(self):
+        # the knot arc 0.5 is below s0 + s1 = 3.5: two solves, one window
+        calm = OperatorPath.from_samples([0.0, 1.0], [[[2.0]], [[1.5]]])
+        res = sf2_path(to_skew_path(calm))
+        assert (res.value, res.evaluations, len(res.windows)) == (1, 2, 1)
+        assert res.windows[0].rank == 0 and 0 < res.windows[0].a < 1.5
+        # s0 + s1 = 2 equals the arc 2 of a ramp through zero: not certified
+        res = sf2_path(to_skew_path(self.ramp(1.0, -1.0)))
+        assert res.value == -1 and res.evaluations > 2
+
+    def test_parts_solved_once_through_the_private_engine(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        solved = []
+        windowed = flow_module._windowed_flow
+
+        def spy(path, rng):
+            solved.append(path.block_shape)
+            return windowed(path, rng)
+
+        monkeypatch.setattr(flow_module, "_windowed_flow", spy)
+        public = []
+        monkeypatch.setattr(flow_module, "sf2_path",
+                            lambda *a, **k: public.append(a))
+        path = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
+        res = sf2_path(to_skew_path(path))
+        assert res.value == -1 and public == []
+        distinct = {id(p) for p, _, _ in path.evaluator.parts}
+        assert len(solved) == len(distinct) < len(path.evaluator.parts) == 16
+        assert solved == [(2, 2)] * len(distinct)
+        assert sorted(w.summand for w in res.windows) == list(range(16))
+
+    def test_large_models_factor_only_parts(self, monkeypatch, capsys):
+        import z2flow.cli as cli
+        import z2flow.flow as flow_module
+
+        shapes = []
+        solve = flow_module.skew_singular_system
+
+        def spy(mat, chiral=False):
+            shapes.append(mat.shape)
+            return solve(mat, chiral)
+
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        build_bifurcation_path(GalerkinSpec(mode_cutoff=20))
+        build_insulator_path(RingShiftSpec(64, 1, 4))
+        assert shapes == []  # the builders solve nothing
+        assert cli.main(["bifurcation", "--kmax", "20"]) == 0
+        assert shapes and max(shapes) == (2, 2)
+        shapes.clear()
+        assert cli.main(["insulator", "--M", "64", "--N", "4"]) == 0
+        assert shapes and max(shapes) == (64, 64)
+        assert cli.main(["insulator", "--M", "8", "--N", "2"]) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["result"] for r in reports] == [-1, 1, 1]
+        assert reports[2]["half_flux_kernel_dim"] == 4
 
 
 class TestChiralCore:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from z2flow.flow import (  # noqa: E402
     embed_chiral,
+    embed_chiral_path,
     parity_finite,
     parity_path,
     parity_path_general,
@@ -151,3 +152,55 @@ def test_wave_parity_matches_oracle(omega, phase, declared, randomized):
     path = OperatorPath((0.0, 1.0), wave)
     rng = np.random.default_rng(int(omega * 1e6)) if randomized else None
     assert parity_path(path, rng=rng) == parity_finite(path)
+
+
+def _calm_part(rng, n):
+    """A sampled part near 2 Q, Q orthogonal, whose knot arc stays below its
+    endpoint singular values: the engine certifies it from its endpoints."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    ts = np.linspace(0.0, 1.0, 3)
+    return OperatorPath.from_samples(
+        ts, [2.0 * q + 0.05 * rng.standard_normal((n, n)) / n for _ in ts])
+
+
+@FIXED
+@given(seed=seeds, kinds=st.lists(st.booleans(), min_size=1, max_size=3),
+       listing=st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_direct_sum_parity_matches_parts(seed, kinds, listing):
+    # 1-4 placed copies of 1-3 distinct sampled parts, calm (True) or
+    # random; rows and columns placed by random permutations
+    rng = np.random.default_rng(seed)
+    distinct = []
+    for calm in kinds:
+        n = int(rng.integers(1, 4))
+        if calm:
+            distinct.append(_calm_part(rng, n))
+        else:
+            distinct.append(OperatorPath.from_samples(
+                _knot_params(rng, 3), _knot_mats(rng, n, 3, _square)))
+    parts = [distinct[i % len(distinct)] for i in listing]
+    sizes = [p.block_shape[0] for p in parts]
+    cuts = np.cumsum(sizes)[:-1]
+    rows = np.split(rng.permutation(sum(sizes)), cuts)
+    cols = np.split(rng.permutation(sum(sizes)), cuts)
+    total = OperatorPath.direct_sum(parts, rows, cols)
+
+    block = np.zeros((sum(sizes), sum(sizes)))
+    for part, r, c in zip(parts, rows, cols):
+        block[np.ix_(r, c)] = part.at(0.5)
+    np.testing.assert_array_equal(total.at(0.5), block)
+
+    expected = 1
+    for part in parts:
+        expected *= parity_finite(part)
+    res = sf2_path(embed_chiral_path(total))
+    assert res.value == res.window_product() == parity_finite(total) == expected
+    assert parity_path(total) == expected
+    assert {w.summand for w in res.windows} == set(range(len(parts)))
+    for seed_rng in range(2):
+        assert parity_path(total, rng=np.random.default_rng(seed_rng)) == expected
+    for part, calm in zip(distinct, kinds):
+        if calm:  # two endpoint solves, one rank-0 window
+            flow = sf2_path(embed_chiral_path(part))
+            assert (flow.evaluations, len(flow.windows)) == (2, 1)
+            assert flow.windows[0].rank == 0

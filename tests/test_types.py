@@ -43,6 +43,10 @@ class TestOperatorPath:
         with pytest.raises(ConfigError):
             OperatorPath((1.0, 0.0), lambda t: np.eye(2), "general")
 
+    def test_overflowing_interval_length(self):
+        with pytest.raises(ConfigError, match="finite length"):
+            OperatorPath((-1e308, 1e308), lambda t: np.eye(2), "general")
+
     def test_unknown_tag(self):
         with pytest.raises(ConfigError):
             OperatorPath((0.0, 1.0), lambda t: np.eye(2), "hermitian")
