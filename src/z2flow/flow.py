@@ -252,21 +252,19 @@ class _PathData:
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
-    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``) and
-    ``arc_length`` its increase over the interval; an arc whose length is
-    not a finite float bounds nothing, and the path is taken as opaque
-    (``arc`` None, ``arc_length`` inf).
+    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``); an arc
+    whose increase over the interval is not a finite float bounds nothing,
+    and the path is taken as opaque (``arc`` None).
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
-        arc = getattr(path.evaluator, "arc", None)
-        self.arc_length = math.inf
-        if arc is not None:
-            lo, hi = arc(np.asarray(path.interval, dtype=float))
-            self.arc_length = float(hi) - float(lo)
-        self.arc = arc if math.isfinite(self.arc_length) else None
+        self.arc = getattr(path.evaluator, "arc", None)
+        if self.arc is not None:
+            lo, hi = self.arc(np.asarray(path.interval, dtype=float))
+            if not math.isfinite(float(hi) - float(lo)):
+                self.arc = None
         self._cache = {}
         self.step_bound = math.inf
         self.near_zero = 0.0
@@ -303,22 +301,41 @@ def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     return bool(np.linalg.svd(overlaps, compute_uv=False)[:, -1].min() >= _COS_MIN)
 
 
+def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
+    """Rank-0 window (a, 0) of a certified segment from its endpoints, or
+    None: the envelope of ``_segment_window`` over one step of arc d keeps
+    sigma_min >= floor = (s0 + s1 - d) / 2, which must clear the margin on
+    both sides; a is midway.  A rank-0 window has no subspace to check."""
+    sv0, sv1 = data.at(lo)[1], data.at(hi)[1]
+    if not sv0.size:
+        return None
+    arc_lo, arc_hi = (float(x) for x in data.arc(np.array([lo, hi])))
+    floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - (arc_hi - arc_lo) / 2.0
+    margin = 4.0 * tol.gap(max(float(sv0[-1]), float(sv1[-1])))
+    if not floor > 2.0 * margin:
+        return None
+    u = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
+    return margin + u * (floor - 2.0 * margin), 0
+
+
 def _segment_window(data: _PathData, lo: float, hi: float, rng):
     """Try to find a valid window radius for one segment.
 
     Returns (a, rank) or None when the segment must be bisected.  A valid
-    radius lies in a gap of the singular spectrum common to all samples,
-    inflated by a slack that bounds how far any singular value can move
-    between samples (Weyl: |sigma_j(M) - sigma_j(M')| <= ||M - M'||_2), so
-    no singular value crosses the radius inside the segment and the window
-    rank is constant over it (a crossing inside a segment is forced into a
-    positive-rank window).  The windowed subspaces of all samples must also
-    be pairwise WINDOW_EPS-close.
+    radius lies, with a margin 4 tol.gap on each side, between an upper
+    envelope of the singular values below it and a lower one of those above
+    it over the whole segment (Weyl: |sigma_j(M) - sigma_j(M')| <=
+    ||M - M'||_2), so the window rank is constant over the segment (a
+    crossing inside it is forced into a positive-rank window).  The windowed
+    subspaces of all samples must also be pairwise WINDOW_EPS-close.
 
-    On a path that declares an arc modulus the slack is half the largest
-    arc length between consecutive samples (``_PathData.arc``): every
-    point between two samples is that close to one of them.  Such a path
-    cannot jump, so no step bound applies.  On an opaque path the slack is
+    On a path that declares an arc modulus (``_PathData.arc``), the arc
+    distances of a point between samples t_i and t_i+1 to both sum to the
+    step d_i, so every sigma_j lies within (sigma_j(t_i) + sigma_j(t_i+1)
+    -+ d_i) / 2 there.  Such a path cannot jump, so no step bound applies,
+    and its two endpoints alone are tried first for a rank-0 window
+    (``_endpoint_window``); a positive rank always takes the samples.  On
+    an opaque path the envelopes are the extreme sampled values widened by
     0.75 times the largest sampled step ||M_i+1 - M_i||_2, and a step above
     the path's step bound (a tenth of the largest endpoint singular value,
     so the partition does not refine as the endpoints approach a kernel)
@@ -333,6 +350,10 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     cannot fall back to a full-rank window, the endpoint oracle, unless T
     has only two singular values.
     """
+    if data.arc is not None:
+        window = _endpoint_window(data, lo, hi, rng)
+        if window is not None:
+            return window
     ts = np.linspace(lo, hi, _SEGMENT_SAMPLES)
     recs = [data.at(t) for t in ts]
     svs = np.stack([r[1] for r in recs])
@@ -357,7 +378,12 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
         return margin, found
 
     if data.arc is not None:
-        slack = 0.5 * float(np.diff(data.arc(ts)).max())
+        mid = svs[:-1] / 2.0 + svs[1:] / 2.0
+        half = np.diff(data.arc(ts))[:, None] / 2.0
+        with np.errstate(over="ignore"):  # a bound past the largest float is inf
+            lo_env = (mid + half).max(axis=0)
+        hi_env = (mid - half).min(axis=0)
+        slack = 0.0
     else:
         lower = float(np.abs(np.diff(svs, axis=0)).max(initial=0.0))
         if lower > data.step_bound or not gaps(0.75 * lower)[1]:
@@ -468,11 +494,11 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     every window with its radius, rank and Z2 factor; their product is the
     flow.
 
-    A path that declares an arc modulus and whose smallest endpoint
-    singular values s0 and s1 exceed its total arc L by more than the gap
-    margin stays invertible (Weyl: sigma_min >= (s0 + s1 - L) / 2
-    throughout); its flow is +1, recorded as one rank-0 window from the two
-    endpoint solves.
+    On a path that declares an arc modulus every segment first tries its two
+    endpoints (see ``_segment_window``): with smallest singular values s0
+    and s1 there and segment arc L, sigma_min >= (s0 + s1 - L) / 2 throughout
+    (Weyl).  A path whose floor clears the gap margins is one rank-0 window
+    from the two endpoint solves, and its flow is +1.
 
     The doubling of a declared direct sum (``OperatorPath.direct_sum``) is
     solved part by part: the flow is multiplicative over direct sums, so
@@ -525,9 +551,6 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
         raise DimensionError("skew flow requires even ambient dimension")
 
     if ends[0].size:  # a 0-dimensional path keeps the infinite step bound
-        window = _invertible_window(data, ends)
-        if window is not None:
-            return FlowResult(Z2(1), [window], 0, data.evaluations)
         data.step_bound = 0.1 * max(float(sv[-1]) for sv in ends)
         data.near_zero = 0.5 * min(float(sv[0]) for sv in ends)
 
@@ -557,26 +580,6 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
     return FlowResult(value, windows, max_depth, data.evaluations)
 
 
-def _invertible_window(data: _PathData, ends) -> Optional[SpectralWindow]:
-    """One rank-0 window over a path whose declared arc keeps it invertible.
-
-    By Weyl, sigma_min(t) >= sigma_min(t_i) - |arc(t) - arc(t_i)| from
-    either endpoint t_i, so sigma_min >= (s0 + s1 - L) / 2 on the whole path
-    of total arc L.  When s0 + s1 exceeds L by more than the margin
-    4 tol.gap(sigma_max), the window radius is half that floor; otherwise
-    (or on an opaque path) the result is None.
-    """
-    if data.arc is None:
-        return None
-    s0, s1 = (float(sv[0]) for sv in ends)
-    margin = 4.0 * tol.gap(max(float(sv[-1]) for sv in ends))
-    floor = s0 / 2.0 + s1 / 2.0 - data.arc_length / 2.0
-    if not floor > margin / 2.0:
-        return None
-    t0, t1 = data.path.interval
-    return SpectralWindow(t0, t1, floor / 2.0, 0, Z2(1))
-
-
 def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
     """Restriction of a record's operator to window frames: F^T (T + R) F
     antisymmetrized, or for a block's frames (X, Y) the square
@@ -596,6 +599,8 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
     rec_lo, rec_hi = data.at(lo), data.at(hi)
     if int((rec_lo[1] < a).sum()) != k or int((rec_hi[1] < a).sum()) != k:
         raise RefinementError("window rank drifted between validation and use")
+    if k == 0:  # an empty window: both restrictions are 0 x 0, of sign +1
+        return SpectralWindow(lo, hi, a, 0, Z2(1))
     p = _window_frames(rec_lo, k)
     floor = max(tol.transport(), _COS_MIN / 2.0)
     q = [f @ _polar(f.T @ g, floor) for f, g in zip(_window_frames(rec_hi, k), p)]

@@ -435,3 +435,11 @@ class TestGoldenReports:
         del report["diagnostics"]["wall_time_s"]
         # the JSON round trip turns tuples into lists, as the CLI output does
         _assert_report_matches(json.loads(json.dumps(report)), entry["report"])
+
+    def test_window_products_are_the_results(self):
+        # the fixture itself is consistent: its windows multiply to its value
+        listed = [e["report"] for e in GOLDEN_REPORTS if "windows" in e["report"]]
+        assert len(listed) >= 4
+        for report in listed:
+            assert int(np.prod([w["factor"] for w in report["windows"]])) \
+                == report["result"]

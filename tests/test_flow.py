@@ -357,14 +357,17 @@ class TestShortIntervals:
         oracle = sf2_finite(path.at(0.0), path.at(1e-8))
         assert sf2_path(path, rng=rng).value == oracle == -1
 
+    @pytest.mark.parametrize("amplitude", [0.25, 0.5])
     @pytest.mark.parametrize("interval", [(0.0, 1e-320), (1.0, 1.0 + 2 * _EPS)])
-    def test_sampled_crossing(self, interval):
+    def test_sampled_crossing(self, interval, amplitude):
         # the knot arc is taken in the normalised parameter, so it stays
         # finite on a subnormal interval.  On [1, 1 + 2 ulp] the samples
-        # are three adjacent floats: the crossing's whole step must fit in
-        # the gap to the other singular value, which a ramp of +-0.25 does
+        # are three adjacent floats and no segment can be bisected: the
+        # Weyl bounds between consecutive samples keep the crossing value
+        # within [0, amplitude] and the other above 1 - amplitude / 2, so
+        # one positive-rank window holds the crossing at either amplitude
         path = OperatorPath.from_samples(
-            interval, [np.diag([-0.25, 1.0]), np.diag([0.25, 1.0])])
+            interval, [np.diag([-amplitude, 1.0]), np.diag([amplitude, 1.0])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parity_path(path) == parity_finite(path) == -1
@@ -643,6 +646,66 @@ class TestPiecewiseAffine:
             for seed in range(3):
                 assert sf2_path(declared, rng=np.random.default_rng(seed)).value \
                     == sf2_path(opaque, rng=np.random.default_rng(seed)).value == ref.value
+
+
+def _declared_arc_paths(case, monkeypatch):
+    """Paths that declare an arc modulus, by case name."""
+    rng = np.random.default_rng(59)
+    if case == "general":
+        return [random_admissible_path(rng, n, knots=4) for n in (2, 3, 4)]
+    if case == "skew":
+        ts = np.linspace(0.0, 1.0, 4)
+        return [OperatorPath.from_samples(
+            ts, [g - g.T for g in rng.standard_normal((4, n, n))], "skew")
+            for n in (2, 4, 6)]
+    if case == "chiral-skew":
+        return [random_chiral_skew_path(rng, n, knots=4) for n in (1, 2, 3)]
+    if case == "bifurcation":
+        source = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
+        return list({id(p): p for p, _, _ in source.evaluator.parts}.values())
+    if case == "line":
+        return [_straight_line(monkeypatch)[1]]
+    return [_MODULUS_PATHS[case]()]
+
+
+class TestArcEnvelope:
+    """The Weyl envelope of a declared arc holds between the engine's
+    samples: at 65 equispaced points of every window's segment, exactly
+    ``rank`` singular values of T lie below the radius ``a``."""
+
+    @pytest.mark.parametrize("case", ["general", "skew", "chiral-skew", "ring-k1",
+                                      "ring-k2", "ring-disorder", "bifurcation", "line"])
+    def test_windows_hold_their_rank_between_samples(self, case, monkeypatch):
+        for path in _declared_arc_paths(case, monkeypatch):
+            skew = to_skew_path(path)
+            assert _PathData(skew).arc is not None
+            for seed in (None, 5):
+                rng = None if seed is None else np.random.default_rng(seed)
+                res = sf2_path(skew, rng=rng)
+                assert res.value == res.window_product()
+                for w in res.windows:
+                    ts = np.linspace(w.t_lo, w.t_hi, 65)
+                    svs = np.linalg.svd(np.stack([skew.at(t) for t in ts]),
+                                        compute_uv=False)
+                    assert np.all((svs < w.a).sum(axis=1) == w.rank), (case, w)
+
+    def test_envelope_near_the_largest_float(self):
+        # singular values near 1.8e308: their sum overflows, and so does the
+        # upper bound of a loose declared arc; neither may warn
+        sampled = OperatorPath.from_samples(
+            [0.0, 1.0], [1.7e308 * np.eye(2), 1.6e308 * np.eye(2)])
+
+        def flat(t):
+            return 1.7e308 * np.eye(2)
+
+        flat.arc = lambda ts: 0.3e308 * np.asarray(ts)
+        loose = OperatorPath((0.0, 1.0), flat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in (sampled, loose):
+                res = sf2_path(to_skew_path(path))
+                assert res.value == parity_finite(path) == 1
+                assert [w.rank for w in res.windows] == [0]
 
 
 class TestDirectSum:
