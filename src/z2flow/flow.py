@@ -221,12 +221,21 @@ def _polar(x: np.ndarray, floor: float) -> np.ndarray:
     singular value below ``floor`` means the frame was carried too far to
     be transported and raises ``TransportError``.
     """
-    w, s, vt = np.linalg.svd(x, full_matrices=False)
+    return _polar_split(x, floor)[0]
+
+
+def _polar_split(x: np.ndarray, floor: float):
+    """``_polar`` of x and an orthonormal basis of the orthogonal complement
+    of its span (no columns for a square x)."""
+    w, s, vt = np.linalg.svd(x)
     if s.size and s[-1] < floor:
-        raise TransportError(
-            f"polar factor ill-conditioned (sigma_min={s[-1]:.3e})"
-        )
-    return w @ vt
+        raise _ill_conditioned(s[-1])
+    return w[:, :s.size] @ vt, w[:, s.size:]
+
+
+def _ill_conditioned(sigma_min: float) -> TransportError:
+    return TransportError(
+        f"polar factor ill-conditioned (sigma_min={sigma_min:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +275,7 @@ class _PathData:
             if not math.isfinite(float(hi) - float(lo)):
                 self.arc = None
         self._cache = {}
+        self._first = None  # (t, shape) of the first evaluation
         self.step_bound = math.inf
         self.near_zero = 0.0
 
@@ -274,6 +284,8 @@ class _PathData:
         rec = self._cache.get(key)
         if rec is None:
             m = _record_matrix(self.path, key)
+            self._first = self._first or (key, m.shape)
+            _check_shape(m, key, *self._first)
             if self.chiral:
                 sv, frames = skew_singular_system(m, True)
             else:
@@ -286,6 +298,14 @@ class _PathData:
     @property
     def evaluations(self) -> int:
         return len(self._cache)
+
+
+def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
+    """Refuse a path matrix whose shape differs from the first evaluation's."""
+    if m.shape != shape:
+        raise DimensionError(
+            f"path matrix has shape {m.shape} at t={t} but {shape} at "
+            f"t={t_first}; the evaluator must keep one shape")
 
 
 def _pairwise_window_continuity(bases: np.ndarray) -> bool:
@@ -662,23 +682,53 @@ def parity_path_general(path: OperatorPath, *, rng=None) -> Z2:
 def _square_block_path(path: OperatorPath) -> OperatorPath:
     """Square block path with the parity of a rectangular one.
 
-    With B(t) tall (a wide block is transposed), N x k, a continuous
-    d-dimensional near-cokernel frame F(t), d = N - k, is polar-transported
-    along samples refined until consecutive frames are WINDOW_EPS-close.
-    The result interpolates W(t)^T B(t), W(t) the transported complement of
-    F(t); its parity does not depend on the choice of F.
+    With B(t) tall (a wide block is transposed), N x k, and B = U S V^T, a
+    continuous d-dimensional near-cokernel frame F(t), d = N - k, is carried
+    along samples refined until consecutive frames are WINDOW_EPS-close: F
+    is the structural block U[:, k:], polar-transported from the left
+    neighbour only where singular values of B cluster near zero.  The
+    result interpolates W(t)^T B(t), W(t) the complement of F(t) transported
+    as W_i = polar((1 - F_i F_i^T) W_i-1); its parity does not depend on the
+    choice of F.  With C_i an orthonormal basis of that complement
+    (U[:, :k] away from a cluster), W_i = C_i Q_i for the running product
+    Q_i = polar(C_i^T C_i-1) Q_i-1 of k x k factors.
+
+    The 65-point starting grid is known up front: its blocks are factored
+    by one stacked SVD, the smallest principal cosines of its consecutive
+    frames come from one batched SVD, and ``refine`` reads a grid pair's
+    cosine from that batch when the pair's left frame is the one the batch
+    used; bisection midpoints are solved as they come up.  The polar
+    factors of all overlaps C_i^T C_i-1 are one more batched SVD, whose
+    smallest singular values are the transport check, and the products Q_i
+    and blocks W_i^T B_i are batched matmuls.  A shape change of the
+    evaluator raises ``DimensionError`` before anything is stacked.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)
     t0, t1 = path.interval
+    grid = np.linspace(t0, t1, 65)
+    first = None  # (t, shape) of the first evaluation
     cache = {}
 
-    def at(t):  # (B, U, singular values) of the tall block at t
+    def solve(ts):  # (B, U, singular values, (U[:, k:], U[:, :k])) per t
+        nonlocal first
+        bs = []
+        for t in ts:
+            b = path.at(t)
+            first = first or (t, b.shape)
+            _check_shape(b, t, *first)
+            bs.append(b.T if wide else b)
+        us, ss, _ = np.linalg.svd(np.stack(bs))
+        k = ss.shape[1]
+        for t, b, u, s in zip(ts, bs, us, ss):
+            cache[t] = (b, u, s, (u[:, k:], u[:, :k]))
+
+    def at(t):
         if t not in cache:
-            b = path.at(t).T if wide else path.at(t)
-            u, s, _ = np.linalg.svd(b)
-            cache[t] = (b, u, s)
+            solve([t])
         return cache[t]
+
+    solve(grid)
 
     # endpoint admissibility: kernel dimension exactly the block index; the
     # near-cokernel cluster is read against the endpoints' largest value
@@ -691,40 +741,69 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
             raise NotAdmissibleError(
                 f"endpoint kernel dimension {d + extra} != |index| {d} at t={t}"
             )
+    cluster_floor = tol.inv(max(sigma_max, 1e-300)) * 10
 
     def kernel_frame(t, prev):
-        _, u, s = at(t)
-        k = s.size
-        cluster = s < tol.inv(max(sigma_max, 1e-300)) * 10
+        """(F, C) at t: the near-cokernel frame continued from the left
+        neighbour's (F, C) ``prev``, and a basis of its complement."""
+        _, u, s, structural = at(t)
+        cluster = s < cluster_floor
         if prev is None or not cluster.any():
-            return u[:, k:]
+            return structural
+        k = s.size
         near = np.concatenate([u[:, k:], u[:, :k][:, cluster]], axis=1)
-        return near @ _polar(near.T @ prev, tol.transport())
+        p, rest = _polar_split(near.T @ prev[0], tol.transport())
+        return near @ p, np.concatenate([u[:, :k][:, ~cluster], near @ rest],
+                                        axis=1)
 
-    # kernel frames on a sample grid refined until consecutive frames are
+    # the grid's frames, each continued from its left neighbour, as far as
+    # they transport; refine meets the pair that does not, or bisects first
+    chain = [kernel_frame(t0, None)]
+    for t in grid[1:]:
+        try:
+            chain.append(kernel_frame(t, chain[-1]))
+        except TransportError:
+            break
+    f = np.stack([fc[0] for fc in chain])
+    cosines = np.linalg.svd(f[:-1].transpose(0, 2, 1) @ f[1:],
+                            compute_uv=False)[:, -1]
+    position = {t: i for i, t in enumerate(grid[:cosines.size])}
+
+    # kernel frames on the grid refined until consecutive frames are
     # WINDOW_EPS-close; refine's left-to-right order makes every frame the
     # transport of its left neighbour
-    frames = {t0: kernel_frame(t0, None)}
+    frames = {t0: chain[0]}
 
     def continue_frame(a, b):
-        f = kernel_frame(b, frames[a])
-        if np.linalg.svd(frames[a].T @ f, compute_uv=False)[-1] < _COS_MIN:
+        i = position.get(a)
+        if i is not None and b == grid[i + 1] and frames[a] is chain[i]:
+            fc, cosine = chain[i + 1], cosines[i]
+        else:
+            fc = kernel_frame(b, frames[a])
+            cosine = np.linalg.svd(frames[a][0].T @ fc[0], compute_uv=False)[-1]
+        if cosine < _COS_MIN:
             return None
-        frames[b] = f
-        return f
+        frames[b] = fc
+        return fc
 
-    segments, _ = refine(np.linspace(t0, t1, 65), continue_frame,
-                         "continuous kernel family")
+    segments, _ = refine(grid, continue_frame, "continuous kernel family")
     ts = [t0] + [hi for _, hi, _ in segments]
 
-    # complement frames, transported along the samples
-    _, u, s = at(t0)
-    w = u[:, :s.size]
-    blocks = []
-    for t in ts:
-        f = frames[t]
-        w = _polar(w - f @ (f.T @ w), tol.transport())
-        blocks.append(w.T @ at(t)[0])
+    # complement frames W_i = C_i Q_i, transported along the samples; the
+    # running products Q_i of the polar factors by a doubling scan
+    c = np.stack([frames[t][1] for t in ts])
+    x, sig, yt = np.linalg.svd(c[1:].transpose(0, 2, 1) @ c[:-1])
+    smallest = sig.min(axis=1, initial=np.inf)
+    low = np.flatnonzero(smallest < tol.transport())
+    if low.size:
+        raise _ill_conditioned(smallest[low[0]])
+    q = np.concatenate([np.eye(c.shape[2])[None], x @ yt])
+    span = 1
+    while span < len(q):  # q[i] = P_i ... P_i-2span+1 from P_i ... P_i-span+1
+        q[span:] = q[span:] @ q[:-span]
+        span *= 2
+    w = c @ q
+    blocks = w.transpose(0, 2, 1) @ np.stack([at(t)[0] for t in ts])
     return OperatorPath.from_samples(ts, blocks, "general")
 
 

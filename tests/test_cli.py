@@ -357,6 +357,14 @@ class TestIngestPath:
         assert report["windows"] and product == expected
         assert invoke("sf2", "--path-file", str(f)).returncode == 4
 
+    def test_tall_file_with_crossing_on_a_grid_node(self):
+        # data/rect_tall.json, also run by CI: the 3x1 block vanishes at
+        # t = 0, node 32 of the reduction's 65-point grid on [-1, 1]
+        f = os.path.join(os.path.dirname(__file__), "data", "rect_tall.json")
+        report = parse_stdout(invoke("parity", "--path-file", f, "--report-windows",
+                                     env_extra={"PYTHONWARNINGS": "error"}))
+        assert report["result"] == -1
+
     def test_interpolation_is_linear(self, tmp_path):
         doc = {
             "symmetry": "general",

@@ -1,6 +1,7 @@
 """Unit tests for the parity and flow engines."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -16,11 +17,13 @@ from z2flow.errors import (
     SymmetryError,
 )
 import z2flow.pairs as pairs_module
+from z2flow import tolerances as tol
 from z2flow.flow import (
     _COS_MIN,
     _SEGMENT_SAMPLES,
     _PathData,
     _pairwise_window_continuity,
+    _square_block_path,
     _step_norms,
     embed_chiral,
     embed_chiral_path,
@@ -1091,6 +1094,185 @@ class TestParityPathGeneral:
             (0.0, 1.0), lambda t: np.diag([t, 1.0 + t]), "general")
         with pytest.raises(NotAdmissibleError):
             parity_path(path)
+
+
+def _per_point_square_blocks(path):
+    """Knots and blocks of the rectangular reduction computed point by
+    point, three SVDs per sample (block, frame cosine, complement polar):
+    the reference for the batched ``_square_block_path``."""
+    wide = path.declared_index < 0
+    t0, t1 = path.interval
+    cache = {}
+
+    def polar(x):
+        w, _, vt = np.linalg.svd(x, full_matrices=False)
+        return w @ vt
+
+    def at(t):
+        if t not in cache:
+            b = path.at(t).T if wide else path.at(t)
+            u, s, _ = np.linalg.svd(b)
+            cache[t] = (b, u, s)
+        return cache[t]
+
+    sigma_max = max(at(t)[2].max(initial=0.0) for t in (t0, t1))
+
+    def kernel_frame(t, prev):
+        _, u, s = at(t)
+        k = s.size
+        cluster = s < tol.inv(max(sigma_max, 1e-300)) * 10
+        if prev is None or not cluster.any():
+            return u[:, k:]
+        near = np.concatenate([u[:, k:], u[:, :k][:, cluster]], axis=1)
+        return near @ polar(near.T @ prev)
+
+    frames = {t0: kernel_frame(t0, None)}
+
+    def continue_frame(a, b):
+        f = kernel_frame(b, frames[a])
+        if np.linalg.svd(frames[a].T @ f, compute_uv=False)[-1] < _COS_MIN:
+            return None
+        frames[b] = f
+        return f
+
+    segments, _ = refine(np.linspace(t0, t1, 65), continue_frame)
+    ts = [t0] + [hi for _, hi, _ in segments]
+    _, u, s = at(t0)
+    w = u[:, :s.size]
+    blocks = []
+    for t in ts:
+        f = frames[t]
+        w = polar(w - f @ (f.T @ w))
+        blocks.append(w.T @ at(t)[0])
+    return ts, blocks
+
+
+class TestSquareBlockReduction:
+    """The rectangular reduction solves its 65-point grid in batch."""
+
+    @staticmethod
+    def reduce(path, monkeypatch):
+        """Knots and blocks that ``_square_block_path`` interpolates."""
+        samples = []
+        build = OperatorPath.from_samples
+
+        def spy(ts, mats, *rest):
+            samples.append(([float(t) for t in ts], np.array(mats)))
+            return build(ts, mats, *rest)
+
+        monkeypatch.setattr(OperatorPath, "from_samples", spy)
+        _square_block_path(path)
+        monkeypatch.undo()
+        return samples[0]
+
+    @staticmethod
+    def rotated(rng, n, d, wide=False):
+        mpath = random_admissible_path(rng, n, knots=3)
+        qfun = random_orthogonal_path(rng, n + d)
+
+        def ev(t):
+            b = qfun(t) @ np.vstack([mpath.evaluator(t), np.zeros((d, n))])
+            return b.T if wide else b
+
+        return OperatorPath((0.0, 1.0), ev, "general", None, -d if wide else d)
+
+    def assert_matches_per_point(self, path, monkeypatch):
+        ts, blocks = self.reduce(path, monkeypatch)
+        ref_ts, ref_blocks = _per_point_square_blocks(path)
+        assert ts == [float(t) for t in ref_ts]
+        scale = max(float(np.abs(b).max()) for b in ref_blocks)
+        np.testing.assert_allclose(blocks, np.array(ref_blocks), rtol=0,
+                                   atol=1e-12 * scale)
+        return ts
+
+    def test_rotated_embeddings_match_per_point_loop(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for i in range(8):
+            path = self.rotated(rng, int(rng.integers(1, 5)),
+                                int(rng.integers(1, 4)), wide=bool(i % 2))
+            self.assert_matches_per_point(path, monkeypatch)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_cluster_on_a_grid_node(self, wide, rotated, monkeypatch):
+        # the block vanishes at t = 0, node 32 of the grid on [-1, 1]: the
+        # kernel frame there is polar-transported from its left neighbour
+        # (rotated, the structural columns U[:, 1:] of the zero block are
+        # far from the kernel family)
+        q = random_orthogonal_path(np.random.default_rng(3), 3)(0.7)
+
+        def ev(t):
+            b = np.array([[t], [0.0], [0.0]])
+            b = q @ b if rotated else b
+            return b.T if wide else b
+
+        path = OperatorPath((-1.0, 1.0), ev, "general", None, -2 if wide else 2)
+        ts = self.assert_matches_per_point(path, monkeypatch)
+        assert 0.0 in ts and len(ts) == 65
+
+    def test_bisected_kernel(self, monkeypatch):
+        # the kernel turns by 40/64 rad between grid nodes, cosine 0.81 <
+        # _COS_MIN: every grid pair is bisected
+        path = OperatorPath(
+            (0.0, 1.0), lambda t: np.array([[np.cos(40 * t)], [np.sin(40 * t)]]),
+            "general", None, 1)
+        assert np.cos(40.0 / 64) < _COS_MIN
+        ts = self.assert_matches_per_point(path, monkeypatch)
+        assert len(ts) > 65
+        assert parity_path_general(path) == 1
+
+    def test_grid_takes_a_few_batched_svds(self, monkeypatch):
+        # a rotated 5x3 path without bisection or clusters: the grid's
+        # blocks, frame cosines and complement polars are one batch each
+        path = self.rotated(np.random.default_rng(7), 3, 2)
+        ts, _ = self.reduce(path, monkeypatch)
+        assert len(ts) == 65
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        _square_block_path(path)
+        assert len(calls) <= 6
+
+
+class TestShapeChanges:
+    """An evaluator that changes shape inside the interval is refused with a
+    DimensionError naming t and both shapes, before anything is stacked."""
+
+    @staticmethod
+    def switching(outer, inner, tag="general", index=0):
+        # outer on [0, 0.5) and at t = 1, inner in between
+        return OperatorPath((0.0, 1.0),
+                            lambda t: outer if t < 0.5 or t == 1.0 else inner,
+                            tag, None, index)
+
+    def test_parity_path(self):
+        path = self.switching(np.eye(2), np.eye(3))
+        with pytest.raises(DimensionError,
+                           match=re.escape("(3, 3) at t=0.5 but (2, 2) at t=0.0")):
+            parity_path(path)
+
+    def test_sf2_path(self):
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        path = self.switching(j, np.kron(np.eye(2), j), "skew")
+        with pytest.raises(DimensionError,
+                           match=re.escape("(4, 4) at t=0.5 but (2, 2) at t=0.0")):
+            sf2_path(path)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_parity_path_general(self, wide):
+        outer = np.array([[1.0], [0.0]])
+        inner = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        if wide:
+            outer, inner = outer.T, inner.T
+        path = self.switching(outer, inner, index=-1 if wide else 1)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{inner.shape} at t=0.5 but {outer.shape} at t=0.0")):
+            parity_path_general(path)
 
 
 class TestLeraySchauderDegree:
