@@ -58,7 +58,8 @@ __all__ = [
 # lower bound on the smallest principal cosine between the two subspaces
 _COS_MIN = math.sqrt(1.0 - tol.WINDOW_EPS ** 2)
 
-# equispaced samples per partition segment, endpoints included
+# equispaced samples per partition segment, endpoints included: 2^3 + 1,
+# three bisections of the segment
 _SEGMENT_SAMPLES = 9
 
 
@@ -295,6 +296,10 @@ class _PathData:
             self._cache[key] = rec
         return rec
 
+    def solved(self, ts) -> bool:
+        """Whether every parameter of ts is already in the cache."""
+        return all(float(t) in self._cache for t in ts)
+
     @property
     def evaluations(self) -> int:
         return len(self._cache)
@@ -338,6 +343,20 @@ def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
     return margin + u * (floor - 2.0 * margin), 0
 
 
+def _segment_grid(lo: float, hi: float) -> np.ndarray:
+    """The ``_SEGMENT_SAMPLES`` equispaced samples of [lo, hi], by repeated
+    bisection with ``refine``'s midpoint: a half's even samples are then
+    bitwise its parent's samples, so the halves of a refused segment find
+    them solved."""
+    ts = np.array([lo, hi], dtype=float)
+    while ts.size < _SEGMENT_SAMPLES:
+        grid = np.empty(2 * ts.size - 1)
+        grid[::2] = ts
+        grid[1::2] = ts[:-1] + (ts[1:] - ts[:-1]) / 2.0
+        ts = grid
+    return ts
+
+
 def _segment_window(data: _PathData, lo: float, hi: float, rng):
     """Try to find a valid window radius for one segment.
 
@@ -347,22 +366,32 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     it over the whole segment (Weyl: |sigma_j(M) - sigma_j(M')| <=
     ||M - M'||_2), so the window rank is constant over the segment (a
     crossing inside it is forced into a positive-rank window).  The windowed
-    subspaces of all samples must also be pairwise WINDOW_EPS-close.
+    subspaces of all samples must also be pairwise WINDOW_EPS-close.  The
+    samples are the segment's 9-point grid (``_segment_grid``); the search
+    over them is ``_sampled_window``.
 
     On a path that declares an arc modulus (``_PathData.arc``), the arc
     distances of a point between samples t_i and t_i+1 to both sum to the
     step d_i, so every sigma_j lies within (sigma_j(t_i) + sigma_j(t_i+1)
-    -+ d_i) / 2 there.  Such a path cannot jump, so no step bound applies,
-    and its two endpoints alone are tried first for a rank-0 window
-    (``_endpoint_window``); a positive rank always takes the samples.  On
-    an opaque path the envelopes are the extreme sampled values widened by
-    0.75 times the largest sampled step ||M_i+1 - M_i||_2, and a step above
-    the path's step bound (a tenth of the largest endpoint singular value,
-    so the partition does not refine as the endpoints approach a kernel)
-    refuses the segment: a jump does not shrink under bisection.  The step
-    norms are solved only when they decide: max |sigma(M_i+1) - sigma(M_i)|
-    bounds every step from below, and a segment that already fails the
-    bound or has no candidate gap with that slack is refused without them.
+    -+ d_i) / 2 there.  That envelope holds at any sample spacing, so such
+    a path tries the samples it has already solved before it solves new
+    ones: first its two endpoints, for a rank-0 window
+    (``_endpoint_window``), then, when all five are cached (exactly when
+    the segment is a half of a refused one), the even points of its grid,
+    which are its parent's samples, for a window of any rank under the same
+    envelopes, margins, rank cap and pairwise check; only then the whole
+    grid.  A window certified from five samples is as certain of its rank
+    as one from nine.  Such a path cannot jump, so no step bound applies.
+    On an opaque path the envelopes are the extreme sampled values widened
+    by 0.75 times the largest sampled step ||M_i+1 - M_i||_2, and a step
+    above the path's step bound (a tenth of the largest endpoint singular
+    value, so the partition does not refine as the endpoints approach a
+    kernel) refuses the segment: a jump does not shrink under bisection.
+    Spacing is what makes that safe, so an opaque segment always takes its
+    whole grid.  The step norms are solved only when they decide: max
+    |sigma(M_i+1) - sigma(M_i)| bounds every step from below, and a segment
+    that already fails the bound or has no candidate gap with that slack is
+    refused without them.
 
     The window rank is capped at max(2, k_near), k_near the number of
     singular values whose minimum over the samples is below half the
@@ -374,7 +403,16 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
         window = _endpoint_window(data, lo, hi, rng)
         if window is not None:
             return window
-    ts = np.linspace(lo, hi, _SEGMENT_SAMPLES)
+    ts = _segment_grid(lo, hi)
+    if data.arc is not None and data.solved(ts[::2]):
+        window = _sampled_window(data, ts[::2], rng)
+        if window is not None:
+            return window
+    return _sampled_window(data, ts, rng)
+
+
+def _sampled_window(data: _PathData, ts: np.ndarray, rng):
+    """The window search of ``_segment_window`` over the samples ``ts``."""
     recs = [data.at(t) for t in ts]
     svs = np.stack([r[1] for r in recs])
     n = svs.shape[1]
@@ -518,7 +556,11 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     endpoints (see ``_segment_window``): with smallest singular values s0
     and s1 there and segment arc L, sigma_min >= (s0 + s1 - L) / 2 throughout
     (Weyl).  A path whose floor clears the gap margins is one rank-0 window
-    from the two endpoint solves, and its flow is +1.
+    from the two endpoint solves, and its flow is +1.  The envelope holds at
+    any sample spacing, so a half of a refused segment then tries its
+    parent's five solved samples for a window of any rank before it solves
+    its four new ones: a rank certified from five samples is as certain as
+    one from nine.
 
     The doubling of a declared direct sum (``OperatorPath.direct_sum``) is
     solved part by part: the flow is multiplicative over direct sums, so

@@ -235,13 +235,18 @@ class OperatorPath:
             raise ConfigError(
                 f"sample parameters span [{ts[0]}, {ts[-1]}], whose length "
                 "overflows; rescale the parameter")
-        mats = [as_real_matrix(m) for m in mats]
-        if len(mats) != ts.size:
+        try:  # a copy, so the caller may reuse its arrays
+            stacked = np.array(mats, dtype=float)
+        except ValueError as exc:  # ragged samples do not stack
+            raise ConfigError("all samples must share one matrix shape") from exc
+        if stacked.ndim == 0 or len(stacked) != ts.size:
             raise ConfigError("sample count mismatch")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise ConfigError("all samples must share one matrix shape")
-        stacked = np.stack(mats)
+        if stacked.ndim != 3:
+            raise DimensionError(
+                f"expected a matrix, got array of ndim={stacked.ndim - 1}")
+        if stacked.size and not np.isfinite(stacked).all():
+            raise ConfigError("matrix entries must be finite")
+        shape = stacked.shape[1:]
 
         def evaluator(t, _ts=ts, _m=stacked):
             if t <= _ts[0]:

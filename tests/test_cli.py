@@ -365,6 +365,18 @@ class TestIngestPath:
                                      env_extra={"PYTHONWARNINGS": "error"}))
         assert report["result"] == -1
 
+    def test_non_dyadic_file_reuses_solved_samples(self):
+        # data/nondyadic_crossing.json, also run by CI: knots on [0.3, 1.7],
+        # whose segment grids are not exact binary fractions; the halves of
+        # each refused segment find their parent's samples solved
+        from z2flow.flow import parity_finite
+
+        f = os.path.join(os.path.dirname(__file__), "data", "nondyadic_crossing.json")
+        report = parse_stdout(invoke("parity", "--path-file", f,
+                                     env_extra={"PYTHONWARNINGS": "error"}))
+        assert report["result"] == int(parity_finite(ingest_path(f))) == -1
+        assert report["diagnostics"]["path_evaluations"] == 33
+
     def test_interpolation_is_linear(self, tmp_path):
         doc = {
             "symmetry": "general",
@@ -397,6 +409,19 @@ class TestRunConfig:
         assert cfg.params["k"] == 2
         assert cfg.seed == 5
         assert cfg.report_windows
+
+    def test_parser_reused_after_a_bad_argument(self, capsys):
+        from z2flow import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        assert cli.main(["insulator", "--M", "twelve"]) == 4
+        assert "--M" in capsys.readouterr().err
+        assert cli.main(["insulator", "--M", "12", "--report-windows"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        fresh = parse_stdout(invoke("insulator", "--M", "12", "--report-windows"))
+        for r in (report, fresh):
+            del r["diagnostics"]["wall_time_s"]
+        assert report == fresh
 
     def test_run_requires_input(self):
         with pytest.raises(ConfigError):

@@ -668,6 +668,9 @@ def _declared_arc_paths(case, monkeypatch):
         return list({id(p): p for p, _, _ in source.evaluator.parts}.values())
     if case == "line":
         return [_straight_line(monkeypatch)[1]]
+    if case == "non-dyadic":  # its grids and midpoints are not exact binary fractions
+        return [random_admissible_path(rng, n, knots=4, interval=(0.3, 1.7))
+                for n in (2, 3)]
     return [_MODULUS_PATHS[case]()]
 
 
@@ -677,7 +680,8 @@ class TestArcEnvelope:
     ``rank`` singular values of T lie below the radius ``a``."""
 
     @pytest.mark.parametrize("case", ["general", "skew", "chiral-skew", "ring-k1",
-                                      "ring-k2", "ring-disorder", "bifurcation", "line"])
+                                      "ring-k2", "ring-disorder", "bifurcation", "line",
+                                      "non-dyadic"])
     def test_windows_hold_their_rank_between_samples(self, case, monkeypatch):
         for path in _declared_arc_paths(case, monkeypatch):
             skew = to_skew_path(path)
@@ -709,6 +713,65 @@ class TestArcEnvelope:
                 res = sf2_path(to_skew_path(path))
                 assert res.value == parity_finite(path) == 1
                 assert [w.rank for w in res.windows] == [0]
+
+
+class TestSolvedSampleReuse:
+    """A half of a refused certified segment first tries its parent's
+    samples, which it finds solved, and solves only the odd points of its
+    own grid when they do not certify it."""
+
+    def test_ring_solves_each_parameter_once(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        solved = []
+        solve = flow_module.skew_singular_system
+
+        def spy(mat, chiral=False):
+            solved.append(mat.tobytes())
+            return solve(mat, chiral)
+
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
+        assert res.value == -1
+        assert res.evaluations == len(solved) == 17
+        assert len(set(solved)) == len(solved)
+
+    def test_halves_solve_four_new_samples(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        segments = []  # (new samples solved, refused) per segment
+        inner = flow_module._segment_window
+
+        def spy(data, lo, hi, rng):
+            before = data.evaluations
+            window = inner(data, lo, hi, rng)
+            segments.append((data.evaluations - before, window is None))
+            return window
+
+        monkeypatch.setattr(flow_module, "_segment_window", spy)
+        rng = np.random.default_rng(5)
+        path = OperatorPath.from_samples(np.linspace(0.3, 1.7, 4),
+                                         rng.standard_normal((4, 3, 3)))
+        res = sf2_path(to_skew_path(path))
+        assert res.value == parity_finite(path) == -1
+        # the whole interval solves its 7 interior samples; every later
+        # segment is a half of a refused one
+        assert segments[0] == (_SEGMENT_SAMPLES - 2, True)
+        halves = [new for new, _ in segments[1:]]
+        assert set(halves) == {0, 4}
+        assert res.evaluations == _SEGMENT_SAMPLES + sum(halves)
+
+    def test_half_grids_start_from_their_parent(self):
+        from z2flow.flow import _segment_grid
+
+        for lo, hi in [(0.3, 1.7), (-0.7, 0.11), (0.0, 1.0), (1e-3, 2.0 / 3.0)]:
+            grid = _segment_grid(lo, hi)
+            np.testing.assert_allclose(grid, np.linspace(lo, hi, _SEGMENT_SAMPLES),
+                                       rtol=0, atol=1e-15)
+            mid = lo + (hi - lo) / 2.0  # refine's midpoint
+            assert grid[_SEGMENT_SAMPLES // 2] == mid
+            assert list(_segment_grid(lo, mid)[::2]) == list(grid[:_SEGMENT_SAMPLES // 2 + 1])
+            assert list(_segment_grid(mid, hi)[::2]) == list(grid[_SEGMENT_SAMPLES // 2:])
 
 
 class TestDirectSum:

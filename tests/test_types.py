@@ -84,6 +84,38 @@ class TestOperatorPath:
             OperatorPath.from_samples(
                 [0.0, 1.0], [np.eye(1), np.eye(2)], "general")
 
+    @staticmethod
+    def _ragged_array():
+        ragged = np.empty(2, dtype=object)
+        ragged[0], ragged[1] = np.eye(2), np.eye(3)
+        return ragged
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("ragged", ConfigError, "all samples must share one matrix shape"),
+        ("1-d", DimensionError, "expected a matrix, got array of ndim=1"),
+        ("non-finite", ConfigError, "matrix entries must be finite"),
+        ("miscounted", ConfigError, "sample count mismatch"),
+    ])
+    def test_from_samples_refuses_malformed_samples(self, fault, error, message,
+                                                     as_array):
+        if fault == "ragged":
+            mats = self._ragged_array() if as_array else [np.eye(2), np.eye(3)]
+        else:
+            mats = {"1-d": np.ones((2, 3)),
+                    "non-finite": np.stack([np.eye(2), np.diag([1.0, np.nan])]),
+                    "miscounted": np.stack([np.eye(2)] * 3)}[fault]
+            if not as_array:
+                mats = list(mats)
+        with pytest.raises(error, match=f"^{message}$"):
+            OperatorPath.from_samples([0.0, 1.0], mats)
+
+    def test_from_samples_keeps_its_own_copy(self):
+        mats = np.stack([np.eye(2), -np.eye(2)])
+        path = OperatorPath.from_samples([0.0, 1.0], mats)
+        mats[:] = 0.0
+        np.testing.assert_array_equal(path.at(1.0), -np.eye(2))
+
     @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0),
                                           (0.0, np.nan)])
     def test_non_finite_interval(self, interval):
