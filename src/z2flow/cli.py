@@ -1,7 +1,7 @@
 """Command-line driver with machine-readable reports.
 
 Every computation in the package is reachable from the command line with
-deterministic seeds and a versioned JSON report (schema ``z2flow/2``); CSV
+deterministic seeds and a versioned JSON report (schema ``z2flow/3``); CSV
 output flattens one spectral window per row for spreadsheet audits.
 """
 
@@ -48,7 +48,7 @@ from .pairs import (
 )
 from .paths import SYMMETRY_TAGS, ChiralFrame, OperatorPath
 
-SCHEMA = "z2flow/2"
+SCHEMA = "z2flow/3"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
             "bifurcation", "example")
 

@@ -8,6 +8,7 @@ between chiral self-adjoint and chiral skew-adjoint families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -313,6 +314,12 @@ def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
             f"t={t_first}; the evaluator must keep one shape")
 
 
+@functools.lru_cache(maxsize=None)
+def _sample_pairs(n: int):
+    """The index pairs i < j of n samples, computed once per sample count."""
+    return np.triu_indices(n, 1)
+
+
 def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     """Check that all pairs of equal-rank subspaces stay WINDOW_EPS-close.
 
@@ -321,7 +328,7 @@ def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     """
     if bases.shape[2] == 0:
         return True
-    i, j = np.triu_indices(len(bases), 1)
+    i, j = _sample_pairs(len(bases))
     overlaps = np.matmul(bases[i].transpose(0, 2, 1), bases[j])
     return bool(np.linalg.svd(overlaps, compute_uv=False)[:, -1].min() >= _COS_MIN)
 

@@ -131,25 +131,52 @@ def _ring_block(spec: RingShiftSpec, t: float) -> np.ndarray:
 
 
 def _ring_arc(ts):
-    # with M >= 2k + 2 the marked link enters B(t) once, so B(t) = B(1/2) +
-    # cos(pi t) E with ||E||_2 = 1, and 1 - cos(pi t) is an arc modulus
+    # the arc of the 1 x 1 link part [[cos(pi t)]].  With M >= 2k + 2 a hop
+    # of k sites crosses the marked link at most once, so B(t) = B(1/2) +
+    # cos(pi t) E with E the partial permutation of the link rows, of
+    # ||E||_2 = 1, and the same arc bounds the whole block, fibred or
+    # disordered
     return 1.0 - np.cos(np.pi * np.asarray(ts))
 
 
 def _ring_blocks(spec: RingShiftSpec) -> OperatorPath:
-    """The ring's block path on [0, 1], B(t) tensored with the fiber: the
-    direct sum of one copy of the ring's block per fiber direction, copy a
-    on the rows and columns a, a + N, a + 2N, ... of the N-dim fiber."""
-    block = lambda t: _ring_block(spec, t)
-    block.arc = _ring_arc
-    ring = OperatorPath((0.0, 1.0), block)
-    n = spec.fiber_dim
-    if n == 1:
-        return ring
-    place = [np.arange(a, spec.block_dim, n) for a in range(n)]
-    fibred = OperatorPath.direct_sum([ring] * n, place, place)
-    fibred.evaluator.arc = _ring_arc  # the copies move together
-    return fibred
+    """The ring's block path on [0, 1], B(t) tensored with the fiber, as
+    the direct sum of the parts that move and the part that does not.
+
+    B(t) = D(t) P^k: P is the cyclic shift and D is diagonal, cos(pi t) on
+    the k rows i = l - k + 1, ..., l (mod M) whose hops cross the marked
+    link l and 1 on the other M - k, so row i holds its one entry in
+    column i + k (mod M).  Copy a of the N-dim fiber takes the rows
+    a + N i and the columns a + N (i + k): it lists the 1 x 1 link part
+    [[cos(pi t)]] once per link row, then one constant identity part, of
+    arc 0, on its other rows.  The engine solves the two distinct parts
+    once each, whatever M, k and N; parity is multiplicative, and the
+    identity contributes +1 from its two endpoint solves.
+    """
+    m, k, n = spec.sites, spec.shift_power, spec.fiber_dim
+    identity = lambda t: np.eye(m - k)
+    identity.arc = lambda ts: np.zeros(np.shape(ts))
+    # built before any placement: an identity too large to allocate
+    # raises MemoryError here, at once
+    rest = OperatorPath((0.0, 1.0), identity)
+    weak = lambda t: np.array([[math.cos(math.pi * t)]])
+    weak.arc = _ring_arc
+    link = OperatorPath((0.0, 1.0), weak)
+    # the link rows l - k + 1, ..., l, then the other rows l + 1, ...
+    moving = (spec.link_site + np.arange(1 - k, 1)) % m
+    others = (spec.link_site + np.arange(1, m - k + 1)) % m
+    parts, rows, cols = [], [], []
+    for a in range(n):
+        for i in moving:
+            parts.append(link)
+            rows.append([a + n * i])
+            cols.append([a + n * ((i + k) % m)])
+        parts.append(rest)
+        rows.append(a + n * others)
+        cols.append(a + n * ((others + k) % m))
+    ring = OperatorPath.direct_sum(parts, rows, cols)
+    ring.evaluator.arc = _ring_arc  # the link parts move together
+    return ring
 
 
 def _ring_path(spec: RingShiftSpec, blocks: OperatorPath) -> OperatorPath:
@@ -165,8 +192,13 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     The off-diagonal block is the k-th power of the cyclic shift whose
     single marked link carries weight cos(pi t), tensored with the fiber;
     at t = 1/2 the link opens and the chain disconnects, producing
-    protected zero modes.  A fibred ring is the direct sum of its fiber's
-    copies of one ring, which the flow engine solves once.
+    protected zero modes.  The block is declared as the direct sum of the
+    1 x 1 link parts [[cos(pi t)]] and one constant identity part per fiber
+    copy (see ``_ring_blocks``), so the flow engine solves two small parts,
+    9 + 2 evaluations for any M, k and N: the link part's T is
+    2-dimensional, so its one rank-2 window over [0, 1] is allowed by the
+    window rank cap, and the identity is one rank-0 window from its
+    endpoints.
     """
     return _ring_path(spec, _ring_blocks(spec))
 
@@ -194,8 +226,20 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((dim, dim))
         w *= strength / float(singular_values(w)[-1])
+    # the clean block moves only on its k N link entries, where it is 1 at
+    # t = 0 and -1 at t = 1: the rest plus w is summed once, and each
+    # evaluation adds cos(pi t) there, the same floats as clean(t) + w
     clean = _ring_blocks(spec).evaluator
-    block = lambda t: clean(t) + w
+    rest = clean(0.0)
+    links = np.flatnonzero(rest != clean(1.0))
+    rest.flat[links] = 0.0
+    rest += w
+
+    def block(t):
+        out = rest.copy()
+        out.flat[links] += math.cos(math.pi * t)
+        return out
+
     block.arc = _ring_arc
     return _ring_path(spec, OperatorPath((0.0, 1.0), block))
 

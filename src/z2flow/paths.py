@@ -173,7 +173,9 @@ class OperatorPath:
         every column once.  The parts share one interval, and one part may
         be listed several times.  The evaluator declares ``parts``, the
         (part, rows, cols) triples, which chiral doublings forward, so the
-        flow engine solves each distinct part once.
+        flow engine solves each distinct part once; assembling the block
+        evaluates each distinct part once too, and fills all its listings
+        with one assignment.
         """
         parts = list(parts)
         if not parts:
@@ -200,14 +202,20 @@ class OperatorPath:
             placed.append(axis)
         triples = tuple(zip(parts, *placed))
         shape = (sum(r.size for r in placed[0]), sum(c.size for c in placed[1]))
+        # each distinct part with the rows (c, p, 1) and columns (c, 1, q) of
+        # its c listings stacked, so one assignment fills all its places
+        listed = {}
+        for part, r, c in triples:
+            _, part_rows, part_cols = listed.setdefault(id(part), (part, [], []))
+            part_rows.append(r[:, None])
+            part_cols.append(c[None, :])
+        scatter = [(part, np.stack(r), np.stack(c))
+                   for part, r, c in listed.values()]
 
         def evaluator(t):
             out = np.zeros(shape)
-            blocks = {}
-            for part, r, c in triples:
-                if id(part) not in blocks:
-                    blocks[id(part)] = part.block(t)
-                out[np.ix_(r, c)] = blocks[id(part)]
+            for part, r, c in scatter:
+                out[r, c] = part.block(t)
             return out
 
         evaluator.parts = triples

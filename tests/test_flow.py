@@ -652,7 +652,8 @@ class TestPiecewiseAffine:
 
 
 def _declared_arc_paths(case, monkeypatch):
-    """Paths that declare an arc modulus, by case name."""
+    """Paths that declare an arc modulus, by case name; a declared direct
+    sum gives its distinct parts, whose windows its flow lists."""
     rng = np.random.default_rng(59)
     if case == "general":
         return [random_admissible_path(rng, n, knots=4) for n in (2, 3, 4)]
@@ -663,15 +664,16 @@ def _declared_arc_paths(case, monkeypatch):
             for n in (2, 4, 6)]
     if case == "chiral-skew":
         return [random_chiral_skew_path(rng, n, knots=4) for n in (1, 2, 3)]
-    if case == "bifurcation":
-        source = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
-        return list({id(p): p for p, _, _ in source.evaluator.parts}.values())
     if case == "line":
         return [_straight_line(monkeypatch)[1]]
     if case == "non-dyadic":  # its grids and midpoints are not exact binary fractions
         return [random_admissible_path(rng, n, knots=4, interval=(0.3, 1.7))
                 for n in (2, 3)]
-    return [_MODULUS_PATHS[case]()]
+    path = _MODULUS_PATHS[case]()
+    parts = getattr(path.evaluator, "parts", None)
+    if parts is None:
+        return [path]
+    return list({id(p): p for p, _, _ in parts}.values())
 
 
 class TestArcEnvelope:
@@ -727,14 +729,18 @@ class TestSolvedSampleReuse:
         solve = flow_module.skew_singular_system
 
         def spy(mat, chiral=False):
-            solved.append(mat.tobytes())
+            solved.append((mat.shape, mat.tobytes()))
             return solve(mat, chiral)
 
         monkeypatch.setattr(flow_module, "skew_singular_system", spy)
         res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
         assert res.value == -1
-        assert res.evaluations == len(solved) == 17
-        assert len(set(solved)) == len(solved)
+        assert res.evaluations == len(solved) == 11
+        # the link part [[cos(pi t)]] at 9 parameters, the constant identity
+        # part at its two endpoints
+        links = [b for shape, b in solved if shape == (1, 1)]
+        assert len(links) == len(set(links)) == 9
+        assert [shape for shape, _ in solved if shape != (1, 1)] == [(11, 11)] * 2
 
     def test_halves_solve_four_new_samples(self, monkeypatch):
         import z2flow.flow as flow_module
@@ -800,6 +806,28 @@ class TestDirectSum:
         total = OperatorPath.direct_sum([a, b])
         np.testing.assert_array_equal(total.at(0.0), np.diag([1.0, 1.0, -1.0]))
         assert parity_path(total) == -1
+
+    def test_grouped_scatter_matches_per_listing_placement(self):
+        # repeated, rectangular and 1 x 1 parts on permuted rows and columns:
+        # the evaluator's one assignment per distinct part fills exactly the
+        # entries of one np.ix_ assignment per listing
+        rng = np.random.default_rng(47)
+        shapes = [(2, 3), (1, 1), (3, 2), (2, 2)]
+        kinds = [OperatorPath.from_samples(
+            [0.0, 0.4, 1.0], rng.standard_normal((3,) + shape)) for shape in shapes]
+        listed = [kinds[i] for i in (0, 1, 0, 2, 1, 3, 1, 2)]
+        splits = [np.cumsum([p.block_shape[axis] for p in listed])[:-1]
+                  for axis in (0, 1)]
+        rows = np.split(rng.permutation(15), splits[0])
+        cols = np.split(rng.permutation(15), splits[1])
+        total = OperatorPath.direct_sum(listed, rows, cols)
+        for t in (0.0, 0.25, 0.4, 0.9, 1.0):
+            expected = np.zeros((15, 15))
+            for part, r, c in zip(listed, rows, cols):
+                expected[np.ix_(r, c)] = part.block(t)
+            np.testing.assert_array_equal(total.at(t), expected)
+            assert np.count_nonzero(expected) == sum(
+                r.size * c.size for r, c in zip(rows, cols))
 
     @pytest.mark.parametrize("rows, cols", [
         ([[0], [0]], [[0], [1]]),         # a row taken twice
@@ -872,7 +900,7 @@ class TestDirectSum:
         assert shapes and max(shapes) == (2, 2)
         shapes.clear()
         assert cli.main(["insulator", "--M", "64", "--N", "4"]) == 0
-        assert shapes and max(shapes) == (64, 64)
+        assert shapes and max(shapes) == (63, 63)  # the identity part
         assert cli.main(["insulator", "--M", "8", "--N", "2"]) == 0
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["result"] for r in reports] == [-1, 1, 1]

@@ -1,11 +1,19 @@
 """Unit tests for the model builders."""
 
+import math
+
 import numpy as np
 import pytest
 
 from z2flow import tolerances as tol
 from z2flow.errors import ConfigError, NotAdmissibleError
-from z2flow.flow import embed_chiral, parity_path, selfadjoint_to_skew, sf2_path
+from z2flow.flow import (
+    embed_chiral,
+    parity_path,
+    selfadjoint_to_skew,
+    sf2_path,
+    to_skew_path,
+)
 from z2flow.linalg import sign_det
 from z2flow.models import (
     EXAMPLE_NAMES,
@@ -121,7 +129,62 @@ class TestRankOnePair:
             build_rank_one_pair(0)
 
 
+def _dense_ring_block(spec, t):
+    """The ring's block as a dense matrix: the k-th power of the cyclic
+    shift whose marked link carries cos(pi t), tensored with the fiber."""
+    m = spec.sites
+    shift = np.roll(np.eye(m), 1, axis=1)
+    shift[spec.link_site, (spec.link_site + 1) % m] = math.cos(math.pi * t)
+    return np.kron(np.linalg.matrix_power(shift, spec.shift_power),
+                   np.eye(spec.fiber_dim))
+
+
+# (M, k, N, link site), the marked link at either end of the ring and inside
+_RING_GRID = [(12, 1, 1, 0), (8, 1, 2, 7), (48, 2, 1, 0), (48, 2, 1, 47),
+              (128, 1, 1, 64), (64, 1, 4, 0), (12, 5, 1, 11), (10, 1, 3, 4),
+              (16, 3, 2, 1), (400, 3, 1, 200)]
+
+
 class TestInsulator:
+    @pytest.mark.parametrize("m, k, n, link", _RING_GRID)
+    def test_block_equals_the_dense_ring(self, m, k, n, link):
+        spec = RingShiftSpec(m, k, n, link)
+        path = build_insulator_path(spec)
+        for t in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
+            np.testing.assert_array_equal(path.block(t), _dense_ring_block(spec, t))
+
+    @pytest.mark.parametrize("m, k, n, link", _RING_GRID[:8])
+    def test_parity_equals_the_determinant_oracle(self, m, k, n, link):
+        spec = RingShiftSpec(m, k, n, link)
+        oracle = sign_det(_dense_ring_block(spec, 0.0)) * sign_det(
+            _dense_ring_block(spec, 1.0))
+        path = build_insulator_path(spec)
+        assert parity_path(path) == oracle
+        assert parity_path(path, rng=np.random.default_rng(m + k + n)) == oracle
+
+    @pytest.mark.parametrize("m, k, n, link", _RING_GRID[:8])
+    def test_disordered_block_is_the_dense_ring_plus_a_constant(self, m, k, n, link):
+        spec = RingShiftSpec(m, k, n, link)
+        noisy = build_insulator_disordered(spec, 0.1, seed=2)
+        w = noisy.block(0.5) - _dense_ring_block(spec, 0.5)
+        assert np.linalg.svd(w, compute_uv=False)[0] == pytest.approx(0.1)
+        for t in (0.0, 0.25, 0.3, 0.75, 1.0):
+            np.testing.assert_allclose(noisy.block(t), _dense_ring_block(spec, t) + w,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 1), (1, 3), (3, 2)])
+    def test_listings_do_not_grow_with_the_ring(self, k, n):
+        # N copies of k link parts and one identity: two distinct parts,
+        # solved at 9 + 2 parameters whatever M
+        for m in (2 * k + 2, 40, 400):
+            path = build_insulator_path(RingShiftSpec(m, k, n))
+            parts = path.evaluator.parts
+            assert len(parts) == n * (k + 1)
+            assert len({id(part) for part, _, _ in parts}) == 2
+            res = sf2_path(to_skew_path(path))
+            assert (res.evaluations, res.refinement_depth) == (11, 0)
+            assert len(res.windows) == n * (k + 1)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             RingShiftSpec(3, 1, 1)
