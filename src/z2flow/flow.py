@@ -221,7 +221,8 @@ def _polar(x: np.ndarray, floor: float) -> np.ndarray:
     The columns of x are the images of an orthonormal frame; the result is
     the orthonormal frame of the same span closest to them.  A smallest
     singular value below ``floor`` means the frame was carried too far to
-    be transported and raises ``TransportError``.
+    be transported and raises ``TransportError``.  A stack of matrices x
+    is factored by one batched SVD and checked against the one floor.
     """
     return _polar_split(x, floor)[0]
 
@@ -230,14 +231,17 @@ def _polar_split(x: np.ndarray, floor: float):
     """``_polar`` of x and an orthonormal basis of the orthogonal complement
     of its span (no columns for a square x)."""
     w, s, vt = np.linalg.svd(x)
-    if s.size and s[-1] < floor:
-        raise _ill_conditioned(s[-1])
-    return w[:, :s.size] @ vt, w[:, s.size:]
+    smallest = s[..., -1:]
+    low = smallest[smallest < floor]
+    if low.size:
+        raise TransportError(f"polar factor ill-conditioned (sigma_min={low[0]:.3e})")
+    return w[..., :s.shape[-1]] @ vt, w[..., s.shape[-1]:]
 
 
-def _ill_conditioned(sigma_min: float) -> TransportError:
-    return TransportError(
-        f"polar factor ill-conditioned (sigma_min={sigma_min:.3e})")
+def _smallest_cosines(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Smallest principal cosines between the spans of the orthonormal
+    frames f and g, or of each pair of frames of two equally long stacks."""
+    return np.linalg.svd(f.swapaxes(-1, -2) @ g, compute_uv=False)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +333,7 @@ def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     if bases.shape[2] == 0:
         return True
     i, j = _sample_pairs(len(bases))
-    overlaps = np.matmul(bases[i].transpose(0, 2, 1), bases[j])
-    return bool(np.linalg.svd(overlaps, compute_uv=False)[:, -1].min() >= _COS_MIN)
+    return bool(_smallest_cosines(bases[i], bases[j]).min() >= _COS_MIN)
 
 
 def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
@@ -744,13 +747,13 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
 
     The 65-point starting grid is known up front: its blocks are factored
     by one stacked SVD, the smallest principal cosines of its consecutive
-    frames come from one batched SVD, and ``refine`` reads a grid pair's
-    cosine from that batch when the pair's left frame is the one the batch
-    used; bisection midpoints are solved as they come up.  The polar
-    factors of all overlaps C_i^T C_i-1 are one more batched SVD, whose
-    smallest singular values are the transport check, and the products Q_i
-    and blocks W_i^T B_i are batched matmuls.  A shape change of the
-    evaluator raises ``DimensionError`` before anything is stacked.
+    frames are one batched ``_smallest_cosines``, and ``refine`` reads a
+    grid pair's cosine from that batch when the pair's left frame is the
+    one the batch used; bisection midpoints are solved as they come up.
+    The polar factors of all overlaps C_i^T C_i-1 are one stacked
+    ``_polar``, and the products Q_i and blocks W_i^T B_i are batched
+    matmuls.  A shape change of the evaluator raises ``DimensionError``
+    before anything is stacked.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)
@@ -759,7 +762,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     first = None  # (t, shape) of the first evaluation
     cache = {}
 
-    def solve(ts):  # (B, U, singular values, (U[:, k:], U[:, :k])) per t
+    def solve(ts):  # (B, singular values descending, (U[:, k:], U[:, :k])) per t
         nonlocal first
         bs = []
         for t in ts:
@@ -770,7 +773,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         us, ss, _ = np.linalg.svd(np.stack(bs))
         k = ss.shape[1]
         for t, b, u, s in zip(ts, bs, us, ss):
-            cache[t] = (b, u, s, (u[:, k:], u[:, :k]))
+            cache[t] = (b, s, (u[:, k:], u[:, :k]))
 
     def at(t):
         if t not in cache:
@@ -783,7 +786,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     # near-cokernel cluster is read against the endpoints' largest value
     sigma_max = 0.0
     for t in (t0, t1):
-        s = at(t)[2]
+        s = at(t)[1]
         sigma_max = max(sigma_max, s.max(initial=0.0))
         extra = 2 * int((s <= tol.inv(s.max(initial=0.0)) * 10).sum())
         if extra:
@@ -795,15 +798,14 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     def kernel_frame(t, prev):
         """(F, C) at t: the near-cokernel frame continued from the left
         neighbour's (F, C) ``prev``, and a basis of its complement."""
-        _, u, s, structural = at(t)
+        _, s, structural = at(t)
         cluster = s < cluster_floor
         if prev is None or not cluster.any():
             return structural
-        k = s.size
-        near = np.concatenate([u[:, k:], u[:, :k][:, cluster]], axis=1)
+        f, c = structural
+        near = np.concatenate([f, c[:, cluster]], axis=1)
         p, rest = _polar_split(near.T @ prev[0], tol.transport())
-        return near @ p, np.concatenate([u[:, :k][:, ~cluster], near @ rest],
-                                        axis=1)
+        return near @ p, np.concatenate([c[:, ~cluster], near @ rest], axis=1)
 
     # the grid's frames, each continued from its left neighbour, as far as
     # they transport; refine meets the pair that does not, or bisects first
@@ -814,8 +816,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         except TransportError:
             break
     f = np.stack([fc[0] for fc in chain])
-    cosines = np.linalg.svd(f[:-1].transpose(0, 2, 1) @ f[1:],
-                            compute_uv=False)[:, -1]
+    cosines = _smallest_cosines(f[:-1], f[1:])
     position = {t: i for i, t in enumerate(grid[:cosines.size])}
 
     # kernel frames on the grid refined until consecutive frames are
@@ -829,7 +830,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
             fc, cosine = chain[i + 1], cosines[i]
         else:
             fc = kernel_frame(b, frames[a])
-            cosine = np.linalg.svd(frames[a][0].T @ fc[0], compute_uv=False)[-1]
+            cosine = _smallest_cosines(frames[a][0], fc[0])
         if cosine < _COS_MIN:
             return None
         frames[b] = fc
@@ -841,12 +842,8 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     # complement frames W_i = C_i Q_i, transported along the samples; the
     # running products Q_i of the polar factors by a doubling scan
     c = np.stack([frames[t][1] for t in ts])
-    x, sig, yt = np.linalg.svd(c[1:].transpose(0, 2, 1) @ c[:-1])
-    smallest = sig.min(axis=1, initial=np.inf)
-    low = np.flatnonzero(smallest < tol.transport())
-    if low.size:
-        raise _ill_conditioned(smallest[low[0]])
-    q = np.concatenate([np.eye(c.shape[2])[None], x @ yt])
+    q = np.concatenate([np.eye(c.shape[2])[None],
+                        _polar(c[1:].transpose(0, 2, 1) @ c[:-1], tol.transport())])
     span = 1
     while span < len(q):  # q[i] = P_i ... P_i-2span+1 from P_i ... P_i-span+1
         q[span:] = q[span:] @ q[:-span]

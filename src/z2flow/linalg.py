@@ -9,6 +9,8 @@ throughout the package); inputs are never mutated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tolerances as tol
@@ -48,11 +50,6 @@ def require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix required, got shape {a.shape}")
     return a.shape[0]
-
-
-def require_skew(a: np.ndarray) -> None:
-    if max_abs(a + a.T) > tol.sym(max_abs(a)):
-        raise SymmetryError("matrix is not skew-symmetric within tolerance")
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -114,54 +111,58 @@ def _tridiagonalize_skew(a: np.ndarray):
     return a, sign
 
 
-def pfaffian(m) -> float:
-    """Pfaffian of an even-dimensional real skew-symmetric matrix.
+# Entries of magnitude 2^-500 to 2^500 keep the squared norms of the
+# reduction finite and normal (for n < 2^12)
+_SAFE_EXP = 500
 
-    Normalized so that the canonical symplectic block [[0, 1], [-1, 0]] has
-    Pfaffian +1 and the empty matrix has Pfaffian 1.  Direct expansion is used
-    up to dimension 4; above that the matrix is tridiagonalized by Householder
-    reflections with explicit sign tracking, after which the Pfaffian is the
-    product of the odd superdiagonal entries.
-    """
+
+def _pfaffian_factors(m):
+    """The one Pfaffian route: validate m and tridiagonalize it.  Returns
+    the reflection sign, the odd superdiagonal factors and an exponent e;
+    the Pfaffian is the sign times the product of the factors, each times
+    2^e.  A matrix whose largest entry lies beyond 2^(+-_SAFE_EXP) is first
+    divided by the power of two 2^e that brings it to that bound, which is
+    exact, so neither the skew check nor a norm of the reduction over- or
+    underflows; any other matrix is not scaled (e = 0)."""
     a = as_real_matrix(m)
     n = require_square(a)
     if n % 2:
         raise DimensionError(f"Pfaffian requires even dimension, got {n}")
-    require_skew(a)
-    a = (a - a.T) / 2.0
-    if n == 0:
-        return 1.0
-    if n == 2:
-        return float(a[0, 1])
-    if n == 4:
-        return float(a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2])
-    tri, sign = _tridiagonalize_skew(a)
-    return float(sign * np.prod(tri[np.arange(0, n, 2), np.arange(1, n + 1, 2)]))
+    top = max_abs(a)
+    e = math.frexp(top)[1]
+    e -= min(max(e, -_SAFE_EXP), _SAFE_EXP)
+    if e:
+        a, top = np.ldexp(a, -e), math.ldexp(top, -e)
+    if max_abs(a + a.T) > tol.sym(top):
+        raise SymmetryError("matrix is not skew-symmetric within tolerance")
+    tri, sign = _tridiagonalize_skew((a - a.T) / 2.0)
+    return sign, tri.diagonal(1)[::2], e
+
+
+def pfaffian(m) -> float:
+    """Pfaffian of an even-dimensional real skew-symmetric matrix.
+
+    Normalized so that the canonical symplectic block [[0, 1], [-1, 0]] has
+    Pfaffian +1 and the empty matrix has Pfaffian 1.  Every even dimension
+    takes one route (``_pfaffian_factors``): Householder tridiagonalization
+    with explicit sign tracking (no reflection for n = 2), after an exact
+    power-of-two scaling at extreme scales; the Pfaffian is the sign times
+    the product of the odd superdiagonal entries, each scaled back first.
+    """
+    sign, factors, e = _pfaffian_factors(m)
+    return float(sign * np.prod(np.ldexp(factors, e)))
 
 
 def pfaffian_sign(m) -> int:
     """Sign of the Pfaffian, computed without forming the possibly huge value.
 
     Returns +1, -1 or 0 (0 when some tridiagonal factor vanishes exactly).
+    It is the product of the factor signs of ``pfaffian``'s route, whose
+    power-of-two scaling keeps it free of over- and underflow at any scale
+    of finite entries.
     """
-    a = as_real_matrix(m)
-    n = require_square(a)
-    if n % 2:
-        raise DimensionError(f"Pfaffian requires even dimension, got {n}")
-    require_skew(a)
-    a = (a - a.T) / 2.0
-    if n == 0:
-        return 1
-    if n <= 4:
-        v = pfaffian(a)
-        return int(np.sign(v))
-    tri, sign = _tridiagonalize_skew(a)
-    for b in tri[np.arange(0, n, 2), np.arange(1, n + 1, 2)]:
-        if b == 0.0:
-            return 0
-        if b < 0.0:
-            sign = -sign
-    return int(sign)
+    sign, factors, _ = _pfaffian_factors(m)
+    return int(sign * math.prod(np.sign(factors).tolist()))
 
 
 # ---------------------------------------------------------------------------

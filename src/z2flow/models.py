@@ -9,7 +9,7 @@ linearization crosses zero at an isolated parameter value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,15 +121,6 @@ class RingShiftSpec:
         return self.sites * self.fiber_dim
 
 
-def _ring_block(spec: RingShiftSpec, t: float) -> np.ndarray:
-    """One ring's hopping block at t, without the fiber: the k-th power of
-    the cyclic shift whose marked link carries weight cos(pi t)."""
-    m = spec.sites
-    s = np.roll(np.eye(m), 1, axis=1)
-    s[spec.link_site, (spec.link_site + 1) % m] = math.cos(math.pi * t)
-    return np.linalg.matrix_power(s, spec.shift_power)
-
-
 def _ring_arc(ts):
     # the arc of the 1 x 1 link part [[cos(pi t)]].  With M >= 2k + 2 a hop
     # of k sites crosses the marked link at most once, so B(t) = B(1/2) +
@@ -215,7 +206,9 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
         raise ConfigError(f"disorder strength must be finite and >= 0, got {strength}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ConfigError(f"disorder seed must be an integer >= 0, got {seed!r}")
-    gap = min(float(singular_values(_ring_block(spec, t))[0]) for t in (0.0, 1.0))
+    # the clean endpoint blocks are signed permutations: every singular
+    # value is 1
+    gap = 1.0
     if strength >= gap / 2.0:
         raise NotAdmissibleError(
             f"disorder strength {strength} reaches half the endpoint gap {gap}"
@@ -246,9 +239,9 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
 
 def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
     """Kernel dimension of the ring Hamiltonian at the open-link point:
-    twice that of its block, which holds one ring's block per fiber
-    direction."""
-    sv = singular_values(_ring_block(spec, 0.5))
+    twice that of its block, which holds one ring's block (the declared
+    ring without the fiber) per fiber direction."""
+    sv = singular_values(_ring_blocks(replace(spec, fiber_dim=1)).at(0.5))
     smax = max(float(sv[-1]), 1e-300)
     return 2 * spec.fiber_dim * int((sv < tol.gap(smax)).sum())
 

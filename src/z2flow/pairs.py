@@ -28,7 +28,8 @@ from .errors import (
     StructureError,
     SymmetryError,
 )
-from .flow import _random_orthogonal, embed_chiral, embed_chiral_path, refine, sf2_path
+from .flow import (_check_shape, _random_orthogonal, embed_chiral,
+                   embed_chiral_path, refine, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values
 from .paths import ChiralFrame, OperatorPath
 from .z2 import Z2, z2_product
@@ -213,7 +214,7 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     dynamically small (it shrinks with the partition spacing but never
     reaches machine zero), so everything below the looser partition bound
     ``PAIR_PARTITION_ABS`` counts as kernel.  The phases are the n x n
-    blocks W V^T of ``path.block(t)``.
+    blocks W V^T of ``path.block(t)``, which must keep one shape.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
@@ -223,12 +224,17 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
 
     phases = {}
+    first = None  # (t, shape) of the first evaluation
 
     def phase(t):
+        nonlocal first
         key = float(t)
         if key not in phases:
+            b = path.block(key)
+            first = first or (key, b.shape)
+            _check_shape(b, key, *first)
             mix = None if key in (float(t0), float(t1)) else rng
-            phases[key] = _phase(path.block(key), mix)
+            phases[key] = _phase(b, mix)
         return phases[key]
 
     def certify(a, b):

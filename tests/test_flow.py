@@ -1365,6 +1365,12 @@ class TestShapeChanges:
                 f"{inner.shape} at t=0.5 but {outer.shape} at t=0.0")):
             parity_path_general(path)
 
+    def test_parity_via_pairs(self):
+        path = embed_chiral_path(self.switching(np.eye(2), np.eye(3)))
+        with pytest.raises(DimensionError,
+                           match=re.escape("(3, 3) at t=0.5 but (2, 2) at t=0.0")):
+            parity_via_pairs(path)
+
 
 class TestLeraySchauderDegree:
     def test_zero(self):

@@ -11,7 +11,7 @@ from z2flow.errors import (
     SymmetryError,
     TransportError,
 )
-from z2flow.flow import _polar
+from z2flow.flow import _polar, sf2_finite
 from z2flow.linalg import (
     pfaffian,
     pfaffian_sign,
@@ -128,6 +128,26 @@ class TestPfaffian:
             dim = 2 * int(rng.integers(1, 7))
             m = skew(rng, dim)
             assert pfaffian_sign(m) == int(np.sign(pfaffian(m)))
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_sign_is_scale_free(self, factor):
+        # at these scales a product of two entries, or a squared norm inside
+        # the Householder reduction, leaves the float range
+        rng = np.random.default_rng(20)
+        for n in range(2, 13, 2):
+            for _ in range(5):
+                m0, m1 = skew(rng, n), skew(rng, n)
+                assert pfaffian_sign(factor * m0) == pfaffian_sign(m0)
+                assert sf2_finite(factor * m0, factor * m1) == sf2_finite(m0, m1)
+
+    @pytest.mark.parametrize("scales", [[1e4] + [1.0] * 99, [1e200] + [1.0] * 99,
+                                        [1e200, 1e-150]])
+    def test_blocks_of_unequal_scale(self, scales):
+        # block-diagonal, so the Pfaffian is the product of the blocks' entries;
+        # the small factors must survive the scaling of the largest entry
+        m = np.kron(np.diag(scales), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert pfaffian(m) == pytest.approx(np.prod(scales), rel=1e-14)
+        assert pfaffian_sign(m) == 1
 
 
 class TestSignDet:
@@ -356,6 +376,19 @@ class TestTransport:
         # a target of lower rank than the frame collapses a frame direction
         with pytest.raises(TransportError):
             self.transport(np.eye(3)[:, :2], np.diag([1.0, 0.0, 0.0]))
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(22)
+        stack = rng.standard_normal((6, 4, 2))
+        out = _polar(stack, tol.transport())
+        for x, o in zip(stack, out):
+            np.testing.assert_array_equal(o, _polar(x, tol.transport()))
+
+    def test_stack_with_one_matrix_below_the_floor_rejected(self):
+        stack = np.stack([np.eye(3)[:, :2]] * 4)
+        stack[2, :, 1] *= 1e-3
+        with pytest.raises(TransportError, match="sigma_min=1.000e-03"):
+            _polar(stack, 0.1)
 
     def test_orthogonal_target_rejected(self):
         with pytest.raises(TransportError):
