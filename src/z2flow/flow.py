@@ -269,24 +269,27 @@ class _PathData:
 
     ``arc`` is the evaluator's arc modulus (see ``OperatorPath``); an arc
     whose increase over the interval is not a finite float bounds nothing,
-    and the path is taken as opaque (``arc`` None).
+    and the path is taken as opaque (``arc`` None).  An arc that does not
+    increase declares one matrix: every parameter reads the record of the
+    interval's start, so a constant part is solved once.
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
-        self.arc = getattr(path.evaluator, "arc", None)
-        if self.arc is not None:
-            lo, hi = self.arc(np.asarray(path.interval, dtype=float))
-            if not math.isfinite(float(hi) - float(lo)):
-                self.arc = None
+        growth = _arc_growth(path)
+        self.arc = path.evaluator.arc if math.isfinite(growth) else None
+        self._pin = float(path.interval[0]) if growth == 0 else None
         self._cache = {}
         self._first = None  # (t, shape) of the first evaluation
         self.step_bound = math.inf
         self.near_zero = 0.0
 
+    def _key(self, t: float) -> float:
+        return float(t) if self._pin is None else self._pin
+
     def at(self, t: float):
-        key = float(t)
+        key = self._key(t)
         rec = self._cache.get(key)
         if rec is None:
             m = _record_matrix(self.path, key)
@@ -303,11 +306,22 @@ class _PathData:
 
     def solved(self, ts) -> bool:
         """Whether every parameter of ts is already in the cache."""
-        return all(float(t) in self._cache for t in ts)
+        return all(self._key(t) in self._cache for t in ts)
 
     @property
     def evaluations(self) -> int:
         return len(self._cache)
+
+
+def _arc_growth(path: OperatorPath) -> float:
+    """Increase of the evaluator's declared arc over the interval, NaN on a
+    path that declares none.  By the arc contract an increase of 0 declares
+    a constant path."""
+    arc = getattr(path.evaluator, "arc", None)
+    if arc is None:
+        return math.nan
+    lo, hi = arc(np.asarray(path.interval, dtype=float))
+    return float(hi) - float(lo)
 
 
 def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
@@ -578,7 +592,10 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     contributes its flow to the power c and its windows c times, tagged
     with the part's position (``SpectralWindow.summand``).  The report
     counts the evaluations of the distinct parts and their deepest
-    refinement.
+    refinement.  A part whose declared arc does not increase over the
+    interval is one matrix, evaluated and solved once, at the start; its
+    window is the rank-0 window of the two-endpoint rule, read from that
+    one solve.  ``parity_via_pairs`` walks declared sums the same way.
 
     A generator ``rng`` randomizes all admissible choices (partition,
     radii, lift perturbations); by the well-definedness of the flow the
@@ -589,23 +606,30 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     return _flow(path, rng)
 
 
+def _part_walk(path: OperatorPath, solve):
+    """``solve`` of each listing of a declared direct sum, in listing order:
+    each distinct part is solved once, as the chiral skew doubling of its
+    block path, and a part listed c times yields that one result c times."""
+    solved = {}
+    for part, rows, cols in path.evaluator.parts:
+        if id(part) not in solved:
+            frame = ChiralFrame(len(rows), len(cols))
+            solved[id(part)] = solve(_doubling(part, frame, "chiral-skew"))
+    return [solved[id(part)] for part, _, _ in path.evaluator.parts]
+
+
 def _flow(path: OperatorPath, rng) -> FlowResult:
     """``sf2_path`` without the tag check: a declared sum part by part,
     any other path by ``_windowed_flow``."""
-    parts = getattr(path.evaluator, "parts", None)
-    if parts is None:
+    if getattr(path.evaluator, "parts", None) is None:
         return _windowed_flow(path, rng)
-    solved = {}
-    windows = []
-    for i, (part, rows, cols) in enumerate(parts):
-        if id(part) not in solved:
-            frame = ChiralFrame(len(rows), len(cols))
-            solved[id(part)] = _flow(_doubling(part, frame, "chiral-skew"), rng)
-        windows += [replace(w, summand=i) for w in solved[id(part)].windows]
-    results = [solved[id(part)] for part, _, _ in parts]
+    results = _part_walk(path, lambda part: _flow(part, rng))
+    distinct = {id(r): r for r in results}.values()
+    windows = [replace(w, summand=i)
+               for i, r in enumerate(results) for w in r.windows]
     return FlowResult(z2_product(r.value for r in results), windows,
-                      max(r.refinement_depth for r in solved.values()),
-                      sum(r.evaluations for r in solved.values()))
+                      max(r.refinement_depth for r in distinct),
+                      sum(r.evaluations for r in distinct))
 
 
 def _windowed_flow(path: OperatorPath, rng) -> FlowResult:

@@ -142,7 +142,7 @@ def _ring_blocks(spec: RingShiftSpec) -> OperatorPath:
     [[cos(pi t)]] once per link row, then one constant identity part, of
     arc 0, on its other rows.  The engine solves the two distinct parts
     once each, whatever M, k and N; parity is multiplicative, and the
-    identity contributes +1 from its two endpoint solves.
+    identity, whose arc does not grow, contributes +1 from one solve.
     """
     m, k, n = spec.sites, spec.shift_power, spec.fiber_dim
     identity = lambda t: np.eye(m - k)
@@ -186,10 +186,10 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     protected zero modes.  The block is declared as the direct sum of the
     1 x 1 link parts [[cos(pi t)]] and one constant identity part per fiber
     copy (see ``_ring_blocks``), so the flow engine solves two small parts,
-    9 + 2 evaluations for any M, k and N: the link part's T is
+    9 + 1 evaluations for any M, k and N: the link part's T is
     2-dimensional, so its one rank-2 window over [0, 1] is allowed by the
-    window rank cap, and the identity is one rank-0 window from its
-    endpoints.
+    window rank cap, and the constant identity is one rank-0 window from
+    its one solve at t = 0.  ``parity_via_pairs`` takes the same parts.
     """
     return _ring_path(spec, _ring_blocks(spec))
 

@@ -24,12 +24,13 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     DimensionError,
+    NotAdmissibleError,
     NotFredholmPairError,
     StructureError,
     SymmetryError,
 )
-from .flow import (_check_shape, _random_orthogonal, embed_chiral,
-                   embed_chiral_path, refine, sf2_path)
+from .flow import (_arc_growth, _check_shape, _part_walk, _random_orthogonal,
+                   embed_chiral, embed_chiral_path, refine, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values
 from .paths import ChiralFrame, OperatorPath
 from .z2 import Z2, z2_product
@@ -161,8 +162,9 @@ def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
                     rng=rng).value
 
 
-def _phase(b: np.ndarray, rng=None) -> np.ndarray:
-    """Orthogonal phase W V^T of a square block B = W S V^T.
+def _phase(b: np.ndarray, rng=None):
+    """Orthogonal phase W V^T of a square block B = W S V^T, and the
+    singular values S, descending.
 
     Flipping the sign of a left singular vector together with its right one
     leaves W V^T unchanged, so the SVD's sign choice does not matter.  With
@@ -175,7 +177,7 @@ def _phase(b: np.ndarray, rng=None) -> np.ndarray:
         k_idx = np.where(s < kernel_tol)[0]
         if k_idx.size:
             w[:, k_idx] = w[:, k_idx] @ _random_orthogonal(rng, int(k_idx.size))
-    return w @ vt
+    return w @ vt, s
 
 
 def phase_complete(t_mat, frame: ChiralFrame) -> ComplexStructure:
@@ -191,7 +193,7 @@ def phase_complete(t_mat, frame: ChiralFrame) -> ComplexStructure:
     if t.shape[0] != t.shape[1] or t.shape[0] != frame.dim:
         raise DimensionError("matrix does not match the chiral frame")
     n = frame.n_plus
-    return ComplexStructure(embed_chiral(_phase(t[:n, n:])), frame)
+    return ComplexStructure(embed_chiral(_phase(t[:n, n:])[0]), frame)
 
 
 # [[0, U], [-U^T, 0]] from an orthogonal block U, kept importable under the
@@ -214,13 +216,32 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     dynamically small (it shrinks with the partition spacing but never
     reaches machine zero), so everything below the looser partition bound
     ``PAIR_PARTITION_ABS`` counts as kernel.  The phases are the n x n
-    blocks W V^T of ``path.block(t)``, which must keep one shape.
+    blocks W V^T of ``path.block(t)``, which must keep one shape.  A block
+    singular at an endpoint (``sigma_min <= tol.inv(sigma_max)``, read from
+    the endpoint's phase SVD) raises ``NotAdmissibleError``, as in
+    ``sf2_path``.
+
+    A declared direct sum of square parts (``OperatorPath.direct_sum``) is
+    taken part by part, like ``sf2_path`` does: parity is multiplicative,
+    so each distinct part runs this route once on its own block path and
+    the parity is the product over the listings.  A part whose declared
+    arc does not increase over the interval is one matrix U: its block is
+    evaluated and solved once, at the start, and reused at the end, and it
+    contributes +1 (U + U = 2U has every singular value 2) once its
+    endpoint is invertible.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
     if path.frame.n_plus != path.frame.n_minus:
         raise DimensionError("phase completion needs balanced chiral blocks")
-    t0, t1 = path.interval
+    parts = getattr(path.evaluator, "parts", None)
+    # a sum with a rectangular part is singular, which its assembled
+    # block reports at the endpoint
+    if parts is not None and all(len(r) == len(c) for _, r, c in parts):
+        return z2_product(_part_walk(
+            path, lambda part: parity_via_pairs(part, rng=rng)))
+    t0, t1 = (float(t) for t in path.interval)
+    constant = _arc_growth(path) == 0
     cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
 
     phases = {}
@@ -233,9 +254,20 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
             b = path.block(key)
             first = first or (key, b.shape)
             _check_shape(b, key, *first)
-            mix = None if key in (float(t0), float(t1)) else rng
-            phases[key] = _phase(b, mix)
+            end = key in (t0, t1)
+            phases[key], s = _phase(b, None if end else rng)
+            if end and s.size and s[-1] <= tol.inv(s[0]):
+                raise NotAdmissibleError(
+                    f"path endpoint at t={key} is singular "
+                    f"(sigma_min={s[-1]:.3e})")
         return phases[key]
+
+    # both endpoints first, so a singular one is refused at once; a constant
+    # U is its own phase pair at t1, and U + U = 2U certifies kernel 0
+    phase(t0)
+    if constant:
+        return Z2(1)
+    phase(t1)
 
     def certify(a, b):
         try:

@@ -81,8 +81,9 @@ class OperatorPath:
     path): the flow engine then certifies segments by arc length instead of
     sampling the evaluator as an opaque callable.  Next to ``arc``, the
     evaluator of a block path may declare its direct-sum ``parts``, the
-    (part, rows, cols) triples of ``direct_sum``: the flow engine then
-    solves each distinct part once instead of the assembled block.
+    (part, rows, cols) triples of ``direct_sum``: the flow engine and the
+    pair route then solve each distinct part once instead of the assembled
+    block.
     """
 
     interval: tuple
@@ -202,20 +203,28 @@ class OperatorPath:
             placed.append(axis)
         triples = tuple(zip(parts, *placed))
         shape = (sum(r.size for r in placed[0]), sum(c.size for c in placed[1]))
-        # each distinct part with the rows (c, p, 1) and columns (c, 1, q) of
-        # its c listings stacked, so one assignment fills all its places
+        # each distinct part, with its first position and the rows (c, p, 1)
+        # and columns (c, 1, q) of its c listings stacked, so one assignment
+        # fills all its places
         listed = {}
-        for part, r, c in triples:
-            _, part_rows, part_cols = listed.setdefault(id(part), (part, [], []))
+        for i, (part, r, c) in enumerate(triples):
+            _, _, part_rows, part_cols = listed.setdefault(
+                id(part), (part, i, [], []))
             part_rows.append(r[:, None])
             part_cols.append(c[None, :])
-        scatter = [(part, np.stack(r), np.stack(c))
-                   for part, r, c in listed.values()]
+        scatter = [(part, i, np.stack(r), np.stack(c))
+                   for part, i, r, c in listed.values()]
 
         def evaluator(t):
             out = np.zeros(shape)
-            for part, r, c in scatter:
-                out[r, c] = part.block(t)
+            for part, i, r, c in scatter:
+                b = part.block(t)
+                if b.shape != shapes[id(part)]:
+                    raise DimensionError(
+                        f"direct-sum part {i} has shape {b.shape} at t={t} "
+                        f"but is placed as {shapes[id(part)]}; the evaluator "
+                        "must keep one shape")
+                out[r, c] = b
             return out
 
         evaluator.parts = triples

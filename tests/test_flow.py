@@ -735,12 +735,12 @@ class TestSolvedSampleReuse:
         monkeypatch.setattr(flow_module, "skew_singular_system", spy)
         res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
         assert res.value == -1
-        assert res.evaluations == len(solved) == 11
+        assert res.evaluations == len(solved) == 10
         # the link part [[cos(pi t)]] at 9 parameters, the constant identity
-        # part at its two endpoints
+        # part at one
         links = [b for shape, b in solved if shape == (1, 1)]
         assert len(links) == len(set(links)) == 9
-        assert [shape for shape, _ in solved if shape != (1, 1)] == [(11, 11)] * 2
+        assert [shape for shape, _ in solved if shape != (1, 1)] == [(11, 11)]
 
     def test_halves_solve_four_new_samples(self, monkeypatch):
         import z2flow.flow as flow_module
@@ -1367,6 +1367,26 @@ class TestShapeChanges:
 
     def test_parity_via_pairs(self):
         path = embed_chiral_path(self.switching(np.eye(2), np.eye(3)))
+        with pytest.raises(DimensionError,
+                           match=re.escape("(3, 3) at t=0.5 but (2, 2) at t=0.0")):
+            parity_via_pairs(path)
+
+    @staticmethod
+    def switching_sum():
+        # [[t - 0.3]] plus a part that switches from 2 x 2 to 3 x 3
+        return OperatorPath.direct_sum([
+            OperatorPath((0.0, 1.0), lambda t: np.array([[t - 0.3]])),
+            TestShapeChanges.switching(np.eye(2), np.eye(3))])
+
+    def test_direct_sum_at(self):
+        path = self.switching_sum()
+        message = "part 1 has shape (3, 3) at t=0.5 but is placed as (2, 2)"
+        for read in (path.at, path.block):
+            with pytest.raises(DimensionError, match=re.escape(message)):
+                read(0.5)
+
+    def test_direct_sum_parity_via_pairs(self):
+        path = embed_chiral_path(self.switching_sum())
         with pytest.raises(DimensionError,
                            match=re.escape("(3, 3) at t=0.5 but (2, 2) at t=0.0")):
             parity_via_pairs(path)

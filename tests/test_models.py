@@ -9,7 +9,10 @@ from z2flow import tolerances as tol
 from z2flow.errors import ConfigError, NotAdmissibleError
 from z2flow.flow import (
     embed_chiral,
+    embed_chiral_path,
+    parity_finite,
     parity_path,
+    selfadjoint_path_to_skew,
     selfadjoint_to_skew,
     sf2_path,
     to_skew_path,
@@ -27,7 +30,15 @@ from z2flow.models import (
     build_rank_one_pair,
     half_flux_kernel_dim,
 )
-from z2flow.pairs import ComplexStructure, FredholmPair, pi_index, index_pairing_rhs
+import z2flow.pairs as pairs_module
+from z2flow.pairs import (
+    ComplexStructure,
+    FredholmPair,
+    index_pairing_rhs,
+    parity_via_pairs,
+    pi_index,
+)
+from z2flow.paths import OperatorPath
 
 
 class TestExamplePaths:
@@ -175,15 +186,69 @@ class TestInsulator:
     @pytest.mark.parametrize("k, n", [(1, 1), (2, 1), (1, 3), (3, 2)])
     def test_listings_do_not_grow_with_the_ring(self, k, n):
         # N copies of k link parts and one identity: two distinct parts,
-        # solved at 9 + 2 parameters whatever M
+        # solved at 9 + 1 parameters whatever M
         for m in (2 * k + 2, 40, 400):
             path = build_insulator_path(RingShiftSpec(m, k, n))
             parts = path.evaluator.parts
             assert len(parts) == n * (k + 1)
             assert len({id(part) for part, _, _ in parts}) == 2
             res = sf2_path(to_skew_path(path))
-            assert (res.evaluations, res.refinement_depth) == (11, 0)
+            assert (res.evaluations, res.refinement_depth) == (10, 0)
             assert len(res.windows) == n * (k + 1)
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    @pytest.mark.parametrize("m, k, n, link", _RING_GRID)
+    def test_pair_route_on_the_declared_sum(self, m, k, n, link, randomized):
+        # part by part equals the same ring assembled with no parts, and the
+        # determinant oracle of its block path
+        spec = RingShiftSpec(m, k, n, link)
+        declared = selfadjoint_path_to_skew(build_insulator_path(spec))
+        assembled = OperatorPath((0.0, 1.0), lambda t: declared.block(t))
+        oracle = parity_finite(assembled)
+        rng = np.random.default_rng(m + k + n) if randomized else None
+        assert parity_via_pairs(declared, rng=rng) == oracle
+        assert parity_via_pairs(embed_chiral_path(assembled), rng=rng) == oracle
+
+    def test_pair_route_solves_the_identity_once(self, monkeypatch):
+        spec = RingShiftSpec(12)
+        ring = selfadjoint_path_to_skew(build_insulator_path(spec))
+        identity = next(part for part, rows, _ in ring.evaluator.parts
+                        if len(rows) > 1)
+        evaluated = []
+        block = OperatorPath.block
+
+        def spy_block(self, t):
+            if self is identity:
+                evaluated.append(t)
+            return block(self, t)
+
+        phases = []
+        phase = pairs_module._phase
+
+        def spy_phase(b, rng=None):
+            phases.append(b.shape)
+            return phase(b, rng)
+
+        monkeypatch.setattr(OperatorPath, "block", spy_block)
+        monkeypatch.setattr(pairs_module, "_phase", spy_phase)
+        assert parity_via_pairs(ring) == -1
+        assert evaluated == [0.0]
+        assert [s for s in phases if s != (1, 1)] == [(11, 11)]
+        assert len(phases) == 9 + 1  # the link part's 9-point grid
+
+    def test_singular_constant_part_refused(self):
+        # a constant part is taken from one solve, which still checks that
+        # its matrix is invertible
+        weak = lambda t: np.array([[math.cos(math.pi * t)]])
+        weak.arc = lambda ts: 1.0 - np.cos(np.pi * np.asarray(ts))
+        zero = lambda t: np.zeros((2, 2))
+        zero.arc = lambda ts: np.zeros(np.shape(ts))
+        path = embed_chiral_path(OperatorPath.direct_sum(
+            [OperatorPath((0.0, 1.0), weak), OperatorPath((0.0, 1.0), zero)]))
+        with pytest.raises(NotAdmissibleError):
+            parity_via_pairs(path)
+        with pytest.raises(NotAdmissibleError):
+            sf2_path(path)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -325,6 +390,11 @@ class TestBifurcation:
     def test_parity(self):
         path = build_bifurcation_path(GalerkinSpec(4, 2.0, 0.5))
         assert parity_path(path) == -1
+
+    def test_pair_route_equals_the_flow(self):
+        # kmax 4 taken part by part, one pair route per distinct mode path
+        path = embed_chiral_path(build_bifurcation_path(GalerkinSpec(4)))
+        assert parity_via_pairs(path) == sf2_path(path).value == -1
 
     def test_no_other_crossing(self):
         for cutoff in (4, 5, 6):

@@ -5,10 +5,11 @@ import pytest
 
 from z2flow.errors import (
     DimensionError,
+    NotAdmissibleError,
     NotFredholmPairError,
     SymmetryError,
 )
-from z2flow.flow import embed_chiral, sf2_path
+from z2flow.flow import embed_chiral, embed_chiral_path, sf2_path
 from z2flow.models import build_example_path, build_rank_one_pair
 from z2flow.pairs import (
     ComplexStructure,
@@ -20,7 +21,7 @@ from z2flow.pairs import (
     pi_index,
     straight_line_sf2,
 )
-from z2flow.paths import ChiralFrame
+from z2flow.paths import ChiralFrame, OperatorPath
 
 from conftest import (
     random_certified_pair,
@@ -239,6 +240,32 @@ class TestParityViaPairs:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             assert parity_via_pairs(path, rng=rng) == base
+
+    @pytest.mark.parametrize("block", [
+        lambda t: np.diag([t, 1.0]),    # singular at t = 0
+        lambda t: np.zeros((2, 2)),     # singular everywhere
+    ], ids=["diag_t_1", "zero_blocks"])
+    def test_singular_endpoint_refused(self, block):
+        path = embed_chiral_path(OperatorPath((0.0, 1.0), block))
+        with pytest.raises(NotAdmissibleError, match="t=0.0 is singular"):
+            parity_via_pairs(path)
+        with pytest.raises(NotAdmissibleError):
+            sf2_path(path)
+
+    def test_sum_with_rectangular_parts_refused_whole(self):
+        # a tall part's rows meet only its own columns, so a sum with
+        # rectangular parts is singular everywhere: the assembled block is
+        # refused at its endpoint, as by sf2_path, not a part for its shape
+        tall = OperatorPath((0.0, 1.0), lambda t: np.array([[t - 0.3], [1.0]]),
+                            "general", None, 1)
+        wide = OperatorPath((0.0, 1.0), lambda t: np.array([[1.0, 0.5]]),
+                            "general", None, -1)
+        path = embed_chiral_path(OperatorPath.direct_sum(
+            [tall, wide], [[0, 1], [2]], [[0], [1, 2]]))
+        with pytest.raises(NotAdmissibleError, match="t=0.0 is singular"):
+            parity_via_pairs(path)
+        with pytest.raises(NotAdmissibleError):
+            sf2_path(path)
 
     def test_full_rank_phase_jump_refused(self):
         # the whole matrix vanishes at the crossing while the phase jumps by
