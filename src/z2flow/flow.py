@@ -267,26 +267,31 @@ class _PathData:
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
-    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``); an arc
-    whose increase over the interval is not a finite float bounds nothing,
-    and the path is taken as opaque (``arc`` None).  An arc that does not
-    increase declares one matrix: every parameter reads the record of the
-    interval's start, so a constant part is solved once.
+    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``), checked
+    on the interval's 9-point grid; one whose increase over the interval is
+    not a finite float bounds nothing, and the path is taken as opaque
+    (``arc`` None).  One that does not increase declares one matrix
+    (``constant``): every parameter reads the record of the start.
     """
 
     def __init__(self, path: OperatorPath):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
-        growth = _arc_growth(path)
-        self.arc = path.evaluator.arc if math.isfinite(growth) else None
-        self._pin = float(path.interval[0]) if growth == 0 else None
+        arc = getattr(path.evaluator, "arc", None)
+        growth = math.nan
+        if arc is not None:
+            values = _read_arc(arc, _segment_grid(*path.interval))
+            growth = float(values[-1]) - float(values[0])
+        self.arc = arc if math.isfinite(growth) else None
+        self.constant = growth == 0
+        self._start = float(path.interval[0])
         self._cache = {}
         self._first = None  # (t, shape) of the first evaluation
         self.step_bound = math.inf
         self.near_zero = 0.0
 
     def _key(self, t: float) -> float:
-        return float(t) if self._pin is None else self._pin
+        return self._start if self.constant else float(t)
 
     def at(self, t: float):
         key = self._key(t)
@@ -313,15 +318,15 @@ class _PathData:
         return len(self._cache)
 
 
-def _arc_growth(path: OperatorPath) -> float:
-    """Increase of the evaluator's declared arc over the interval, NaN on a
-    path that declares none.  By the arc contract an increase of 0 declares
-    a constant path."""
-    arc = getattr(path.evaluator, "arc", None)
-    if arc is None:
-        return math.nan
-    lo, hi = arc(np.asarray(path.interval, dtype=float))
-    return float(hi) - float(lo)
+def _read_arc(arc, ts: np.ndarray) -> np.ndarray:
+    """The arc at the ascending ts; ``ConfigError`` unless it gives one
+    nondecreasing value per parameter (NaN and inf bound nothing, and pass)."""
+    values = np.asarray(arc(ts), dtype=float)
+    if values.shape != ts.shape or (values[1:] < values[:-1]).any():
+        raise ConfigError(
+            "the evaluator's arc must return one value per parameter, "
+            f"nondecreasing in t; it does not on [{ts[0]}, {ts[-1]}]")
+    return values
 
 
 def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
@@ -358,7 +363,7 @@ def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
     sv0, sv1 = data.at(lo)[1], data.at(hi)[1]
     if not sv0.size:
         return None
-    arc_lo, arc_hi = (float(x) for x in data.arc(np.array([lo, hi])))
+    arc_lo, arc_hi = (float(x) for x in _read_arc(data.arc, np.array([lo, hi])))
     floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - (arc_hi - arc_lo) / 2.0
     margin = 4.0 * tol.gap(max(float(sv0[-1]), float(sv1[-1])))
     if not floor > 2.0 * margin:
@@ -461,7 +466,7 @@ def _sampled_window(data: _PathData, ts: np.ndarray, rng):
 
     if data.arc is not None:
         mid = svs[:-1] / 2.0 + svs[1:] / 2.0
-        half = np.diff(data.arc(ts))[:, None] / 2.0
+        half = np.diff(_read_arc(data.arc, ts))[:, None] / 2.0
         with np.errstate(over="ignore"):  # a bound past the largest float is inf
             lo_env = (mid + half).max(axis=0)
         hi_env = (mid - half).min(axis=0)
@@ -637,12 +642,7 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
     data = _PathData(path)
     t0, t1 = path.interval
 
-    ends = [data.at(t)[1] for t in (t0, t1)]
-    for t, sv in zip((t0, t1), ends):
-        if sv.size and sv[0] <= tol.inv(sv[-1]):
-            raise NotAdmissibleError(
-                f"path endpoint at t={t} is singular (sigma_min={sv[0]:.3e})"
-            )
+    ends = _endpoint_spectra(data)
     if ends[0].size % 2:
         raise DimensionError("skew flow requires even ambient dimension")
 
@@ -674,6 +674,16 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
                for lo, hi, (a, k) in accepted]
     value = z2_product(w.factor for w in windows)
     return FlowResult(value, windows, max_depth, data.evaluations)
+
+
+def _endpoint_spectra(data: _PathData):
+    """Both endpoint spectra; a singular one raises ``NotAdmissibleError``."""
+    for t in data.path.interval:
+        sv = data.at(t)[1]
+        if sv.size and sv[0] <= tol.inv(sv[-1]):
+            raise NotAdmissibleError(f"path endpoint at t={t} is singular "
+                                     f"(sigma_min={sv[0]:.3e})")
+    return [data.at(t)[1] for t in data.path.interval]
 
 
 def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
@@ -932,6 +942,8 @@ def k_real_reduce(h_mat, k_mat, frame: ChiralFrame) -> np.ndarray:
     {1, i} produces a real symmetric chiral matrix with the same spectrum.
     """
     h = np.asarray(h_mat, dtype=complex)
+    if h.size and not np.isfinite(h).all():
+        raise ConfigError("H entries must be finite")
     k = as_real_matrix(k_mat)
     n = k.shape[0]
     if k.shape[0] != k.shape[1] or h.shape != k.shape or frame.dim != n:

@@ -27,17 +27,24 @@ __all__ = [
 ]
 
 
-def as_real_matrix(m) -> np.ndarray:
-    """Coerce input to a finite 2-d float64 array.
-
-    Non-finite entries (an evaluator returning NaN or inf) are invalid input
-    and raise ``ConfigError``.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of ndim={a.ndim}")
+def _real_array(m) -> np.ndarray:
+    """Coerce input to a finite float64 array.  Entries that are not finite
+    real numbers (complex, strings, NaN or inf from an evaluator) are
+    invalid input and raise ``ConfigError``."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "biuf":
+        raise ConfigError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.size and not np.isfinite(a).all():
         raise ConfigError("matrix entries must be finite")
+    return a
+
+
+def as_real_matrix(m) -> np.ndarray:
+    """``_real_array`` of a matrix; other dimensions raise ``DimensionError``."""
+    a = _real_array(m)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a matrix, got array of ndim={a.ndim}")
     return a
 
 
@@ -81,16 +88,18 @@ def _step_norms(steps: np.ndarray) -> np.ndarray:
 # Pfaffian
 
 
-def _tridiagonalize_skew(a: np.ndarray):
-    """Householder reduction of a skew matrix to tridiagonal form.
+def _reduce_skew(a: np.ndarray):
+    """Householder reduction of a skew matrix at the even steps k = 0, 2, ...:
+    step k clears column k below row k + 1, so Pf(A) = a[k, k+1]
+    Pf(A[k+2:, k+2:]) (an odd step would clear entries no factor reads).
 
-    Returns the tridiagonalized matrix and the sign of the determinant of the
+    Returns the reduced matrix and the sign of the determinant of the
     accumulated orthogonal transform (each applied reflection contributes -1).
     """
     a = a.copy()
     n = a.shape[0]
     sign = 1.0
-    for k in range(n - 2):
+    for k in range(0, n - 2, 2):
         x = a[k + 1:, k]
         tail = np.linalg.norm(x[1:])
         if tail == 0.0:
@@ -117,10 +126,10 @@ _SAFE_EXP = 500
 
 
 def _pfaffian_factors(m):
-    """The one Pfaffian route: validate m and tridiagonalize it.  Returns
-    the reflection sign, the odd superdiagonal factors and an exponent e;
-    the Pfaffian is the sign times the product of the factors, each times
-    2^e.  A matrix whose largest entry lies beyond 2^(+-_SAFE_EXP) is first
+    """The one Pfaffian route: validate m and reduce it.  Returns the
+    reflection sign, the factors a[k, k+1] at even k and an exponent e; the
+    Pfaffian is the sign times the product of the factors, each times 2^e.
+    A matrix whose largest entry lies beyond 2^(+-_SAFE_EXP) is first
     divided by the power of two 2^e that brings it to that bound, which is
     exact, so neither the skew check nor a norm of the reduction over- or
     underflows; any other matrix is not scaled (e = 0)."""
@@ -135,7 +144,7 @@ def _pfaffian_factors(m):
         a, top = np.ldexp(a, -e), math.ldexp(top, -e)
     if max_abs(a + a.T) > tol.sym(top):
         raise SymmetryError("matrix is not skew-symmetric within tolerance")
-    tri, sign = _tridiagonalize_skew((a - a.T) / 2.0)
+    tri, sign = _reduce_skew((a - a.T) / 2.0)
     return sign, tri.diagonal(1)[::2], e
 
 
@@ -144,10 +153,10 @@ def pfaffian(m) -> float:
 
     Normalized so that the canonical symplectic block [[0, 1], [-1, 0]] has
     Pfaffian +1 and the empty matrix has Pfaffian 1.  Every even dimension
-    takes one route (``_pfaffian_factors``): Householder tridiagonalization
-    with explicit sign tracking (no reflection for n = 2), after an exact
+    takes one route (``_pfaffian_factors``): Householder reflections at the
+    even steps with explicit sign tracking (none for n = 2), after an exact
     power-of-two scaling at extreme scales; the Pfaffian is the sign times
-    the product of the odd superdiagonal entries, each scaled back first.
+    the product of the entries a[k, k+1] at even k, each scaled back first.
     """
     sign, factors, e = _pfaffian_factors(m)
     return float(sign * np.prod(np.ldexp(factors, e)))
@@ -156,7 +165,7 @@ def pfaffian(m) -> float:
 def pfaffian_sign(m) -> int:
     """Sign of the Pfaffian, computed without forming the possibly huge value.
 
-    Returns +1, -1 or 0 (0 when some tridiagonal factor vanishes exactly).
+    Returns +1, -1 or 0 (0 when some factor vanishes exactly).
     It is the product of the factor signs of ``pfaffian``'s route, whose
     power-of-two scaling keeps it free of over- and underflow at any scale
     of finite entries.
@@ -204,8 +213,9 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False):
     The d = |n_plus - n_minus| structural zeros come first, then every
     singular value s_i of B twice, with the grading-pure directions [x_i; 0]
     and [0; y_i].  The directions are the pair (X, Y) of the left and the
-    right singular vectors, each square with the structural kernel of its
-    side (from the full U or V) first and then ascending in s_i.
+    right singular vectors, the full U and V read backwards (views), with
+    the structural kernel first; X Y^T = W V^T is the phase of a square
+    B = W S V^T that the pair route reads.
 
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
@@ -214,7 +224,5 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False):
     u, s, vt = np.linalg.svd(mat)
     if not chiral:
         return s[::-1], vt[::-1].T
-    r = s.size
-    x, y = (np.concatenate([w[:, r:], w[:, :r][:, ::-1]], axis=1) for w in (u, vt.T))
-    d = x.shape[1] + y.shape[1] - 2 * r
-    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), (x, y)
+    d = abs(mat.shape[0] - mat.shape[1])
+    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), (u[:, ::-1], vt[::-1].T)

@@ -10,9 +10,9 @@ orthogonals.
 Everything that only depends on the structures is computed on their n x n
 blocks: the kernel of I0 + I1 is twice that of U0 + U1, the straight line
 is the doubling of (1 - t) U0 + t U1, and the phases along a path are the
-orthogonal blocks W V^T of its blocks.  ``ComplexStructure`` values, the
-complex cross-check of ``pi_index`` and the index map keep the 2n x 2n
-matrices.
+orthogonal blocks X Y^T of the flow engine's chiral records, one chiral
+core for both routes.  ``ComplexStructure`` values, the complex
+cross-check of ``pi_index`` and the index map keep the 2n x 2n matrices.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     DimensionError,
-    NotAdmissibleError,
     NotFredholmPairError,
     StructureError,
     SymmetryError,
 )
-from .flow import (_arc_growth, _check_shape, _part_walk, _random_orthogonal,
+from .flow import (_endpoint_spectra, _part_walk, _PathData, _random_orthogonal,
                    embed_chiral, embed_chiral_path, refine, sf2_path)
-from .linalg import as_real_matrix, max_abs, singular_values
+from .linalg import as_real_matrix, max_abs, singular_values, skew_singular_system
 from .paths import ChiralFrame, OperatorPath
 from .z2 import Z2, z2_product
 
@@ -162,30 +161,13 @@ def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
                     rng=rng).value
 
 
-def _phase(b: np.ndarray, rng=None):
-    """Orthogonal phase W V^T of a square block B = W S V^T, and the
-    singular values S, descending.
-
-    Flipping the sign of a left singular vector together with its right one
-    leaves W V^T unchanged, so the SVD's sign choice does not matter.  With
-    ``rng``, the left singular vectors of the kernel of B are mixed by a
-    random orthogonal matrix, which only picks another kernel completion.
-    """
-    w, s, vt = np.linalg.svd(b)
-    if rng is not None:
-        kernel_tol = tol.gap(max(float(s[0]) if s.size else 0.0, 1.0))
-        k_idx = np.where(s < kernel_tol)[0]
-        if k_idx.size:
-            w[:, k_idx] = w[:, k_idx] @ _random_orthogonal(rng, int(k_idx.size))
-    return w @ vt, s
-
-
 def phase_complete(t_mat, frame: ChiralFrame) -> ComplexStructure:
     """Complete the phase of a chiral skew matrix to a complex structure.
 
-    With T = [[0, B], [-B^T, 0]] and the full SVD B = W S V^T, the result is
-    built from the orthogonal factor W V^T, which agrees with the phase of T
-    on the range of |T| and extends it over the kernel.
+    With T = [[0, B], [-B^T, 0]] and B = W S V^T, the result is built from
+    the orthogonal factor W V^T = X Y^T of the chiral record of B
+    (``skew_singular_system``), which agrees with the phase of T on the
+    range of |T| and extends it over the kernel.
     """
     t = as_real_matrix(t_mat)
     if frame.n_plus != frame.n_minus:
@@ -193,7 +175,8 @@ def phase_complete(t_mat, frame: ChiralFrame) -> ComplexStructure:
     if t.shape[0] != t.shape[1] or t.shape[0] != frame.dim:
         raise DimensionError("matrix does not match the chiral frame")
     n = frame.n_plus
-    return ComplexStructure(embed_chiral(_phase(t[:n, n:])[0]), frame)
+    _, (x, y) = skew_singular_system(t[:n, n:], True)
+    return ComplexStructure(embed_chiral(x @ y.T), frame)
 
 
 # [[0, U], [-U^T, 0]] from an orthogonal block U, kept importable under the
@@ -215,20 +198,22 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     straddles a crossing of the path has a kernel proxy that is only
     dynamically small (it shrinks with the partition spacing but never
     reaches machine zero), so everything below the looser partition bound
-    ``PAIR_PARTITION_ABS`` counts as kernel.  The phases are the n x n
-    blocks W V^T of ``path.block(t)``, which must keep one shape.  A block
-    singular at an endpoint (``sigma_min <= tol.inv(sigma_max)``, read from
-    the endpoint's phase SVD) raises ``NotAdmissibleError``, as in
-    ``sf2_path``.
+    ``PAIR_PARTITION_ABS`` counts as kernel.
+
+    The phases come from the flow engine's record of the path
+    (``flow._PathData``): the phase at t is X Y^T = W V^T, X and Y the
+    frames of the chiral record of B = W S V^T = ``path.block(t)``.  The
+    record keeps one block shape, solves each t once, and solves a part
+    whose declared arc does not increase only at t0; it contributes +1
+    (U + U = 2U has every singular value 2).  A block singular at an
+    endpoint raises ``NotAdmissibleError``, as in ``sf2_path``.  ``rng``
+    mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
+    1))``) once per interior t.
 
     A declared direct sum of square parts (``OperatorPath.direct_sum``) is
     taken part by part, like ``sf2_path`` does: parity is multiplicative,
     so each distinct part runs this route once on its own block path and
-    the parity is the product over the listings.  A part whose declared
-    arc does not increase over the interval is one matrix U: its block is
-    evaluated and solved once, at the start, and reused at the end, and it
-    contributes +1 (U + U = 2U has every singular value 2) once its
-    endpoint is invertible.
+    the parity is the product over the listings.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
@@ -240,34 +225,24 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     if parts is not None and all(len(r) == len(c) for _, r, c in parts):
         return z2_product(_part_walk(
             path, lambda part: parity_via_pairs(part, rng=rng)))
+    data = _PathData(path)
+    _endpoint_spectra(data)
+    if data.constant:
+        return Z2(1)
     t0, t1 = (float(t) for t in path.interval)
-    constant = _arc_growth(path) == 0
     cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
-
     phases = {}
-    first = None  # (t, shape) of the first evaluation
 
     def phase(t):
-        nonlocal first
-        key = float(t)
-        if key not in phases:
-            b = path.block(key)
-            first = first or (key, b.shape)
-            _check_shape(b, key, *first)
-            end = key in (t0, t1)
-            phases[key], s = _phase(b, None if end else rng)
-            if end and s.size and s[-1] <= tol.inv(s[0]):
-                raise NotAdmissibleError(
-                    f"path endpoint at t={key} is singular "
-                    f"(sigma_min={s[-1]:.3e})")
-        return phases[key]
-
-    # both endpoints first, so a singular one is refused at once; a constant
-    # U is its own phase pair at t1, and U + U = 2U certifies kernel 0
-    phase(t0)
-    if constant:
-        return Z2(1)
-    phase(t1)
+        if t not in phases:
+            _, sv, (x, y) = data.at(t)
+            if rng is not None and t not in (t0, t1):
+                j = int((sv[::2] < tol.gap(float(sv.max(initial=1.0)))).sum())
+                if j:
+                    x = np.concatenate(
+                        [x[:, :j] @ _random_orthogonal(rng, j), x[:, j:]], axis=1)
+            phases[t] = x @ y.T
+        return phases[t]
 
     def certify(a, b):
         try:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ConfigError, DimensionError, SymmetryError
-from .linalg import _step_norms, as_real_matrix, max_abs
+from .linalg import _real_array, _step_norms, as_real_matrix, max_abs
 
 __all__ = ["SYMMETRY_TAGS", "ChiralFrame", "OperatorPath", "validate_symmetry"]
 
@@ -253,16 +253,17 @@ class OperatorPath:
                 f"sample parameters span [{ts[0]}, {ts[-1]}], whose length "
                 "overflows; rescale the parameter")
         try:  # a copy, so the caller may reuse its arrays
-            stacked = np.array(mats, dtype=float)
+            stacked = np.array(mats)
+            if stacked.dtype.kind == "O":  # stack an object array's elements
+                stacked = np.array(stacked.tolist())
         except ValueError as exc:  # ragged samples do not stack
             raise ConfigError("all samples must share one matrix shape") from exc
+        stacked = _real_array(stacked)
         if stacked.ndim == 0 or len(stacked) != ts.size:
             raise ConfigError("sample count mismatch")
         if stacked.ndim != 3:
             raise DimensionError(
                 f"expected a matrix, got array of ndim={stacked.ndim - 1}")
-        if stacked.size and not np.isfinite(stacked).all():
-            raise ConfigError("matrix entries must be finite")
         shape = stacked.shape[1:]
 
         def evaluator(t, _ts=ts, _m=stacked):

@@ -717,6 +717,39 @@ class TestArcEnvelope:
                 assert [w.rank for w in res.windows] == [0]
 
 
+class TestArcContract:
+    """A declared arc must give one nondecreasing value per parameter; any
+    other arc is refused with ConfigError by every engine, before a path
+    whose arc returns to its start value is pinned to one matrix."""
+
+    CASES = {
+        # |t| grows by 0 over [-1, 1], which declared the path constant
+        "abs": ((-1.0, 1.0), lambda t: np.array([[t]]),
+                lambda ts: np.abs(np.asarray(ts))),
+        "falling": ((0.0, 1.0), lambda t: np.array([[t - 0.5]]),
+                    lambda ts: -np.asarray(ts)),
+        "scalar": ((0.0, 1.0), lambda t: np.array([[t - 0.5]]),
+                   lambda ts: 1.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_by_every_engine(self, case):
+        interval, matrix, arc = self.CASES[case]
+
+        def evaluator(t):
+            return matrix(t)
+
+        evaluator.arc = arc
+        path = OperatorPath(interval, evaluator)
+        assert parity_finite(path) == -1
+        for engine in (lambda: parity_path(path),
+                       lambda: sf2_path(embed_chiral_path(path)),
+                       lambda: parity_via_pairs(embed_chiral_path(path))):
+            with pytest.raises(ConfigError, match="arc must return one value "
+                                                  "per parameter, nondecreasing"):
+                engine()
+
+
 class TestSolvedSampleReuse:
     """A half of a refused certified segment first tries its parent's
     samples, which it finds solved, and solves only the odd points of its
@@ -936,6 +969,38 @@ class TestChiralCore:
             assert sf2_path(self.as_plain_skew(path)).value == base
             for rep in range(3):
                 assert sf2_path(path, rng=np.random.default_rng(rep)).value == base
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_pair_route_reads_the_flow_records(self, monkeypatch, randomized):
+        # parity_via_pairs solves each distinct parameter once, by the flow
+        # engine's chiral core, and equals the oracle of the block path
+        import z2flow.flow as flow_module
+
+        rng = np.random.default_rng(44)
+        ts = np.linspace(0.0, 1.0, 5)
+        blocks = rng.standard_normal((5, 3, 3))
+        blocks[-1, 0] *= -np.sign(np.linalg.det(blocks[0]) * np.linalg.det(blocks[-1]))
+        path = OperatorPath.from_samples(ts, [embed_chiral(b) for b in blocks],
+                                         "chiral-skew", ChiralFrame(3, 3))
+        evaluated, solved = [], []
+        block, solve = OperatorPath.block, flow_module.skew_singular_system
+
+        def spy_block(self, t):
+            if self is path:
+                evaluated.append(float(t))
+            return block(self, t)
+
+        def spy_solve(mat, chiral=False):
+            solved.append(chiral)
+            return solve(mat, chiral)
+
+        monkeypatch.setattr(OperatorPath, "block", spy_block)
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
+        value = parity_via_pairs(
+            path, rng=np.random.default_rng(3) if randomized else None)
+        assert value == parity_finite(OperatorPath.from_samples(ts, blocks)) == -1
+        assert len(evaluated) == len(set(evaluated)) == len(solved) >= 9
+        assert all(solved)
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_rectangular_blocks_agree_with_oracle(self, wide):
@@ -1507,6 +1572,13 @@ class TestKRealReduce:
         frame = ChiralFrame(1, 1)
         with pytest.raises(SymmetryError):
             k_real_reduce(np.zeros((2, 2)), np.diag([1.0, 2.0]), frame)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_h_rejected(self, bad):
+        # a NaN H passed every symmetry test and came back as a NaN matrix
+        h = np.array([[0.0, bad], [bad, 0.0]], dtype=complex)
+        with pytest.raises(ConfigError, match="^H entries must be finite$"):
+            k_real_reduce(h, np.eye(2), ChiralFrame(1, 1))
 
 
 class TestFlowProperties:

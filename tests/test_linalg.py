@@ -13,6 +13,7 @@ from z2flow.errors import (
 )
 from z2flow.flow import _polar, sf2_finite
 from z2flow.linalg import (
+    _reduce_skew,
     pfaffian,
     pfaffian_sign,
     sign_det,
@@ -121,6 +122,16 @@ class TestPfaffian:
             dim = 2 * int(rng.integers(1, 5))
             m = skew(rng, dim)
             assert pfaffian(m) == pytest.approx(pf_matchings(m), rel=1e-10)
+
+    def test_reflects_at_the_even_steps_only(self):
+        # once column k is cleared below row k + 1, Pf(A) = a[k, k+1]
+        # Pf(A[k+2:, k+2:]): a generic n x n matrix takes n/2 - 1 reflections
+        rng = np.random.default_rng(15)
+        for n in range(2, 15, 2):
+            reduced, sign = _reduce_skew(skew(rng, n))
+            assert sign == (-1) ** (n // 2 - 1)
+            for k in range(0, n - 2, 2):
+                assert not reduced[k + 2:, k].any() and not reduced[k, k + 2:].any()
 
     def test_sign_variant_agrees(self):
         rng = np.random.default_rng(14)

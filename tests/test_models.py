@@ -30,7 +30,7 @@ from z2flow.models import (
     build_rank_one_pair,
     half_flux_kernel_dim,
 )
-import z2flow.pairs as pairs_module
+import z2flow.flow as flow_module
 from z2flow.pairs import (
     ComplexStructure,
     FredholmPair,
@@ -222,19 +222,19 @@ class TestInsulator:
                 evaluated.append(t)
             return block(self, t)
 
-        phases = []
-        phase = pairs_module._phase
+        solves = []
+        solve = flow_module.skew_singular_system
 
-        def spy_phase(b, rng=None):
-            phases.append(b.shape)
-            return phase(b, rng)
+        def spy_solve(b, chiral=False):
+            solves.append(b.shape)
+            return solve(b, chiral)
 
         monkeypatch.setattr(OperatorPath, "block", spy_block)
-        monkeypatch.setattr(pairs_module, "_phase", spy_phase)
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
         assert parity_via_pairs(ring) == -1
         assert evaluated == [0.0]
-        assert [s for s in phases if s != (1, 1)] == [(11, 11)]
-        assert len(phases) == 9 + 1  # the link part's 9-point grid
+        assert [s for s in solves if s != (1, 1)] == [(11, 11)]
+        assert len(solves) == 9 + 1  # the link part's 9-point grid
 
     def test_singular_constant_part_refused(self):
         # a constant part is taken from one solve, which still checks that

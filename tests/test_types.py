@@ -110,6 +110,16 @@ class TestOperatorPath:
         with pytest.raises(error, match=f"^{message}$"):
             OperatorPath.from_samples([0.0, 1.0], mats)
 
+    @pytest.mark.parametrize("entry", [1j, "1"], ids=["complex", "string"])
+    def test_non_real_entries_refused(self, entry):
+        # complex entries were cast to real with a ComplexWarning, their
+        # imaginary part dropped; a string raised a bare ValueError
+        mat = np.array([[entry]])
+        with pytest.raises(ConfigError, match="^matrix entries must be real numbers"):
+            OperatorPath((0.0, 1.0), lambda t: mat).at(0.5)
+        with pytest.raises(ConfigError, match="^matrix entries must be real numbers"):
+            OperatorPath.from_samples([0.0, 1.0], [mat, mat])
+
     def test_from_samples_keeps_its_own_copy(self):
         mats = np.stack([np.eye(2), -np.eye(2)])
         path = OperatorPath.from_samples([0.0, 1.0], mats)
