@@ -1,7 +1,7 @@
 """Command-line driver with machine-readable reports.
 
 Every computation in the package is reachable from the command line with
-deterministic seeds and a versioned JSON report (schema ``z2flow/3``); CSV
+deterministic seeds and a versioned JSON report (schema ``z2flow/4``); CSV
 output flattens one spectral window per row for spreadsheet audits.
 """
 
@@ -26,7 +26,8 @@ from .errors import (
     RefinementError,
     Z2FlowError,
 )
-from .flow import _record_matrix, sf2_path, to_skew_path
+from .flow import _PathData, _record_matrix, sf2_path, to_skew_path
+from .linalg import _real_array
 from .models import (
     EXAMPLE_NAMES,
     GalerkinSpec,
@@ -48,7 +49,7 @@ from .pairs import (
 )
 from .paths import SYMMETRY_TAGS, ChiralFrame, OperatorPath
 
-SCHEMA = "z2flow/3"
+SCHEMA = "z2flow/4"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
             "bifurcation", "example")
 
@@ -117,14 +118,16 @@ def ingest_path(file) -> OperatorPath:
     for entry in samples:
         if not isinstance(entry, dict) or "t" not in entry or "matrix" not in entry:
             raise ConfigError("each sample needs 't' and 'matrix' fields")
-        try:
-            t_val = float(entry["t"])
-            mat = np.asarray(entry["matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        try:  # real numbers only, as in OperatorPath.from_samples
+            t_val = _real_array(entry["t"])
+            mat = _real_array(entry["matrix"])
+        except (ConfigError, ValueError) as exc:  # ValueError: ragged rows
             raise ConfigError(f"malformed sample: {exc}") from exc
-        if mat.ndim != 2 or not np.isfinite(mat).all():
+        if t_val.ndim != 0:
+            raise ConfigError("sample parameters 't' must be numbers")
+        if mat.ndim != 2:
             raise ConfigError("sample matrices must be finite and 2-d")
-        ts.append(t_val)
+        ts.append(float(t_val))
         mats.append(mat)
     path = OperatorPath.from_samples(ts, mats, tag, frame)
     for t in ts:  # symmetry of every sample, not just the endpoints
@@ -139,7 +142,10 @@ def ingest_path(file) -> OperatorPath:
 def _digest_path(path: OperatorPath, n: int = 33) -> str:
     """SHA-256 of the record matrices the engine reads, at n parameters: a
     chiral path's block, a plain skew path's matrix, or the blocks of a
-    declared direct sum's parts after their row and column placements."""
+    declared direct sum's parts after their row and column placements.  A
+    path or part whose declared arc does not grow is one matrix
+    (``_PathData.constant``), hashed once, at the start, before the
+    parameters."""
     parts = getattr(path.evaluator, "parts", None)
     h = hashlib.sha256()
     if parts is None:
@@ -151,14 +157,21 @@ def _digest_path(path: OperatorPath, n: int = 33) -> str:
         for _, rows, cols in parts:
             h.update(np.asarray(rows, dtype=np.int64).tobytes())
             h.update(np.asarray(cols, dtype=np.int64).tobytes())
+
+    def block(part, t):
+        return np.ascontiguousarray(read(part, t), dtype=np.float64).tobytes()
+
+    distinct = list({id(part): part for part, _, _ in parts}.values())
+    moving = {id(part) for part in distinct if not _PathData(part).constant}
+    for part in distinct:
+        if id(part) not in moving:
+            h.update(block(part, path.t_start))
     for t in np.linspace(path.t_start, path.t_end, n):
-        blocks = {}
-        for part, _, _ in parts:
-            if id(part) not in blocks:
-                blocks[id(part)] = np.ascontiguousarray(
-                    read(part, t), dtype=np.float64).tobytes()
+        blocks = {id(part): block(part, t) for part in distinct
+                  if id(part) in moving}
         h.update(np.float64(t).tobytes())
-        h.update(b"".join(blocks[id(part)] for part, _, _ in parts))
+        h.update(b"".join(blocks[id(part)] for part, _, _ in parts
+                          if id(part) in moving))
     return h.hexdigest()
 
 
@@ -273,6 +286,8 @@ def run(config: RunConfig) -> dict:
             report["windows"] = _window_rows(flow)
         diagnostics["refinement_depth"] = int(flow.refinement_depth)
         diagnostics["path_evaluations"] = int(flow.evaluations)
+        if flow.motion_rank:
+            diagnostics["motion_rank"] = int(flow.motion_rank)
     diagnostics["wall_time_s"] = time.perf_counter() - started
     report["diagnostics"] = diagnostics
     return report

@@ -82,12 +82,18 @@ class SpectralWindow:
 
 @dataclass
 class FlowResult:
-    """Value of a windowed flow computation plus its audit trail."""
+    """Value of a windowed flow computation plus its audit trail.
+
+    ``motion_rank`` is the rank r of a declared low-rank motion whose r x r
+    reduced path was solved in place of the block (see ``sf2_path``; the
+    largest r over the parts of a declared sum), 0 when no reduction ran.
+    """
 
     value: Z2
     windows: list
     refinement_depth: int
     evaluations: int
+    motion_rank: int = 0
 
     def window_product(self) -> Z2:
         return z2_product(w.factor for w in self.windows)
@@ -130,7 +136,8 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
     Only its ``at`` builds the doubled matrix; the engine reads ``block``,
-    and the source's ``arc`` and direct-sum ``parts`` if it declares them."""
+    and the source's ``arc``, direct-sum ``parts`` and low-rank ``motion``
+    if it declares them."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
@@ -140,6 +147,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     evaluator.block = source.block
     evaluator.arc = getattr(source.evaluator, "arc", None)
     evaluator.parts = getattr(source.evaluator, "parts", None)
+    evaluator.motion = getattr(source.evaluator, "motion", None)
     return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
 
@@ -271,7 +279,9 @@ class _PathData:
     on the interval's 9-point grid; one whose increase over the interval is
     not a finite float bounds nothing, and the path is taken as opaque
     (``arc`` None).  One that does not increase declares one matrix
-    (``constant``): every parameter reads the record of the start.
+    (``constant``): every parameter reads the record of the start, which is
+    solved for its singular values alone (frames None); ``framed`` adds the
+    frames once a positive-rank window or a lift needs them.
     """
 
     def __init__(self, path: OperatorPath):
@@ -300,14 +310,24 @@ class _PathData:
             m = _record_matrix(self.path, key)
             self._first = self._first or (key, m.shape)
             _check_shape(m, key, *self._first)
-            if self.chiral:
-                sv, frames = skew_singular_system(m, True)
-            else:
-                sv, v = skew_singular_system(m)
-                frames = (v,)
-            rec = (m, sv, frames)
+            rec = self._solve(m, not self.constant)
             self._cache[key] = rec
         return rec
+
+    def framed(self, t: float):
+        """``at`` with the frames, solving them now for a constant record."""
+        rec = self.at(t)
+        if rec[2] is None:
+            rec = self._cache[self._key(t)] = (rec[0], rec[1],
+                                                self._solve(rec[0], True)[2])
+        return rec
+
+    def _solve(self, m: np.ndarray, frames: bool):
+        """The record of m; its frames are None unless ``frames``."""
+        sv, f = skew_singular_system(m, self.chiral, compute_uv=frames)
+        if f is not None and not self.chiral:
+            f = (f,)  # a plain record has one frame
+        return m, sv, f
 
     def solved(self, ts) -> bool:
         """Whether every parameter of ts is already in the cache."""
@@ -376,14 +396,15 @@ def _segment_grid(lo: float, hi: float) -> np.ndarray:
     """The ``_SEGMENT_SAMPLES`` equispaced samples of [lo, hi], by repeated
     bisection with ``refine``'s midpoint: a half's even samples are then
     bitwise its parent's samples, so the halves of a refused segment find
-    them solved."""
-    ts = np.array([lo, hi], dtype=float)
-    while ts.size < _SEGMENT_SAMPLES:
-        grid = np.empty(2 * ts.size - 1)
-        grid[::2] = ts
-        grid[1::2] = ts[:-1] + (ts[1:] - ts[:-1]) / 2.0
+    them solved.  Python floats round each step as numpy does, and take a
+    fraction of the time of array operations on 9 values."""
+    ts = [float(lo), float(hi)]
+    while len(ts) < _SEGMENT_SAMPLES:
+        grid = ts[:1]
+        for a, b in zip(ts[:-1], ts[1:]):
+            grid += [a + (b - a) / 2.0, b]
         ts = grid
-    return ts
+    return np.array(ts)
 
 
 def _segment_window(data: _PathData, lo: float, hi: float, rng):
@@ -510,7 +531,10 @@ def _sampled_window(data: _PathData, ts: np.ndarray, rng):
             a = (glo + margin) + u * ((ghi - margin) - (glo + margin))
         if a <= margin:
             continue
-        frames = [_window_frames(r, k) for r in recs]
+        if k and recs[0][2] is None:  # a constant record's frames, solved once
+            recs = [data.framed(t) for t in ts]
+        # a rank-0 window has no subspace to check
+        frames = [_window_frames(r, k) for r in recs] if k else []
         if not all(_pairwise_window_continuity(np.stack(side))
                    for side in zip(*frames)):
             continue
@@ -547,15 +571,14 @@ def _kernel_lift(data: _PathData, t: float, a_min: float,
     if rng is not None:
         delta *= float(rng.uniform(0.2, 1.0))
     threshold = delta / 2.0
-    rec = data.at(t)
-    m = int((rec[1] < threshold).sum())
+    m = int((data.at(t)[1] < threshold).sum())
     if m == 0:
         return None
     if m % 2:
         raise RefinementError(
             f"odd near-kernel cluster of size {m} at t={t}; cannot lift"
         )
-    kernels = _window_frames(rec, m)
+    kernels = _window_frames(data.framed(t), m)
     if rng is not None:
         kernels = [c @ _random_orthogonal(rng, c.shape[1]) for c in kernels]
     if data.chiral:  # an admissible chiral path has no structural kernel
@@ -600,7 +623,16 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     refinement.  A part whose declared arc does not increase over the
     interval is one matrix, evaluated and solved once, at the start; its
     window is the rank-0 window of the two-endpoint rule, read from that
-    one solve.  ``parity_via_pairs`` walks declared sums the same way.
+    one solve, for its singular values alone.  ``parity_via_pairs`` walks
+    declared sums the same way.
+
+    A block path that declares its low-rank motion ``(p, q, c)`` (see
+    ``OperatorPath``) is solved on its r x r reduced path A(t) = I +
+    q^T B(t0)^-1 p c(t) (``_reduced``), which has the parity of B: B costs
+    two endpoint checks and one solve with r right-hand sides, and the
+    windows listed are those of A.  The report counts A's evaluations plus
+    B's two and sets ``motion_rank`` to r.  Declared sums come first, so a
+    part may declare a motion of its own.
 
     A generator ``rng`` randomizes all admissible choices (partition,
     radii, lift perturbations); by the well-definedness of the flow the
@@ -624,17 +656,82 @@ def _part_walk(path: OperatorPath, solve):
 
 
 def _flow(path: OperatorPath, rng) -> FlowResult:
-    """``sf2_path`` without the tag check: a declared sum part by part,
-    any other path by ``_windowed_flow``."""
-    if getattr(path.evaluator, "parts", None) is None:
-        return _windowed_flow(path, rng)
-    results = _part_walk(path, lambda part: _flow(part, rng))
-    distinct = {id(r): r for r in results}.values()
-    windows = [replace(w, summand=i)
-               for i, r in enumerate(results) for w in r.windows]
-    return FlowResult(z2_product(r.value for r in results), windows,
-                      max(r.refinement_depth for r in distinct),
-                      sum(r.evaluations for r in distinct))
+    """``sf2_path`` without the tag check: a declared sum part by part, a
+    declared motion on its reduced path (``_reduced``), any other path by
+    ``_windowed_flow``."""
+    if getattr(path.evaluator, "parts", None) is not None:
+        results = _part_walk(path, lambda part: _flow(part, rng))
+        distinct = {id(r): r for r in results}.values()
+        windows = [replace(w, summand=i)
+                   for i, r in enumerate(results) for w in r.windows]
+        return FlowResult(z2_product(r.value for r in results), windows,
+                          max(r.refinement_depth for r in distinct),
+                          sum(r.evaluations for r in distinct),
+                          max(r.motion_rank for r in distinct))
+    if getattr(path.evaluator, "motion", None) is not None:
+        reduced = _reduced(path)
+        result = _windowed_flow(reduced, rng)
+        # the block's two endpoint evaluations, then the reduced path's
+        return replace(result, evaluations=2 + result.evaluations,
+                       motion_rank=reduced.frame.n_plus)
+    return _windowed_flow(path, rng)
+
+
+def _reduced(path: OperatorPath) -> OperatorPath:
+    """The path with the parity of a block path that declares its low-rank
+    motion ``(p, q, c)``, B(t) = B(t0) + p c(t) q^T (see ``OperatorPath``):
+    the chiral skew doubling of the r x r path A(t) = I + K c(t), with
+    K = q^T B(t0)^-1 p.
+
+    By Sylvester's identity det B(t) = det B(t0) det A(t): in the basis
+    [Q, Q_perp] B(t0)^-1 B(t) is block triangular with the diagonal blocks
+    A and the identity.  B is evaluated at its two endpoints only, which
+    must be admissible on their singular values (``_require_admissible``,
+    as every endpoint) and must satisfy the declaration within ``tol.sym``
+    of the block's scale (``ConfigError``; at t0 this asks p c(t0) q^T =
+    0); shapes that do not fit raise ``DimensionError``.  A declares the
+    arc ||K||_2 arc_c when c declares arc_c.
+    """
+    p, q, c = path.evaluator.motion
+    p, q = as_real_matrix(p), as_real_matrix(q)
+    if not (isinstance(c, OperatorPath) and c.symmetry_tag == "general"
+            and tuple(c.interval) == tuple(path.interval)):
+        raise ConfigError("a declared motion needs a general path c on the "
+                          "block path's interval")
+    t0, t1 = (float(t) for t in path.interval)
+    b0 = path.block(t0)
+    n, r = p.shape
+    if b0.shape != (n, n) or q.shape != (n, r) or c.block_shape != (r, r):
+        raise DimensionError(
+            f"a declared motion needs a square n x n block, n x r arrays p "
+            f"and q and an r x r path c; got the block {b0.shape}, p "
+            f"{p.shape}, q {q.shape} and c {c.block_shape}")
+    b1 = path.block(t1)
+    _check_shape(b1, t1, t0, b0.shape)
+    bound = tol.sym(max(max_abs(b0), max_abs(b1)))
+    for t, b in ((t0, b0), (t1, b1)):
+        _require_admissible(t, skew_singular_system(b, True, compute_uv=False)[0])
+        residual = max_abs(b - b0 - p @ c.at(t) @ q.T)
+        if residual > bound:
+            raise ConfigError(
+                f"the declared motion does not match the block at t={t}: "
+                f"max |B(t) - B(t0) - p c(t) q^T| = {residual:.3e} exceeds "
+                f"{bound:.3e}")
+    k = q.T @ np.linalg.solve(b0, p)
+    eye = np.eye(r)
+
+    def block(t):
+        ct = c.at(t)
+        if ct.shape != (r, r):
+            raise DimensionError(f"the motion path c has shape {ct.shape} at "
+                                 f"t={t} but is declared {(r, r)}")
+        return eye + k @ ct
+
+    arc = getattr(c.evaluator, "arc", None)
+    if arc is not None:
+        norm = float(singular_values(k)[-1]) if k.size else 0.0
+        block.arc = lambda ts: norm * np.asarray(arc(ts), dtype=float)
+    return embed_chiral_path(OperatorPath(path.interval, block))
 
 
 def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
@@ -679,11 +776,15 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
 def _endpoint_spectra(data: _PathData):
     """Both endpoint spectra; a singular one raises ``NotAdmissibleError``."""
     for t in data.path.interval:
-        sv = data.at(t)[1]
-        if sv.size and sv[0] <= tol.inv(sv[-1]):
-            raise NotAdmissibleError(f"path endpoint at t={t} is singular "
-                                     f"(sigma_min={sv[0]:.3e})")
+        _require_admissible(t, data.at(t)[1])
     return [data.at(t)[1] for t in data.path.interval]
+
+
+def _require_admissible(t: float, sv: np.ndarray):
+    """Refuse the endpoint t of spectrum sv (ascending) if it is singular."""
+    if sv.size and sv[0] <= tol.inv(sv[-1]):
+        raise NotAdmissibleError(f"path endpoint at t={t} is singular "
+                                 f"(sigma_min={sv[0]:.3e})")
 
 
 def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
@@ -707,6 +808,7 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
         raise RefinementError("window rank drifted between validation and use")
     if k == 0:  # an empty window: both restrictions are 0 x 0, of sign +1
         return SpectralWindow(lo, hi, a, 0, Z2(1))
+    rec_lo, rec_hi = data.framed(lo), data.framed(hi)
     p = _window_frames(rec_lo, k)
     floor = max(tol.transport(), _COS_MIN / 2.0)
     q = [f @ _polar(f.T @ g, floor) for f, g in zip(_window_frames(rec_hi, k), p)]

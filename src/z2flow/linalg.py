@@ -202,7 +202,8 @@ def sign_det(m) -> Z2:
 # spectral windows
 
 
-def skew_singular_system(mat: np.ndarray, chiral: bool = False):
+def skew_singular_system(mat: np.ndarray, chiral: bool = False,
+                         compute_uv: bool = True):
     """Singular values (ascending) and directions of a skew matrix T.
 
     A plain skew T is solved by one SVD: the directions are its right
@@ -219,10 +220,15 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False):
 
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
-    does not.
+    does not.  Without ``compute_uv`` only the singular values are solved,
+    and the directions are None.
     """
-    u, s, vt = np.linalg.svd(mat)
+    if compute_uv:
+        u, s, vt = np.linalg.svd(mat)
+    else:
+        s = np.linalg.svd(mat, compute_uv=False)
     if not chiral:
-        return s[::-1], vt[::-1].T
+        return s[::-1], (vt[::-1].T if compute_uv else None)
     d = abs(mat.shape[0] - mat.shape[1])
-    return np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]), (u[:, ::-1], vt[::-1].T)
+    return (np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]),
+            (u[:, ::-1], vt[::-1].T) if compute_uv else None)

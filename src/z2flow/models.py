@@ -9,7 +9,7 @@ linearization crosses zero at an isolated parameter value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     9 + 1 evaluations for any M, k and N: the link part's T is
     2-dimensional, so its one rank-2 window over [0, 1] is allowed by the
     window rank cap, and the constant identity is one rank-0 window from
-    its one solve at t = 0.  ``parity_via_pairs`` takes the same parts.
+    its one values-only solve at t = 0.  ``parity_via_pairs`` takes the same parts.
     """
     return _ring_path(spec, _ring_blocks(spec))
 
@@ -200,7 +200,15 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
 
     The perturbation acts only on the off-diagonal blocks, has operator norm
     equal to ``strength`` and must stay below half the spectral gap of the
-    clean endpoints so the path remains admissible.
+    clean endpoints so the path remains admissible.  A strength of 0 gives
+    the clean ring of ``build_insulator_path``.
+
+    The block moves only on its k N link entries: B(t) = B(0) + p c(t) q^T
+    with p and q the columns of the identity that select the link rows and
+    columns and c(t) = (cos(pi t) - 1) I_kN, of arc ``_ring_arc``.  The
+    block evaluator declares this ``motion`` (see ``OperatorPath``), so the
+    flow engine and the pair route solve the kN x kN reduced path and
+    evaluate the dense block only at t = 0 and 1.
     """
     if not (math.isfinite(strength) and strength >= 0):
         raise ConfigError(f"disorder strength must be finite and >= 0, got {strength}")
@@ -233,17 +241,28 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
         out.flat[links] += math.cos(math.pi * t)
         return out
 
+    def motion(t):
+        return (math.cos(math.pi * t) - 1.0) * np.eye(links.size)
+
+    motion.arc = _ring_arc
+    rows, cols = np.unravel_index(links, (dim, dim))
     block.arc = _ring_arc
+    block.motion = (np.eye(dim)[:, rows], np.eye(dim)[:, cols],
+                    OperatorPath((0.0, 1.0), motion))
     return _ring_path(spec, OperatorPath((0.0, 1.0), block))
 
 
 def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
     """Kernel dimension of the ring Hamiltonian at the open-link point:
-    twice that of its block, which holds one ring's block (the declared
-    ring without the fiber) per fiber direction."""
-    sv = singular_values(_ring_blocks(replace(spec, fiber_dim=1)).at(0.5))
-    smax = max(float(sv[-1]), 1e-300)
-    return 2 * spec.fiber_dim * int((sv < tol.gap(smax)).sum())
+    twice that of its block.  The block is the direct sum of the ring's
+    parts (``_ring_blocks``), so each distinct part is solved once, for its
+    singular values, and its values below ``tol.gap`` of the largest value
+    of any part count once per listing."""
+    parts = _ring_blocks(spec).evaluator.parts
+    values = {id(part): singular_values(part.at(0.5)) for part, _, _ in parts}
+    smax = max(max(float(sv[-1]) for sv in values.values()), 1e-300)
+    return 2 * sum(int((values[id(part)] < tol.gap(smax)).sum())
+                   for part, _, _ in parts)
 
 
 # ---------------------------------------------------------------------------

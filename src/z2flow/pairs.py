@@ -29,7 +29,7 @@ from .errors import (
     SymmetryError,
 )
 from .flow import (_endpoint_spectra, _part_walk, _PathData, _random_orthogonal,
-                   embed_chiral, embed_chiral_path, refine, sf2_path)
+                   _reduced, embed_chiral, embed_chiral_path, refine, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values, skew_singular_system
 from .paths import ChiralFrame, OperatorPath
 from .z2 import Z2, z2_product
@@ -204,7 +204,8 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     (``flow._PathData``): the phase at t is X Y^T = W V^T, X and Y the
     frames of the chiral record of B = W S V^T = ``path.block(t)``.  The
     record keeps one block shape, solves each t once, and solves a part
-    whose declared arc does not increase only at t0; it contributes +1
+    whose declared arc does not increase only at t0, for its singular
+    values alone; it contributes +1
     (U + U = 2U has every singular value 2).  A block singular at an
     endpoint raises ``NotAdmissibleError``, as in ``sf2_path``.  ``rng``
     mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
@@ -213,7 +214,9 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     A declared direct sum of square parts (``OperatorPath.direct_sum``) is
     taken part by part, like ``sf2_path`` does: parity is multiplicative,
     so each distinct part runs this route once on its own block path and
-    the parity is the product over the listings.
+    the parity is the product over the listings.  A declared low-rank
+    motion is taken next, as in ``sf2_path``: the route runs on the r x r
+    reduced path of ``flow._reduced``, which has the parity of the block.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
@@ -225,6 +228,8 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     if parts is not None and all(len(r) == len(c) for _, r, c in parts):
         return z2_product(_part_walk(
             path, lambda part: parity_via_pairs(part, rng=rng)))
+    if getattr(path.evaluator, "motion", None) is not None:
+        return parity_via_pairs(_reduced(path), rng=rng)
     data = _PathData(path)
     _endpoint_spectra(data)
     if data.constant:

@@ -83,7 +83,12 @@ class OperatorPath:
     evaluator of a block path may declare its direct-sum ``parts``, the
     (part, rows, cols) triples of ``direct_sum``: the flow engine and the
     pair route then solve each distinct part once instead of the assembled
-    block.
+    block.  The evaluator of a square block path may also declare its
+    low-rank ``motion = (p, q, c)``: n x r arrays p and q and an r x r
+    ``general`` path c on the same interval, with c(t0) = 0 and a declared
+    arc, such that B(t) = B(t0) + p c(t) q^T.  The flow engine and the pair
+    route then solve the r x r reduced path I + q^T B(t0)^-1 p c(t), which
+    has the parity of B, after checking the declaration at both endpoints.
     """
 
     interval: tuple

@@ -33,7 +33,7 @@ class TestCommands:
     def test_parity_example(self):
         report = parse_stdout(invoke("parity", "--model", "examp"))
         assert report["result"] == -1
-        assert report["schema"] == "z2flow/3"
+        assert report["schema"] == "z2flow/4"
 
     def test_sf2_absolute_twin(self):
         report = parse_stdout(invoke("sf2", "--model", "examp_abs"))
@@ -102,7 +102,7 @@ class TestReports:
         assert rows
         product = 1
         for row in rows:
-            assert row["schema"] == "z2flow/3"
+            assert row["schema"] == "z2flow/4"
             assert row["summand"] == "0"
             product *= int(row["factor"])
         assert product == int(rows[0]["result"]) == -1
@@ -376,6 +376,35 @@ class TestIngestPath:
                                      env_extra={"PYTHONWARNINGS": "error"}))
         assert report["result"] == int(parity_finite(ingest_path(f))) == -1
         assert report["diagnostics"]["path_evaluations"] == 33
+
+    @pytest.mark.parametrize("field", ["t", "matrix"])
+    def test_quoted_numbers_exit_4(self, tmp_path, field):
+        # the CLI door refuses strings as OperatorPath.from_samples does
+        samples = [{"t": 0.0, "matrix": [[-1.0, 0.0], [0.0, 1.0]]},
+                   {"t": 1.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]
+        samples[1][field] = ("1" if field == "t"
+                             else [["-1", "0"], ["0", "1"]])
+        f = tmp_path / "quoted.json"
+        f.write_text(json.dumps({"symmetry": "general", "samples": samples}))
+        with pytest.raises(ConfigError, match="real numbers"):
+            ingest_path(str(f))
+        proc = invoke("parity", "--path-file", str(f),
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("error: malformed sample")
+
+    def test_ragged_and_nested_parameters_exit_4(self, tmp_path):
+        for i, (t, matrix) in enumerate([(1.0, [[1.0, 0.0], [0.0]]),
+                                         ([1.0], [[1.0, 0.0], [0.0, 1.0]])]):
+            doc = {"symmetry": "general", "samples": [
+                {"t": 0.0, "matrix": [[-1.0, 0.0], [0.0, 1.0]]},
+                {"t": t, "matrix": matrix}]}
+            f = tmp_path / f"case{i}.json"
+            f.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError):
+                ingest_path(str(f))
 
     def test_interpolation_is_linear(self, tmp_path):
         doc = {

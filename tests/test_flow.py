@@ -23,6 +23,7 @@ from z2flow.flow import (
     _SEGMENT_SAMPLES,
     _PathData,
     _pairwise_window_continuity,
+    _reduced,
     _square_block_path,
     _step_norms,
     embed_chiral,
@@ -653,7 +654,8 @@ class TestPiecewiseAffine:
 
 def _declared_arc_paths(case, monkeypatch):
     """Paths that declare an arc modulus, by case name; a declared direct
-    sum gives its distinct parts, whose windows its flow lists."""
+    sum gives its distinct parts, and a declared motion its reduced path,
+    whose windows its flow lists."""
     rng = np.random.default_rng(59)
     if case == "general":
         return [random_admissible_path(rng, n, knots=4) for n in (2, 3, 4)]
@@ -669,7 +671,14 @@ def _declared_arc_paths(case, monkeypatch):
     if case == "non-dyadic":  # its grids and midpoints are not exact binary fractions
         return [random_admissible_path(rng, n, knots=4, interval=(0.3, 1.7))
                 for n in (2, 3)]
+    if case == "ring-disorder-dense":  # the declared motion stripped
+        ring = _MODULUS_PATHS["ring-disorder"]()
+        dense = lambda t: ring.block(t)
+        dense.arc = ring.evaluator.arc
+        return [OperatorPath(ring.interval, dense)]
     path = _MODULUS_PATHS[case]()
+    if getattr(path.evaluator, "motion", None) is not None:
+        return [_reduced(to_skew_path(path))]
     parts = getattr(path.evaluator, "parts", None)
     if parts is None:
         return [path]
@@ -682,8 +691,8 @@ class TestArcEnvelope:
     ``rank`` singular values of T lie below the radius ``a``."""
 
     @pytest.mark.parametrize("case", ["general", "skew", "chiral-skew", "ring-k1",
-                                      "ring-k2", "ring-disorder", "bifurcation", "line",
-                                      "non-dyadic"])
+                                      "ring-k2", "ring-disorder", "ring-disorder-dense",
+                                      "bifurcation", "line", "non-dyadic"])
     def test_windows_hold_their_rank_between_samples(self, case, monkeypatch):
         for path in _declared_arc_paths(case, monkeypatch):
             skew = to_skew_path(path)
@@ -761,9 +770,9 @@ class TestSolvedSampleReuse:
         solved = []
         solve = flow_module.skew_singular_system
 
-        def spy(mat, chiral=False):
+        def spy(mat, chiral=False, compute_uv=True):
             solved.append((mat.shape, mat.tobytes()))
-            return solve(mat, chiral)
+            return solve(mat, chiral, compute_uv)
 
         monkeypatch.setattr(flow_module, "skew_singular_system", spy)
         res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
@@ -921,9 +930,9 @@ class TestDirectSum:
         shapes = []
         solve = flow_module.skew_singular_system
 
-        def spy(mat, chiral=False):
+        def spy(mat, chiral=False, compute_uv=True):
             shapes.append(mat.shape)
-            return solve(mat, chiral)
+            return solve(mat, chiral, compute_uv)
 
         monkeypatch.setattr(flow_module, "skew_singular_system", spy)
         build_bifurcation_path(GalerkinSpec(mode_cutoff=20))
@@ -938,6 +947,189 @@ class TestDirectSum:
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["result"] for r in reports] == [-1, 1, 1]
         assert reports[2]["half_flux_kernel_dim"] == 4
+
+
+class TestConstantRecords:
+    """A part whose declared arc does not grow is one matrix, solved for its
+    singular values; its frames are solved once, and only when a
+    positive-rank window needs them."""
+
+    @staticmethod
+    def spy_solves(monkeypatch):
+        import z2flow.flow as flow_module
+
+        calls = []  # (shape, frames solved) per call
+        solve = flow_module.skew_singular_system
+
+        def spy(mat, chiral=False, compute_uv=True):
+            calls.append((mat.shape, compute_uv))
+            return solve(mat, chiral, compute_uv)
+
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        return calls
+
+    @staticmethod
+    def near_singular_constant():
+        # sigma_min = 1e-9 sigma_max: admissible, but below the two-endpoint
+        # rule's margin, so its window is the rank-2 window of the small value
+        flat = lambda t: np.diag([1e-9, 1.0, 0.5])
+        flat.arc = lambda ts: np.zeros(np.shape(ts))
+        return embed_chiral_path(OperatorPath((0.0, 1.0), flat))
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_near_singular_constant_solves_its_frames_once(self, monkeypatch, seed):
+        calls = self.spy_solves(monkeypatch)
+        rng = None if seed is None else np.random.default_rng(seed)
+        res = sf2_path(self.near_singular_constant(), rng=rng)
+        assert res.value == 1 and res.evaluations == 1
+        assert 2 in [w.rank for w in res.windows]
+        assert calls == [((3, 3), False), ((3, 3), True)]
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_pair_route_reads_only_its_values(self, monkeypatch, seed):
+        calls = self.spy_solves(monkeypatch)
+        rng = None if seed is None else np.random.default_rng(seed)
+        assert parity_via_pairs(self.near_singular_constant(), rng=rng) == 1
+        assert calls == [((3, 3), False)]
+
+    def test_ring_identity_needs_no_frames(self, monkeypatch):
+        calls = self.spy_solves(monkeypatch)
+        ring = to_skew_path(build_insulator_path(RingShiftSpec(12)))
+        assert sf2_path(ring).value == parity_via_pairs(ring) == -1
+        assert [c for c in calls if c[0] != (1, 1)] == [((11, 11), False)] * 2
+
+
+class TestDeclaredMotion:
+    """A block path declaring B(t) = B(t0) + p c(t) q^T is solved on its
+    r x r reduced path, which has the parity of the assembled block."""
+
+    @staticmethod
+    def motion_path(rng, n, r, scale=1.0):
+        """B0 + (t scale) p C q^T over [0, 1], with c(t) = t scale C."""
+        b0 = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        p, q = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+        cm = rng.standard_normal((r, r))
+        speed = scale * float(np.linalg.svd(cm, compute_uv=False)[0])
+
+        def c(t):
+            return (t * scale) * cm
+
+        c.arc = lambda ts: speed * np.asarray(ts)
+
+        def block(t):
+            return b0 + p @ c(t) @ q.T
+
+        block.motion = (p, q, OperatorPath((0.0, 1.0), c))
+        return OperatorPath((0.0, 1.0), block)
+
+    @staticmethod
+    def stripped(path):
+        dense = lambda t: path.block(t)
+        return OperatorPath(path.interval, dense)
+
+    def test_random_motions_agree_with_the_dense_block(self):
+        rng = np.random.default_rng(71)
+        signs = set()
+        for _ in range(12):
+            n, r = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+            path = self.motion_path(rng, n, min(r, n), scale=float(rng.uniform(1, 6)))
+            try:
+                oracle = parity_finite(path)
+            except NotAdmissibleError:
+                continue
+            signs.add(int(oracle))
+            skew = to_skew_path(path)
+            res = sf2_path(skew)
+            assert res.motion_rank == min(r, n)
+            assert res.value == res.window_product() == oracle
+            for route in (lambda: parity_path(path, rng=np.random.default_rng(2)),
+                          lambda: parity_via_pairs(skew),
+                          lambda: parity_via_pairs(skew, rng=np.random.default_rng(2)),
+                          lambda: parity_path(self.stripped(path))):
+                assert route() == oracle
+        assert signs == {1, -1}
+
+    def test_windows_and_evaluations_are_the_reduced_paths(self):
+        path = self.motion_path(np.random.default_rng(72), 5, 2)
+        skew = to_skew_path(path)
+        res = sf2_path(skew)
+        reduced = sf2_path(_reduced(skew))
+        assert res.windows == reduced.windows
+        assert res.evaluations == reduced.evaluations + 2
+        assert (res.motion_rank, reduced.motion_rank) == (2, 0)
+
+    def test_wrong_declaration_is_config_error(self):
+        path = self.motion_path(np.random.default_rng(73), 4, 1)
+        p, q, c = path.evaluator.motion
+        path.evaluator.motion = (p, 1.01 * q, c)  # off at t1 by 1 %
+        for engine in (lambda: parity_path(path),
+                       lambda: parity_via_pairs(to_skew_path(path))):
+            with pytest.raises(ConfigError, match="declared motion does not match"):
+                engine()
+        # c(t0) must vanish
+        shifted = lambda t: c.at(t) + 1.0
+        path.evaluator.motion = (p, q, OperatorPath((0.0, 1.0), shifted))
+        with pytest.raises(ConfigError, match=r"t=0\.0"):
+            parity_path(path)
+
+    @pytest.mark.parametrize("what", ["p", "q", "c", "block"])
+    def test_mismatched_shapes_are_dimension_errors(self, what):
+        path = self.motion_path(np.random.default_rng(74), 4, 2)
+        p, q, c = path.evaluator.motion
+        if what == "p":
+            path.evaluator.motion = (p[:, :1], q, c)
+        elif what == "q":
+            path.evaluator.motion = (p, q[:3], c)
+        elif what == "c":
+            wide = lambda t: np.zeros((2, 3))
+            path.evaluator.motion = (p, q, OperatorPath((0.0, 1.0), wide,
+                                                        declared_index=-1))
+        else:
+            tall = lambda t, _b=path.block: np.vstack([_b(t), np.ones((1, 4))])
+            tall.motion = (p, q, c)
+            path = OperatorPath((0.0, 1.0), tall, declared_index=1)
+            skew = embed_chiral_path(path)
+            for engine in (lambda: sf2_path(skew), lambda: parity_via_pairs(skew)):
+                with pytest.raises(DimensionError):
+                    engine()
+            return
+        for engine in (lambda: parity_path(path),
+                       lambda: parity_via_pairs(to_skew_path(path))):
+            with pytest.raises(DimensionError, match="declared motion"):
+                engine()
+
+    def test_motion_on_another_interval_is_config_error(self):
+        path = self.motion_path(np.random.default_rng(75), 3, 1)
+        p, q, c = path.evaluator.motion
+        path.evaluator.motion = (p, q, OperatorPath((0.0, 2.0), c.evaluator))
+        with pytest.raises(ConfigError, match="interval"):
+            parity_path(path)
+
+    def test_singular_endpoint_is_refused_with_the_engine_text(self):
+        path = self.motion_path(np.random.default_rng(76), 3, 1)
+        p, q, c = path.evaluator.motion
+        b0 = path.block(0.0)
+        # B(1) = B0 + p (-1) q^T with q^T B0^-1 p = 1: det B(1) = 0
+        q = q / (q.T @ np.linalg.solve(b0, p))[0, 0]
+        step = lambda t: -t * np.eye(1)
+        step.arc = lambda ts: np.asarray(ts, dtype=float)
+        block = lambda t: b0 - t * (p @ q.T)
+        block.motion = (p, q, OperatorPath((0.0, 1.0), step))
+        singular = OperatorPath((0.0, 1.0), block)
+        for engine in (lambda: parity_path(singular),
+                       lambda: parity_via_pairs(to_skew_path(singular))):
+            with pytest.raises(NotAdmissibleError,
+                               match=r"path endpoint at t=1\.0 is singular"):
+                engine()
+
+    def test_a_motion_inside_a_declared_sum(self):
+        path = self.motion_path(np.random.default_rng(77), 3, 1, scale=4.0)
+        ramp = OperatorPath.from_samples([0.0, 1.0], [[[1.0]], [[-1.0]]])
+        total = OperatorPath.direct_sum([path, ramp, path])
+        oracle = parity_finite(total)
+        res = sf2_path(to_skew_path(total))
+        assert res.value == parity_via_pairs(to_skew_path(total)) == oracle
+        assert res.motion_rank == 1
 
 
 class TestChiralCore:
@@ -990,9 +1182,9 @@ class TestChiralCore:
                 evaluated.append(float(t))
             return block(self, t)
 
-        def spy_solve(mat, chiral=False):
+        def spy_solve(mat, chiral=False, compute_uv=True):
             solved.append(chiral)
-            return solve(mat, chiral)
+            return solve(mat, chiral, compute_uv)
 
         monkeypatch.setattr(OperatorPath, "block", spy_block)
         monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)

@@ -225,9 +225,9 @@ class TestInsulator:
         solves = []
         solve = flow_module.skew_singular_system
 
-        def spy_solve(b, chiral=False):
+        def spy_solve(b, chiral=False, compute_uv=True):
             solves.append(b.shape)
-            return solve(b, chiral)
+            return solve(b, chiral, compute_uv)
 
         monkeypatch.setattr(OperatorPath, "block", spy_block)
         monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
@@ -347,6 +347,61 @@ class TestInsulator:
             for seed in range(3):
                 path = build_insulator_disordered(spec, 0.1, seed)
                 assert parity_path(path) == expected
+
+
+_MOTION_GRID = [(m, k, n, link) for m in (8, 12, 64) for k in (1, 2, 3)
+                for n in (1, 2) for link in (0, 3)]
+
+
+class TestDisorderedMotion:
+    """The disordered ring declares its rank-kN link motion, and every
+    engine solves its kN x kN reduced path: on the whole grid the reduced
+    routes equal the endpoint oracle of the assembled block, and so does
+    the dense route on the block with the declaration stripped."""
+
+    @staticmethod
+    def stripped(skew):
+        dense = lambda t: skew.block(t)
+        dense.arc = skew.evaluator.arc
+        return embed_chiral_path(OperatorPath(skew.interval, dense))
+
+    @pytest.mark.parametrize("m, k, n, link", _MOTION_GRID)
+    def test_reduced_route_equals_oracle_and_dense_route(self, m, k, n, link):
+        spec = RingShiftSpec(m, k, n, link)
+        # the dense route costs 20 ms per path on a 12 x 12 block and up to
+        # 0.4 s on 128 x 128, so it runs on the first seeds only
+        dense_seeds = range(5) if m < 64 else range(1)
+        for strength in (0.1, 0.3):
+            for seed in range(10):
+                path = build_insulator_disordered(spec, strength, seed)
+                skew = to_skew_path(path)
+                dense = self.stripped(skew)
+                oracle = parity_finite(OperatorPath(path.interval, skew.block))
+                res = sf2_path(skew)
+                assert (res.value, res.motion_rank) == (oracle, k * n)
+                rng = lambda: np.random.default_rng(seed)
+                routes = [lambda: sf2_path(skew, rng=rng()).value,
+                          lambda: parity_path(path),
+                          lambda: parity_path(path, rng=rng()),
+                          lambda: parity_via_pairs(skew),
+                          lambda: parity_via_pairs(skew, rng=rng())]
+                if seed in dense_seeds:
+                    routes += [lambda: sf2_path(dense).value,
+                               lambda: sf2_path(dense, rng=rng()).value,
+                               lambda: parity_via_pairs(dense),
+                               lambda: parity_via_pairs(dense, rng=rng())]
+                assert [route() for route in routes] == [oracle] * len(routes), \
+                    (strength, seed)
+
+    def test_declaration_selects_the_link_entries(self):
+        path = build_insulator_disordered(RingShiftSpec(12, 2, 2, 3), 0.2, 4)
+        p, q, c = path.evaluator.motion  # forwarded by the doubling
+        assert p.shape == q.shape == (24, 4)
+        np.testing.assert_array_equal(p.T @ p, np.eye(4))
+        np.testing.assert_array_equal(q.T @ q, np.eye(4))
+        for t in (0.0, 0.3, 0.5, 1.0):
+            np.testing.assert_allclose(path.block(t) - path.block(0.0),
+                                       p @ c.at(t) @ q.T, rtol=0, atol=1e-15)
 
 
 class TestBifurcation:
