@@ -52,7 +52,7 @@ from .pairs import (
     pi_index,
     straight_line_sf2,
 )
-from .paths import ChiralFrame, OperatorPath
+from .paths import ChiralFrame, OperatorPath, PathFamily
 from .z2 import MINUS, PLUS, Z2
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .errors import (
     RefinementError,
     Z2FlowError,
 )
-from .flow import _PathData, _record_matrix, sf2_path, to_skew_path
+from .flow import _arc_growth, _record_matrix, sf2_path, to_skew_path
 from .linalg import _real_array
 from .models import (
     EXAMPLE_NAMES,
@@ -47,7 +47,7 @@ from .pairs import (
     j_index,
     pi_index,
 )
-from .paths import SYMMETRY_TAGS, ChiralFrame, OperatorPath
+from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath
 
 SCHEMA = "z2flow/4"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
@@ -143,9 +143,10 @@ def _digest_path(path: OperatorPath, n: int = 33) -> str:
     """SHA-256 of the record matrices the engine reads, at n parameters: a
     chiral path's block, a plain skew path's matrix, or the blocks of a
     declared direct sum's parts after their row and column placements.  A
-    path or part whose declared arc does not grow is one matrix
-    (``_PathData.constant``), hashed once, at the start, before the
-    parameters."""
+    path or part whose declared arc does not grow (``flow._arc_growth``) is
+    one matrix, hashed once, at the start, before the parameters.  A path
+    family (``PathFamily``) is evaluated once per parameter, and its
+    listings hash the rows of that one stack that they name."""
     parts = getattr(path.evaluator, "parts", None)
     h = hashlib.sha256()
     if parts is None:
@@ -154,24 +155,54 @@ def _digest_path(path: OperatorPath, n: int = 33) -> str:
         # a part's block is its evaluator's matrix; the engine validates
         # the parts where it solves them
         read = lambda part, t: part.evaluator(t)
-        for _, rows, cols in parts:
-            h.update(np.asarray(rows, dtype=np.int64).tobytes())
-            h.update(np.asarray(cols, dtype=np.int64).tobytes())
+        # each listing's rows, then its columns, as one int64 stream
+        h.update(np.concatenate([a for _, rows, cols in parts
+                                 for a in (rows, cols)]).astype(np.int64).tobytes())
 
     def block(part, t):
+        if isinstance(part, FamilyMember):
+            return stack(part.family, t)[part.index].tobytes()
         return np.ascontiguousarray(read(part, t), dtype=np.float64).tobytes()
 
+    def stack(family, t):
+        return np.ascontiguousarray(family.stack(t), dtype=np.float64)
+
+    family_growth = {}
+
+    def growth(part):
+        if not isinstance(part, FamilyMember):
+            return _arc_growth(getattr(part.evaluator, "arc", None), part.interval)
+        f = part.family
+        if id(f) not in family_growth:
+            family_growth[id(f)] = _arc_growth(f.arc, f.interval, len(f))
+        return family_growth[id(f)][part.index]
+
     distinct = list({id(part): part for part, _, _ in parts}.values())
-    moving = {id(part) for part in distinct if not _PathData(part).constant}
+    constant = {id(part) for part in distinct if growth(part) == 0}
     for part in distinct:
-        if id(part) not in moving:
+        if id(part) in constant:
             h.update(block(part, path.t_start))
+    # the moving listings in order, a run of one family's listings as one
+    # (family, members) gather from its stack
+    runs = []
+    for part, _, _ in parts:
+        if id(part) in constant:
+            continue
+        if not isinstance(part, FamilyMember):
+            runs.append((part, None))
+        elif runs and runs[-1][0] is part.family:
+            runs[-1][1].append(part.index)
+        else:
+            runs.append((part.family, [part.index]))
+    runs = [(source, members if members is None else np.array(members))
+            for source, members in runs]
     for t in np.linspace(path.t_start, path.t_end, n):
-        blocks = {id(part): block(part, t) for part in distinct
-                  if id(part) in moving}
+        blocks = {id(source): stack(source, t) if members is not None
+                  else block(source, t) for source, members in runs}
         h.update(np.float64(t).tobytes())
-        h.update(b"".join(blocks[id(part)] for part, _, _ in parts
-                          if id(part) in moving))
+        h.update(b"".join(blocks[id(source)] if members is None
+                          else blocks[id(source)][members].tobytes()
+                          for source, members in runs))
     return h.hexdigest()
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import tolerances as tol
+from . import linalg, tolerances as tol
 from .errors import (
     ConfigError,
     DimensionError,
@@ -34,8 +34,8 @@ from .linalg import (
     singular_values,
     skew_singular_system,
 )
-from .paths import ChiralFrame, OperatorPath, validate_symmetry
-from .z2 import Z2, z2_product
+from .paths import ChiralFrame, FamilyMember, OperatorPath, validate_symmetry
+from .z2 import PLUS, Z2, z2_product
 
 __all__ = [
     "SpectralWindow",
@@ -276,27 +276,28 @@ class _PathData:
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
     ``arc`` is the evaluator's arc modulus (see ``OperatorPath``), checked
-    on the interval's 9-point grid; one whose increase over the interval is
-    not a finite float bounds nothing, and the path is taken as opaque
-    (``arc`` None).  One that does not increase declares one matrix
-    (``constant``): every parameter reads the record of the start, which is
-    solved for its singular values alone (frames None); ``framed`` adds the
-    frames once a positive-rank window or a lift needs them.
+    on the interval's 9-point grid (``_arc_growth``); one whose increase
+    over the interval is not a finite float bounds nothing, and the path is
+    taken as opaque (``arc`` None).  One that does not increase declares
+    one matrix (``constant``): every parameter reads the record of the
+    start, which is solved for its singular values alone (frames None);
+    ``framed`` adds the frames once a positive-rank window or a lift needs
+    them.  ``records`` seeds the cache with records solved elsewhere (a
+    family's endpoint stacks, see ``_family_batch``).
     """
 
-    def __init__(self, path: OperatorPath):
+    def __init__(self, path: OperatorPath, records=None):
         self.path = path
         self.chiral = path.symmetry_tag == "chiral-skew"
         arc = getattr(path.evaluator, "arc", None)
-        growth = math.nan
-        if arc is not None:
-            values = _read_arc(arc, _segment_grid(*path.interval))
-            growth = float(values[-1]) - float(values[0])
+        growth = _arc_growth(arc, path.interval)
         self.arc = arc if math.isfinite(growth) else None
         self.constant = growth == 0
         self._start = float(path.interval[0])
-        self._cache = {}
-        self._first = None  # (t, shape) of the first evaluation
+        self._cache = dict(records or {})
+        # (t, shape) of the first evaluation
+        self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
+                           None)
         self.step_bound = math.inf
         self.near_zero = 0.0
 
@@ -338,15 +339,55 @@ class _PathData:
         return len(self._cache)
 
 
-def _read_arc(arc, ts: np.ndarray) -> np.ndarray:
+def _read_arc(arc, ts: np.ndarray, members=None) -> np.ndarray:
     """The arc at the ascending ts; ``ConfigError`` unless it gives one
-    nondecreasing value per parameter (NaN and inf bound nothing, and pass)."""
+    nondecreasing value per parameter (NaN and inf bound nothing, and pass),
+    or for the arc of a family of ``members`` paths one such row per
+    parameter, one column per member."""
     values = np.asarray(arc(ts), dtype=float)
-    if values.shape != ts.shape or (values[1:] < values[:-1]).any():
+    shape = ts.shape if members is None else (ts.size, members)
+    if values.shape != shape or (values[1:] < values[:-1]).any():
         raise ConfigError(
             "the evaluator's arc must return one value per parameter, "
             f"nondecreasing in t; it does not on [{ts[0]}, {ts[-1]}]")
     return values
+
+
+def _arc_growth(arc, interval, members=None):
+    """How far a declared arc grows over the interval, read on its 9-point
+    grid (``_read_arc``): 0 declares one matrix, and a growth that is not a
+    finite float bounds nothing (NaN for no arc).  The arc of a family of
+    ``members`` paths grows once per member."""
+    if arc is None:
+        return math.nan if members is None else np.full(members, math.nan)
+    values = _read_arc(arc, _segment_grid(*interval), members)
+    if members is None:
+        return float(values[-1]) - float(values[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        return values[-1] - values[0]
+
+
+def _require_arc(s, t, m_s, m_t, grown):
+    """Refuse an arc declared to grow by ``grown`` from s to t if the path
+    matrices m_s and m_t held there are further apart: max |M(t) - M(s)|
+    <= ||M(t) - M(s)||_2 <= arc(t) - arc(s) for an honest arc, which is
+    checked within ``tol.sym`` of the larger matrix's scale.  Stacks of
+    matrices are checked pair by pair in one pass, with one s, t and
+    ``grown`` per pair (or one for all); the message names the first pair
+    that fails.  The check sees only the matrices it is given, not a path
+    that moves and returns between them."""
+    with np.errstate(over="ignore"):  # a step past the largest float is inf
+        moved = np.abs(m_t - m_s).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.abs(m_s).max(axis=(-2, -1), initial=0.0),
+                       np.abs(m_t).max(axis=(-2, -1), initial=0.0))
+    lies = moved > grown + tol.sym(scale)
+    if lies.any():
+        j = np.flatnonzero(lies)[0] if lies.ndim else ()
+        s, t, grown = (np.broadcast_to(x, lies.shape)[j] for x in (s, t, grown))
+        raise ConfigError(
+            f"the declared arc grows by {grown:.3e} from t={s} to t={t}, but "
+            f"the path moves by max |M(t) - M(s)| = {moved[j]:.3e} there; the "
+            "arc must bound ||M(t) - M(s)||_2")
 
 
 def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
@@ -379,11 +420,14 @@ def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
     """Rank-0 window (a, 0) of a certified segment from its endpoints, or
     None: the envelope of ``_segment_window`` over one step of arc d keeps
     sigma_min >= floor = (s0 + s1 - d) / 2, which must clear the margin on
-    both sides; a is midway.  A rank-0 window has no subspace to check."""
+    both sides; a is midway.  A rank-0 window has no subspace to check.  An
+    arc that grows by less than the two endpoint matrices differ raises
+    ``ConfigError`` (``_require_arc``)."""
     sv0, sv1 = data.at(lo)[1], data.at(hi)[1]
     if not sv0.size:
         return None
     arc_lo, arc_hi = (float(x) for x in _read_arc(data.arc, np.array([lo, hi])))
+    _require_arc(lo, hi, data.at(lo)[0], data.at(hi)[0], arc_hi - arc_lo)
     floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - (arc_hi - arc_lo) / 2.0
     margin = 4.0 * tol.gap(max(float(sv0[-1]), float(sv1[-1])))
     if not floor > 2.0 * margin:
@@ -623,8 +667,22 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     refinement.  A part whose declared arc does not increase over the
     interval is one matrix, evaluated and solved once, at the start; its
     window is the rank-0 window of the two-endpoint rule, read from that
-    one solve, for its singular values alone.  ``parity_via_pairs`` walks
-    declared sums the same way.
+    one solve, for its singular values alone.  The members of a path family
+    (``PathFamily``) listed in a sum are taken together first: the family
+    is evaluated once at each endpoint, both stacks are solved at once, and
+    every member whose two-endpoint floor clears its margins is one rank-0
+    window over the interval from those 2 evaluations, with the radius its
+    own walk would find; only the other members are walked, from the
+    endpoint records of the stacks.  ``parity_via_pairs`` walks declared
+    sums the same way.
+
+    A declared arc is checked wherever the engine holds two matrices: an
+    arc that grows from s to t by less than max |M(t) - M(s)| of the two
+    endpoint matrices of a segment (or of a family member) raises
+    ``ConfigError``, and a path or part whose arc does not grow is
+    evaluated at its end, without a solve, and compared with its one
+    matrix.  The check sees only those matrices, not a path that moves and
+    returns between them.
 
     A block path that declares its low-rank motion ``(p, q, c)`` (see
     ``OperatorPath``) is solved on its r x r reduced path A(t) = I +
@@ -643,26 +701,105 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     return _flow(path, rng)
 
 
-def _part_walk(path: OperatorPath, solve):
-    """``solve`` of each listing of a declared direct sum, in listing order:
-    each distinct part is solved once, as the chiral skew doubling of its
-    block path, and a part listed c times yields that one result c times."""
-    solved = {}
-    for part, rows, cols in path.evaluator.parts:
+def _part_walk(path: OperatorPath, rng, solve, calm):
+    """The result of each listing of a declared direct sum, in listing
+    order: each distinct part is solved once, as ``solve(doubled,
+    records)`` of the chiral skew doubling of its block path, and a part
+    listed c times yields that one result c times.  The members of a path
+    family (``PathFamily``) are first taken together (``_family_batch``):
+    a member whose two-endpoint floor clears its margins yields
+    ``calm(window)`` of its one rank-0 window, and every other member is
+    solved as a part, from the endpoint records of the family's solves."""
+    parts = path.evaluator.parts
+    families = {}
+    for part in {id(part): part for part, _, _ in parts}.values():
+        if isinstance(part, FamilyMember):
+            if id(part.family) not in families:
+                families[id(part.family)] = (part.family, [])
+            families[id(part.family)][1].append(part.index)
+    solved, seeds = {}, {}
+    for family, members in families.values():
+        radii, records = _family_batch(family, sorted(members), rng)
+        for i, a in radii.items():
+            solved[id(family[i])] = calm(
+                SpectralWindow(*family.interval, a, 0, PLUS))
+        seeds.update((id(family[i]), r) for i, r in records.items())
+    for part, rows, cols in parts:
         if id(part) not in solved:
+            source = part.path if isinstance(part, FamilyMember) else part
             frame = ChiralFrame(len(rows), len(cols))
-            solved[id(part)] = solve(_doubling(part, frame, "chiral-skew"))
-    return [solved[id(part)] for part, _, _ in path.evaluator.parts]
+            solved[id(part)] = solve(_doubling(source, frame, "chiral-skew"),
+                                     seeds.get(id(part)))
+    return [solved[id(part)] for part, _, _ in parts]
 
 
-def _flow(path: OperatorPath, rng) -> FlowResult:
+def _family_batch(family, members, rng):
+    """The two-endpoint rule of ``_endpoint_window`` for the listed
+    ``members`` (ascending indices) of a path family, all at once.
+
+    The family is evaluated once at each endpoint, and the blocks of its
+    moving members (those whose arc grows, or is opaque) are solved by one
+    stacked ``skew_singular_system``, bitwise the solves of their records
+    one by one.  Every one of them must be admissible at both ends
+    (``_require_admissible``), and a declared arc must grow by at least
+    max |B(t1) - B(t0)| (``_require_arc``).  The floor, the margin and the
+    radius are the float operations of ``_endpoint_window`` in its order,
+    so a certified member's radius is bitwise the one of its own walk;
+    under ``rng`` the radii take their u from one draw.  Returns the radius
+    of each certified member and, for every other moving member, its two
+    endpoint records; a member whose arc does not grow is left to its
+    walk, which solves its one matrix.
+    """
+    members = np.asarray(members)
+    t0, t1 = family.interval
+    growth = _arc_growth(family.arc, family.interval, len(family))[members]
+    moving = growth != 0  # NaN included: an opaque member is solved too
+    members, declared = members[moving], np.isfinite(growth[moving])
+    if not members.size:
+        return {}, {}
+    ends = [family.stack(t)[members] for t in (t0, t1)]
+    # the stack is solved through the linalg module: flow's own name is the
+    # one-matrix boundary that bench/spans.py traces
+    solves = [linalg.skew_singular_system(b, True) for b in ends]
+    svs = [sv for sv, _ in solves]
+    if not svs[0].shape[1]:  # 0 x 0 blocks have no floor: walked
+        declared[:] = False
+    for t, sv in zip((t0, t1), svs):
+        singular = np.flatnonzero(sv[:, :1] <= tol.inv(sv[:, -1:]))
+        if singular.size:
+            _require_admissible(t, sv[singular[0]])
+    radii = {}
+    if declared.any():
+        b0, b1 = (b[declared] for b in ends)
+        s0, s1 = (sv[declared] for sv in svs)
+        arcs = _read_arc(family.arc, np.array([t0, t1]), len(family))
+        grown = arcs[1, members[declared]] - arcs[0, members[declared]]
+        _require_arc(t0, t1, b0, b1, grown)
+        floor = s0[:, 0] / 2.0 + s1[:, 0] / 2.0 - grown / 2.0
+        margin = 4.0 * tol.gap(np.maximum(s0[:, -1], s1[:, -1]))
+        u = 0.5 if rng is None else rng.uniform(0.3, 0.7, floor.size)
+        a = margin + u * (floor - 2.0 * margin)
+        # a radius no endpoint value lies below is rank 0 at both ends
+        calm = (floor > 2.0 * margin) & (a <= s0[:, 0]) & (a <= s1[:, 0])
+        radii = dict(zip(members[declared][calm].tolist(), a[calm].tolist()))
+    records = {}
+    for j, i in enumerate(members.tolist()):
+        if i not in radii:
+            records[i] = {float(t): (b[j], sv[j], (x[j], y[j]))
+                          for t, b, (sv, (x, y)) in zip((t0, t1), ends, solves)}
+    return radii, records
+
+
+def _flow(path: OperatorPath, rng, records=None) -> FlowResult:
     """``sf2_path`` without the tag check: a declared sum part by part, a
     declared motion on its reduced path (``_reduced``), any other path by
-    ``_windowed_flow``."""
+    ``_windowed_flow``, from ``records`` if a family batch solved them."""
     if getattr(path.evaluator, "parts", None) is not None:
-        results = _part_walk(path, lambda part: _flow(part, rng))
+        results = _part_walk(
+            path, rng, lambda part, seeds: _flow(part, rng, seeds),
+            lambda window: FlowResult(PLUS, [window], 0, 2))
         distinct = {id(r): r for r in results}.values()
-        windows = [replace(w, summand=i)
+        windows = [SpectralWindow(w.t_lo, w.t_hi, w.a, w.rank, w.factor, i)
                    for i, r in enumerate(results) for w in r.windows]
         return FlowResult(z2_product(r.value for r in results), windows,
                           max(r.refinement_depth for r in distinct),
@@ -674,7 +811,7 @@ def _flow(path: OperatorPath, rng) -> FlowResult:
         # the block's two endpoint evaluations, then the reduced path's
         return replace(result, evaluations=2 + result.evaluations,
                        motion_rank=reduced.frame.n_plus)
-    return _windowed_flow(path, rng)
+    return _windowed_flow(path, rng, records)
 
 
 def _reduced(path: OperatorPath) -> OperatorPath:
@@ -734,9 +871,10 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     return embed_chiral_path(OperatorPath(path.interval, block))
 
 
-def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
-    """The windowed flow of one path (see ``sf2_path``)."""
-    data = _PathData(path)
+def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
+    """The windowed flow of one path (see ``sf2_path``), its cache seeded
+    with ``records``."""
+    data = _PathData(path, records)
     t0, t1 = path.interval
 
     ends = _endpoint_spectra(data)
@@ -774,10 +912,17 @@ def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
 
 
 def _endpoint_spectra(data: _PathData):
-    """Both endpoint spectra; a singular one raises ``NotAdmissibleError``."""
-    for t in data.path.interval:
+    """Both endpoint spectra; a singular one raises ``NotAdmissibleError``.
+    A constant path is also evaluated at its end, which it does not solve,
+    and its matrix there must be its one matrix (``_require_arc``)."""
+    t0, t1 = data.path.interval
+    for t in (t0, t1):
         _require_admissible(t, data.at(t)[1])
-    return [data.at(t)[1] for t in data.path.interval]
+    if data.constant:
+        m1 = _record_matrix(data.path, t1)
+        _check_shape(m1, t1, *data._first)
+        _require_arc(t0, t1, data.at(t0)[0], m1, 0.0)
+    return [data.at(t)[1] for t in (t0, t1)]
 
 
 def _require_admissible(t: float, sv: np.ndarray):

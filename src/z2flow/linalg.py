@@ -221,14 +221,17 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False,
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
     does not.  Without ``compute_uv`` only the singular values are solved,
-    and the directions are None.
+    and the directions are None.  A stack of matrices is solved by one
+    batched SVD, each entry bitwise the system of its matrix alone.
     """
     if compute_uv:
         u, s, vt = np.linalg.svd(mat)
+        v = vt[..., ::-1, :].swapaxes(-1, -2)
     else:
         s = np.linalg.svd(mat, compute_uv=False)
     if not chiral:
-        return s[::-1], (vt[::-1].T if compute_uv else None)
-    d = abs(mat.shape[0] - mat.shape[1])
-    return (np.concatenate([np.zeros(d), np.repeat(s[::-1], 2)]),
-            (u[:, ::-1], vt[::-1].T) if compute_uv else None)
+        return s[..., ::-1], (v if compute_uv else None)
+    d = abs(mat.shape[-2] - mat.shape[-1])
+    return (np.concatenate([np.zeros(s.shape[:-1] + (d,)),
+                            np.repeat(s[..., ::-1], 2, axis=-1)], axis=-1),
+            (u[..., ::-1], v) if compute_uv else None)

@@ -18,7 +18,7 @@ from .errors import ConfigError, NotAdmissibleError
 from .linalg import singular_values
 from .flow import _doubling, embed_chiral, embed_chiral_path
 from .pairs import ComplexStructure
-from .paths import ChiralFrame, OperatorPath
+from .paths import ChiralFrame, OperatorPath, PathFamily
 
 __all__ = [
     "EXAMPLE_NAMES",
@@ -304,15 +304,6 @@ class GalerkinSpec:
         return (self.t_center - self.delta, self.t_center + self.delta)
 
 
-def _mode_path(interval, k: float) -> OperatorPath:
-    """The 2 x 2 path [[1, t k], [t k, 1]] of one mode, of arc |k| (t - t0)."""
-    def ev(t):
-        return np.array([[1.0, t * k], [t * k, 1.0]])
-
-    ev.arc = lambda ts: abs(k) * (np.asarray(ts) - interval[0])
-    return OperatorPath(interval, ev)
-
-
 def build_bifurcation_path(spec: GalerkinSpec) -> OperatorPath:
     """Linearization path [[1, tK], [tK, 1]] in the sine product basis.
 
@@ -320,21 +311,30 @@ def build_bifurcation_path(spec: GalerkinSpec) -> OperatorPath:
     u-block before v-block); the (1, 1) mode crosses zero at t equal to its
     Laplace eigenvalue.  Since K is diagonal, the path is the direct sum of
     one 2 x 2 path [[1, t k], [t k, 1]] per mode, on the mode's u and v
-    coordinates; modes with equal k share one part.
+    coordinates, of arc |k| (t - t0).  The distinct k = -1 / (k1^2 + k2^2)
+    are declared as one ``PathFamily``, in the order the modes first reach
+    them, and each mode lists its k's member.
     """
     modes = spec.modes()
     m = len(modes)
-    shared = {}
-    parts = []
-    for k1, k2 in modes:
-        q = k1 * k1 + k2 * k2
-        if q not in shared:
-            shared[q] = _mode_path(spec.interval, -1.0 / q)
-        parts.append(shared[q])
-    place = [[i, m + i] for i in range(m)]
-    path = OperatorPath.direct_sum(parts, place, place)
-    speed = 1.0 / min(shared)  # ||B(t) - B(s)||_2 = max|k| |t - s|
-    path.evaluator.arc = lambda ts: speed * (np.asarray(ts) - spec.interval[0])
+    laplace = [k1 * k1 + k2 * k2 for k1, k2 in modes]
+    index = {q: i for i, q in enumerate(dict.fromkeys(laplace))}
+    ks = np.array([-1.0 / q for q in index])
+    t0 = spec.interval[0]
+
+    def stack(t):
+        out = np.ones((ks.size, 2, 2))
+        out[:, 0, 1] = out[:, 1, 0] = t * ks
+        return out
+
+    family = PathFamily(spec.interval, stack,
+                        lambda ts: (np.asarray(ts) - t0)[:, None] * np.abs(ks))
+    members = [family[i] for i in range(len(family))]
+    place = np.stack([np.arange(m), m + np.arange(m)], axis=1)
+    path = OperatorPath.direct_sum([members[index[q]] for q in laplace],
+                                   place, place)
+    speed = 1.0 / min(index)  # ||B(t) - B(s)||_2 = max|k| |t - s|
+    path.evaluator.arc = lambda ts: speed * (np.asarray(ts) - t0)
     return path
 
 

@@ -29,10 +29,11 @@ from .errors import (
     SymmetryError,
 )
 from .flow import (_endpoint_spectra, _part_walk, _PathData, _random_orthogonal,
-                   _reduced, embed_chiral, embed_chiral_path, refine, sf2_path)
+                   _read_arc, _reduced, _require_arc, embed_chiral,
+                   embed_chiral_path, refine, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values, skew_singular_system
 from .paths import ChiralFrame, OperatorPath
-from .z2 import Z2, z2_product
+from .z2 import PLUS, Z2, z2_product
 
 __all__ = [
     "ComplexStructure",
@@ -214,23 +215,36 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     A declared direct sum of square parts (``OperatorPath.direct_sum``) is
     taken part by part, like ``sf2_path`` does: parity is multiplicative,
     so each distinct part runs this route once on its own block path and
-    the parity is the product over the listings.  A declared low-rank
-    motion is taken next, as in ``sf2_path``: the route runs on the r x r
-    reduced path of ``flow._reduced``, which has the parity of the block.
+    the parity is the product over the listings.  The members of a path
+    family (``PathFamily``) take the walk of ``sf2_path``: a member whose
+    two-endpoint floor clears its margins keeps sigma_min > 0 and
+    contributes +1, and only the others run this route.  A declared
+    low-rank motion is taken next, as in ``sf2_path``: the route runs on
+    the r x r reduced path of ``flow._reduced``, which has the parity of
+    the block.  A declared arc must grow between the two ends of every
+    certified phase pair by at least the largest entry of the difference
+    of their blocks, or ``ConfigError`` is raised.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
     if path.frame.n_plus != path.frame.n_minus:
         raise DimensionError("phase completion needs balanced chiral blocks")
+    return _pair_parity(path, rng)
+
+
+def _pair_parity(path: OperatorPath, rng, records=None) -> Z2:
+    """``parity_via_pairs`` of a balanced chiral skew path, its record
+    cache seeded with ``records`` if a family batch solved them."""
     parts = getattr(path.evaluator, "parts", None)
     # a sum with a rectangular part is singular, which its assembled
     # block reports at the endpoint
     if parts is not None and all(len(r) == len(c) for _, r, c in parts):
         return z2_product(_part_walk(
-            path, lambda part: parity_via_pairs(part, rng=rng)))
+            path, rng, lambda part, seeds: _pair_parity(part, rng, seeds),
+            lambda window: PLUS))
     if getattr(path.evaluator, "motion", None) is not None:
-        return parity_via_pairs(_reduced(path), rng=rng)
-    data = _PathData(path)
+        return _pair_parity(_reduced(path), rng)
+    data = _PathData(path, records)
     _endpoint_spectra(data)
     if data.constant:
         return Z2(1)
@@ -258,6 +272,11 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
 
     certified, _ = refine(np.linspace(t0, t1, 9), certify,
                           "certifiable phase pair")
+    if data.arc is not None:  # the arc must bound every certified pair
+        ts = np.array([t0] + [hi for _, hi, _ in certified])
+        blocks = np.stack([data.at(t)[0] for t in ts])
+        _require_arc(ts[:-1], ts[1:], blocks[:-1], blocks[1:],
+                     np.diff(_read_arc(data.arc, ts)))
     return z2_product(value for _, _, value in certified)
 
 

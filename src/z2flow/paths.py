@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -12,7 +13,8 @@ from . import tolerances as tol
 from .errors import ConfigError, DimensionError, SymmetryError
 from .linalg import _real_array, _step_norms, as_real_matrix, max_abs
 
-__all__ = ["SYMMETRY_TAGS", "ChiralFrame", "OperatorPath", "validate_symmetry"]
+__all__ = ["SYMMETRY_TAGS", "ChiralFrame", "OperatorPath", "PathFamily",
+           "validate_symmetry"]
 
 SYMMETRY_TAGS = ("general", "skew", "chiral-skew", "chiral-selfadjoint")
 
@@ -68,6 +70,15 @@ def validate_symmetry(mat: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -
         raise SymmetryError("matrix does not anticommute with the chiral grading")
 
 
+def _check_interval(interval):
+    lo, hi = interval
+    if not (np.isfinite(interval).all() and lo < hi
+            and math.isfinite(float(hi) - float(lo))):
+        raise ConfigError(f"invalid parameter interval {interval}; "
+                          "a finite lo < hi with a finite length hi - lo "
+                          "is required")
+
+
 @dataclass(frozen=True)
 class OperatorPath:
     """A continuous family t -> matrix over an interval.
@@ -83,7 +94,10 @@ class OperatorPath:
     evaluator of a block path may declare its direct-sum ``parts``, the
     (part, rows, cols) triples of ``direct_sum``: the flow engine and the
     pair route then solve each distinct part once instead of the assembled
-    block.  The evaluator of a square block path may also declare its
+    block.  A part may be a member of a ``PathFamily``, m parts of one
+    shape declared by one evaluator: the engines then certify the family's
+    calm members together, from one solve of each endpoint stack.  The
+    evaluator of a square block path may also declare its
     low-rank ``motion = (p, q, c)``: n x r arrays p and q and an r x r
     ``general`` path c on the same interval, with c(t0) = 0 and a declared
     arc, such that B(t) = B(t0) + p c(t) q^T.  The flow engine and the pair
@@ -98,12 +112,7 @@ class OperatorPath:
     declared_index: int = 0
 
     def __post_init__(self):
-        lo, hi = self.interval
-        if not (np.isfinite(self.interval).all() and lo < hi
-                and math.isfinite(float(hi) - float(lo))):
-            raise ConfigError(f"invalid parameter interval {self.interval}; "
-                              "a finite lo < hi with a finite length hi - lo "
-                              "is required")
+        _check_interval(self.interval)
         if self.symmetry_tag not in SYMMETRY_TAGS:
             raise ConfigError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag.startswith("chiral") and self.frame is None:
@@ -177,23 +186,24 @@ class OperatorPath:
         block, zeros elsewhere (by default the next rows and columns, a
         block diagonal); together the placements must take every row and
         every column once.  The parts share one interval, and one part may
-        be listed several times.  The evaluator declares ``parts``, the
-        (part, rows, cols) triples, which chiral doublings forward, so the
-        flow engine solves each distinct part once; assembling the block
-        evaluates each distinct part once too, and fills all its listings
-        with one assignment.
+        be listed several times.  A listing may name a member
+        ``family[i]`` of a ``PathFamily`` in place of a part.  The evaluator
+        declares ``parts``, the (part, rows, cols) triples, which chiral
+        doublings forward, so the flow engine solves each distinct part
+        once, and takes a family's members together; assembling the block
+        evaluates each distinct part and each family once too, and fills
+        all their listings with one assignment each.
         """
         parts = list(parts)
         if not parts:
             raise ConfigError("a direct sum needs at least one part")
         interval = parts[0].interval
         shapes = {}
-        for part in parts:
+        for part in {id(part): part for part in parts}.values():
             if part.symmetry_tag != "general" or part.interval != interval:
-                raise ConfigError("direct-sum parts must be general paths on "
-                                  "one interval")
-            if id(part) not in shapes:
-                shapes[id(part)] = part.block_shape
+                raise ConfigError("direct-sum parts must be general paths or "
+                                  "family members on one interval")
+            shapes[id(part)] = part.block_shape
         placed = []
         for i, axis in enumerate((rows, cols)):
             sizes = [shapes[id(part)][i] for part in parts]
@@ -208,27 +218,36 @@ class OperatorPath:
             placed.append(axis)
         triples = tuple(zip(parts, *placed))
         shape = (sum(r.size for r in placed[0]), sum(c.size for c in placed[1]))
-        # each distinct part, with its first position and the rows (c, p, 1)
-        # and columns (c, 1, q) of its c listings stacked, so one assignment
-        # fills all its places
+        # each distinct part or family, with its first position, the rows
+        # (c, p, 1) and columns (c, 1, q) of its c listings stacked and, for
+        # a family, the member of each listing, so one assignment fills all
+        # its places
         listed = {}
         for i, (part, r, c) in enumerate(triples):
-            _, _, part_rows, part_cols = listed.setdefault(
-                id(part), (part, i, [], []))
-            part_rows.append(r[:, None])
-            part_cols.append(c[None, :])
-        scatter = [(part, i, np.stack(r), np.stack(c))
-                   for part, i, r, c in listed.values()]
+            member = isinstance(part, FamilyMember)
+            source = part.family if member else part
+            entry = listed.get(id(source))
+            if entry is None:
+                entry = listed[id(source)] = (source, i, [], [], [])
+            entry[2].append(r)
+            entry[3].append(c)
+            entry[4].append(part.index if member else 0)
+        scatter = [(source, i, np.stack(r)[:, :, None], np.stack(c)[:, None, :],
+                    np.array(members))
+                   for source, i, r, c, members in listed.values()]
 
         def evaluator(t):
             out = np.zeros(shape)
-            for part, i, r, c in scatter:
-                b = part.block(t)
-                if b.shape != shapes[id(part)]:
+            for source, i, r, c, members in scatter:
+                if isinstance(source, PathFamily):
+                    out[r, c] = source.stack(t)[members]
+                    continue
+                b = source.block(t)
+                if b.shape != shapes[id(source)]:
                     raise DimensionError(
                         f"direct-sum part {i} has shape {b.shape} at t={t} "
-                        f"but is placed as {shapes[id(part)]}; the evaluator "
-                        "must keep one shape")
+                        f"but is placed as {shapes[id(source)]}; the "
+                        "evaluator must keep one shape")
                 out[r, c] = b
             return out
 
@@ -300,3 +319,91 @@ class OperatorPath:
             index = 0
         return OperatorPath((float(ts[0]), float(ts[-1])), evaluator,
                             symmetry_tag, frame, index)
+
+
+class PathFamily:
+    """m ``general`` paths of one p x q shape, declared by one evaluator.
+
+    ``evaluator(t)`` returns the (m, p, q) stack of the members' matrices
+    at t, and ``arc(ts)``, if given, a (len(ts), m) array whose column i is
+    the arc modulus of member i (see ``OperatorPath``); without an arc
+    every member is opaque.  ``family[i]`` is member i, which
+    ``OperatorPath.direct_sum`` lists in place of a part.  The flow engine
+    and the pair route evaluate a family once at each endpoint, solve both
+    stacks at once and certify every member whose two-endpoint floor
+    clears its margins there (see ``sf2_path``); only the other members are
+    walked, each as a part of its own.
+    """
+
+    def __init__(self, interval, evaluator, arc=None):
+        _check_interval(interval)
+        self.interval = interval
+        self.evaluator = evaluator
+        self.arc = arc
+        first = _real_array(evaluator(interval[0]))
+        if first.ndim != 3:
+            raise DimensionError("a path family evaluates to an (m, p, q) "
+                                 f"stack, got an array of ndim={first.ndim}")
+        self.shape = first.shape
+        self._members = {}
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, i) -> "FamilyMember":
+        """Member i, one object per index."""
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < len(self)):
+            raise ConfigError(f"a family of {len(self)} paths has no member {i!r}")
+        i = int(i)
+        if i not in self._members:
+            self._members[i] = FamilyMember(self, i)
+        return self._members[i]
+
+    def stack(self, t) -> np.ndarray:
+        """The members' matrices at t, checked real, finite and of the
+        family's shape."""
+        s = _real_array(self.evaluator(t))
+        if s.shape != self.shape:
+            raise DimensionError(
+                f"path family has shape {s.shape} at t={t} but {self.shape} "
+                f"at t={self.interval[0]}; the evaluator must keep one shape")
+        return s
+
+
+class FamilyMember:
+    """Member ``index`` of a ``PathFamily``, listed by
+    ``OperatorPath.direct_sum`` in place of a part."""
+
+    symmetry_tag = "general"
+
+    def __init__(self, family: PathFamily, index: int):
+        self.family = family
+        self.index = index
+
+    @property
+    def interval(self):
+        return self.family.interval
+
+    @property
+    def block_shape(self) -> tuple:
+        return self.family.shape[1:]
+
+    @functools.cached_property
+    def path(self) -> OperatorPath:
+        """The member as a path of its own: its matrix and arc are read
+        from the family's."""
+        family, i = self.family, self.index
+
+        def evaluator(t):
+            return family.stack(t)[i]
+
+        def arc(ts):
+            values = np.asarray(family.arc(ts), dtype=float)
+            # an arc of another shape is handed on whole, to be refused
+            if values.shape == (np.size(ts), len(family)):
+                return values[:, i]
+            return values
+
+        if family.arc is not None:
+            evaluator.arc = arc
+        return OperatorPath(family.interval, evaluator)

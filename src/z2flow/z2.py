@@ -30,8 +30,9 @@ MINUS = Z2(-1)
 
 
 def z2_product(factors) -> Z2:
-    """Product of an iterable of group elements (empty product is +1)."""
-    out = PLUS
+    """Product of an iterable of group elements (empty product is +1),
+    taken on their ints and checked once, at the end."""
+    out = 1
     for f in factors:
-        out = out * f
-    return out
+        out *= int(f)
+    return Z2(out)

@@ -1,6 +1,7 @@
 """Unit tests for the parity and flow engines."""
 
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -57,7 +58,7 @@ from z2flow.pairs import (
     parity_via_pairs,
     straight_line_sf2,
 )
-from z2flow.paths import ChiralFrame, OperatorPath
+from z2flow.paths import ChiralFrame, FamilyMember, OperatorPath, PathFamily
 
 from conftest import (
     random_admissible_path,
@@ -639,7 +640,7 @@ class TestPiecewiseAffine:
         # a declared sum lists its parts' windows once per summand, so the
         # window count is compared part by part and the whole sum by value
         bifurcation = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
-        paths += list({id(p): p for p, _, _ in bifurcation.evaluator.parts}.values())
+        paths += _distinct_parts(bifurcation)
         paths.append(bifurcation)
         for path in paths:
             declared, opaque = to_skew_path(path), to_skew_path(_opaque(path))
@@ -679,10 +680,16 @@ def _declared_arc_paths(case, monkeypatch):
     path = _MODULUS_PATHS[case]()
     if getattr(path.evaluator, "motion", None) is not None:
         return [_reduced(to_skew_path(path))]
-    parts = getattr(path.evaluator, "parts", None)
-    if parts is None:
+    if getattr(path.evaluator, "parts", None) is None:
         return [path]
-    return list({id(p): p for p, _, _ in parts}.values())
+    return _distinct_parts(path)
+
+
+def _distinct_parts(path):
+    """The distinct parts of a declared sum as paths, a family member as
+    its own path."""
+    parts = {id(p): p for p, _, _ in path.evaluator.parts}.values()
+    return [p.path if isinstance(p, FamilyMember) else p for p in parts]
 
 
 class TestArcEnvelope:
@@ -757,6 +764,250 @@ class TestArcContract:
             with pytest.raises(ConfigError, match="arc must return one value "
                                                   "per parameter, nondecreasing"):
                 engine()
+
+
+def _engines(path, seed):
+    """The values of the three parity engines on a general path, each with
+    the generator of ``seed`` (None: no generator), as callables."""
+    rng = lambda: None if seed is None else np.random.default_rng(seed)
+    return (lambda: parity_path(path, rng=rng()),
+            lambda: sf2_path(embed_chiral_path(path), rng=rng()).value,
+            lambda: parity_via_pairs(embed_chiral_path(path), rng=rng()))
+
+
+def _declared(interval, matrix, arc):
+    """The path of ``matrix`` on ``interval`` whose evaluator declares
+    ``arc``."""
+    def evaluator(t):
+        return matrix(t)
+
+    evaluator.arc = arc
+    return OperatorPath(interval, evaluator)
+
+
+def _family_sum(stack, arc, interval=(0.0, 1.0)):
+    """The direct sum of the members of one path family, each listed once."""
+    family = PathFamily(interval, stack, arc)
+    return OperatorPath.direct_sum([family[i] for i in range(len(family))])
+
+
+def _calm_stack(t, m=4):
+    """m calm 2 x 2 members diag(2 + i + t, 3): none comes near zero."""
+    out = np.zeros((m, 2, 2))
+    out[:, 0, 0] = 2.0 + np.arange(m) + t
+    out[:, 1, 1] = 3.0
+    return out
+
+
+def _calm_arc(ts, m=4):
+    return np.repeat(np.asarray(ts, dtype=float)[:, None], m, axis=1)
+
+
+class TestArcAudit:
+    """A declared arc that grows by less than the path moves between two
+    matrices the engine holds raises ConfigError instead of returning a
+    wrong value: [[t - 0.5]] on [0, 1] has parity -1, and an arc of 0 or of
+    0.01 t would certify it as +1."""
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("arc", [
+        lambda ts: np.zeros(np.shape(ts)),
+        lambda ts: 0.01 * np.asarray(ts),
+    ], ids=["zero", "too-small"])
+    def test_lying_arc_refused_by_every_engine(self, arc, seed):
+        path = _declared((0.0, 1.0), lambda t: np.array([[t - 0.5]]), arc)
+        assert parity_finite(path) == -1
+        for engine in _engines(path, seed):
+            with pytest.raises(ConfigError, match="the declared arc grows by"):
+                engine()
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("lie", ["zero", "too-small", "crossing"])
+    def test_lying_member_arc_refused_by_every_engine(self, lie, seed):
+        # member 2 of a calm family moves by 1, 1 or 4 (through zero) over
+        # [0, 1] while its arc declares 0, 0.5 and 0.01
+        def stack(t):
+            out = _calm_stack(t)
+            if lie == "crossing":
+                out[2, 0, 0] = 4.0 * t - 2.0
+            return out
+
+        def arc(ts):
+            out = _calm_arc(ts)
+            out[:, 2] *= {"zero": 0.0, "too-small": 0.5, "crossing": 0.01}[lie]
+            return out
+
+        path = _family_sum(stack, arc)
+        for engine in _engines(path, seed):
+            with pytest.raises(ConfigError, match="the declared arc grows by"):
+                engine()
+
+    def test_honest_constant_part_keeps_one_solve(self, monkeypatch):
+        # a path whose arc does not grow is evaluated at its end to compare,
+        # never solved there: one record, one evaluation
+        import z2flow.flow as flow_module
+
+        solved = []
+        solve = flow_module.skew_singular_system
+
+        def spy(mat, chiral=False, compute_uv=True):
+            solved.append(mat.shape)
+            return solve(mat, chiral, compute_uv)
+
+        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        flat = _declared((0.0, 1.0), lambda t: np.diag([2.0, 3.0]),
+                         lambda ts: np.zeros(np.shape(ts)))
+        res = sf2_path(embed_chiral_path(flat))
+        assert (res.value, res.evaluations, solved) == (1, 1, [(2, 2)])
+
+
+class TestPathFamily:
+    """A path family's calm members are certified from one solve of each
+    endpoint stack, with the windows, radii and evaluation counts of the
+    same sum declared part by part."""
+
+    @staticmethod
+    def by_parts(stack, arc, interval=(0.0, 1.0)):
+        """The sum of ``_family_sum`` with every member a path of its own."""
+        m = len(stack(interval[0]))
+        parts = []
+        for i in range(m):
+            ev = lambda t, i=i: stack(t)[i]
+            ev.arc = lambda ts, i=i: arc(ts)[:, i]
+            parts.append(OperatorPath(interval, ev))
+        return OperatorPath.direct_sum(parts)
+
+    @staticmethod
+    def record(res):
+        return (int(res.value), res.evaluations, res.refinement_depth,
+                [(float(w.t_lo).hex(), float(w.t_hi).hex(), float(w.a).hex(),
+                  w.rank, int(w.factor), w.summand) for w in res.windows])
+
+    def mixed(self):
+        # members 0, 1 and 3 calm; member 2 crosses zero at t = 0.5
+        def stack(t):
+            out = _calm_stack(t)
+            out[2, 0, 0] = 2.0 * t - 1.0
+            return out
+
+        def arc(ts):
+            out = _calm_arc(ts)
+            out[:, 2] *= 2.0
+            return out
+
+        return stack, arc
+
+    def test_family_equals_the_sum_part_by_part(self):
+        stack, arc = self.mixed()
+        family, parts = _family_sum(stack, arc), self.by_parts(stack, arc)
+        res = sf2_path(embed_chiral_path(family))
+        assert self.record(res) == self.record(sf2_path(embed_chiral_path(parts)))
+        assert res.value == parity_finite(family) == -1
+        for seed in range(5):
+            values = [engine() for engine in
+                      _engines(family, seed) + _engines(parts, seed)]
+            assert values == [-1] * 6
+
+    def test_only_refused_members_are_walked(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        walked = []
+        windowed = flow_module._windowed_flow
+
+        def spy(path, rng, records=None):
+            walked.append(sorted(records or ()))
+            return windowed(path, rng, records)
+
+        monkeypatch.setattr(flow_module, "_windowed_flow", spy)
+        stack, arc = self.mixed()
+        res = sf2_path(embed_chiral_path(_family_sum(stack, arc)))
+        assert walked == [[0.0, 1.0]]  # the crossing member, seeded
+        assert [w.rank for w in res.windows if w.summand != 2] == [0, 0, 0]
+
+    def test_members_without_growth_or_arc_are_walked(self):
+        # a constant member is solved once, and a family without an arc
+        # is walked member by member as opaque paths
+        def stack(t):
+            out = _calm_stack(t)
+            out[1] = np.diag([5.0, 6.0])
+            return out
+
+        def arc(ts):
+            out = _calm_arc(ts)
+            out[:, 1] = 0.0
+            return out
+
+        res = sf2_path(embed_chiral_path(_family_sum(stack, arc)))
+        assert (res.value, res.evaluations) == (1, 2 + 1 + 2 + 2)
+        opaque = sf2_path(embed_chiral_path(_family_sum(stack, None)))
+        assert opaque.value == 1 and opaque.evaluations > res.evaluations
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_singular_member_at_an_endpoint(self, seed):
+        def stack(t):
+            out = _calm_stack(t)
+            out[3, 1, 1] = t  # singular at t = 0
+            return out
+
+        path = _family_sum(stack, lambda ts: 3.0 * _calm_arc(ts))
+        for engine in _engines(path, seed):
+            with pytest.raises(NotAdmissibleError,
+                               match=r"path endpoint at t=0\.0 is singular"):
+                engine()
+
+    @pytest.mark.parametrize("fault", ["shape", "nan", "decreasing"])
+    def test_typed_errors(self, fault):
+        def stack(t):
+            out = _calm_stack(t)
+            if t == 1.0 and fault == "shape":
+                return out[:, :1, :1]
+            if t == 1.0 and fault == "nan":
+                out[1, 0, 1] = math.nan
+            return out
+
+        def arc(ts):
+            out = _calm_arc(ts)
+            if fault == "decreasing":
+                out[:, 1] = -out[:, 1]
+            return out
+
+        error = {"shape": DimensionError, "nan": ConfigError,
+                 "decreasing": ConfigError}[fault]
+        path = _family_sum(stack, arc)
+        for engine in _engines(path, None):
+            with pytest.raises(error):
+                engine()
+
+    def test_members_and_declaration_checks(self):
+        family = PathFamily((0.0, 1.0), _calm_stack, _calm_arc)
+        assert len(family) == 4 and family[1] is family[1]
+        assert family[1].block_shape == (2, 2)
+        np.testing.assert_array_equal(family[1].path.at(0.5),
+                                      _calm_stack(0.5)[1])
+        for bad in (4, -1, 1.0):
+            with pytest.raises(ConfigError, match="no member"):
+                family[bad]
+        with pytest.raises(DimensionError, match="stack"):
+            PathFamily((0.0, 1.0), lambda t: np.eye(2))
+        with pytest.raises(ConfigError, match="interval"):
+            PathFamily((1.0, 0.0), _calm_stack)
+        other = PathFamily((0.0, 2.0), _calm_stack)
+        with pytest.raises(ConfigError, match="one interval"):
+            OperatorPath.direct_sum([family[0], other[1]])
+        # a family's listings are placed as any part's
+        total = OperatorPath.direct_sum([family[2], family[0], family[2]])
+        np.testing.assert_array_equal(
+            total.at(0.5), _block_diag(*_calm_stack(0.5)[[2, 0, 2]]))
+
+
+def _block_diag(*blocks):
+    """Block-diagonal matrix of square blocks."""
+    n = sum(b.shape[0] for b in blocks)
+    out, at = np.zeros((n, n)), 0
+    for b in blocks:
+        out[at:at + b.shape[0], at:at + b.shape[1]] = b
+        at += b.shape[0]
+    return out
 
 
 class TestSolvedSampleReuse:
@@ -907,9 +1158,9 @@ class TestDirectSum:
         solved = []
         windowed = flow_module._windowed_flow
 
-        def spy(path, rng):
-            solved.append(path.block_shape)
-            return windowed(path, rng)
+        def spy(path, rng, records=None):
+            solved.append((path.block_shape, sorted(records or ())))
+            return windowed(path, rng, records)
 
         monkeypatch.setattr(flow_module, "_windowed_flow", spy)
         public = []
@@ -919,9 +1170,13 @@ class TestDirectSum:
         res = sf2_path(to_skew_path(path))
         assert res.value == -1 and public == []
         distinct = {id(p) for p, _, _ in path.evaluator.parts}
-        assert len(solved) == len(distinct) < len(path.evaluator.parts) == 16
-        assert solved == [(2, 2)] * len(distinct)
+        assert len(distinct) < len(path.evaluator.parts) == 16
+        # the calm members of the family are certified from its endpoint
+        # stacks; only the crossing member reaches the windowed engine, its
+        # cache seeded with the stacks' two endpoint records
+        assert solved == [((2, 2), [1.5, 2.5])]
         assert sorted(w.summand for w in res.windows) == list(range(16))
+        assert res.evaluations == 2 * (len(distinct) - 1) + 9
 
     def test_large_models_factor_only_parts(self, monkeypatch, capsys):
         import z2flow.cli as cli
@@ -1442,6 +1697,30 @@ class TestParityPathGeneral:
             (0.0, 1.0), lambda t: np.diag([t, 1.0 + t]), "general")
         with pytest.raises(NotAdmissibleError):
             parity_path(path)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND at the one-copy-of-each-kernel change (ROADMAP item 8): the "
+        "65-point grid of _square_block_path has no step check and its "
+        "cosine test cannot see sign, so a fast-turning path aliases"))
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_fast_turning_rectangular_path(self, seed):
+        # Rz(200 t) Rx(140 t) [[t - 0.3, 0], [0, 1], [0, 0]]: the square core
+        # crosses once, at t = 0.3
+        def rotation(axis, angle):
+            c, s = np.cos(angle), np.sin(angle)
+            r = np.eye(3)
+            i, j = [k for k in range(3) if k != axis]
+            r[i, i] = r[j, j] = c
+            r[i, j], r[j, i] = -s, s
+            return r
+
+        core = lambda t: np.array([[t - 0.3, 0.0], [0.0, 1.0]])
+        path = OperatorPath(
+            (0.0, 1.0), lambda t: rotation(2, 200 * t) @ rotation(0, 140 * t)
+            @ np.vstack([core(t), np.zeros((1, 2))]), "general", None, 1)
+        assert parity_finite(OperatorPath((0.0, 1.0), core)) == -1
+        rng = None if seed is None else np.random.default_rng(seed)
+        assert parity_path_general(path, rng=rng) == -1
 
 
 def _per_point_square_blocks(path):

@@ -232,7 +232,8 @@ class TestInsulator:
         monkeypatch.setattr(OperatorPath, "block", spy_block)
         monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
         assert parity_via_pairs(ring) == -1
-        assert evaluated == [0.0]
+        # solved at the start; evaluated at the end only to compare
+        assert evaluated == [0.0, 1.0]
         assert [s for s in solves if s != (1, 1)] == [(11, 11)]
         assert len(solves) == 9 + 1  # the link part's 9-point grid
 
@@ -404,6 +405,36 @@ class TestDisorderedMotion:
                                        p @ c.at(t) @ q.T, rtol=0, atol=1e-15)
 
 
+def _bifurcation_by_parts(spec: GalerkinSpec) -> OperatorPath:
+    """The bifurcation sum declared part by part, as before path families:
+    one 2 x 2 path [[1, t k], [t k, 1]] of arc |k| (t - t0) per distinct k."""
+    modes = spec.modes()
+    m = len(modes)
+    t0 = spec.interval[0]
+    shared = {}
+    for k1, k2 in modes:
+        q = k1 * k1 + k2 * k2
+        if q not in shared:
+            k = -1.0 / q
+            ev = lambda t, k=k: np.array([[1.0, t * k], [t * k, 1.0]])
+            ev.arc = lambda ts, k=k: abs(k) * (np.asarray(ts) - t0)
+            shared[q] = OperatorPath(spec.interval, ev)
+    place = [[i, m + i] for i in range(m)]
+    path = OperatorPath.direct_sum(
+        [shared[k1 * k1 + k2 * k2] for k1, k2 in modes], place, place)
+    speed = 1.0 / min(shared)
+    path.evaluator.arc = lambda ts: speed * (np.asarray(ts) - t0)
+    return path
+
+
+def _flow_record(res):
+    """Value, counters and windows (floats as hex) of a flow result."""
+    return (int(res.value), res.evaluations, res.refinement_depth,
+            res.motion_rank,
+            [(float(w.t_lo).hex(), float(w.t_hi).hex(), float(w.a).hex(),
+              w.rank, int(w.factor), w.summand) for w in res.windows])
+
+
 class TestBifurcation:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -467,6 +498,57 @@ class TestBifurcation:
     def test_crossing_modes(self):
         assert bifurcation_crossing_modes(GalerkinSpec(4, 2.0, 0.5)) == [(1, 1)]
         assert bifurcation_crossing_modes(GalerkinSpec(4, 2.0, 0.1)) == [(1, 1)]
+
+    @pytest.mark.parametrize("kmax", [4, 10, 20, 40])
+    def test_family_equals_the_sum_part_by_part(self, kmax):
+        spec = GalerkinSpec(kmax)
+        family = sf2_path(to_skew_path(build_bifurcation_path(spec)))
+        parts = sf2_path(to_skew_path(_bifurcation_by_parts(spec)))
+        assert _flow_record(family) == _flow_record(parts)
+        distinct = len({k1 * k1 + k2 * k2 for k1, k2 in spec.modes()})
+        assert family.evaluations == 2 * (distinct - 1) + 9
+
+    @pytest.mark.parametrize("kmax, digest", [
+        (4, "6e1bb3ed6292cddf67740819d5592ccf24ab10698e9d2d16e7ee873be982ed6e"),
+        (10, "72831b7ceb9fba6f14d4830b3adbb13bfb122497cda64145f6cfbf2bd557b958"),
+        (40, "0b34a2339cd799df1cdcc2d01c917f4c19386782c7126776202927625186d665"),
+    ])
+    def test_input_digest_unchanged(self, kmax, digest):
+        # the family's stack is hashed row by listed row, the bytes the
+        # part-by-part declaration hashes block by block
+        from z2flow.cli import _digest_path
+
+        spec = GalerkinSpec(kmax)
+        for build in (build_bifurcation_path, _bifurcation_by_parts):
+            assert _digest_path(to_skew_path(build(spec))) == digest
+
+    def test_family_values_under_rng(self):
+        spec = GalerkinSpec(10)
+        family = to_skew_path(build_bifurcation_path(spec))
+        parts = to_skew_path(_bifurcation_by_parts(spec))
+        assert parity_via_pairs(family) == sf2_path(family).value == -1
+        for seed in range(5):
+            for path in (family, parts):
+                rng = np.random.default_rng(seed)
+                res = sf2_path(path, rng=rng)
+                assert res.value == res.window_product() == -1
+                assert parity_via_pairs(path, rng=np.random.default_rng(seed)) == -1
+
+    def test_builds_one_family_and_no_mode_paths(self, monkeypatch):
+        built = []
+        post_init = OperatorPath.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(OperatorPath, "__post_init__", spy)
+        path = build_bifurcation_path(GalerkinSpec(10))
+        assert built == [path]
+        families = {id(p.family): p.family for p, _, _ in path.evaluator.parts}
+        (family,) = families.values()
+        assert len(family) == len({k1 * k1 + k2 * k2
+                                   for k1, k2 in GalerkinSpec(10).modes()}) == 52
 
     def test_symmetry_tag_general(self):
         path = build_bifurcation_path(GalerkinSpec(3, 2.0, 0.5))
