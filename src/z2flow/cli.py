@@ -1,7 +1,7 @@
 """Command-line driver with machine-readable reports.
 
 Every computation in the package is reachable from the command line with
-deterministic seeds and a versioned JSON report (schema ``z2flow/4``); CSV
+deterministic seeds and a versioned JSON report (schema ``z2flow/5``); CSV
 output flattens one spectral window per row for spreadsheet audits.
 """
 
@@ -49,7 +49,7 @@ from .pairs import (
 )
 from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath
 
-SCHEMA = "z2flow/4"
+SCHEMA = "z2flow/5"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
             "bifurcation", "example")
 
@@ -140,76 +140,65 @@ def ingest_path(file) -> OperatorPath:
 
 
 def _digest_path(path: OperatorPath, n: int = 33) -> str:
-    """SHA-256 of the record matrices the engine reads, at n parameters: a
-    chiral path's block, a plain skew path's matrix, or the blocks of a
-    declared direct sum's parts after their row and column placements.  A
-    path or part whose declared arc does not grow (``flow._arc_growth``) is
-    one matrix, hashed once, at the start, before the parameters.  A path
-    family (``PathFamily``) is evaluated once per parameter, and its
-    listings hash the rows of that one stack that they name."""
+    """SHA-256 of the declared input the engine reads at n equispaced
+    parameters ts, never of a doubled matrix or of the partition.
+
+    A plain path hashes each t and its record matrix (a chiral path's
+    block, a plain skew path's matrix), or its one matrix and then ts if
+    its arc does not grow (``flow._arc_growth``).  A sum or a motion hashes
+    ts, then each distinct leaf (a part, or the path) once in first-listing
+    order: B(t0), p, q and c at ts for a motion (p, q, c); the one matrix of
+    a leaf whose arc does not grow; else its matrices at ts, a family
+    member's as its rows of one family stack per t.  A sum ends with each
+    listing's leaf, then its rows and columns, as int64."""
+    ts = np.linspace(path.t_start, path.t_end, n)
     parts = getattr(path.evaluator, "parts", None)
-    h = hashlib.sha256()
-    if parts is None:
-        parts, read = [(path, None, None)], _record_matrix
-    else:
-        # a part's block is its evaluator's matrix; the engine validates
-        # the parts where it solves them
+    if parts is None and getattr(path.evaluator, "motion", None) is None:
+        read = lambda t: _digest_arrays(_record_matrix(path, t))
+        if _arc_growth(getattr(path.evaluator, "arc", None), path.interval) == 0:
+            return _sha256(*read(ts[0]), ts)
+        return _sha256(*(x for t in ts for x in [t.tobytes(), *read(t)]))
+    if parts is None:  # one leaf, read as the engine reads the path
+        leaves, read = [path], _record_matrix
+    else:  # a part's block is its evaluator's matrix
+        leaves = list({id(part): part for part, _, _ in parts}.values())
         read = lambda part, t: part.evaluator(t)
-        # each listing's rows, then its columns, as one int64 stream
-        h.update(np.concatenate([a for _, rows, cols in parts
-                                 for a in (rows, cols)]).astype(np.int64).tobytes())
-
-    def block(part, t):
-        if isinstance(part, FamilyMember):
-            return stack(part.family, t)[part.index].tobytes()
-        return np.ascontiguousarray(read(part, t), dtype=np.float64).tobytes()
-
-    def stack(family, t):
-        return np.ascontiguousarray(family.stack(t), dtype=np.float64)
-
-    family_growth = {}
-
-    def growth(part):
-        if not isinstance(part, FamilyMember):
-            return _arc_growth(getattr(part.evaluator, "arc", None), part.interval)
-        f = part.family
-        if id(f) not in family_growth:
-            family_growth[id(f)] = _arc_growth(f.arc, f.interval, len(f))
-        return family_growth[id(f)][part.index]
-
-    distinct = list({id(part): part for part, _, _ in parts}.values())
-    constant = {id(part) for part in distinct if growth(part) == 0}
-    for part in distinct:
-        if id(part) in constant:
-            h.update(block(part, path.t_start))
-    # the moving listings in order, a run of one family's listings as one
-    # (family, members) gather from its stack
-    runs = []
-    for part, _, _ in parts:
-        if id(part) in constant:
-            continue
-        if not isinstance(part, FamilyMember):
-            runs.append((part, None))
-        elif runs and runs[-1][0] is part.family:
-            runs[-1][1].append(part.index)
+    families, chunks = {}, [ts]
+    for leaf in leaves:
+        if isinstance(leaf, FamilyMember):
+            f = leaf.family
+            if id(f) not in families:  # stacks indexed member, parameter
+                families[id(f)] = (np.stack([f.stack(t) for t in ts], axis=1),
+                                   _arc_growth(f.arc, f.interval, len(f)) == 0)
+            rows, constant = (a[leaf.index] for a in families[id(f)])
+            chunks += _digest_arrays(rows[:1] if constant else rows)
+        elif getattr(leaf.evaluator, "motion", None) is not None:
+            p, q, c = leaf.evaluator.motion
+            chunks += _digest_arrays(read(leaf, ts[0]), p, q,
+                                     *(c.at(t) for t in ts))
+        elif _arc_growth(getattr(leaf.evaluator, "arc", None), leaf.interval) == 0:
+            chunks += _digest_arrays(read(leaf, ts[0]))
         else:
-            runs.append((part.family, [part.index]))
-    runs = [(source, members if members is None else np.array(members))
-            for source, members in runs]
-    for t in np.linspace(path.t_start, path.t_end, n):
-        blocks = {id(source): stack(source, t) if members is not None
-                  else block(source, t) for source, members in runs}
-        h.update(np.float64(t).tobytes())
-        h.update(b"".join(blocks[id(source)] if members is None
-                          else blocks[id(source)][members].tobytes()
-                          for source, members in runs))
-    return h.hexdigest()
+            chunks += _digest_arrays(*(read(leaf, t) for t in ts))
+    if parts is not None:
+        position = {id(leaf): i for i, leaf in enumerate(leaves)}
+        chunks += _digest_arrays(
+            np.array([position[id(part)] for part, _, _ in parts]),
+            np.concatenate([a for _, rows, cols in parts for a in (rows, cols)]),
+            dtype=np.int64)
+    return _sha256(*chunks)
 
 
-def _digest_arrays(*arrays) -> str:
+def _digest_arrays(*arrays, dtype=np.float64) -> list:
+    """The arrays as contiguous ``dtype`` arrays, hashed by ``_sha256``."""
+    return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
+
+
+def _sha256(*chunks) -> str:
+    """SHA-256 of the chunks' bytes (bytes or contiguous arrays), in place."""
     h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -262,26 +251,21 @@ def run(config: RunConfig) -> dict:
                 "skew", "chiral-skew"):
             raise ConfigError("sf2 requires a skew or chiral-skew path")
 
-    elif config.command == "pi-index":
-        n = int(config.params.get("n", 4))
-        structure, o = build_rank_one_pair(n)
-        conjugated = o @ structure.matrix @ o.T
-        report["input_digest"] = _digest_arrays(structure.matrix, o)
-        pair = FredholmPair(
-            structure, ComplexStructure(conjugated, structure.frame))
-        report["result"] = int(pi_index(pair))
-        report["kernel_dim"] = int(pair.gap_certificate)
-
-    elif config.command == "index-theorem":
-        n = int(config.params.get("n", 4))
-        structure, o = build_rank_one_pair(n)
-        report["input_digest"] = _digest_arrays(structure.matrix, o)
-        lhs = j_index(structure, o)
-        rhs = index_pairing_rhs(structure, o)
-        report["result"] = int(lhs)
-        report["index_lhs"] = int(lhs)
-        report["index_rhs_mod2"] = int(rhs)
-        report["agree"] = bool((int(lhs) == -1) == (rhs == 1))
+    elif config.command in ("pi-index", "index-theorem"):
+        structure, o = build_rank_one_pair(int(config.params.get("n", 4)))
+        report["input_digest"] = _sha256(*_digest_arrays(structure.matrix, o))
+        if config.command == "pi-index":
+            pair = FredholmPair(structure, ComplexStructure(
+                o @ structure.matrix @ o.T, structure.frame))
+            report["result"] = int(pi_index(pair))
+            report["kernel_dim"] = int(pair.gap_certificate)
+        else:
+            lhs = j_index(structure, o)
+            rhs = index_pairing_rhs(structure, o)
+            report["result"] = int(lhs)
+            report["index_lhs"] = int(lhs)
+            report["index_rhs_mod2"] = int(rhs)
+            report["agree"] = bool((int(lhs) == -1) == (rhs == 1))
 
     elif config.command == "insulator":
         spec = RingShiftSpec(

@@ -665,24 +665,20 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     with the part's position (``SpectralWindow.summand``).  The report
     counts the evaluations of the distinct parts and their deepest
     refinement.  A part whose declared arc does not increase over the
-    interval is one matrix, evaluated and solved once, at the start; its
-    window is the rank-0 window of the two-endpoint rule, read from that
-    one solve, for its singular values alone.  The members of a path family
-    (``PathFamily``) listed in a sum are taken together first: the family
-    is evaluated once at each endpoint, both stacks are solved at once, and
-    every member whose two-endpoint floor clears its margins is one rank-0
-    window over the interval from those 2 evaluations, with the radius its
-    own walk would find; only the other members are walked, from the
-    endpoint records of the stacks.  ``parity_via_pairs`` walks declared
-    sums the same way.
+    interval is one matrix, solved once at the start for its singular
+    values alone, and is the rank-0 window of the two-endpoint rule.  The
+    members of a path family (``PathFamily``) are taken together first:
+    both endpoint stacks are solved at once, a member whose two-endpoint
+    floor clears its margins is one rank-0 window from those 2
+    evaluations, and only the others are walked (``_family_batch``).
+    ``parity_via_pairs`` walks declared sums the same way.
 
-    A declared arc is checked wherever the engine holds two matrices: an
-    arc that grows from s to t by less than max |M(t) - M(s)| of the two
-    endpoint matrices of a segment (or of a family member) raises
-    ``ConfigError``, and a path or part whose arc does not grow is
-    evaluated at its end, without a solve, and compared with its one
-    matrix.  The check sees only those matrices, not a path that moves and
-    returns between them.
+    A declared arc is checked, at no solve, wherever the engine holds two
+    matrices: the ends of a segment, of a family member and of a declared
+    motion's c, and a constant path or part at its end against its one
+    matrix.  An arc that grows from s to t by less than max |M(t) - M(s)|
+    raises ``ConfigError``; a path that moves and returns between the held
+    matrices passes.
 
     A block path that declares its low-rank motion ``(p, q, c)`` (see
     ``OperatorPath``) is solved on its r x r reduced path A(t) = I +
@@ -827,8 +823,8 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     as every endpoint) and must satisfy the declaration within ``tol.sym``
     of the block's scale (``ConfigError``; at t0 this asks p c(t0) q^T =
     0); shapes that do not fit raise ``DimensionError``.  A declares the
-    arc ||K||_2 arc_c when c declares arc_c.
-    """
+    arc ||K||_2 arc_c when c declares arc_c, which must grow by at least
+    max |c(t1) - c(t0)| of the two matrices of c read there."""
     p, q, c = path.evaluator.motion
     p, q = as_real_matrix(p), as_real_matrix(q)
     if not (isinstance(c, OperatorPath) and c.symmetry_tag == "general"
@@ -846,9 +842,10 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     b1 = path.block(t1)
     _check_shape(b1, t1, t0, b0.shape)
     bound = tol.sym(max(max_abs(b0), max_abs(b1)))
-    for t, b in ((t0, b0), (t1, b1)):
+    ends = [c.at(t) for t in (t0, t1)]
+    for t, b, ct in zip((t0, t1), (b0, b1), ends):
         _require_admissible(t, skew_singular_system(b, True, compute_uv=False)[0])
-        residual = max_abs(b - b0 - p @ c.at(t) @ q.T)
+        residual = max_abs(b - b0 - p @ ct @ q.T)
         if residual > bound:
             raise ConfigError(
                 f"the declared motion does not match the block at t={t}: "
@@ -866,6 +863,7 @@ def _reduced(path: OperatorPath) -> OperatorPath:
 
     arc = getattr(c.evaluator, "arc", None)
     if arc is not None:
+        _require_arc(t0, t1, *ends, np.diff(_read_arc(arc, np.array([t0, t1])))[0])
         norm = float(singular_values(k)[-1]) if k.size else 0.0
         block.arc = lambda ts: norm * np.asarray(arc(ts), dtype=float)
     return embed_chiral_path(OperatorPath(path.interval, block))

@@ -9,7 +9,8 @@ orthogonals.
 
 Everything that only depends on the structures is computed on their n x n
 blocks: the kernel of I0 + I1 is twice that of U0 + U1, the straight line
-is the doubling of (1 - t) U0 + t U1, and the phases along a path are the
+is the doubling of (1 - t) U0 + t U1, solved on the r x r reduced path of
+its motion in the rank r of U1 - U0, and the phases along a path are the
 orthogonal blocks X Y^T of the flow engine's chiral records, one chiral
 core for both routes.  ``ComplexStructure`` values, the complex
 cross-check of ``pi_index`` and the index map keep the 2n x 2n matrices.
@@ -150,14 +151,24 @@ def pi_index(pair: FredholmPair) -> Z2:
 
 def straight_line_sf2(pair: FredholmPair, *, rng=None) -> Z2:
     """Flow of the straight line between the two structures: the chiral
-    doubling of the block line (1 - t) U0 + t U1, of arc ||U1 - U0||_2 t."""
+    doubling of the block line (1 - t) U0 + t U1, of arc ||U1 - U0||_2 t.
+
+    For 0 < r < n, r the rank of U1 - U0 = W S V^T (its values above
+    ``tol.sym`` of the blocks' scale), the line declares its motion
+    (W_r S_r, V_r, t I_r), and the engine solves the r x r reduced path:
+    2 + 9 evaluations for the rank-one pair at any n."""
     u0, u1 = _block(pair.first), _block(pair.second)
-    speed = float(singular_values(u1 - u0)[-1])
+    w, s, vt = np.linalg.svd(u1 - u0)
+    speed = s.max(initial=0.0)
 
     def line(t):
         return (1.0 - t) * u0 + t * u1
 
     line.arc = lambda ts: speed * np.asarray(ts)
+    r = int((s > tol.sym(max(max_abs(u0), max_abs(u1)))).sum())
+    if 0 < r < s.size:  # c(t) = t I_r declares its knot arc t
+        line.motion = (w[:, :r] * s[:r], vt[:r].T, OperatorPath.from_samples(
+            [0.0, 1.0], [np.zeros((r, r)), np.eye(r)]))
     return sf2_path(embed_chiral_path(OperatorPath((0.0, 1.0), line)),
                     rng=rng).value
 
@@ -203,27 +214,20 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
 
     The phases come from the flow engine's record of the path
     (``flow._PathData``): the phase at t is X Y^T = W V^T, X and Y the
-    frames of the chiral record of B = W S V^T = ``path.block(t)``.  The
-    record keeps one block shape, solves each t once, and solves a part
-    whose declared arc does not increase only at t0, for its singular
-    values alone; it contributes +1
-    (U + U = 2U has every singular value 2).  A block singular at an
-    endpoint raises ``NotAdmissibleError``, as in ``sf2_path``.  ``rng``
-    mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
-    1))``) once per interior t.
+    frames of the chiral record of B = W S V^T = ``path.block(t)``, solved
+    once per t.  A part whose declared arc does not increase is solved at
+    t0 alone and contributes +1 (U + U = 2U has every singular value 2).  A
+    block singular at an endpoint raises ``NotAdmissibleError``, as in
+    ``sf2_path``.  ``rng`` mixes the kernel columns of X (values below
+    ``tol.gap(max(sigma_max, 1))``) once per interior t.
 
-    A declared direct sum of square parts (``OperatorPath.direct_sum``) is
-    taken part by part, like ``sf2_path`` does: parity is multiplicative,
-    so each distinct part runs this route once on its own block path and
-    the parity is the product over the listings.  The members of a path
-    family (``PathFamily``) take the walk of ``sf2_path``: a member whose
-    two-endpoint floor clears its margins keeps sigma_min > 0 and
-    contributes +1, and only the others run this route.  A declared
-    low-rank motion is taken next, as in ``sf2_path``: the route runs on
-    the r x r reduced path of ``flow._reduced``, which has the parity of
-    the block.  A declared arc must grow between the two ends of every
-    certified phase pair by at least the largest entry of the difference
-    of their blocks, or ``ConfigError`` is raised.
+    Declared structure is taken as ``sf2_path`` takes it: a direct sum of
+    square parts part by part (parity is multiplicative), a path family's
+    calm members from its endpoint stacks, and a low-rank motion on the
+    r x r reduced path of ``flow._reduced``.  A declared arc must grow
+    between the two ends of every certified phase pair by at least the
+    largest entry of the difference of their blocks, or ``ConfigError`` is
+    raised.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")

@@ -198,62 +198,72 @@ class OperatorPath:
         if not parts:
             raise ConfigError("a direct sum needs at least one part")
         interval = parts[0].interval
-        shapes = {}
-        for part in {id(part): part for part in parts}.values():
-            if part.symmetry_tag != "general" or part.interval != interval:
-                raise ConfigError("direct-sum parts must be general paths or "
-                                  "family members on one interval")
-            shapes[id(part)] = part.block_shape
-        placed = []
-        for i, axis in enumerate((rows, cols)):
-            sizes = [shapes[id(part)][i] for part in parts]
-            if axis is None:
-                ends = np.cumsum([0] + sizes)
-                axis = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
-            axis = [np.asarray(a, dtype=np.intp).ravel() for a in axis]
-            if ([a.size for a in axis] != sizes or not np.array_equal(
-                    np.sort(np.concatenate(axis)), np.arange(sum(sizes)))):
-                raise ConfigError("direct-sum placements must match the part "
-                                  "shapes and take every row and column once")
-            placed.append(axis)
-        triples = tuple(zip(parts, *placed))
-        shape = (sum(r.size for r in placed[0]), sum(c.size for c in placed[1]))
-        # each distinct part or family, with its first position, the rows
-        # (c, p, 1) and columns (c, 1, q) of its c listings stacked and, for
-        # a family, the member of each listing, so one assignment fills all
-        # its places
-        listed = {}
-        for i, (part, r, c) in enumerate(triples):
+        # each distinct part or family (a source) with the positions and
+        # members of its listings, which all share the source's shape
+        listed, sizes = {}, []
+        for j, part in enumerate(parts):
             member = isinstance(part, FamilyMember)
             source = part.family if member else part
-            entry = listed.get(id(source))
-            if entry is None:
-                entry = listed[id(source)] = (source, i, [], [], [])
-            entry[2].append(r)
-            entry[3].append(c)
-            entry[4].append(part.index if member else 0)
-        scatter = [(source, i, np.stack(r)[:, :, None], np.stack(c)[:, None, :],
+            if id(source) not in listed:
+                if part.symmetry_tag != "general" or part.interval != interval:
+                    raise ConfigError("direct-sum parts must be general paths "
+                                      "or family members on one interval")
+                listed[id(source)] = (source, part.block_shape, [], [])
+            listed[id(source)][2].append(j)
+            listed[id(source)][3].append(part.index if member else 0)
+            sizes.append(listed[id(source)][1])
+        # a source's c listings take one (c, size) array of rows and one of
+        # columns, validated together
+        sizes = np.array(sizes, dtype=np.intp).reshape(-1, 2)
+        placed = []
+        for i, axis in enumerate((rows, cols)):
+            ends = np.cumsum(sizes[:, i])
+            try:
+                if axis is not None and len(axis := list(axis)) != len(parts):
+                    raise ValueError  # one entry per listing
+                arrays = [(ends[js] - shape[i])[:, None] + np.arange(shape[i])
+                          if axis is None else np.array(
+                              [axis[j] for j in js],
+                              dtype=np.intp).reshape(len(js), shape[i])
+                          for _, shape, js, _ in listed.values()]
+                if not np.array_equal(np.sort(np.concatenate(
+                        [a.ravel() for a in arrays])), np.arange(ends[-1])):
+                    raise ValueError
+            except (ValueError, TypeError) as exc:
+                raise ConfigError("direct-sum placements must match the part "
+                                  "shapes and take every row and column "
+                                  "once") from exc
+            placed.append(arrays)
+        # the triples list each listing's rows and columns as rows of those
+        # arrays; one assignment of a source's stacked rows (c, p, 1) and
+        # columns (c, 1, q) fills all its places
+        order = np.argsort(np.concatenate([js for _, _, js, _ in listed.values()]))
+        flat = [[row for a in arrays for row in a] for arrays in placed]
+        triples = tuple(zip(parts, *([axis[k] for k in order] for axis in flat)))
+        total = tuple(int(n) for n in sizes.sum(axis=0))
+        scatter = [(source, shape, js[0], r[:, :, None], c[:, None, :],
                     np.array(members))
-                   for source, i, r, c, members in listed.values()]
+                   for (source, shape, js, members), r, c
+                   in zip(listed.values(), *placed)]
 
         def evaluator(t):
-            out = np.zeros(shape)
-            for source, i, r, c, members in scatter:
+            out = np.zeros(total)
+            for source, shape, i, r, c, members in scatter:
                 if isinstance(source, PathFamily):
                     out[r, c] = source.stack(t)[members]
                     continue
                 b = source.block(t)
-                if b.shape != shapes[id(source)]:
+                if b.shape != shape:
                     raise DimensionError(
                         f"direct-sum part {i} has shape {b.shape} at t={t} "
-                        f"but is placed as {shapes[id(source)]}; the "
+                        f"but is placed as {shape}; the "
                         "evaluator must keep one shape")
                 out[r, c] = b
             return out
 
         evaluator.parts = triples
         return OperatorPath(interval, evaluator, "general", None,
-                            shape[0] - shape[1])
+                            total[0] - total[1])
 
     @staticmethod
     def from_samples(ts: Sequence[float], mats: Sequence[np.ndarray],

@@ -33,7 +33,7 @@ class TestCommands:
     def test_parity_example(self):
         report = parse_stdout(invoke("parity", "--model", "examp"))
         assert report["result"] == -1
-        assert report["schema"] == "z2flow/4"
+        assert report["schema"] == "z2flow/5"
 
     def test_sf2_absolute_twin(self):
         report = parse_stdout(invoke("sf2", "--model", "examp_abs"))
@@ -102,7 +102,7 @@ class TestReports:
         assert rows
         product = 1
         for row in rows:
-            assert row["schema"] == "z2flow/4"
+            assert row["schema"] == "z2flow/5"
             assert row["summand"] == "0"
             product *= int(row["factor"])
         assert product == int(rows[0]["result"]) == -1

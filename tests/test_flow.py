@@ -559,15 +559,16 @@ class TestPiecewiseAffine:
         assert parity_path(path) == parity_finite(path) == -1
         assert parity_path(path, rng=np.random.default_rng(6)) == -1
 
-    @pytest.mark.parametrize("case", _SAMPLE_TAGS + list(_MODULUS_PATHS) + ["line"])
+    @pytest.mark.parametrize("case", _SAMPLE_TAGS + list(_MODULUS_PATHS)
+                             + ["line", "line-dense"])
     def test_arc_bounds_every_step(self, case, monkeypatch):
         # kinks: where the arc may bend; piece: a stretch where it is exact
         if case in _SAMPLE_TAGS:
             path, kinks = _tagged_sample_path(np.random.default_rng(51), case)
             piece = kinks[1:3]
         else:
-            path = (_straight_line(monkeypatch)[1] if case == "line"
-                    else _MODULUS_PATHS[case]())
+            path = (_declared_arc_paths(case, monkeypatch)[0]
+                    if case.startswith("line") else _MODULUS_PATHS[case]())
             kinks = piece = np.array(path.interval)
         data = _PathData(to_skew_path(path))
         assert data.arc is not None
@@ -667,8 +668,13 @@ def _declared_arc_paths(case, monkeypatch):
             for n in (2, 4, 6)]
     if case == "chiral-skew":
         return [random_chiral_skew_path(rng, n, knots=4) for n in (1, 2, 3)]
-    if case == "line":
-        return [_straight_line(monkeypatch)[1]]
+    if case in ("line", "line-dense"):
+        line = _straight_line(monkeypatch)[1]
+        if case == "line":  # the rank-one line declares its motion
+            return [_reduced(line)]
+        dense = lambda t: line.block(t)  # the declared motion stripped
+        dense.arc = line.evaluator.arc
+        return [OperatorPath(line.interval, dense)]
     if case == "non-dyadic":  # its grids and midpoints are not exact binary fractions
         return [random_admissible_path(rng, n, knots=4, interval=(0.3, 1.7))
                 for n in (2, 3)]
@@ -699,7 +705,7 @@ class TestArcEnvelope:
 
     @pytest.mark.parametrize("case", ["general", "skew", "chiral-skew", "ring-k1",
                                       "ring-k2", "ring-disorder", "ring-disorder-dense",
-                                      "bifurcation", "line", "non-dyadic"])
+                                      "bifurcation", "line", "line-dense", "non-dyadic"])
     def test_windows_hold_their_rank_between_samples(self, case, monkeypatch):
         for path in _declared_arc_paths(case, monkeypatch):
             skew = to_skew_path(path)
@@ -841,6 +847,40 @@ class TestArcAudit:
         for engine in _engines(path, seed):
             with pytest.raises(ConfigError, match="the declared arc grows by"):
                 engine()
+
+    @staticmethod
+    def moving(arc_c):
+        """diag(t - 1/2, 1), declaring its motion e1 c(t) e1^T, c(t) = [[t]]
+        of arc ``arc_c``: its reduced path 1 - 2t moves by 2, c by 1."""
+        def c(t):
+            return np.array([[t]])
+
+        c.arc = arc_c
+        path = _declared((0.0, 1.0), lambda t: np.diag([t - 0.5, 1.0]),
+                         lambda ts: np.asarray(ts, dtype=float))
+        e1 = np.eye(2)[:, :1]
+        path.evaluator.motion = (e1, e1, OperatorPath((0.0, 1.0), c))
+        return path
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("arc", [
+        lambda ts: np.zeros(np.shape(ts)),
+        lambda ts: 0.01 * np.asarray(ts),
+    ], ids=["zero", "too-small"])
+    def test_lying_motion_arc_refused_by_every_engine(self, arc, seed):
+        # c's own check fires, on c's step of 1, before the reduced path's
+        path = self.moving(arc)
+        assert parity_finite(path) == -1
+        for engine in _engines(path, seed):
+            with pytest.raises(ConfigError, match=r"the declared arc grows by .* "
+                               r"max \|M\(t\) - M\(s\)\| = 1\.000e\+00"):
+                engine()
+
+    def test_honest_motion_arc_adds_no_evaluation(self):
+        path = self.moving(lambda ts: np.asarray(ts, dtype=float))
+        res = sf2_path(embed_chiral_path(path))
+        assert (res.value, res.evaluations, res.motion_rank) == (-1, 11, 1)
+        assert parity_via_pairs(embed_chiral_path(path)) == -1
 
     def test_honest_constant_part_keeps_one_solve(self, monkeypatch):
         # a path whose arc does not grow is evaluated at its end to compare,
@@ -1122,10 +1162,34 @@ class TestDirectSum:
             assert np.count_nonzero(expected) == sum(
                 r.size * c.size for r, c in zip(rows, cols))
 
+    @pytest.mark.parametrize("rows", [
+        [[3, 0], [1, 2]],
+        [[[3, 0]], [[1, 2]]],
+        np.array([[3, 0], [1, 2]]),
+        iter([np.array([3, 0]), (1, 2)]),
+    ], ids=["lists", "nested", "array", "iterator"])
+    def test_placements_listed_as_given(self, rows):
+        # every spelling of the same placements lists each as a flat intp
+        # array, the mixed sum's too, and assembles the same block
+        a = OperatorPath.from_samples([0.0, 1.0], [np.eye(2), 2 * np.eye(2)])
+        b = self.ramp(-1.0, 1.0)
+        total = OperatorPath.direct_sum([a, a], rows, [[0, 1], [2, 3]])
+        got = [(r.dtype, r.tolist(), c.tolist()) for _, r, c in total.evaluator.parts]
+        assert got == [(np.intp, [3, 0], [0, 1]), (np.intp, [1, 2], [2, 3])]
+        np.testing.assert_array_equal(
+            total.at(0.5), np.diag([1.5, 1.5, 1.5, 1.5])[[1, 2, 3, 0]])
+        mixed = OperatorPath.direct_sum([a, b, a], [[3, 0], [4], [1, 2]],
+                                        [[1, 2], [0], [3, 4]])
+        assert [(r.tolist(), c.tolist()) for _, r, c in mixed.evaluator.parts] \
+            == [([3, 0], [1, 2]), ([4], [0]), ([1, 2], [3, 4])]
+
     @pytest.mark.parametrize("rows, cols", [
         ([[0], [0]], [[0], [1]]),         # a row taken twice
         ([[0], [2]], [[0], [1]]),         # row 1 left out
         ([[0, 1], [2]], [[0], [1]]),      # a placement of the wrong size
+        ([[0]], [[0], [1]]),              # a listing without rows
+        ([[0], [1], [2]], [[0], [1]]),    # rows for a listing that is not there
+        ([[0], None], [[0], [1]]),        # no rows at all
     ])
     def test_bad_placements_refused(self, rows, cols):
         a = self.ramp(1.0, 2.0)

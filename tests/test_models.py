@@ -394,6 +394,43 @@ class TestDisorderedMotion:
                 assert [route() for route in routes] == [oracle] * len(routes), \
                     (strength, seed)
 
+    def test_digest_hashes_the_declaration(self):
+        # the digest reads B(t0), p, q and c, never the dense block at
+        # another parameter; changing any of the four changes it
+        from z2flow.cli import _digest_path
+
+        skew = to_skew_path(build_insulator_disordered(RingShiftSpec(12), 0.1, 3))
+        p, q, c = skew.evaluator.motion
+        read = []
+
+        def declared(block=skew.block, motion=(p, q, c)):
+            def evaluator(t):
+                raise AssertionError("the digest builds no doubled matrix")
+
+            def traced(t):
+                read.append(t)
+                return block(t)
+
+            evaluator.block, evaluator.arc = traced, skew.evaluator.arc
+            evaluator.motion = motion
+            return OperatorPath(skew.interval, evaluator, "chiral-skew", skew.frame)
+
+        def scaled(path, factor):
+            ev = lambda t: factor * path.at(t)
+            ev.arc = lambda ts: abs(factor) * path.evaluator.arc(ts)
+            return OperatorPath(path.interval, ev)
+
+        shifted = lambda t: skew.block(t) + 1e-9 * (t == 0.0)
+        digests = [_digest_path(declared()),
+                   _digest_path(declared(shifted)),
+                   # the same block declared by 2p and c / 2, by -q and -c
+                   _digest_path(declared(motion=(2 * p, q, scaled(c, 0.5)))),
+                   _digest_path(declared(motion=(p, -q, scaled(c, -1.0)))),
+                   _digest_path(declared(motion=(p, q, scaled(c, 2.0))))]
+        assert digests[0] == _digest_path(skew)
+        assert len(set(digests)) == len(digests)
+        assert set(read) == {0.0}
+
     def test_declaration_selects_the_link_entries(self):
         path = build_insulator_disordered(RingShiftSpec(12, 2, 2, 3), 0.2, 4)
         p, q, c = path.evaluator.motion  # forwarded by the doubling
@@ -509,13 +546,13 @@ class TestBifurcation:
         assert family.evaluations == 2 * (distinct - 1) + 9
 
     @pytest.mark.parametrize("kmax, digest", [
-        (4, "6e1bb3ed6292cddf67740819d5592ccf24ab10698e9d2d16e7ee873be982ed6e"),
-        (10, "72831b7ceb9fba6f14d4830b3adbb13bfb122497cda64145f6cfbf2bd557b958"),
-        (40, "0b34a2339cd799df1cdcc2d01c917f4c19386782c7126776202927625186d665"),
+        (4, "3bede9de67676c9971508bccd8469941e0d862f9609c5cad0f6c91c18a933506"),
+        (10, "aa41478eb5f11a4a1d4c69b8e59ffe6c1fc82b7a83bb669307046428dbea327a"),
+        (40, "ed4cfd2c8441ddc359bc54aa11ba7ebe0b161a725810a92d6751c25094b2141c"),
     ])
     def test_input_digest_unchanged(self, kmax, digest):
-        # the family's stack is hashed row by listed row, the bytes the
-        # part-by-part declaration hashes block by block
+        # each listed member hashes its rows of the family's stacks, the
+        # bytes the part-by-part declaration hashes part by part
         from z2flow.cli import _digest_path
 
         spec = GalerkinSpec(kmax)

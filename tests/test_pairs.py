@@ -182,6 +182,40 @@ class TestStraightLine:
             pair = random_certified_pair(rng, int(rng.integers(2, 5)))
             assert straight_line_sf2(pair) == pi_index(pair)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_low_rank_lines_declare_their_motion(self, n, monkeypatch):
+        # (I, O I O^T) for O = diag(R, 1), R reflecting r random directions
+        # of a random structure's block: U1 - U0 has rank r, and the line
+        # has the parity (-1)^r of pi_index
+        import z2flow.pairs as pairs_module
+
+        flows = []
+
+        def spy(path, *, rng=None):
+            flows.append(sf2_path(path, rng=rng))
+            return flows[-1]
+
+        monkeypatch.setattr(pairs_module, "sf2_path", spy)
+        rng = np.random.default_rng(60 + n)
+        structure = random_chiral_structure(rng, n)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        for r in range(min(n, 3) + 1):
+            o = np.eye(2 * n)
+            o[:n, :n] -= 2.0 * basis[:, :r] @ basis[:, :r].T
+            pair = FredholmPair(structure, ComplexStructure(
+                o @ structure.matrix @ o.T, structure.frame))
+            values = [straight_line_sf2(pair)] + [
+                straight_line_sf2(pair, rng=np.random.default_rng(seed))
+                for seed in range(2)]
+            assert values == [pi_index(pair)] * 3 == [(-1) ** r] * 3, (n, r)
+            res = flows[-3]
+            # a motion only for 0 < r < n, of 2 block checks and one rank-2r
+            # window of the r x r path I - 2t I_r; a constant line is one
+            # solve, and a full-rank one (here n = 1) is solved whole
+            got = (res.motion_rank, res.evaluations, len(res.windows))
+            assert got == ((r, 11, 1) if 0 < r < n else
+                           (0, 1, 1) if r == 0 else (0, 9, 1)), (n, r)
+
 
 class TestPhaseComplete:
     def test_invertible_matches_polar_phase(self):
