@@ -136,8 +136,8 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
     Only its ``at`` builds the doubled matrix; the engine reads ``block``,
-    and the source's ``arc``, direct-sum ``parts`` and low-rank ``motion``
-    if it declares them."""
+    and the source's ``arc``, direct-sum ``parts`` (with their
+    ``block_shape``) and low-rank ``motion`` if it declares them."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
@@ -147,6 +147,7 @@ def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPat
     evaluator.block = source.block
     evaluator.arc = getattr(source.evaluator, "arc", None)
     evaluator.parts = getattr(source.evaluator, "parts", None)
+    evaluator.block_shape = getattr(source.evaluator, "block_shape", None)
     evaluator.motion = getattr(source.evaluator, "motion", None)
     return OperatorPath(source.interval, evaluator, tag, frame,
                         frame.n_plus - frame.n_minus)
@@ -248,8 +249,13 @@ def _polar_split(x: np.ndarray, floor: float):
 
 def _smallest_cosines(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Smallest principal cosines between the spans of the orthonormal
-    frames f and g, or of each pair of frames of two equally long stacks."""
-    return np.linalg.svd(f.swapaxes(-1, -2) @ g, compute_uv=False)[..., -1]
+    frames f and g, or of each pair of frames of two equally long stacks.
+    The cosine of two lines is the absolute value of their 1 x 1 overlap,
+    bitwise its singular value."""
+    overlaps = f.swapaxes(-1, -2) @ g
+    if overlaps.shape[-2:] == (1, 1):
+        return np.abs(overlaps[..., 0, 0])
+    return np.linalg.svd(overlaps, compute_uv=False)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +280,11 @@ class _PathData:
     ``skew_singular_system``); the doubled T is never formed.  A plain skew
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
+
+    ``solve(ts)`` evaluates the parameters of ts not yet solved, in order,
+    and solves them by one stacked ``skew_singular_system``; their records
+    are the rows of the stacked results, bitwise the systems of the
+    matrices solved alone.  ``at`` solves one new parameter alone.
 
     ``arc`` is the evaluator's arc modulus (see ``OperatorPath``), checked
     on the interval's 9-point grid (``_arc_growth``); one whose increase
@@ -304,35 +315,52 @@ class _PathData:
     def _key(self, t: float) -> float:
         return self._start if self.constant else float(t)
 
+    def _evaluate(self, t: float) -> np.ndarray:
+        m = _record_matrix(self.path, t)
+        self._first = self._first or (t, m.shape)
+        _check_shape(m, t, *self._first)
+        return m
+
+    def _frames(self, f):
+        """The frames of a solve: (X, Y) of a block, (V,) of a plain matrix,
+        None for the singular values alone."""
+        return f if f is None or self.chiral else (f,)
+
     def at(self, t: float):
+        """The record at t, solved alone if it is new."""
         key = self._key(t)
         rec = self._cache.get(key)
         if rec is None:
-            m = _record_matrix(self.path, key)
-            self._first = self._first or (key, m.shape)
-            _check_shape(m, key, *self._first)
-            rec = self._solve(m, not self.constant)
-            self._cache[key] = rec
+            m = self._evaluate(key)
+            sv, f = skew_singular_system(m, self.chiral, compute_uv=not self.constant)
+            rec = self._cache[key] = (m, sv, self._frames(f))
         return rec
+
+    def solve(self, ts) -> list:
+        """The records at ts, the new ones solved by one stacked call
+        through the ``linalg`` module (flow's own name is the one-matrix
+        boundary that ``bench/spans.py`` traces)."""
+        keys = [self._start] * len(ts) if self.constant else ts.tolist()
+        new = [t for t in dict.fromkeys(keys) if t not in self._cache]
+        if new:
+            m = np.array([self._evaluate(t) for t in new])
+            sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
+            f = self._frames(f)
+            for i, t in enumerate(new):
+                self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
+        return [self._cache[t] for t in keys]
 
     def framed(self, t: float):
         """``at`` with the frames, solving them now for a constant record."""
         rec = self.at(t)
         if rec[2] is None:
-            rec = self._cache[self._key(t)] = (rec[0], rec[1],
-                                                self._solve(rec[0], True)[2])
+            rec = self._cache[self._key(t)] = (rec[0], rec[1], self._frames(
+                skew_singular_system(rec[0], self.chiral)[1]))
         return rec
-
-    def _solve(self, m: np.ndarray, frames: bool):
-        """The record of m; its frames are None unless ``frames``."""
-        sv, f = skew_singular_system(m, self.chiral, compute_uv=frames)
-        if f is not None and not self.chiral:
-            f = (f,)  # a plain record has one frame
-        return m, sv, f
 
     def solved(self, ts) -> bool:
         """Whether every parameter of ts is already in the cache."""
-        return all(self._key(t) in self._cache for t in ts)
+        return all(self._key(t) in self._cache for t in ts.tolist())
 
     @property
     def evaluations(self) -> int:
@@ -377,10 +405,9 @@ def _require_arc(s, t, m_s, m_t, grown):
     that fails.  The check sees only the matrices it is given, not a path
     that moves and returns between them."""
     with np.errstate(over="ignore"):  # a step past the largest float is inf
-        moved = np.abs(m_t - m_s).max(axis=(-2, -1), initial=0.0)
-    scale = np.maximum(np.abs(m_s).max(axis=(-2, -1), initial=0.0),
-                       np.abs(m_t).max(axis=(-2, -1), initial=0.0))
-    lies = moved > grown + tol.sym(scale)
+        moved, top_s, top_t = np.abs([m_t - m_s, m_s, m_t]).max(
+            axis=(-2, -1), initial=0.0)
+    lies = moved > grown + tol.sym(np.maximum(top_s, top_t))
     if lies.any():
         j = np.flatnonzero(lies)[0] if lies.ndim else ()
         s, t, grown = (np.broadcast_to(x, lies.shape)[j] for x in (s, t, grown))
@@ -407,28 +434,30 @@ def _sample_pairs(n: int):
 def _pairwise_window_continuity(bases: np.ndarray) -> bool:
     """Check that all pairs of equal-rank subspaces stay WINDOW_EPS-close.
 
-    ``bases`` stacks one orthonormal basis per sample; the principal cosines
-    of every pair come from one batched SVD of the pair overlaps.
+    ``bases`` stacks one orthonormal basis per sample along its
+    third-to-last axis; leading axes stack more such sets, as the two sides
+    of a block window.  The principal cosines of every pair of every set
+    come from one batched SVD of the pair overlaps.
     """
-    if bases.shape[2] == 0:
+    if bases.shape[-1] == 0:
         return True
-    i, j = _sample_pairs(len(bases))
-    return bool(_smallest_cosines(bases[i], bases[j]).min() >= _COS_MIN)
+    i, j = _sample_pairs(bases.shape[-3])
+    return bool(_smallest_cosines(bases[..., i, :, :],
+                                  bases[..., j, :, :]).min() >= _COS_MIN)
 
 
-def _endpoint_window(data: _PathData, lo: float, hi: float, rng):
-    """Rank-0 window (a, 0) of a certified segment from its endpoints, or
-    None: the envelope of ``_segment_window`` over one step of arc d keeps
-    sigma_min >= floor = (s0 + s1 - d) / 2, which must clear the margin on
-    both sides; a is midway.  A rank-0 window has no subspace to check.  An
-    arc that grows by less than the two endpoint matrices differ raises
-    ``ConfigError`` (``_require_arc``)."""
-    sv0, sv1 = data.at(lo)[1], data.at(hi)[1]
+def _endpoint_window(rec_lo, rec_hi, lo: float, hi: float, grown: float, rng):
+    """Rank-0 window (a, 0) of a certified segment from the records of its
+    endpoints, or None: the envelope of ``_segment_window`` over one step of
+    arc ``grown`` keeps sigma_min >= floor = (s0 + s1 - grown) / 2, which
+    must clear the margin on both sides; a is midway.  A rank-0 window has
+    no subspace to check.  An arc that grows by less than the two endpoint
+    matrices differ raises ``ConfigError`` (``_require_arc``)."""
+    (m0, sv0, _), (m1, sv1, _) = rec_lo, rec_hi
     if not sv0.size:
         return None
-    arc_lo, arc_hi = (float(x) for x in _read_arc(data.arc, np.array([lo, hi])))
-    _require_arc(lo, hi, data.at(lo)[0], data.at(hi)[0], arc_hi - arc_lo)
-    floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - (arc_hi - arc_lo) / 2.0
+    _require_arc(lo, hi, m0, m1, grown)
+    floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - grown / 2.0
     margin = 4.0 * tol.gap(max(float(sv0[-1]), float(sv1[-1])))
     if not floor > 2.0 * margin:
         return None
@@ -461,8 +490,9 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     ||M - M'||_2), so the window rank is constant over the segment (a
     crossing inside it is forced into a positive-rank window).  The windowed
     subspaces of all samples must also be pairwise WINDOW_EPS-close.  The
-    samples are the segment's 9-point grid (``_segment_grid``); the search
-    over them is ``_sampled_window``.
+    samples are the segment's 9-point grid (``_segment_grid``), whose new
+    parameters are solved by one stacked solve (``_PathData.solve``); the
+    search over them is ``_sampled_window``.
 
     On a path that declares an arc modulus (``_PathData.arc``), the arc
     distances of a point between samples t_i and t_i+1 to both sum to the
@@ -470,22 +500,23 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     -+ d_i) / 2 there.  That envelope holds at any sample spacing, so such
     a path tries the samples it has already solved before it solves new
     ones: first its two endpoints, for a rank-0 window
-    (``_endpoint_window``), then, when all five are cached (exactly when
+    (``_endpoint_window``), then, when all five are solved (exactly when
     the segment is a half of a refused one), the even points of its grid,
     which are its parent's samples, for a window of any rank under the same
     envelopes, margins, rank cap and pairwise check; only then the whole
-    grid.  A window certified from five samples is as certain of its rank
-    as one from nine.  Such a path cannot jump, so no step bound applies.
-    On an opaque path the envelopes are the extreme sampled values widened
-    by 0.75 times the largest sampled step ||M_i+1 - M_i||_2, and a step
-    above the path's step bound (a tenth of the largest endpoint singular
-    value, so the partition does not refine as the endpoints approach a
-    kernel) refuses the segment: a jump does not shrink under bisection.
-    Spacing is what makes that safe, so an opaque segment always takes its
-    whole grid.  The step norms are solved only when they decide: max
-    |sigma(M_i+1) - sigma(M_i)| bounds every step from below, and a segment
-    that already fails the bound or has no candidate gap with that slack is
-    refused without them.
+    grid.  The arc is read once, on the whole grid, and the two tries take
+    their values from that read.  A window certified from five samples is
+    as certain of its rank as one from nine.  Such a path cannot jump, so
+    no step bound applies.  On an opaque path the envelopes are the extreme
+    sampled values widened by 0.75 times the largest sampled step
+    ||M_i+1 - M_i||_2, and a step above the path's step bound (a tenth of
+    the largest endpoint singular value, so the partition does not refine
+    as the endpoints approach a kernel) refuses the segment: a jump does not
+    shrink under bisection.  Spacing is what makes that safe, so an opaque
+    segment always takes its whole grid.  The step norms are solved only
+    when they decide: max |sigma(M_i+1) - sigma(M_i)| bounds every step from
+    below, and a segment that already fails the bound or has no candidate
+    gap with that slack is refused without them.
 
     The window rank is capped at max(2, k_near), k_near the number of
     singular values whose minimum over the samples is below half the
@@ -493,109 +524,113 @@ def _segment_window(data: _PathData, lo: float, hi: float, rng):
     cannot fall back to a full-rank window, the endpoint oracle, unless T
     has only two singular values.
     """
-    if data.arc is not None:
-        window = _endpoint_window(data, lo, hi, rng)
-        if window is not None:
-            return window
     ts = _segment_grid(lo, hi)
-    if data.arc is not None and data.solved(ts[::2]):
-        window = _sampled_window(data, ts[::2], rng)
-        if window is not None:
-            return window
-    return _sampled_window(data, ts, rng)
+    if data.arc is None:
+        return _sampled_window(data, ts, None, rng)
+    ends = data.at(lo), data.at(hi)  # solved one by one, before the arc is read
+    arcs = _read_arc(data.arc, ts)
+    window = _endpoint_window(*ends, lo, hi, float(arcs[-1]) - float(arcs[0]), rng)
+    if window is None and data.solved(ts[::2]):
+        window = _sampled_window(data, ts[::2], arcs[::2], rng)
+    if window is None:
+        window = _sampled_window(data, ts, arcs, rng)
+    return window
 
 
-def _sampled_window(data: _PathData, ts: np.ndarray, rng):
-    """The window search of ``_segment_window`` over the samples ``ts``."""
-    recs = [data.at(t) for t in ts]
-    svs = np.stack([r[1] for r in recs])
+def _sampled_window(data: _PathData, ts: np.ndarray, arcs, rng):
+    """The window search of ``_segment_window`` over the samples ``ts``,
+    with their arc values ``arcs`` (None on an opaque path).
+
+    The samples' singular values are stacked once, and one vectorised pass
+    takes their envelopes over the arc steps and the gap of every candidate
+    rank; the candidates are then tried in order, with the frames stacked
+    once for all of them."""
+    recs = data.solve(ts)
+    svs = np.array([r[1] for r in recs])
     n = svs.shape[1]
-    s_seg = float(svs.max()) if svs.size else 0.0
-    lo_env = svs.max(axis=0)
     hi_env = svs.min(axis=0)
+    s_seg = float(svs.max()) if n else 0.0
+    margin = 4.0 * tol.gap(max(s_seg, 1e-300))
 
     # windows hold at most the values that come near zero on the segment
-    k_near = int((hi_env < data.near_zero).sum())
-    k_max = max(2, k_near + k_near % 2)
+    k_near = int(np.count_nonzero(hi_env < data.near_zero))
+    ranks = np.arange(0, min(n, max(2, k_near + k_near % 2)) + 1, 2)
 
-    def gaps(slack):
-        """Margin and the (rank, glo, ghi) gaps wide enough for a radius."""
-        margin = 4.0 * tol.gap(max(s_seg, 1e-300)) + slack
-        found = []
-        for k in range(0, min(n, k_max) + 1, 2):
-            glo = float(lo_env[k - 1]) if k > 0 else 0.0
-            ghi = float(hi_env[k]) if k < n else math.inf
-            if ghi - glo > 2.0 * margin:
-                found.append((k, glo, ghi))
-        return margin, found
-
-    if data.arc is not None:
-        mid = svs[:-1] / 2.0 + svs[1:] / 2.0
-        half = np.diff(_read_arc(data.arc, ts))[:, None] / 2.0
+    if arcs is not None:
+        halves = svs / 2.0
+        mid = halves[:-1] + halves[1:]
+        half = (arcs[1:] - arcs[:-1])[:, None] / 2.0
         with np.errstate(over="ignore"):  # a bound past the largest float is inf
             lo_env = (mid + half).max(axis=0)
         hi_env = (mid - half).min(axis=0)
-        slack = 0.0
     else:
-        lower = float(np.abs(np.diff(svs, axis=0)).max(initial=0.0))
-        if lower > data.step_bound or not gaps(0.75 * lower)[1]:
+        lo_env = svs.max(axis=0)
+    # the gap (glo, ghi) of rank k lies between the envelopes of the k
+    # values below and of those above
+    glo = np.concatenate(([0.0], lo_env))[ranks].tolist()
+    ghi = np.concatenate((hi_env, [math.inf]))[ranks].tolist()
+
+    def fits(margin):
+        return [j for j, (low, high) in enumerate(zip(glo, ghi))
+                if high - low > 2.0 * margin]
+
+    if arcs is None:
+        lower = float(np.abs(svs[1:] - svs[:-1]).max(initial=0.0))
+        if lower > data.step_bound or not fits(margin + 0.75 * lower):
             return None
-        steps = _step_norms(np.stack([r[0] for r in recs]))
+        steps = _step_norms(np.array([r[0] for r in recs]))
         if steps.max() > data.step_bound:
             return None
-        slack = 0.75 * float(steps.max())
-    margin, candidates = gaps(slack)
+        margin += 0.75 * float(steps.max())
+    candidates = fits(margin)
     if not candidates:
         return None
 
-    # preferred radius: half the smallest endpoint singular value above
-    # the margin
-    pref = None
-    end_sv = np.concatenate([recs[0][1], recs[-1][1]])
+    # preferred radius: half the smallest endpoint singular value above the
+    # margin; candidates whose gap holds it come first, each group by rank
+    end_sv = svs[[0, -1]]
     positive = end_sv[end_sv > margin]
-    if positive.size:
-        pref = float(positive.min()) / 2.0
-
-    def order_key(c):
-        k, glo, ghi = c
-        contains_pref = pref is not None and glo + margin < pref < ghi - margin
-        return (0 if contains_pref else 1, k)
-
-    candidates.sort(key=order_key)
+    pref = float(positive.min()) / 2.0 if positive.size else None
+    inside = [pref is not None and glo[j] + margin < pref < ghi[j] - margin
+              for j in range(len(glo))]
+    candidates.sort(key=lambda j: not inside[j])
     if rng is not None:
         rng.shuffle(candidates)
 
-    for k, glo, ghi in candidates:
-        if math.isinf(ghi):
-            a = glo + margin + max(s_seg, glo, 1.0) * 0.75
-        elif pref is not None and glo + margin < pref < ghi - margin and rng is None:
+    frames = None
+    for j in candidates:
+        k, low, high = int(ranks[j]), glo[j], ghi[j]
+        if math.isinf(high):
+            a = low + margin + max(s_seg, low, 1.0) * 0.75
+        elif inside[j] and rng is None:
             a = pref
         else:
             u = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
-            a = (glo + margin) + u * ((ghi - margin) - (glo + margin))
+            a = (low + margin) + u * ((high - margin) - (low + margin))
         if a <= margin:
             continue
-        if k and recs[0][2] is None:  # a constant record's frames, solved once
-            recs = [data.framed(t) for t in ts]
-        # a rank-0 window has no subspace to check
-        frames = [_window_frames(r, k) for r in recs] if k else []
-        if not all(_pairwise_window_continuity(np.stack(side))
-                   for side in zip(*frames)):
-            continue
+        if k:  # a rank-0 window has no subspace to check
+            if frames is None:  # one stack per side; a constant's frames solved once
+                if recs[0][2] is None:
+                    recs = [data.framed(t) for t in ts]
+                frames = [np.array(side) for side in zip(*(r[2] for r in recs))]
+            # an admissible block is square, so both sides have one shape
+            if not _pairwise_window_continuity(np.array(_window_frames(frames, k))):
+                continue
         return a, k
     return None
 
 
-def _window_frames(rec, k: int):
-    """Frames of the window of the k smallest singular values: the first k
-    directions of a plain record; on a block, the longer side's d structural
-    directions and both sides' directions of (k - d) / 2 values of B."""
-    frames = rec[2]
+def _window_frames(frames, k: int):
+    """Frames of the window of the k smallest singular values, of one
+    record's ``frames`` or of stacks of them: the first k directions of a
+    plain record; on a block, the longer side's d structural directions and
+    both sides' directions of (k - d) / 2 values of B."""
     if len(frames) == 1:
-        return [frames[0][:, :k]]
-    r = min(f.shape[1] for f in frames)
-    pairs = (k - sum(f.shape[1] - r for f in frames)) // 2
-    return [f[:, :f.shape[1] - r + pairs] for f in frames]
+        return [frames[0][..., :k]]
+    r = min(f.shape[-1] for f in frames)
+    pairs = (k - sum(f.shape[-1] - r for f in frames)) // 2
+    return [f[..., :f.shape[-1] - r + pairs] for f in frames]
 
 
 def _kernel_lift(data: _PathData, t: float, a_min: float,
@@ -622,7 +657,7 @@ def _kernel_lift(data: _PathData, t: float, a_min: float,
         raise RefinementError(
             f"odd near-kernel cluster of size {m} at t={t}; cannot lift"
         )
-    kernels = _window_frames(data.framed(t), m)
+    kernels = _window_frames(data.framed(t)[2], m)
     if rng is not None:
         kernels = [c @ _random_orthogonal(rng, c.shape[1]) for c in kernels]
     if data.chiral:  # an admissible chiral path has no structural kernel
@@ -952,9 +987,11 @@ def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
     if k == 0:  # an empty window: both restrictions are 0 x 0, of sign +1
         return SpectralWindow(lo, hi, a, 0, Z2(1))
     rec_lo, rec_hi = data.framed(lo), data.framed(hi)
-    p = _window_frames(rec_lo, k)
-    floor = max(tol.transport(), _COS_MIN / 2.0)
-    q = [f @ _polar(f.T @ g, floor) for f, g in zip(_window_frames(rec_hi, k), p)]
+    p, q = _window_frames(rec_lo[2], k), _window_frames(rec_hi[2], k)
+    # the sides of a square block's window have one shape: one stacked polar
+    polars = _polar(np.array([f.T @ g for f, g in zip(q, p)]),
+                    max(tol.transport(), _COS_MIN / 2.0))
+    q = [f @ o for f, o in zip(q, polars)]
     s_lo = _restricted(rec_lo[0], lifts.get(lo), p)
     s_hi = _restricted(rec_hi[0], lifts.get(hi), q)
     try:

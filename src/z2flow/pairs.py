@@ -215,11 +215,13 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     The phases come from the flow engine's record of the path
     (``flow._PathData``): the phase at t is X Y^T = W V^T, X and Y the
     frames of the chiral record of B = W S V^T = ``path.block(t)``, solved
-    once per t.  A part whose declared arc does not increase is solved at
-    t0 alone and contributes +1 (U + U = 2U has every singular value 2).  A
-    block singular at an endpoint raises ``NotAdmissibleError``, as in
-    ``sf2_path``.  ``rng`` mixes the kernel columns of X (values below
-    ``tol.gap(max(sigma_max, 1))``) once per interior t.
+    once per t: the 9-point start grid by one stacked solve
+    (``_PathData.solve``), bisection midpoints one by one.  A part whose
+    declared arc does not increase is solved at t0 alone and contributes +1
+    (U + U = 2U has every singular value 2).  A block singular at an
+    endpoint raises ``NotAdmissibleError``, as in ``sf2_path``.  ``rng``
+    mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
+    1))``) once per interior t.
 
     Declared structure is taken as ``sf2_path`` takes it: a direct sum of
     square parts part by part (parity is multiplicative), a path family's
@@ -274,11 +276,12 @@ def _pair_parity(path: OperatorPath, rng, records=None) -> Z2:
             return None
         return Z2(1) if k % 2 == 0 else Z2(-1)
 
-    certified, _ = refine(np.linspace(t0, t1, 9), certify,
-                          "certifiable phase pair")
+    grid = np.linspace(t0, t1, 9)
+    data.solve(grid)  # the start grid, in one stacked solve
+    certified, _ = refine(grid, certify, "certifiable phase pair")
     if data.arc is not None:  # the arc must bound every certified pair
         ts = np.array([t0] + [hi for _, hi, _ in certified])
-        blocks = np.stack([data.at(t)[0] for t in ts])
+        blocks = np.array([rec[0] for rec in data.solve(ts)])
         _require_arc(ts[:-1], ts[1:], blocks[:-1], blocks[1:],
                      np.diff(_read_arc(data.arc, ts)))
     return z2_product(value for _, _, value in certified)

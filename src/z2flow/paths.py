@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -40,18 +41,20 @@ class ChiralFrame:
             [np.ones(self.n_plus), -np.ones(self.n_minus)]))
 
 
-def validate_symmetry(mat: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -> None:
-    """Check that a matrix satisfies its declared symmetry class."""
+def validate_symmetry(mat: np.ndarray, tag: str,
+                      frame: Optional[ChiralFrame]) -> np.ndarray:
+    """Check that a matrix satisfies its declared symmetry class, and
+    return it as a real matrix (``as_real_matrix``)."""
     m = as_real_matrix(mat)
     if tag == "general":
-        return
+        return m
     t = tol.sym(max_abs(m))
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{tag} requires a square matrix, got {m.shape}")
     if tag == "skew":
         if max_abs(m + m.T) > t:
             raise SymmetryError("matrix is not skew-symmetric within tolerance")
-        return
+        return m
     if frame is None:
         raise ConfigError(f"symmetry tag {tag!r} requires a chiral frame")
     if frame.dim != m.shape[0]:
@@ -68,6 +71,7 @@ def validate_symmetry(mat: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -
     # chiral operators are exactly off-diagonal in the grading
     if max_abs(m[:np_, :np_]) > t or max_abs(m[np_:, np_:]) > t:
         raise SymmetryError("matrix does not anticommute with the chiral grading")
+    return m
 
 
 def _check_interval(interval):
@@ -139,19 +143,17 @@ class OperatorPath:
         return self.interval[1]
 
     def at(self, t: float) -> np.ndarray:
-        """Evaluate the path and validate the symmetry tag at t."""
-        m = as_real_matrix(self.evaluator(t))
-        validate_symmetry(m, self.symmetry_tag, self.frame)
-        return m
+        """Evaluate the path and validate the matrix and its symmetry tag at
+        t, in one ``validate_symmetry``."""
+        return validate_symmetry(self.evaluator(t), self.symmetry_tag, self.frame)
 
     @property
     def block_shape(self) -> tuple:
         """Shape of the block B(t) (see ``block``); a declared direct sum
-        gives it from its parts' placements, without assembling B."""
-        parts = getattr(self.evaluator, "parts", None)
-        if parts is not None:
-            return (sum(len(r) for _, r, _ in parts),
-                    sum(len(c) for _, _, c in parts))
+        gives the shape its placements fill, which ``direct_sum`` computed
+        once, without assembling B."""
+        if getattr(self.evaluator, "parts", None) is not None:
+            return self.evaluator.block_shape
         if self.symmetry_tag == "general":  # a general path is its own block
             return as_real_matrix(self.evaluator(self.t_start)).shape
         return self.block(self.t_start).shape
@@ -188,11 +190,12 @@ class OperatorPath:
         every column once.  The parts share one interval, and one part may
         be listed several times.  A listing may name a member
         ``family[i]`` of a ``PathFamily`` in place of a part.  The evaluator
-        declares ``parts``, the (part, rows, cols) triples, which chiral
-        doublings forward, so the flow engine solves each distinct part
-        once, and takes a family's members together; assembling the block
-        evaluates each distinct part and each family once too, and fills
-        all their listings with one assignment each.
+        declares ``parts``, the (part, rows, cols) triples, and the block's
+        ``block_shape``, which chiral doublings forward, so the flow engine
+        solves each distinct part once, and takes a family's members
+        together; assembling the block evaluates each distinct part and each
+        family once too, and fills all their listings with one assignment
+        each.
         """
         parts = list(parts)
         if not parts:
@@ -261,7 +264,7 @@ class OperatorPath:
                 out[r, c] = b
             return out
 
-        evaluator.parts = triples
+        evaluator.parts, evaluator.block_shape = triples, total
         return OperatorPath(interval, evaluator, "general", None,
                             total[0] - total[1])
 
@@ -300,12 +303,12 @@ class OperatorPath:
                 f"expected a matrix, got array of ndim={stacked.ndim - 1}")
         shape = stacked.shape[1:]
 
-        def evaluator(t, _ts=ts, _m=stacked):
+        def evaluator(t, _ts=ts.tolist(), _m=stacked):
             if t <= _ts[0]:
                 return _m[0]
             if t >= _ts[-1]:
                 return _m[-1]
-            j = int(np.searchsorted(_ts, t, side="right")) - 1
+            j = bisect.bisect_right(_ts, t) - 1
             h = (_ts[j + 1] - _ts[j])
             w = (t - _ts[j]) / h
             return (1.0 - w) * _m[j] + w * _m[j + 1]

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import z2flow.flow as flow_module
+import z2flow.linalg as linalg_module
 from z2flow.flow import embed_chiral
 from z2flow.pairs import ComplexStructure, FredholmPair
 from z2flow.paths import ChiralFrame, OperatorPath
@@ -122,6 +124,26 @@ def random_chiral_skew_path(rng, n, knots=3, margin=0.3):
         t[n:, :n] = -b.T
         mats.append(t)
     return OperatorPath.from_samples(ts, mats, "chiral-skew", ChiralFrame(n, n))
+
+
+def spy_solves(monkeypatch):
+    """List every matrix the engines solve, as (matrix, chiral,
+    compute_uv): wraps the one-matrix ``flow.skew_singular_system`` and the
+    stacked ``linalg.skew_singular_system``, and lists each row of a stack
+    as one matrix."""
+    solved = []
+
+    def wrap(solve):
+        def spy(mat, chiral=False, compute_uv=True):
+            rows = np.reshape(mat, (-1,) + np.shape(mat)[-2:])
+            solved.extend((m, chiral, compute_uv) for m in rows)
+            return solve(mat, chiral, compute_uv)
+        return spy
+
+    for module in (flow_module, linalg_module):
+        monkeypatch.setattr(module, "skew_singular_system",
+                            wrap(module.skew_singular_system))
+    return solved
 
 
 def pf_matchings(a):

@@ -65,6 +65,7 @@ from conftest import (
     random_chiral_skew_path,
     random_invertible_path,
     random_orthogonal_path,
+    spy_solves,
 )
 
 
@@ -885,19 +886,11 @@ class TestArcAudit:
     def test_honest_constant_part_keeps_one_solve(self, monkeypatch):
         # a path whose arc does not grow is evaluated at its end to compare,
         # never solved there: one record, one evaluation
-        import z2flow.flow as flow_module
-
-        solved = []
-        solve = flow_module.skew_singular_system
-
-        def spy(mat, chiral=False, compute_uv=True):
-            solved.append(mat.shape)
-            return solve(mat, chiral, compute_uv)
-
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        solves = spy_solves(monkeypatch)
         flat = _declared((0.0, 1.0), lambda t: np.diag([2.0, 3.0]),
                          lambda ts: np.zeros(np.shape(ts)))
         res = sf2_path(embed_chiral_path(flat))
+        solved = [m.shape for m, _, _ in solves]
         assert (res.value, res.evaluations, solved) == (1, 1, [(2, 2)])
 
 
@@ -1056,17 +1049,9 @@ class TestSolvedSampleReuse:
     own grid when they do not certify it."""
 
     def test_ring_solves_each_parameter_once(self, monkeypatch):
-        import z2flow.flow as flow_module
-
-        solved = []
-        solve = flow_module.skew_singular_system
-
-        def spy(mat, chiral=False, compute_uv=True):
-            solved.append((mat.shape, mat.tobytes()))
-            return solve(mat, chiral, compute_uv)
-
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        solves = spy_solves(monkeypatch)
         res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
+        solved = [(m.shape, m.tobytes()) for m, _, _ in solves]
         assert res.value == -1
         assert res.evaluations == len(solved) == 10
         # the link part [[cos(pi t)]] at 9 parameters, the constant identity
@@ -1128,6 +1113,8 @@ class TestDirectSum:
         assert total.block_shape == (3, 3)
         skew = to_skew_path(total)
         assert skew.evaluator.parts is total.evaluator.parts
+        # the shape is computed once, by direct_sum, and forwarded
+        assert skew.block_shape is total.block_shape is total.evaluator.block_shape
         res = sf2_path(skew)
         assert res.value == parity_finite(total) == 1  # (-1) * 1 * (-1)
         assert [w.summand for w in res.windows].count(1) == 1
@@ -1244,24 +1231,17 @@ class TestDirectSum:
 
     def test_large_models_factor_only_parts(self, monkeypatch, capsys):
         import z2flow.cli as cli
-        import z2flow.flow as flow_module
 
-        shapes = []
-        solve = flow_module.skew_singular_system
-
-        def spy(mat, chiral=False, compute_uv=True):
-            shapes.append(mat.shape)
-            return solve(mat, chiral, compute_uv)
-
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
+        solves = spy_solves(monkeypatch)
+        shapes = lambda: [m.shape for m, _, _ in solves]
         build_bifurcation_path(GalerkinSpec(mode_cutoff=20))
         build_insulator_path(RingShiftSpec(64, 1, 4))
-        assert shapes == []  # the builders solve nothing
+        assert shapes() == []  # the builders solve nothing
         assert cli.main(["bifurcation", "--kmax", "20"]) == 0
-        assert shapes and max(shapes) == (2, 2)
-        shapes.clear()
+        assert shapes() and max(shapes()) == (2, 2)
+        solves.clear()
         assert cli.main(["insulator", "--M", "64", "--N", "4"]) == 0
-        assert shapes and max(shapes) == (63, 63)  # the identity part
+        assert shapes() and max(shapes()) == (63, 63)  # the identity part
         assert cli.main(["insulator", "--M", "8", "--N", "2"]) == 0
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["result"] for r in reports] == [-1, 1, 1]
@@ -1275,17 +1255,9 @@ class TestConstantRecords:
 
     @staticmethod
     def spy_solves(monkeypatch):
-        import z2flow.flow as flow_module
-
-        calls = []  # (shape, frames solved) per call
-        solve = flow_module.skew_singular_system
-
-        def spy(mat, chiral=False, compute_uv=True):
-            calls.append((mat.shape, compute_uv))
-            return solve(mat, chiral, compute_uv)
-
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy)
-        return calls
+        """(shape, frames solved) per matrix solved, read when called."""
+        solves = spy_solves(monkeypatch)
+        return lambda: [(m.shape, uv) for m, _, uv in solves]
 
     @staticmethod
     def near_singular_constant():
@@ -1302,20 +1274,20 @@ class TestConstantRecords:
         res = sf2_path(self.near_singular_constant(), rng=rng)
         assert res.value == 1 and res.evaluations == 1
         assert 2 in [w.rank for w in res.windows]
-        assert calls == [((3, 3), False), ((3, 3), True)]
+        assert calls() == [((3, 3), False), ((3, 3), True)]
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_pair_route_reads_only_its_values(self, monkeypatch, seed):
         calls = self.spy_solves(monkeypatch)
         rng = None if seed is None else np.random.default_rng(seed)
         assert parity_via_pairs(self.near_singular_constant(), rng=rng) == 1
-        assert calls == [((3, 3), False)]
+        assert calls() == [((3, 3), False)]
 
     def test_ring_identity_needs_no_frames(self, monkeypatch):
         calls = self.spy_solves(monkeypatch)
         ring = to_skew_path(build_insulator_path(RingShiftSpec(12)))
         assert sf2_path(ring).value == parity_via_pairs(ring) == -1
-        assert [c for c in calls if c[0] != (1, 1)] == [((11, 11), False)] * 2
+        assert [c for c in calls() if c[0] != (1, 1)] == [((11, 11), False)] * 2
 
 
 class TestDeclaredMotion:
@@ -1485,30 +1457,25 @@ class TestChiralCore:
     def test_pair_route_reads_the_flow_records(self, monkeypatch, randomized):
         # parity_via_pairs solves each distinct parameter once, by the flow
         # engine's chiral core, and equals the oracle of the block path
-        import z2flow.flow as flow_module
-
         rng = np.random.default_rng(44)
         ts = np.linspace(0.0, 1.0, 5)
         blocks = rng.standard_normal((5, 3, 3))
         blocks[-1, 0] *= -np.sign(np.linalg.det(blocks[0]) * np.linalg.det(blocks[-1]))
         path = OperatorPath.from_samples(ts, [embed_chiral(b) for b in blocks],
                                          "chiral-skew", ChiralFrame(3, 3))
-        evaluated, solved = [], []
-        block, solve = OperatorPath.block, flow_module.skew_singular_system
+        evaluated = []
+        block = OperatorPath.block
 
         def spy_block(self, t):
             if self is path:
                 evaluated.append(float(t))
             return block(self, t)
 
-        def spy_solve(mat, chiral=False, compute_uv=True):
-            solved.append(chiral)
-            return solve(mat, chiral, compute_uv)
-
         monkeypatch.setattr(OperatorPath, "block", spy_block)
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
+        solves = spy_solves(monkeypatch)
         value = parity_via_pairs(
             path, rng=np.random.default_rng(3) if randomized else None)
+        solved = [chiral for _, chiral, _ in solves]
         assert value == parity_finite(OperatorPath.from_samples(ts, blocks)) == -1
         assert len(evaluated) == len(set(evaluated)) == len(solved) >= 9
         assert all(solved)
@@ -1623,6 +1590,68 @@ class TestBlockPaths:
             assert w.factor == f * f == 1
         for seed in range(5):  # randomized partitions and chiral lifts
             assert sf2_path(path, rng=np.random.default_rng(seed)).value == 1
+
+
+class TestValidateOnce:
+    """Each evaluation is validated once, where ``OperatorPath.at`` reads
+    the evaluator's matrix, and invalid matrices still raise typed errors,
+    whether they come up at an endpoint (solved alone) or inside a segment
+    (solved in a stack)."""
+
+    @staticmethod
+    def paths(rng):
+        return [to_skew_path(random_admissible_path(rng, 3)),
+                OperatorPath.from_samples(
+                    [0.0, 0.5, 1.0], [g - g.T for g in rng.standard_normal((3, 4, 4))],
+                    "skew"),
+                random_chiral_skew_path(rng, 2)]
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_one_validation_per_evaluation(self, monkeypatch, seed):
+        import z2flow.paths as paths_module
+
+        calls = {"at": 0, "as_real_matrix": 0}
+        at, coerce = OperatorPath.at, paths_module.as_real_matrix
+
+        def spy_at(self, t):
+            calls["at"] += 1
+            return at(self, t)
+
+        def spy_coerce(m):
+            calls["as_real_matrix"] += 1
+            return coerce(m)
+
+        paths = self.paths(np.random.default_rng(61))
+        monkeypatch.setattr(OperatorPath, "at", spy_at)
+        monkeypatch.setattr(paths_module, "as_real_matrix", spy_coerce)
+        for path in paths:
+            rng = None if seed is None else np.random.default_rng(seed)
+            sf2_path(path, rng=rng)
+        assert calls["at"] > 0 and calls["as_real_matrix"] == calls["at"]
+
+    @pytest.mark.parametrize("where", ["endpoint", "interior"])
+    @pytest.mark.parametrize("fault, error", [
+        ("nan", ConfigError), ("complex", ConfigError),
+        ("asymmetric", SymmetryError), ("shape", DimensionError)])
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_invalid_evaluations_raise_typed_errors(self, fault, error, where, seed):
+        def evaluator(t):
+            m = np.array([[0.0, t - 0.4], [0.4 - t, 0.0]])
+            if (t == 1.0) if where == "endpoint" else (0.0 < t < 1.0):
+                if fault == "nan":
+                    m[0, 1] = np.nan
+                elif fault == "complex":
+                    m = m + 1j
+                elif fault == "asymmetric":
+                    m[1, 0] = 3.0
+                else:
+                    m = np.zeros((4, 4))
+            return m
+
+        path = OperatorPath((0.0, 1.0), evaluator, "skew")
+        rng = None if seed is None else np.random.default_rng(seed)
+        with pytest.raises(error):
+            sf2_path(path, rng=rng)
 
 
 class TestBatchedSegmentChecks:

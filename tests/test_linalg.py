@@ -342,6 +342,43 @@ class TestChiralSingularSystem:
                 np.testing.assert_allclose(sv, factor * np.array([0.5, 0.5, 2.0, 2.0]))
 
 
+class TestStackedSolve:
+    """A stack solved by one ``skew_singular_system`` call gives, row by row,
+    bitwise the system of each matrix solved alone: the flow engine keeps
+    the rows of its stacked segment solves as its records."""
+
+    @staticmethod
+    def assert_rows_bitwise(stack, chiral, compute_uv):
+        sv, frames = skew_singular_system(stack, chiral, compute_uv)
+        for i, mat in enumerate(stack):
+            sv_i, frames_i = skew_singular_system(mat, chiral, compute_uv)
+            assert np.array_equal(sv[i], sv_i)
+            if not compute_uv:
+                assert frames is None and frames_i is None
+            elif chiral:
+                assert all(np.array_equal(f[i], f_i)
+                           for f, f_i in zip(frames, frames_i))
+            else:
+                assert np.array_equal(frames[i], frames_i)
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_plain_skew(self, n, compute_uv):
+        rng = np.random.default_rng(70 + n)
+        stack = np.stack([skew(rng, n) for _ in range(9)])
+        self.assert_rows_bitwise(stack, False, compute_uv)
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (8, 8), (32, 32),
+                                       (6, 3), (8, 5), (32, 20),
+                                       (2, 7), (3, 8), (20, 32)])
+    def test_chiral_blocks(self, shape, compute_uv):
+        # square, tall and wide blocks
+        rng = np.random.default_rng(sum(shape) + 80)
+        self.assert_rows_bitwise(rng.standard_normal((7,) + shape), True,
+                                 compute_uv)
+
+
 class TestTransport:
     """The polar factor that carries a frame onto a nearby subspace."""
 

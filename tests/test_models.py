@@ -30,7 +30,6 @@ from z2flow.models import (
     build_rank_one_pair,
     half_flux_kernel_dim,
 )
-import z2flow.flow as flow_module
 from z2flow.pairs import (
     ComplexStructure,
     FredholmPair,
@@ -39,6 +38,8 @@ from z2flow.pairs import (
     pi_index,
 )
 from z2flow.paths import OperatorPath
+
+from conftest import spy_solves
 
 
 class TestExamplePaths:
@@ -222,16 +223,10 @@ class TestInsulator:
                 evaluated.append(t)
             return block(self, t)
 
-        solves = []
-        solve = flow_module.skew_singular_system
-
-        def spy_solve(b, chiral=False, compute_uv=True):
-            solves.append(b.shape)
-            return solve(b, chiral, compute_uv)
-
         monkeypatch.setattr(OperatorPath, "block", spy_block)
-        monkeypatch.setattr(flow_module, "skew_singular_system", spy_solve)
+        solved = spy_solves(monkeypatch)
         assert parity_via_pairs(ring) == -1
+        solves = [m.shape for m, _, _ in solved]
         # solved at the start; evaluated at the end only to compare
         assert evaluated == [0.0, 1.0]
         assert [s for s in solves if s != (1, 1)] == [(11, 11)]
