@@ -35,7 +35,7 @@ from .linalg import (
     skew_singular_system,
 )
 from .paths import ChiralFrame, FamilyMember, OperatorPath, validate_symmetry
-from .z2 import PLUS, Z2, z2_product
+from .z2 import MINUS, PLUS, Z2, z2_product
 
 __all__ = [
     "SpectralWindow",
@@ -60,7 +60,7 @@ __all__ = [
 _COS_MIN = math.sqrt(1.0 - tol.WINDOW_EPS ** 2)
 
 # equispaced samples per partition segment, endpoints included: 2^3 + 1,
-# three bisections of the segment
+# three bisections of the segment, written out by _segment_grid
 _SEGMENT_SAMPLES = 9
 
 
@@ -163,7 +163,8 @@ def sf2_finite(t0, t1) -> Z2:
 
     Equal to the product of the Pfaffian signs, which coincides with the
     determinant sign of any invertible congruence mapping one endpoint to
-    the other.
+    the other.  Both endpoints are checked invertible by one stacked
+    ``linalg.checked_signs`` before their signs are taken.
     """
     a0 = as_real_matrix(t0)
     a1 = as_real_matrix(t1)
@@ -171,15 +172,28 @@ def sf2_finite(t0, t1) -> Z2:
         raise DimensionError(f"matching square shapes required: {a0.shape} vs {a1.shape}")
     if a0.shape[0] % 2:
         raise DimensionError("even dimension required")
-    for a in (a0, a1):
-        sv = singular_values(a)
-        if sv.size and sv[0] <= tol.inv(sv[-1]):
-            raise NotAdmissibleError("skew endpoint is singular within tolerance")
-    s0 = pfaffian_sign(a0)
-    s1 = pfaffian_sign(a1)
-    if s0 == 0 or s1 == 0:
-        raise NotAdmissibleError("Pfaffian sign vanished on a nominally invertible input")
-    return Z2(s0) * Z2(s1)
+    if not a0.size:
+        return PLUS
+    signs, sigma_min = linalg.checked_signs(np.array([a0, a1]), pfaffian_sign)
+    failure = _sign_failure(signs, sigma_min, False)
+    if failure is not None:
+        raise failure
+    return Z2(signs[0] * signs[1])
+
+
+def _sign_failure(signs, sigma_min, det: bool):
+    """What the signs of two restricted ends or endpoints (``checked_signs``,
+    NaN for a singular one) raise, None if both are +-1: a singular
+    determinant's ``SingularError`` (as ``sign_det``), or a skew endpoint's
+    ``NotAdmissibleError`` (as ``sf2_finite``)."""
+    singular = np.isnan(signs)
+    if det and singular.any():
+        return linalg.singular_error(sigma_min[singular][0])
+    if singular.any():
+        return NotAdmissibleError("skew endpoint is singular within tolerance")
+    if not signs.all():
+        return NotAdmissibleError("Pfaffian sign vanished on a nominally invertible input")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +416,25 @@ def _require_arc(s, t, m_s, m_t, grown):
     checked within ``tol.sym`` of the larger matrix's scale.  Stacks of
     matrices are checked pair by pair in one pass, with one s, t and
     ``grown`` per pair (or one for all); the message names the first pair
-    that fails.  The check sees only the matrices it is given, not a path
-    that moves and returns between them."""
+    that fails.  The slack is never negative, so only a pair whose step
+    exceeds ``grown`` reads its matrices' scales.  The check sees only the
+    matrices it is given, not a path that moves and returns between them."""
     with np.errstate(over="ignore"):  # a step past the largest float is inf
-        moved, top_s, top_t = np.abs([m_t - m_s, m_s, m_t]).max(
-            axis=(-2, -1), initial=0.0)
-    lies = moved > grown + tol.sym(np.maximum(top_s, top_t))
-    if lies.any():
-        j = np.flatnonzero(lies)[0] if lies.ndim else ()
-        s, t, grown = (np.broadcast_to(x, lies.shape)[j] for x in (s, t, grown))
+        moved = np.abs(m_t - m_s).max(axis=(-2, -1), initial=0.0)
+    over = moved > grown
+    if not over.any():
+        return
+    over = np.flatnonzero(over)
+    s, t, grown, moved = (np.broadcast_to(x, np.shape(moved)).reshape(-1)[over]
+                          for x in (s, t, grown, moved))
+    top = np.maximum(*(np.abs(m.reshape(-1, *m.shape[-2:])[over]).max(
+        axis=(-2, -1), initial=0.0) for m in (m_s, m_t)))
+    lies = np.flatnonzero(moved > grown + tol.sym(top))
+    if lies.size:
+        j = lies[0]
         raise ConfigError(
-            f"the declared arc grows by {grown:.3e} from t={s} to t={t}, but "
-            f"the path moves by max |M(t) - M(s)| = {moved[j]:.3e} there; the "
+            f"the declared arc grows by {grown[j]:.3e} from t={s[j]} to t={t[j]}, "
+            f"but the path moves by max |M(t) - M(s)| = {moved[j]:.3e} there; the "
             "arc must bound ||M(t) - M(s)||_2")
 
 
@@ -466,18 +487,17 @@ def _endpoint_window(rec_lo, rec_hi, lo: float, hi: float, grown: float, rng):
 
 
 def _segment_grid(lo: float, hi: float) -> np.ndarray:
-    """The ``_SEGMENT_SAMPLES`` equispaced samples of [lo, hi], by repeated
-    bisection with ``refine``'s midpoint: a half's even samples are then
-    bitwise its parent's samples, so the halves of a refused segment find
-    them solved.  Python floats round each step as numpy does, and take a
-    fraction of the time of array operations on 9 values."""
-    ts = [float(lo), float(hi)]
-    while len(ts) < _SEGMENT_SAMPLES:
-        grid = ts[:1]
-        for a, b in zip(ts[:-1], ts[1:]):
-            grid += [a + (b - a) / 2.0, b]
-        ts = grid
-    return np.array(ts)
+    """The ``_SEGMENT_SAMPLES`` = 9 equispaced samples of [lo, hi], each the
+    midpoint a + (b - a) / 2 of its two neighbours of the coarser grid, as
+    ``refine`` bisects: a half's even samples are then bitwise its parent's
+    samples, so the halves of a refused segment find them solved.  Python
+    floats round each step as numpy does, and take a fraction of the time
+    of array operations on 9 values."""
+    lo, hi = float(lo), float(hi)
+    m4 = lo + (hi - lo) / 2.0
+    m2, m6 = lo + (m4 - lo) / 2.0, m4 + (hi - m4) / 2.0
+    return np.array([lo, lo + (m2 - lo) / 2.0, m2, m2 + (m4 - m2) / 2.0, m4,
+                     m4 + (m6 - m4) / 2.0, m6, m6 + (hi - m6) / 2.0, hi])
 
 
 def _segment_window(data: _PathData, lo: float, hi: float, rng):
@@ -906,7 +926,10 @@ def _reduced(path: OperatorPath) -> OperatorPath:
 
 def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
     """The windowed flow of one path (see ``sf2_path``), its cache seeded
-    with ``records``."""
+    with ``records``: the adaptive partition (``refine`` of
+    ``_segment_window``), the kernel lifts at its interior points, each
+    solved alone and in order, and the factors of all its windows from one
+    pass over the accepted partition (``_window_factors``)."""
     data = _PathData(path, records)
     t0, t1 = path.interval
 
@@ -938,8 +961,7 @@ def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
         if r is not None:
             lifts[t_mid] = r
 
-    windows = [_window_factor(data, lo, hi, a, k, lifts)
-               for lo, hi, (a, k) in accepted]
+    windows = _window_factors(data, accepted, lifts)
     value = z2_product(w.factor for w in windows)
     return FlowResult(value, windows, max_depth, data.evaluations)
 
@@ -965,45 +987,85 @@ def _require_admissible(t: float, sv: np.ndarray):
                                  f"(sigma_min={sv[0]:.3e})")
 
 
-def _restricted(m: np.ndarray, r, frames) -> np.ndarray:
-    """Restriction of a record's operator to window frames: F^T (T + R) F
-    antisymmetrized, or for a block's frames (X, Y) the square
-    S = X^T (B + R) Y that carries the window's [[0, S], [-S^T, 0]]."""
-    s = frames[0].T @ (m if r is None else m + r) @ frames[-1]
-    return (s - s.T) / 2.0 if len(frames) == 1 else s
+def _restricted(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Restrictions of record operators M, lifts added, to window frames
+    stacked with their sides along the third-to-last axis: F^T M F
+    antisymmetrized for one side (a plain record), or for a block's sides
+    (X, Y) the square S = X^T M Y that carries the window's
+    [[0, S], [-S^T, 0]]."""
+    s = frames[..., 0, :, :].swapaxes(-1, -2) @ m @ frames[..., -1, :, :]
+    return (s - s.swapaxes(-1, -2)) / 2.0 if frames.shape[-3] == 1 else s
 
 
-def _window_factor(data: _PathData, lo: float, hi: float, a: float, k: int,
-                   lifts) -> SpectralWindow:
-    """Z2 factor of one window: the two-endpoint flow of the restrictions.
-
-    On a block window, Pf [[0, S], [-S^T, 0]] = (-1)^(m(m-1)/2) det S for
-    the m x m restriction S; the sign (-1)^(m(m-1)/2) is the same at both
-    ends, so the factor is sign det S_lo * sign det S_hi.
-    """
-    rec_lo, rec_hi = data.at(lo), data.at(hi)
-    if int((rec_lo[1] < a).sum()) != k or int((rec_hi[1] < a).sum()) != k:
-        raise RefinementError("window rank drifted between validation and use")
-    if k == 0:  # an empty window: both restrictions are 0 x 0, of sign +1
-        return SpectralWindow(lo, hi, a, 0, Z2(1))
-    rec_lo, rec_hi = data.framed(lo), data.framed(hi)
-    p, q = _window_frames(rec_lo[2], k), _window_frames(rec_hi[2], k)
-    # the sides of a square block's window have one shape: one stacked polar
-    polars = _polar(np.array([f.T @ g for f, g in zip(q, p)]),
-                    max(tol.transport(), _COS_MIN / 2.0))
-    q = [f @ o for f, o in zip(q, polars)]
-    s_lo = _restricted(rec_lo[0], lifts.get(lo), p)
-    s_hi = _restricted(rec_hi[0], lifts.get(hi), q)
+def _window_factors(data: _PathData, accepted, lifts) -> list:
+    """The windows of an accepted partition with their Z2 factors, from one
+    pass over it (``_factor_pass``).  The stacked stages of the pass meet
+    failures out of partition order, so on a failure the windows are
+    passed one by one, and the first that fails raises what it raises
+    alone."""
     try:
-        if data.chiral:
-            factor = sign_det(s_lo) * sign_det(s_hi)
-        else:
-            factor = sf2_finite(s_lo, s_hi)
-    except (NotAdmissibleError, SingularError) as exc:
-        raise RefinementError(
-            f"restricted endpoint singular on window [{lo}, {hi}]: {exc}"
-        ) from exc
-    return SpectralWindow(lo, hi, a, k, factor)
+        return _factor_pass(data, accepted, lifts)
+    except RefinementError as exc:
+        failure = exc
+    for window in accepted:
+        _factor_pass(data, [window], lifts)
+    raise failure
+
+
+def _factor_pass(data: _PathData, accepted, lifts) -> list:
+    """Z2 factor of every window: the two-endpoint flow of the restrictions
+    of the lifted operator to the window at its ends.
+
+    Every window's rank is checked against the stacked spectra of the
+    partition points at once.  The windows of positive rank are grouped
+    by rank, and each group is one stacked pass: one ``_polar`` of all its
+    transport overlaps (the frames at hi carried onto those at lo),
+    batched restrictions at both ends, and one stacked
+    ``linalg.checked_signs`` of them.  On a block window,
+    Pf [[0, S], [-S^T, 0]] = (-1)^(m(m-1)/2) det S for the m x m
+    restriction S; the sign (-1)^(m(m-1)/2) is the same at both ends, so
+    the factor is sign det S_lo * sign det S_hi, from one stacked
+    ``slogdet``; a plain skew window's is the product of the Pfaffian signs
+    (``pfaffian_sign``, one matrix at a time).  Nothing is drawn from an
+    rng.  A drifted rank or a singular restricted end raises
+    ``RefinementError``, and a transport below its floor
+    ``TransportError``.
+    """
+    points = [lo for lo, _, _ in accepted] + [accepted[-1][1]]
+    radii, ranks = zip(*(window for _, _, window in accepted))
+    svs = np.array([data.at(t)[1] for t in points])
+    below = np.array((svs[:-1], svs[1:])) < np.array(radii)[:, None]
+    if (np.count_nonzero(below, axis=-1) != ranks).any():
+        raise RefinementError("window rank drifted between validation and use")
+    factors = [1.0] * len(accepted)
+    floor = max(tol.transport(), _COS_MIN / 2.0)
+    for k in sorted(set(ranks) - {0}):
+        group = [i for i, rank in enumerate(ranks) if rank == k]
+        ends = [(points[i], points[i + 1]) for i in group]
+        recs = [[data.framed(t) for t in ts] for ts in ends]
+        # (window, end, side, n, k / sides): a plain record's window is its
+        # first k directions, and an admissible block is square, so each of
+        # its sides' windows is its first k / 2 (``_window_frames``)
+        frames = np.array([[r[2] for r in rs] for rs in recs])
+        frames = frames[..., :k // frames.shape[2]]
+        at_lo, at_hi = frames[:, 0], frames[:, 1]
+        frames[:, 1] = at_hi @ _polar(at_hi.swapaxes(-1, -2) @ at_lo, floor)
+        m = np.array([[r[0] + lifts[t] if t in lifts else r[0] for t, r in zip(ts, rs)]
+                      for ts, rs in zip(ends, recs)])
+        signs, sigma_min = linalg.checked_signs(
+            _restricted(m, frames), None if data.chiral else pfaffian_sign)
+        product = signs[:, 0] * signs[:, 1]  # NaN or 0 where an end fails
+        failed = np.flatnonzero(np.abs(product) != 1)
+        if failed.size:
+            j = failed[0]
+            failure = _sign_failure(signs[j], sigma_min[j], data.chiral)
+            raise RefinementError(
+                f"restricted endpoint singular on window [{ends[j][0]}, {ends[j][1]}]: "
+                f"{failure}") from failure
+        for i, f in zip(group, product.tolist()):
+            factors[i] = f
+    return [SpectralWindow(lo, hi, a, k, PLUS if f > 0 else MINUS)
+            for (lo, hi, (a, k)), f in zip(accepted, factors)]
 
 
 # ---------------------------------------------------------------------------

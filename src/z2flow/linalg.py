@@ -183,19 +183,47 @@ def sign_det(m) -> Z2:
 
     The sign is extracted from a pivoted triangular factorization (via
     ``slogdet``), never from the determinant value itself, so it cannot
-    over- or underflow.
+    over- or underflow.  A matrix singular within tolerance raises
+    ``SingularError`` (``checked_signs``).
     """
     a = as_real_matrix(m)
     n = require_square(a)
     if n == 0:
         return Z2(1)
-    sv = singular_values(a)
-    if sv[0] <= tol.inv(sv[-1]):
-        raise SingularError(
-            f"matrix is singular within tolerance (sigma_min={sv[0]:.3e})"
-        )
-    s = np.linalg.slogdet(a)[0]
-    return Z2(int(round(s)))
+    sign, sigma_min = checked_signs(a)
+    if math.isnan(sign):
+        raise singular_error(sigma_min)
+    return Z2(int(sign))
+
+
+def singular_error(sigma_min: float) -> SingularError:
+    """The error of a matrix singular within tolerance."""
+    return SingularError(
+        f"matrix is singular within tolerance (sigma_min={sigma_min:.3e})")
+
+
+def checked_signs(a: np.ndarray, sign=None):
+    """Signs of the matrices of a stack (..., n, n), n >= 1, each checked
+    invertible first.
+
+    One values-only SVD of the stack checks every matrix: one whose
+    sigma_min <= tol.inv(sigma_max) is singular within tolerance, and its
+    sign is NaN.  The other signs are those of the determinants, from one
+    stacked ``slogdet``, or ``sign(m)`` of each such matrix m, in stack
+    order (a Pfaffian sign).  Returns the signs and every matrix's
+    sigma_min.  Each row of a stacked SVD or ``slogdet`` is bitwise the
+    call on its matrix alone.
+    """
+    sv = np.linalg.svd(a, compute_uv=False)
+    sigma_min = sv[..., -1]
+    singular = sigma_min <= tol.inv(sv[..., 0])
+    if sign is None:
+        signs = np.linalg.slogdet(a)[0]
+    else:
+        signs, flat = np.zeros(sigma_min.shape), a.reshape(-1, *a.shape[-2:])
+        for i in np.flatnonzero(~singular):
+            signs.flat[i] = sign(flat[i])
+    return np.where(singular, math.nan, signs), sigma_min
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,13 @@ class OperatorPath:
 
     @property
     def block_shape(self) -> tuple:
-        """Shape of the block B(t) (see ``block``); a declared direct sum
-        gives the shape its placements fill, which ``direct_sum`` computed
-        once, without assembling B."""
-        if getattr(self.evaluator, "parts", None) is not None:
-            return self.evaluator.block_shape
+        """Shape of the block B(t) (see ``block``).  An evaluator that
+        declares its ``block_shape`` gives it without an evaluation: a
+        declared direct sum the shape its placements fill, which
+        ``direct_sum`` computed once, and a family member its family's."""
+        declared = getattr(self.evaluator, "block_shape", None)
+        if declared is not None:
+            return declared
         if self.symmetry_tag == "general":  # a general path is its own block
             return as_real_matrix(self.evaluator(self.t_start)).shape
         return self.block(self.t_start).shape
@@ -419,4 +421,5 @@ class FamilyMember:
 
         if family.arc is not None:
             evaluator.arc = arc
+        evaluator.block_shape = self.block_shape  # building the path evaluates nothing
         return OperatorPath(family.interval, evaluator)

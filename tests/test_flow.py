@@ -16,6 +16,7 @@ from z2flow.errors import (
     RefinementError,
     SingularError,
     SymmetryError,
+    TransportError,
 )
 import z2flow.pairs as pairs_module
 from z2flow import tolerances as tol
@@ -494,6 +495,104 @@ class TestWindowRank:
         assert len(res.windows) > 1
 
 
+def _tabled(table, tag="general"):
+    """A path read only at the parameters of ``table``: the chiral skew
+    doubling of its blocks, or its skew matrices."""
+    path = OperatorPath((min(table), max(table)), lambda t: table[t],
+                        "skew" if tag == "skew" else "general")
+    return path if tag == "skew" else embed_chiral_path(path)
+
+
+class TestWindowFactorPass:
+    """The factors of a partition come from one stacked pass over its
+    windows; of several failing windows, the first in partition order
+    raises what it raises alone, whatever order the stacked stages meet
+    them in (ranks, then a transport per group of equal rank, then the
+    restricted ends' signs)."""
+
+    @staticmethod
+    def factors(path, accepted):
+        from z2flow.flow import _window_factors
+
+        return _window_factors(_PathData(path), accepted, {})
+
+    def test_singular_end_before_a_failed_transport(self):
+        # one rank-2 group: its transport fails on the second window, whose
+        # small singular direction turns from e1 to e2, before the signs of
+        # the first window's restriction at the kernel of t = 0 are read
+        path = _tabled({-1.0: np.diag([1.0, 3.0]), 0.0: np.diag([0.0, 3.0]),
+                        1.0: np.diag([3.0, 0.5])})
+        accepted = [(-1.0, 0.0, (2.0, 2)), (0.0, 1.0, (2.0, 2))]
+        with pytest.raises(RefinementError) as err:
+            self.factors(path, accepted)
+        assert type(err.value) is RefinementError
+        assert str(err.value) == (
+            "restricted endpoint singular on window [-1.0, 0.0]: matrix is "
+            "singular within tolerance (sigma_min=0.000e+00)")
+        assert isinstance(err.value.__cause__, SingularError)
+        with pytest.raises(TransportError, match="polar factor ill-conditioned"):
+            self.factors(path, accepted[1:])
+
+    def test_failed_transport_before_a_drifted_rank(self):
+        path = _tabled({0.0: np.diag([1.0, 3.0]), 1.0: np.diag([3.0, 1.0]),
+                        2.0: np.diag([3.0, 3.0])})
+        accepted = [(0.0, 1.0, (2.0, 2)), (1.0, 2.0, (2.0, 2))]
+        with pytest.raises(TransportError, match=r"polar factor ill-conditioned "
+                           r"\(sigma_min=.*\)"):
+            self.factors(path, accepted)
+        with pytest.raises(RefinementError) as err:
+            self.factors(path, accepted[1:])
+        assert type(err.value) is RefinementError
+        assert str(err.value) == "window rank drifted between validation and use"
+
+    def test_higher_rank_window_first(self):
+        # the rank-2 group is passed before the rank-4 one, and both fail
+        path = _tabled({0.0: np.diag([0.5, 1.0, 3.0]), 1.0: np.diag([0.0, 1.0, 3.0]),
+                        2.0: np.diag([0.25, 1.0, 3.0])})
+        accepted = [(0.0, 1.0, (2.0, 4)), (1.0, 2.0, (0.5, 2))]
+        for windows, where in [(accepted, "[0.0, 1.0]"), (accepted[1:], "[1.0, 2.0]")]:
+            with pytest.raises(RefinementError) as err:
+                self.factors(path, windows)
+            assert str(err.value) == (
+                f"restricted endpoint singular on window {where}: matrix is "
+                "singular within tolerance (sigma_min=0.000e+00)")
+
+    def test_plain_skew_singular_end(self):
+        def skew_at(t):
+            return np.array([[0.0, t, 0.0, 0.0], [-t, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, -3.0, 0.0]])
+
+        path = _tabled({t: skew_at(t) for t in (-1.0, 0.0, 1.0)}, "skew")
+        accepted = [(-1.0, 0.0, (2.0, 2)), (0.0, 1.0, (2.0, 2))]
+        with pytest.raises(RefinementError) as err:
+            self.factors(path, accepted)
+        assert str(err.value) == ("restricted endpoint singular on window "
+                                  "[-1.0, 0.0]: skew endpoint is singular "
+                                  "within tolerance")
+        assert isinstance(err.value.__cause__, NotAdmissibleError)
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_pass_equals_its_windows_passed_alone(self, seed, monkeypatch):
+        # grouping by rank changes no factor: the crossing of examp takes
+        # windows of rank 0 and 2 and a kernel lift
+        import z2flow.flow as flow_module
+
+        seen = []
+        factors = flow_module._window_factors
+
+        def spy(data, accepted, lifts):
+            seen.append((data, accepted, lifts))
+            return factors(data, accepted, lifts)
+
+        monkeypatch.setattr(flow_module, "_window_factors", spy)
+        rng = None if seed is None else np.random.default_rng(seed)
+        res = sf2_path(build_example_path("doubled"), rng=rng)
+        (data, accepted, lifts), = seen
+        assert lifts and {w.rank for w in res.windows} > {0}
+        alone = [w for window in accepted for w in factors(data, [window], lifts)]
+        assert alone == res.windows
+
+
 def _opaque(path):
     """The same path behind an evaluator that declares no arc modulus."""
     return OperatorPath(path.interval, lambda t: path.evaluator(t),
@@ -894,6 +993,39 @@ class TestArcAudit:
         assert (res.value, res.evaluations, solved) == (1, 1, [(2, 2)])
 
 
+    @staticmethod
+    def step(size):
+        """diag(4, 4) and the same with size added at (0, 1): the step is
+        size, and the larger matrix's scale stays 4."""
+        m_s = np.diag([4.0, 4.0])
+        m_t = m_s.copy()
+        m_t[0, 1] = size
+        return m_s, m_t
+
+    def test_slack_boundary(self):
+        # a step beyond the arc passes within tol.sym of the scale
+        from z2flow.flow import _require_arc
+
+        slack = tol.sym(4.0)
+        _require_arc(0.0, 1.0, *self.step(1.0 + 0.5 * slack), 1.0)
+        with pytest.raises(ConfigError, match="the declared arc grows by 1.000e"):
+            _require_arc(0.0, 1.0, *self.step(1.0 + 2.0 * slack), 1.0)
+
+    def test_stack_names_its_first_lying_pair(self):
+        from z2flow.flow import _require_arc
+
+        slack = tol.sym(4.0)
+        pairs = [self.step(size) for size in
+                 (1.0 + 0.5 * slack, 3.0, 1.0 + 0.5 * slack, 2.0)]
+        m_s, m_t = (np.array(side) for side in zip(*pairs))
+        ts = np.arange(5.0)
+        _require_arc(ts[:-1], ts[1:], m_s, m_t, np.array([1.0, 3.0, 1.0, 2.0]))
+        with pytest.raises(ConfigError, match=r"grows by 1\.000e\+00 from t=1\.0 "
+                           r"to t=2\.0, but the path moves by max \|M\(t\) - "
+                           r"M\(s\)\| = 3\.000e\+00"):
+            _require_arc(ts[:-1], ts[1:], m_s, m_t, np.array([1.0, 1.0, 1.0, 1.0]))
+
+
 class TestPathFamily:
     """A path family's calm members are certified from one solve of each
     endpoint stack, with the windows, radii and evaluation counts of the
@@ -974,6 +1106,17 @@ class TestPathFamily:
         assert (res.value, res.evaluations) == (1, 2 + 1 + 2 + 2)
         opaque = sf2_path(embed_chiral_path(_family_sum(stack, None)))
         assert opaque.value == 1 and opaque.evaluations > res.evaluations
+
+    def test_member_path_evaluates_nothing(self):
+        family = PathFamily((0.0, 1.0), _calm_stack, _calm_arc)
+        calls = []
+        evaluator = family.evaluator
+        family.evaluator = lambda t: calls.append(t) or evaluator(t)
+        paths = [family[i].path for i in range(len(family))]
+        assert calls == []
+        assert [p.block_shape for p in paths] == [(2, 2)] * 4 and calls == []
+        assert np.array_equal(paths[1].at(0.5), _calm_stack(0.5)[1])
+        assert calls == [0.5]
 
     @pytest.mark.parametrize("seed", [None, 2])
     def test_singular_member_at_an_endpoint(self, seed):
@@ -1096,6 +1239,34 @@ class TestSolvedSampleReuse:
             assert grid[_SEGMENT_SAMPLES // 2] == mid
             assert list(_segment_grid(lo, mid)[::2]) == list(grid[:_SEGMENT_SAMPLES // 2 + 1])
             assert list(_segment_grid(mid, hi)[::2]) == list(grid[_SEGMENT_SAMPLES // 2:])
+
+
+    @staticmethod
+    def bisected(lo, hi):
+        """The grid by three rounds of refine's midpoint a + (b - a) / 2."""
+        ts = [lo, hi]
+        while len(ts) < _SEGMENT_SAMPLES:
+            grid = ts[:1]
+            for a, b in zip(ts[:-1], ts[1:]):
+                grid += [a + (b - a) / 2.0, b]
+            ts = grid
+        return ts
+
+    def test_grid_is_the_bisection_bitwise(self):
+        from z2flow.flow import _segment_grid
+
+        rng = np.random.default_rng(29)
+        lo = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-300, 300, 400)
+        width = rng.uniform(0.0, 1.0, 400) * 10.0 ** rng.uniform(-300, 300, 400)
+        tiny = 5e-324  # subnormal intervals, down to a few units of the smallest float
+        intervals = ([(a, a + w) for a, w in zip(lo.tolist(), width.tolist())]
+                     + [(0.0, 8 * tiny), (-3 * tiny, 13 * tiny), (1e-310, 3e-310),
+                        (-1e300, 1e300), (1e308, 1.7e308), (-1.7e308, 1.7e308),
+                        (1.0, 1.0 + 2.0 ** -50)])
+        for lo, hi in intervals:
+            grid = _segment_grid(lo, hi)
+            assert [t.hex() for t in grid.tolist()] == \
+                [t.hex() for t in self.bisected(lo, hi)]
 
 
 class TestDirectSum:

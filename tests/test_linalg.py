@@ -1,5 +1,7 @@
 """Unit tests for the dense linear-algebra kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from z2flow.errors import (
 from z2flow.flow import _polar, sf2_finite
 from z2flow.linalg import (
     _reduce_skew,
+    checked_signs,
     pfaffian,
     pfaffian_sign,
     sign_det,
@@ -377,6 +380,39 @@ class TestStackedSolve:
         rng = np.random.default_rng(sum(shape) + 80)
         self.assert_rows_bitwise(rng.standard_normal((7,) + shape), True,
                                  compute_uv)
+
+
+class TestStackedSigns:
+    """The window factor pass reads the signs of every restricted end of a
+    group of windows from one stacked values-only SVD and one stacked
+    ``slogdet`` (``checked_signs``): each row is bitwise the call on its
+    matrix alone, at every k x k size the pass stacks."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rows_bitwise(self, k):
+        rng = np.random.default_rng(90 + k)
+        stack = rng.standard_normal((5, 2, k, k))
+        sv = np.linalg.svd(stack, compute_uv=False)
+        signs, logs = np.linalg.slogdet(stack)
+        for i in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(sv[i], np.linalg.svd(stack[i], compute_uv=False))
+            assert np.array_equal((signs[i], logs[i]), np.linalg.slogdet(stack[i]))
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_checked_signs(self, k):
+        rng = np.random.default_rng(100 + k)
+        stack = np.array([skew(rng, k) for _ in range(6)]).reshape(3, 2, k, k)
+        stack[1, 1, :, 0] = stack[1, 1, 0, :] = 0.0  # singular
+        det, low = checked_signs(stack)
+        pf, low_pf = checked_signs(stack, pfaffian_sign)
+        assert np.array_equal(low, np.linalg.svd(stack, compute_uv=False)[..., -1])
+        assert np.array_equal(low, low_pf)
+        assert np.isnan(det[1, 1]) and np.isnan(pf[1, 1])
+        for i in [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]:
+            assert det[i] == sign_det(stack[i]) == 1  # even skew: det = Pf^2
+            assert pf[i] == pfaffian_sign(stack[i])
+        with pytest.raises(SingularError, match=re.escape(f"sigma_min={low[1, 1]:.3e}")):
+            sign_det(stack[1, 1])
 
 
 class TestTransport:
