@@ -85,14 +85,21 @@ class RunConfig:
 # path-file ingestion
 
 
+def _has_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list holding one at any depth."""
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def ingest_path(file) -> OperatorPath:
     """Load a sampled operator path from its JSON description.
 
     Schema: an object with ``symmetry`` (one of the four tags), an optional
     ``frame`` [n_plus, n_minus] (required for chiral tags) and ``samples``, a
-    list of {"t": float, "matrix": nested row-major lists}.  Interpolation
-    between samples is entrywise linear; the symmetry tag is validated
-    against every sample.
+    list of {"t": float, "matrix": nested row-major lists}; booleans and
+    quoted numbers are refused (``ConfigError``).  Interpolation between
+    samples is entrywise linear; the symmetry tag is validated against
+    every sample.
     """
     try:
         with open(file, "r", encoding="utf-8") as fh:
@@ -107,8 +114,9 @@ def ingest_path(file) -> OperatorPath:
     frame = None
     if "frame" in doc:
         raw = doc["frame"]
+        # type(x) is int, as a JSON boolean is a Python int
         if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-                or not all(isinstance(x, int) and x >= 0 for x in raw)):
+                or not all(type(x) is int and x >= 0 for x in raw)):
             raise ConfigError("frame must be a pair of non-negative integers")
         frame = ChiralFrame(raw[0], raw[1])
     samples = doc.get("samples")
@@ -118,6 +126,9 @@ def ingest_path(file) -> OperatorPath:
     for entry in samples:
         if not isinstance(entry, dict) or "t" not in entry or "matrix" not in entry:
             raise ConfigError("each sample needs 't' and 'matrix' fields")
+        if _has_bool([entry["t"], entry["matrix"]]):  # numpy reads them as 0, 1
+            raise ConfigError("malformed sample: entries must be real numbers, "
+                              "not booleans")
         try:  # real numbers only, as in OperatorPath.from_samples
             t_val = _real_array(entry["t"])
             mat = _real_array(entry["matrix"])

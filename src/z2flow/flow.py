@@ -308,7 +308,9 @@ class _PathData:
     start, which is solved for its singular values alone (frames None);
     ``framed`` adds the frames once a positive-rank window or a lift needs
     them.  ``records`` seeds the cache with records solved elsewhere (a
-    family's endpoint stacks, see ``_family_batch``).
+    family's endpoint stacks, see ``_family_batch``), for either leaf
+    engine of ``_flow``: the windowed flow or the pair route's
+    ``pairs._pair_leaf``.
     """
 
     def __init__(self, path: OperatorPath, records=None):
@@ -726,7 +728,8 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     both endpoint stacks are solved at once, a member whose two-endpoint
     floor clears its margins is one rank-0 window from those 2
     evaluations, and only the others are walked (``_family_batch``).
-    ``parity_via_pairs`` walks declared sums the same way.
+    This structural walk (``_flow``) is shared with ``parity_via_pairs``,
+    which hands its leaves to the phase-pair engine instead.
 
     A declared arc is checked, at no solve, wherever the engine holds two
     matrices: the ends of a segment, of a family member and of a declared
@@ -752,38 +755,6 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     return _flow(path, rng)
 
 
-def _part_walk(path: OperatorPath, rng, solve, calm):
-    """The result of each listing of a declared direct sum, in listing
-    order: each distinct part is solved once, as ``solve(doubled,
-    records)`` of the chiral skew doubling of its block path, and a part
-    listed c times yields that one result c times.  The members of a path
-    family (``PathFamily``) are first taken together (``_family_batch``):
-    a member whose two-endpoint floor clears its margins yields
-    ``calm(window)`` of its one rank-0 window, and every other member is
-    solved as a part, from the endpoint records of the family's solves."""
-    parts = path.evaluator.parts
-    families = {}
-    for part in {id(part): part for part, _, _ in parts}.values():
-        if isinstance(part, FamilyMember):
-            if id(part.family) not in families:
-                families[id(part.family)] = (part.family, [])
-            families[id(part.family)][1].append(part.index)
-    solved, seeds = {}, {}
-    for family, members in families.values():
-        radii, records = _family_batch(family, sorted(members), rng)
-        for i, a in radii.items():
-            solved[id(family[i])] = calm(
-                SpectralWindow(*family.interval, a, 0, PLUS))
-        seeds.update((id(family[i]), r) for i, r in records.items())
-    for part, rows, cols in parts:
-        if id(part) not in solved:
-            source = part.path if isinstance(part, FamilyMember) else part
-            frame = ChiralFrame(len(rows), len(cols))
-            solved[id(part)] = solve(_doubling(source, frame, "chiral-skew"),
-                                     seeds.get(id(part)))
-    return [solved[id(part)] for part, _, _ in parts]
-
-
 def _family_batch(family, members, rng):
     """The two-endpoint rule of ``_endpoint_window`` for the listed
     ``members`` (ascending indices) of a path family, all at once.
@@ -799,7 +770,7 @@ def _family_batch(family, members, rng):
     under ``rng`` the radii take their u from one draw.  Returns the radius
     of each certified member and, for every other moving member, its two
     endpoint records; a member whose arc does not grow is left to its
-    walk, which solves its one matrix.
+    leaf engine (see ``_flow``), which solves its one matrix.
     """
     members = np.asarray(members)
     t0, t1 = family.interval
@@ -841,28 +812,47 @@ def _family_batch(family, members, rng):
     return radii, records
 
 
-def _flow(path: OperatorPath, rng, records=None) -> FlowResult:
-    """``sf2_path`` without the tag check: a declared sum part by part, a
-    declared motion on its reduced path (``_reduced``), any other path by
-    ``_windowed_flow``, from ``records`` if a family batch solved them."""
-    if getattr(path.evaluator, "parts", None) is not None:
-        results = _part_walk(
-            path, rng, lambda part, seeds: _flow(part, rng, seeds),
-            lambda window: FlowResult(PLUS, [window], 0, 2))
-        distinct = {id(r): r for r in results}.values()
+def _flow(path: OperatorPath, rng, records=None, leaf=None) -> FlowResult:
+    """The structural walk of both engines (see ``sf2_path``): a declared
+    sum part by part, a path family's calm members first from its endpoint
+    stacks (``_family_batch``), a declared motion on its reduced path
+    (``_reduced``), and every other path, from ``records`` if a family
+    batch solved them, by the leaf engine ``leaf``: ``_windowed_flow``
+    unless given (``parity_via_pairs`` gives ``pairs._pair_leaf``)."""
+    leaf = leaf or _windowed_flow
+    parts = getattr(path.evaluator, "parts", None)
+    if parts is not None:
+        families = {}  # each family's listed members
+        for part, _, _ in parts:
+            if isinstance(part, FamilyMember):
+                families.setdefault(part.family, set()).add(part.index)
+        solved, seeds = {}, {}
+        for family, members in families.items():
+            radii, batch = _family_batch(family, sorted(members), rng)
+            for i, a in radii.items():
+                solved[id(family[i])] = FlowResult(
+                    PLUS, [SpectralWindow(*family.interval, a, 0, PLUS)], 0, 2)
+            seeds.update((id(family[i]), r) for i, r in batch.items())
+        for part, rows, cols in parts:
+            if id(part) not in solved:
+                source = part.path if isinstance(part, FamilyMember) else part
+                frame = ChiralFrame(len(rows), len(cols))
+                solved[id(part)] = _flow(_doubling(source, frame, "chiral-skew"),
+                                         rng, seeds.get(id(part)), leaf)
+        results = [solved[id(part)] for part, _, _ in parts]
         windows = [SpectralWindow(w.t_lo, w.t_hi, w.a, w.rank, w.factor, i)
                    for i, r in enumerate(results) for w in r.windows]
         return FlowResult(z2_product(r.value for r in results), windows,
-                          max(r.refinement_depth for r in distinct),
-                          sum(r.evaluations for r in distinct),
-                          max(r.motion_rank for r in distinct))
+                          max(r.refinement_depth for r in solved.values()),
+                          sum(r.evaluations for r in solved.values()),
+                          max(r.motion_rank for r in solved.values()))
     if getattr(path.evaluator, "motion", None) is not None:
         reduced = _reduced(path)
-        result = _windowed_flow(reduced, rng)
+        result = leaf(reduced, rng)
         # the block's two endpoint evaluations, then the reduced path's
         return replace(result, evaluations=2 + result.evaluations,
                        motion_rank=reduced.frame.n_plus)
-    return _windowed_flow(path, rng, records)
+    return leaf(path, rng, records)
 
 
 def _reduced(path: OperatorPath) -> OperatorPath:

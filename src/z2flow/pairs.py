@@ -12,8 +12,12 @@ blocks: the kernel of I0 + I1 is twice that of U0 + U1, the straight line
 is the doubling of (1 - t) U0 + t U1, solved on the r x r reduced path of
 its motion in the rank r of U1 - U0, and the phases along a path are the
 orthogonal blocks X Y^T of the flow engine's chiral records, one chiral
-core for both routes.  ``ComplexStructure`` values, the complex
-cross-check of ``pi_index`` and the index map keep the 2n x 2n matrices.
+core for both routes.  Both routes also take one structural walk of a
+declared sum, family or motion (``flow._flow``) and differ in the leaf
+engine alone: the windowed flow for ``sf2_path``, the phase pairs of
+``_pair_leaf`` for ``parity_via_pairs``.  ``ComplexStructure`` values,
+the complex cross-check of ``pi_index`` and the index map keep the
+2n x 2n matrices.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .errors import (
     StructureError,
     SymmetryError,
 )
-from .flow import (_endpoint_spectra, _part_walk, _PathData, _random_orthogonal,
-                   _read_arc, _reduced, _require_arc, embed_chiral,
+from .flow import (FlowResult, _endpoint_spectra, _flow, _PathData,
+                   _random_orthogonal, _read_arc, _require_arc, embed_chiral,
                    embed_chiral_path, refine, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values, skew_singular_system
 from .paths import ChiralFrame, OperatorPath
@@ -223,37 +227,28 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
     1))``) once per interior t.
 
-    Declared structure is taken as ``sf2_path`` takes it: a direct sum of
-    square parts part by part (parity is multiplicative), a path family's
-    calm members from its endpoint stacks, and a low-rank motion on the
-    r x r reduced path of ``flow._reduced``.  A declared arc must grow
-    between the two ends of every certified phase pair by at least the
-    largest entry of the difference of their blocks, or ``ConfigError`` is
-    raised.
+    Declared structure is walked as by ``sf2_path`` (``flow._flow``),
+    which hands every leaf to ``_pair_leaf``: a direct sum part by part
+    (parity is multiplicative), a path family's calm members from its
+    endpoint stacks, and a low-rank motion on its reduced path.  A declared
+    arc must grow between the two ends of every certified phase pair by at
+    least the largest entry of the difference of their blocks, or
+    ``ConfigError`` is raised.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
     if path.frame.n_plus != path.frame.n_minus:
         raise DimensionError("phase completion needs balanced chiral blocks")
-    return _pair_parity(path, rng)
+    return _flow(path, rng, leaf=_pair_leaf).value
 
 
-def _pair_parity(path: OperatorPath, rng, records=None) -> Z2:
-    """``parity_via_pairs`` of a balanced chiral skew path, its record
-    cache seeded with ``records`` if a family batch solved them."""
-    parts = getattr(path.evaluator, "parts", None)
-    # a sum with a rectangular part is singular, which its assembled
-    # block reports at the endpoint
-    if parts is not None and all(len(r) == len(c) for _, r, c in parts):
-        return z2_product(_part_walk(
-            path, rng, lambda part, seeds: _pair_parity(part, rng, seeds),
-            lambda window: PLUS))
-    if getattr(path.evaluator, "motion", None) is not None:
-        return _pair_parity(_reduced(path), rng)
+def _pair_leaf(path: OperatorPath, rng, records=None) -> FlowResult:
+    """The pair route's leaf engine of ``flow._flow``: the phase-pair parity
+    of a path, its cache seeded with ``records``, and no windows."""
     data = _PathData(path, records)
     _endpoint_spectra(data)
     if data.constant:
-        return Z2(1)
+        return FlowResult(PLUS, [], 0, data.evaluations)
     t0, t1 = (float(t) for t in path.interval)
     cluster_tol = tol.PAIR_PARTITION_ABS * tol.scale()
     phases = {}
@@ -278,13 +273,14 @@ def _pair_parity(path: OperatorPath, rng, records=None) -> Z2:
 
     grid = np.linspace(t0, t1, 9)
     data.solve(grid)  # the start grid, in one stacked solve
-    certified, _ = refine(grid, certify, "certifiable phase pair")
+    certified, depth = refine(grid, certify, "certifiable phase pair")
     if data.arc is not None:  # the arc must bound every certified pair
         ts = np.array([t0] + [hi for _, hi, _ in certified])
         blocks = np.array([rec[0] for rec in data.solve(ts)])
         _require_arc(ts[:-1], ts[1:], blocks[:-1], blocks[1:],
                      np.diff(_read_arc(data.arc, ts)))
-    return z2_product(value for _, _, value in certified)
+    return FlowResult(z2_product(value for _, _, value in certified), [], depth,
+                      data.evaluations)
 
 
 def _require_grading_orthogonal(o_mat, frame: ChiralFrame) -> np.ndarray:

@@ -343,11 +343,12 @@ class PathFamily:
     at t, and ``arc(ts)``, if given, a (len(ts), m) array whose column i is
     the arc modulus of member i (see ``OperatorPath``); without an arc
     every member is opaque.  ``family[i]`` is member i, which
-    ``OperatorPath.direct_sum`` lists in place of a part.  The flow engine
-    and the pair route evaluate a family once at each endpoint, solve both
-    stacks at once and certify every member whose two-endpoint floor
-    clears its margins there (see ``sf2_path``); only the other members are
-    walked, each as a part of its own.
+    ``OperatorPath.direct_sum`` lists in place of a part.  The one
+    structural walk of the flow engine and the pair route evaluates a
+    family once at each endpoint, solves both stacks at once and certifies
+    every member whose two-endpoint floor clears its margins there (see
+    ``sf2_path``); only the other members go to the route's leaf engine,
+    each as a part of its own.
     """
 
     def __init__(self, interval, evaluator, arc=None):

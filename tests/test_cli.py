@@ -395,6 +395,37 @@ class TestIngestPath:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert proc.stderr.startswith("error: malformed sample")
 
+    @staticmethod
+    def boolean_file(tmp_path, capsys, frame, t1, entry):
+        """A chiral skew file read as a crossing path if booleans counted
+        as 0 and 1, run through ``cli.main``: its exit code and stderr."""
+        from z2flow import cli
+
+        doc = {"symmetry": "chiral-skew", "frame": frame, "samples": [
+            {"t": 0.0, "matrix": [[0, -1], [1, 0]]},
+            {"t": t1, "matrix": [[0, entry], [-1, 0]]}]}
+        f = tmp_path / "boolean.json"
+        f.write_text(json.dumps(doc))
+        code = cli.main(["sf2", "--path-file", str(f)])
+        return code, capsys.readouterr().err
+
+    def test_boolean_frame_exit_4(self, tmp_path, capsys):
+        code, err = self.boolean_file(tmp_path, capsys, [True, True], 1.0, 1)
+        assert (code, err) == (4, "error: frame must be a pair of non-negative "
+                                  "integers\n")
+
+    def test_boolean_parameter_exit_4(self, tmp_path, capsys):
+        code, err = self.boolean_file(tmp_path, capsys, [1, 1], True, 1)
+        assert code == 4 and err.startswith("error: malformed sample")
+
+    def test_boolean_matrix_entry_exit_4(self, tmp_path, capsys):
+        # a mixed row [[0, true]] is an int array to numpy, so the dtype
+        # alone would not show the boolean
+        code, err = self.boolean_file(tmp_path, capsys, [1, 1], 1.0, True)
+        assert code == 4 and err.startswith("error: malformed sample")
+        # the same file with numbers is a crossing, flow -1
+        assert self.boolean_file(tmp_path, capsys, [1, 1], 1.0, 1)[0] == 0
+
     def test_ragged_and_nested_parameters_exit_4(self, tmp_path):
         for i, (t, matrix) in enumerate([(1.0, [[1.0, 0.0], [0.0]]),
                                          ([1.0], [[1.0, 0.0], [0.0, 1.0]])]):

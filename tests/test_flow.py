@@ -1594,6 +1594,59 @@ class TestDeclaredMotion:
         assert res.motion_rank == 1
 
 
+class TestOneWalk:
+    """Both engines take one structural walk of a declared sum and differ
+    in the leaf engine alone."""
+
+    @staticmethod
+    def mixed_sum():
+        """A crossing part listed twice, a constant part, a family with
+        calm members and one crossing member, and a part with a motion."""
+        twice = _declared((0.0, 1.0), lambda t: np.diag([2.0 * t - 1.0, 3.0]),
+                          lambda ts: 2.0 * np.asarray(ts))
+        constant = _declared((0.0, 1.0), lambda t: np.diag([2.0, 5.0]),
+                             lambda ts: 0.0 * np.asarray(ts))
+        family = PathFamily((0.0, 1.0), *TestPathFamily().mixed())
+        moving = TestDeclaredMotion.motion_path(np.random.default_rng(77), 3, 1,
+                                                scale=4.0)
+        return OperatorPath.direct_sum(
+            [twice, constant, *(family[i] for i in range(len(family))), moving,
+             twice])
+
+    def test_both_engines_hand_over_the_same_leaves(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        leaves = {"flow": [], "pairs": []}
+
+        def spying(route, engine):
+            def spy(path, rng, records=None):
+                leaves[route].append((path.block_shape, path.block(0.25).tolist(),
+                                      sorted(records or ())))
+                return engine(path, rng, records)
+            return spy
+
+        monkeypatch.setattr(flow_module, "_windowed_flow",
+                            spying("flow", flow_module._windowed_flow))
+        monkeypatch.setattr(pairs_module, "_pair_leaf",
+                            spying("pairs", pairs_module._pair_leaf))
+        total = self.mixed_sum()
+        oracle = parity_finite(total)
+        for seed in (None, 3):
+            rng = lambda: None if seed is None else np.random.default_rng(seed)
+            leaves["flow"].clear()
+            leaves["pairs"].clear()
+            flowed = sf2_path(embed_chiral_path(total), rng=rng()).value
+            paired = parity_via_pairs(embed_chiral_path(total), rng=rng())
+            assert flowed == paired == oracle == -1
+            assert leaves["flow"] == leaves["pairs"]
+            # each distinct leaf once, in listing order: the part listed
+            # twice, the constant part, the crossing member seeded with its
+            # endpoint records (the calm members are windows of the batch),
+            # and the 1 x 1 reduced path of the motion
+            assert [(shape, seeded) for shape, _, seeded in leaves["flow"]] == [
+                ((2, 2), []), ((2, 2), []), ((2, 2), [0.0, 1.0]), ((1, 1), [])]
+
+
 class TestChiralCore:
     """Chiral-skew paths are solved on their block; plain skew by one SVD
     of T."""

@@ -288,8 +288,8 @@ class TestParityViaPairs:
 
     def test_sum_with_rectangular_parts_refused_whole(self):
         # a tall part's rows meet only its own columns, so a sum with
-        # rectangular parts is singular everywhere: the assembled block is
-        # refused at its endpoint, as by sf2_path, not a part for its shape
+        # rectangular parts is singular everywhere: both routes walk the
+        # sum part by part, and the tall part is refused at its own endpoint
         tall = OperatorPath((0.0, 1.0), lambda t: np.array([[t - 0.3], [1.0]]),
                             "general", None, 1)
         wide = OperatorPath((0.0, 1.0), lambda t: np.array([[1.0, 0.5]]),
