@@ -41,8 +41,8 @@ from .models import (
     half_flux_kernel_dim,
 )
 from .pairs import (
-    ComplexStructure,
     FredholmPair,
+    _conjugate,
     index_pairing_rhs,
     j_index,
     pi_index,
@@ -266,8 +266,7 @@ def run(config: RunConfig) -> dict:
         structure, o = build_rank_one_pair(int(config.params.get("n", 4)))
         report["input_digest"] = _sha256(*_digest_arrays(structure.matrix, o))
         if config.command == "pi-index":
-            pair = FredholmPair(structure, ComplexStructure(
-                o @ structure.matrix @ o.T, structure.frame))
+            pair = FredholmPair(structure, _conjugate(structure, o))
             report["result"] = int(pi_index(pair))
             report["kernel_dim"] = int(pair.gap_certificate)
         else:

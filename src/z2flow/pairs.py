@@ -15,9 +15,16 @@ orthogonal blocks X Y^T of the flow engine's chiral records, one chiral
 core for both routes.  Both routes also take one structural walk of a
 declared sum, family or motion (``flow._flow``) and differ in the leaf
 engine alone: the windowed flow for ``sf2_path``, the phase pairs of
-``_pair_leaf`` for ``parity_via_pairs``.  ``ComplexStructure`` values,
-the complex cross-check of ``pi_index`` and the index map keep the
-2n x 2n matrices.
+``_pair_leaf`` for ``parity_via_pairs``.
+
+The checks and the index map read the blocks too.  ``ComplexStructure``
+and the grading-preserving orthogonals O = diag(O+, O-) check
+orthogonality as the Grams of their two nonzero blocks; only where a block
+taken for zero is zero within tolerance but not exactly do they form the
+2n x 2n Gram.  O I O^T is the structure of the block O+ U O-^T, the
+cross-check of ``pi_index`` is one values-only SVD of U0 - U1, and the
+right-hand side of the index theorem one of (O+ + U O- U^T) / 2: these
+always read U, O+ and O-, whatever the blocks taken for zero hold.
 """
 
 from __future__ import annotations
@@ -70,9 +77,9 @@ class ComplexStructure:
         t = tol.sym(max(max_abs(m), 1.0))
         if max_abs(m + m.T) > t:
             raise SymmetryError("complex structure must be skew")
-        if max_abs(m.T @ m - np.eye(n)) > 10 * t:
-            raise SymmetryError("complex structure must be orthogonal")
         np_ = self.frame.n_plus
+        if _orthogonality_defect(m, np_, chiral=True) > 10 * t:
+            raise SymmetryError("complex structure must be orthogonal")
         if max_abs(m[:np_, :np_]) > t or max_abs(m[np_:, np_:]) > t:
             raise SymmetryError("complex structure must anticommute with the grading")
         object.__setattr__(self, "matrix", m)
@@ -80,6 +87,22 @@ class ComplexStructure:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _orthogonality_defect(m: np.ndarray, n: int, chiral: bool) -> float:
+    """max |m^T m - 1| for m split after row and column n.
+
+    Where the diagonal blocks of m (``chiral``) or its off-diagonal ones
+    (otherwise) are exactly zero, m^T m is block diagonal: the Grams of the
+    two other blocks.  Otherwise the whole Gram is formed, and a block that
+    is zero only within tolerance is left to the check that follows."""
+    if chiral:
+        zero, rest = (m[:n, :n], m[n:, n:]), (m[n:, :n], m[:n, n:])
+    else:
+        zero, rest = (m[:n, n:], m[n:, :n]), (m[:n, :n], m[n:, n:])
+    if any(block.any() for block in zero):
+        return max_abs(m.T @ m - np.eye(m.shape[0]))
+    return max(max_abs(b.T @ b - np.eye(b.shape[1])) for b in rest)
 
 
 def _block(structure: ComplexStructure) -> np.ndarray:
@@ -134,21 +157,20 @@ def pi_index(pair: FredholmPair) -> Z2:
 
     Cross-checked against the equivalent complex count, the kernel dimension
     of first - second +/- 2i over the complexification, for both signs.
+    first - second = I0 - I1 is real skew with eigenvalues +/- i s_j, s_j
+    the singular values of U0 - U1, so I0 - I1 +/- 2i has the singular
+    values |2 +/- s_j|: both signs count the s_j within ``tol.pair_kernel``
+    of 2, read from one values-only SVD of U0 - U1.  A count whose parity
+    differs from that of half the kernel raises ``StructureError``.
     """
     k = pair.gap_certificate
     value = Z2(1) if (k // 2) % 2 == 0 else Z2(-1)
 
-    diff = pair.first.matrix - pair.second.matrix
-    n = diff.shape[0]
-    kernel_tol = tol.pair_kernel()
-    counts = []
-    for sign in (+1.0, -1.0):
-        a = diff.astype(complex) + sign * 2j * np.eye(n)
-        sv = np.linalg.svd(a, compute_uv=False)
-        counts.append(int((sv < kernel_tol).sum()))
-    if counts[0] != counts[1] or counts[0] % 2 != (k // 2) % 2:
+    sv = singular_values(_block(pair.first) - _block(pair.second))
+    count = int((np.abs(2.0 - sv) < tol.pair_kernel()).sum())
+    if count % 2 != (k // 2) % 2:
         raise StructureError(
-            f"index formulas disagree (kernel/2={k // 2}, complex counts={counts})"
+            f"index formulas disagree (kernel/2={k // 2}, complex counts={[count] * 2})"
         )
     return value
 
@@ -289,31 +311,44 @@ def _require_grading_orthogonal(o_mat, frame: ChiralFrame) -> np.ndarray:
     if o.shape[0] != o.shape[1] or n != frame.dim:
         raise DimensionError("orthogonal does not match the chiral frame")
     t = tol.sym(max(max_abs(o), 1.0))
-    if max_abs(o.T @ o - np.eye(n)) > 10 * t:
-        raise SymmetryError("matrix is not orthogonal")
     np_ = frame.n_plus
+    if _orthogonality_defect(o, np_, chiral=False) > 10 * t:
+        raise SymmetryError("matrix is not orthogonal")
     if max_abs(o[:np_, np_:]) > t or max_abs(o[np_:, :np_]) > t:
         raise SymmetryError("matrix does not commute with the grading")
     return o
+
+
+def _conjugate(structure: ComplexStructure, o: np.ndarray) -> ComplexStructure:
+    """O I O^T for a grading-preserving O = diag(O+, O-): the structure of
+    the block O+ U O-^T."""
+    n = structure.frame.n_plus
+    return ComplexStructure(embed_chiral(o[:n, :n] @ _block(structure) @ o[n:, n:].T),
+                            structure.frame)
 
 
 def j_index(structure: ComplexStructure, o_mat) -> Z2:
     """Index map over grading-preserving orthogonals: the Z2-index of the
     pair (I, O I O^T)."""
     o = _require_grading_orthogonal(o_mat, structure.frame)
-    conjugated = ComplexStructure(o @ structure.matrix @ o.T, structure.frame)
-    return pi_index(FredholmPair(structure, conjugated))
+    return pi_index(FredholmPair(structure, _conjugate(structure, o)))
 
 
 def index_pairing_rhs(structure: ComplexStructure, o_mat) -> int:
     """Right-hand side of the index theorem: the complex kernel dimension of
     P O P + 1 - P mod 2, with P the positive-imaginary spectral projection
-    of the complexified structure."""
+    of the complexified structure.
+
+    P projects onto {(a, i U^T a)}, on which P O P acts as
+    (O+ + U O- U^T) / 2 in the coordinates a, and 1 - P is the identity on
+    the complement of that range.  The singular values are therefore those
+    of that real n x n matrix and n ones, of largest max(1, s_max); the
+    kernel counts the former below ``tol.inv`` of it.  The blocks are read
+    even where a zero block of I or O is zero only within tolerance, so the
+    count is that of the structure and orthogonal with those blocks dropped.
+    """
     o = _require_grading_orthogonal(o_mat, structure.frame)
-    n = structure.dim
-    p = (np.eye(n) - 1j * structure.matrix) / 2.0
-    a = p @ o.astype(complex) @ p + np.eye(n) - p
-    sv = np.linalg.svd(a, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    count = int((sv < tol.inv(max(smax, 1e-300))).sum())
+    n, u = structure.frame.n_plus, _block(structure)
+    sv = singular_values(0.5 * (o[:n, :n] + u @ o[n:, n:] @ u.T))
+    count = int((sv < tol.inv(max(1.0, float(sv.max(initial=0.0))))).sum())
     return count % 2

@@ -119,6 +119,25 @@ class TestReports:
         assert report["diagnostics"]["tolerances"]["scale"] == 10.0
         assert report["diagnostics"]["tolerances"]["sym_rel"] == 1e-9
 
+    def test_disordered_ring_digest_builds_no_doubling(self, monkeypatch):
+        # cli.run hashes to_skew_path(path), whose block is the ring's own
+        # n x n block: the 2n x 2n chiral doubling is never built, by the
+        # digest or by the flow
+        import z2flow.flow as flow
+        from z2flow.cli import _digest_path
+        from z2flow.models import RingShiftSpec, build_insulator_disordered
+
+        config = RunConfig(command="insulator", params={"M": 64, "disorder": 0.1})
+        digest = run(config)["input_digest"]
+
+        def refuse(b):
+            raise AssertionError("the digest builds no chiral doubling")
+
+        monkeypatch.setattr(flow, "embed_chiral", refuse)
+        ring = build_insulator_disordered(RingShiftSpec(64), 0.1, 0)
+        assert _digest_path(flow.to_skew_path(ring)) == digest
+        assert run(config)["input_digest"] == digest
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
     def test_invalid_tolerance_scale_env(self, value):
         proc = invoke("parity", "--model", "examp",

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from z2flow import tolerances as tol
 from z2flow.errors import (
     DimensionError,
     NotAdmissibleError,
     NotFredholmPairError,
+    StructureError,
     SymmetryError,
 )
 from z2flow.flow import embed_chiral, embed_chiral_path, sf2_path
@@ -22,6 +24,7 @@ from z2flow.pairs import (
     straight_line_sf2,
 )
 from z2flow.paths import ChiralFrame, OperatorPath
+from z2flow.z2 import Z2
 
 from conftest import (
     random_certified_pair,
@@ -36,6 +39,80 @@ def kernel_dim(m, tol=1e-8):
     return int((sv < tol * scale).sum())
 
 
+# The complex definitions on the 2n x 2n matrices, which the library reads
+# from real n x n blocks: oracles for pi_index, j_index and index_pairing_rhs.
+
+
+def oracle_pi_index(pair):
+    """Half the kernel of the sum, cross-checked by the kernel dimensions of
+    I0 - I1 +/- 2i over the complexification."""
+    k = pair.gap_certificate
+    diff = pair.first.matrix - pair.second.matrix
+    n = diff.shape[0]
+    counts = []
+    for sign in (+1.0, -1.0):
+        sv = np.linalg.svd(diff.astype(complex) + sign * 2j * np.eye(n),
+                           compute_uv=False)
+        counts.append(int((sv < tol.pair_kernel()).sum()))
+    if counts[0] != counts[1] or counts[0] % 2 != (k // 2) % 2:
+        raise StructureError(
+            f"index formulas disagree (kernel/2={k // 2}, complex counts={counts})")
+    return Z2(1) if (k // 2) % 2 == 0 else Z2(-1)
+
+
+def oracle_j_index(structure, o):
+    conjugated = ComplexStructure(o @ structure.matrix @ o.T, structure.frame)
+    return oracle_pi_index(FredholmPair(structure, conjugated))
+
+
+def oracle_index_pairing_rhs(structure, o):
+    """The kernel of P O P + 1 - P mod 2, P = (1 - iI) / 2."""
+    n = structure.dim
+    p = (np.eye(n) - 1j * structure.matrix) / 2.0
+    sv = np.linalg.svd(p @ o.astype(complex) @ p + np.eye(n) - p,
+                       compute_uv=False)
+    smax = float(sv[0]) if sv.size else 0.0
+    return int((sv < tol.inv(max(smax, 1e-300))).sum()) % 2
+
+
+def outcome(call):
+    """The value of a call, or the type and text of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def reflecting_orthogonal(rng, structure, r, dead_zone=False):
+    """A grading-preserving O = diag(O+, O-) with O+ = U O- U^T R, where R
+    reflects r random directions and turns the others by angles below 2.5
+    (the last one by pi - 1e-3 under ``dead_zone``): the sum I + O I O^T
+    then has the kernel 2r, and the rest of its spectrum clears the gap
+    unless ``dead_zone``."""
+    n = structure.frame.n_plus
+    u = structure.matrix[:n, n:]
+    o_minus = random_orthogonal(rng, n)
+    rest = np.eye(n)
+    for i in range(r, n - 1, 2):
+        th = rng.uniform(-2.5, 2.5)
+        rest[i:i + 2, i:i + 2] = [[np.cos(th), -np.sin(th)],
+                                  [np.sin(th), np.cos(th)]]
+    if dead_zone and r < n - 1:
+        th = np.pi - 1e-3
+        rest[r:r + 2, r:r + 2] = [[np.cos(th), -np.sin(th)],
+                                  [np.sin(th), np.cos(th)]]
+    rest[:r, :r] = -np.eye(r)
+    basis = random_orthogonal(rng, n)
+    o = np.zeros((2 * n, 2 * n))
+    o[:n, :n] = u @ o_minus @ u.T @ basis @ rest @ basis.T
+    o[n:, n:] = o_minus
+    return o
+
+
 class TestComplexStructure:
     def test_standard_structure(self):
         s = ComplexStructure(embed_chiral(np.eye(3)), ChiralFrame(3, 3))
@@ -43,15 +120,18 @@ class TestComplexStructure:
 
     def test_non_orthogonal_rejected(self):
         bad = embed_chiral(np.diag([1.0, 2.0]))
-        with pytest.raises(SymmetryError):
+        with pytest.raises(SymmetryError, match="^complex structure must be orthogonal$"):
             ComplexStructure(bad, ChiralFrame(2, 2))
 
     def test_non_chiral_rejected(self):
         m = np.zeros((4, 4))
         m[0, 1], m[1, 0] = 1.0, -1.0
         m[2, 3], m[3, 2] = 1.0, -1.0
-        with pytest.raises(SymmetryError):
+        with pytest.raises(SymmetryError,
+                           match="^complex structure must anticommute with the grading$"):
             ComplexStructure(m, ChiralFrame(2, 2))
+        with pytest.raises(SymmetryError, match="^complex structure must be skew$"):
+            ComplexStructure(np.eye(4), ChiralFrame(2, 2))
 
     def test_unbalanced_frame_rejected(self):
         with pytest.raises(DimensionError):
@@ -360,14 +440,20 @@ class TestIndexMap:
 
     def test_non_orthogonal_rejected(self):
         structure, _ = build_rank_one_pair(3)
-        with pytest.raises(SymmetryError):
-            j_index(structure, 2.0 * np.eye(6))
+        o = np.eye(6)
+        o[3:, 3:] *= 1.5  # a non-orthogonal diagonal block
+        for bad in (2.0 * np.eye(6), o, 2.0 * np.eye(6)[list(range(1, 6)) + [0]]):
+            for call in (j_index, index_pairing_rhs):
+                with pytest.raises(SymmetryError, match="^matrix is not orthogonal$"):
+                    call(structure, bad)
 
     def test_grading_mixing_rejected(self):
         structure, _ = build_rank_one_pair(3)
         o = np.eye(6)[list(range(1, 6)) + [0]]  # cyclic permutation mixes blocks
-        with pytest.raises(SymmetryError):
-            j_index(structure, o)
+        for call in (j_index, index_pairing_rhs):
+            with pytest.raises(SymmetryError,
+                               match="^matrix does not commute with the grading$"):
+                call(structure, o)
 
     def test_homomorphism_on_certified_products(self):
         rng = np.random.default_rng(11)
@@ -392,3 +478,157 @@ class TestIndexMap:
                 continue
             assert v12 == v1 * v2
             done += 1
+
+
+class TestBlockReductions:
+    """pi_index, j_index and index_pairing_rhs read one real n x n SVD each;
+    they must equal the complex 2n x 2n definitions above."""
+
+    def test_pi_index_matches_complex_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 12):
+            for _ in range(6):
+                pair = random_certified_pair(rng, n)
+                assert outcome(lambda: pi_index(pair)) == \
+                    outcome(lambda: oracle_pi_index(pair)), n
+
+    def test_index_map_matches_complex_oracles_for_every_kernel(self):
+        rng = np.random.default_rng(13)
+        refused = 0
+        for n in range(1, 12):
+            for r in range(n + 1):
+                for dead_zone in (False, True):
+                    structure = random_chiral_structure(rng, n)
+                    o = reflecting_orthogonal(rng, structure, r, dead_zone)
+                    lhs = outcome(lambda: j_index(structure, o))
+                    rhs = index_pairing_rhs(structure, o)
+                    assert lhs == outcome(lambda: oracle_j_index(structure, o))
+                    assert rhs == oracle_index_pairing_rhs(structure, o) == r % 2
+                    if dead_zone and r < n - 1:
+                        assert lhs[0] is NotFredholmPairError, (n, r)
+                        refused += 1
+                    else:
+                        assert lhs == (-1) ** r, (n, r)
+                        pair = FredholmPair(structure, ComplexStructure(
+                            o @ structure.matrix @ o.T, structure.frame))
+                        assert pair.gap_certificate == 2 * r
+                        assert pi_index(pair) == oracle_pi_index(pair)
+        assert refused == sum(max(n - 1, 0) for n in range(1, 12))
+
+    def test_singular_values_match_the_complex_definitions(self, monkeypatch):
+        # the counts above are read mod 2, which determinants already fix;
+        # the spectra themselves must be those of the 2n x 2n matrices
+        import z2flow.pairs as pairs_module
+        from z2flow.linalg import singular_values
+
+        read = []
+
+        def spy(a):
+            read.append(singular_values(a))
+            return read[-1]
+
+        monkeypatch.setattr(pairs_module, "singular_values", spy)
+        rng = np.random.default_rng(17)
+        for n in range(1, 12):
+            structure = random_chiral_structure(rng, n)
+            o = reflecting_orthogonal(rng, structure, int(rng.integers(n + 1)))
+            read.clear()
+            index_pairing_rhs(structure, o)
+            (half,) = read
+            p = (np.eye(2 * n) - 1j * structure.matrix) / 2.0
+            whole = np.linalg.svd(p @ o @ p + np.eye(2 * n) - p, compute_uv=False)
+            np.testing.assert_allclose(np.sort(np.concatenate([half, np.ones(n)])),
+                                       np.sort(whole), atol=1e-12)
+            pair = FredholmPair(structure, ComplexStructure(
+                o @ structure.matrix @ o.T, structure.frame))
+            read.clear()
+            pi_index(pair)
+            (diff,) = read
+            for sign in (+1.0, -1.0):
+                whole = np.linalg.svd(pair.first.matrix - pair.second.matrix
+                                      + sign * 2j * np.eye(2 * n), compute_uv=False)
+                np.testing.assert_allclose(
+                    np.sort(np.concatenate([2.0 + diff, np.abs(2.0 - diff)])),
+                    np.sort(whole), atol=1e-12)
+
+    def test_rank_one_pair_at_n_16(self):
+        structure, o = build_rank_one_pair(16)
+        assert index_pairing_rhs(structure, o) == \
+            oracle_index_pairing_rhs(structure, o) == 1
+        assert j_index(structure, o) == oracle_j_index(structure, o) == -1
+
+
+class TestValidationParity:
+    """The block checks keep the type and text of every refusal, and their
+    order; a zero block that is zero only within tolerance is checked on the
+    whole 2n x 2n Gram."""
+
+    def test_zero_blocks_within_tolerance_are_dropped(self):
+        # j_index and index_pairing_rhs read U, O+ and O- alone: a block taken
+        # for zero that is zero only within tolerance (0.9e-10, tolerance
+        # 1e-10) gives the values of the input without it.  The 2n x 2n
+        # definitions can refuse the conjugate there (its diagonal blocks,
+        # rotated, exceed the tolerance) or miss a kernel vector of
+        # P O P + 1 - P; both happen below, so the test tells them apart.
+        rng = np.random.default_rng(15)
+        refused = missed = 0
+        for n in range(2, 12):
+            for r in range(n + 1):
+                exact = random_chiral_structure(rng, n)
+                o_exact = reflecting_orthogonal(rng, exact, r)
+                m, o = exact.matrix.copy(), o_exact.copy()
+                w = 0.9e-10 * np.sign(rng.standard_normal((2, n, n)))
+                m[:n, :n] = np.triu(w[0], 1) - np.triu(w[0], 1).T
+                o[:n, n:] = w[1]
+                structure = ComplexStructure(m, exact.frame)
+                assert j_index(structure, o) == \
+                    oracle_j_index(exact, o_exact) == (-1) ** r, (n, r)
+                assert index_pairing_rhs(structure, o) == \
+                    oracle_index_pairing_rhs(exact, o_exact) == r % 2, (n, r)
+                refused += isinstance(outcome(lambda: oracle_j_index(structure, o)), tuple)
+                missed += oracle_index_pairing_rhs(structure, o) != r % 2
+        assert refused > 0 and missed > 0
+
+    def test_zero_blocks_within_tolerance_read_the_whole_gram(self):
+        # blocks of 0.9e-10 pass the grading checks (tolerance 1e-10) but
+        # put about 0.9e-10 sqrt(n) = 1.4e-9 into the 2n x 2n Gram, above
+        # its bound 1e-9: orthogonality is refused, as by the whole Gram
+        n = 256
+        # an orthogonal block whose first column is ones / sqrt(n)
+        q = np.linalg.qr(np.column_stack(
+            [np.ones(n), np.random.default_rng(14).standard_normal((n, n - 1))]))[0]
+        m = embed_chiral(q)
+        sign = np.triu(np.ones((n, n)), 1)
+        m[:n, :n] = 0.9e-10 * (sign - sign.T)
+        with pytest.raises(SymmetryError, match="^complex structure must be orthogonal$"):
+            ComplexStructure(m, ChiralFrame(n, n))
+        o = np.eye(2 * n)
+        o[:n, :n] = q
+        o[:n, n:] = 0.9e-10
+        structure = ComplexStructure(embed_chiral(np.eye(n)), ChiralFrame(n, n))
+        with pytest.raises(SymmetryError, match="^matrix is not orthogonal$"):
+            j_index(structure, o)
+
+    def test_orthogonality_is_checked_before_the_grading(self):
+        n = 2
+        m = embed_chiral(2.0 * np.eye(n))
+        m[:n, :n] = [[0.0, 1.0], [-1.0, 0.0]]
+        with pytest.raises(SymmetryError, match="^complex structure must be orthogonal$"):
+            ComplexStructure(m, ChiralFrame(n, n))
+        m = embed_chiral(np.eye(n))
+        m[:n, :n] = [[0.0, 0.5], [-0.5, 0.0]]
+        with pytest.raises(SymmetryError, match="^complex structure must be orthogonal$"):
+            ComplexStructure(m, ChiralFrame(n, n))
+
+    def test_pi_index_mod_2_mismatch(self, monkeypatch):
+        import z2flow.pairs as pairs_module
+
+        s = random_chiral_structure(np.random.default_rng(16), 3)
+        pair = FredholmPair(s, s)
+        # three singular values of U0 - U1 at 2: an odd count on a kernel 0
+        monkeypatch.setattr(pairs_module, "singular_values",
+                            lambda a: np.full(a.shape[0], 2.0))
+        with pytest.raises(StructureError) as info:
+            pi_index(pair)
+        assert str(info.value) == \
+            "index formulas disagree (kernel/2=0, complex counts=[3, 3])"
