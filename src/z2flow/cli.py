@@ -42,7 +42,9 @@ from .models import (
 )
 from .pairs import (
     FredholmPair,
+    _CheckedOrthogonal,
     _conjugate,
+    _require_grading_orthogonal,
     index_pairing_rhs,
     j_index,
     pi_index,
@@ -270,6 +272,8 @@ def run(config: RunConfig) -> dict:
             report["result"] = int(pi_index(pair))
             report["kernel_dim"] = int(pair.gap_certificate)
         else:
+            # O is checked once, for both sides of the theorem
+            o = _CheckedOrthogonal(_require_grading_orthogonal(o, structure.frame))
             lhs = j_index(structure, o)
             rhs = index_pairing_rhs(structure, o)
             report["result"] = int(lhs)

@@ -8,6 +8,7 @@ between chiral self-adjoint and chiral skew-adjoint families.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -34,7 +35,7 @@ from .linalg import (
     singular_values,
     skew_singular_system,
 )
-from .paths import ChiralFrame, FamilyMember, OperatorPath, validate_symmetry
+from .paths import ChiralFrame, FamilyMember, OperatorPath, _stacked, validate_symmetry
 from .z2 import MINUS, PLUS, Z2, z2_product
 
 __all__ = [
@@ -135,16 +136,16 @@ def embed_chiral(b) -> np.ndarray:
 def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPath:
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
-    Only its ``at`` builds the doubled matrix; the engine reads ``block``,
-    and the source's ``arc``, direct-sum ``parts`` (with their
-    ``block_shape``) and low-rank ``motion`` if it declares them."""
+    Only its ``at`` builds the doubled matrix; the engine reads ``block``
+    (stacks from the ``source`` path), and the source's ``arc``, ``parts``
+    (with their ``block_shape``) and ``motion`` if it declares them."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
             m[frame.n_plus:, :frame.n_plus] *= -1.0
         return m
 
-    evaluator.block = source.block
+    evaluator.block, evaluator.source = source.block, source
     evaluator.arc = getattr(source.evaluator, "arc", None)
     evaluator.parts = getattr(source.evaluator, "parts", None)
     evaluator.block_shape = getattr(source.evaluator, "block_shape", None)
@@ -201,40 +202,54 @@ def _sign_failure(signs, sigma_min, det: bool):
 
 
 def refine(points, accept, what: str = "acceptable segment"):
-    """Adaptive partition of the segments between consecutive ``points``.
+    """Adaptive partition of the segments between consecutive ``points``,
+    depth first (``_refine``): ``accept(lo, hi)`` returns None to bisect a
+    segment, whose halves come next, or its kept value.  Returns the
+    accepted ``(lo, hi, value)`` in order and the deepest bisection level.
+    A segment refused below the floor, ``MIN_SEGMENT`` times the interval's
+    length, or too short to bisect in floating point raises
+    ``RefinementError``."""
+    return _refine(points, lambda level: [accept(*level[0])], what, depth_first=True)
 
-    Segments are visited left to right and ``accept(lo, hi)`` is called on
-    each; a result of None bisects the segment at its midpoint, anything
-    else is kept as the segment's value.  Returns the accepted
-    ``(lo, hi, value)`` triples in order and the deepest bisection level.
-    A segment still refused below the refinement floor, ``MIN_SEGMENT``
-    times the length of the whole interval, or too short for its midpoint
-    to fall strictly inside it, raises ``RefinementError``.
-    """
-    floor = tol.MIN_SEGMENT * (points[-1] - points[0])
-    stack = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])][::-1]
-    accepted = []
-    max_depth = 0
-    while stack:
-        lo, hi, depth = stack.pop()
-        max_depth = max(max_depth, depth)
-        value = accept(lo, hi)
-        if value is not None:
-            accepted.append((lo, hi, value))
-            continue
-        mid = lo + (hi - lo) / 2.0
-        if hi - lo < floor:
-            raise RefinementError(
-                f"no {what} above segment length {floor:.3g} "
-                f"on [{lo}, {hi}]"
-            )
-        if not lo < mid < hi:
-            raise RefinementError(
-                f"no {what} on [{lo:.17g}, {hi:.17g}], and the segment "
-                "cannot be bisected in floating point"
-            )
-        stack.append((mid, hi, depth + 1))
-        stack.append((lo, mid, depth + 1))
+
+def _refine(points, accept, what: str, depth_first: bool = False):
+    """The one bisection loop, by default in level order: ``accept`` takes
+    one level's pending ``(lo, hi)`` segments, left to right, and returns a
+    verdict for each; refused ones bisect into the next level, and the
+    accepted ones are sorted into partition order.  Depth first, it takes
+    one-segment lists (``refine``).  Any exception in level order replays
+    the search depth first from the records already solved, so the error
+    raised is the one the depth-first order meets first."""
+    try:
+        floor = tol.MIN_SEGMENT * (points[-1] - points[0])
+        pending = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])]
+        accepted, max_depth = [], 0
+        while pending:
+            level = pending[:1] if depth_first else pending
+            bisected = []
+            for (lo, hi, depth), value in zip(level, accept([s[:2] for s in level])):
+                max_depth = max(max_depth, depth)
+                if value is not None:
+                    accepted.append((lo, hi, value))
+                    continue
+                mid = lo + (hi - lo) / 2.0
+                if hi - lo < floor:
+                    raise RefinementError(
+                        f"no {what} above segment length {floor:.3g} "
+                        f"on [{lo}, {hi}]"
+                    )
+                if not lo < mid < hi:
+                    raise RefinementError(
+                        f"no {what} on [{lo:.17g}, {hi:.17g}], and the segment "
+                        "cannot be bisected in floating point"
+                    )
+                bisected += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+            pending = bisected + pending[len(level):]
+    except Exception:
+        if depth_first:
+            raise
+        return _refine(points, accept, what, True)
+    accepted.sort(key=lambda segment: segment[0])
     return accepted, max_depth
 
 
@@ -276,13 +291,16 @@ def _smallest_cosines(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # windowed path engine
 
 
-def _record_matrix(path: OperatorPath, t: float) -> np.ndarray:
+def _record_matrix(path: OperatorPath, t) -> np.ndarray:
     """The matrix the engine solves at t: the block of a chiral-skew path,
-    the antisymmetrized matrix of a plain skew path."""
+    the antisymmetrized matrix of a plain skew path; for a list of
+    parameters, their matrices along a leading axis, read and validated as
+    one stack (``paths._stacked``)."""
+    stacked = isinstance(t, list)
     if path.symmetry_tag == "chiral-skew":
-        return path.block(t)
-    m = path.at(t)
-    return (m - m.T) / 2.0
+        return _stacked(path, t, True) if stacked else path.block(t)
+    m = _stacked(path, t) if stacked else path.at(t)
+    return (m - m.swapaxes(-1, -2)) / 2.0
 
 
 class _PathData:
@@ -295,22 +313,14 @@ class _PathData:
     path has M = T antisymmetrized and the one frame (V,).  M is also the
     step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
-    ``solve(ts)`` evaluates the parameters of ts not yet solved, in order,
-    and solves them by one stacked ``skew_singular_system``; their records
-    are the rows of the stacked results, bitwise the systems of the
-    matrices solved alone.  ``at`` solves one new parameter alone.
-
-    ``arc`` is the evaluator's arc modulus (see ``OperatorPath``), checked
-    on the interval's 9-point grid (``_arc_growth``); one whose increase
-    over the interval is not a finite float bounds nothing, and the path is
-    taken as opaque (``arc`` None).  One that does not increase declares
-    one matrix (``constant``): every parameter reads the record of the
-    start, which is solved for its singular values alone (frames None);
-    ``framed`` adds the frames once a positive-rank window or a lift needs
-    them.  ``records`` seeds the cache with records solved elsewhere (a
-    family's endpoint stacks, see ``_family_batch``), for either leaf
-    engine of ``_flow``: the windowed flow or the pair route's
-    ``pairs._pair_leaf``.
+    ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
+    interval's 9-point grid (``_arc_growth``): an increase that is not a
+    finite float bounds nothing (``arc`` None, an opaque path), and none
+    declares one matrix (``constant``), whose every parameter reads the
+    start's record, solved for its singular values alone until ``framed``
+    needs its frames.  ``records`` seeds the cache with records solved
+    elsewhere (a family's endpoint stacks, ``_family_batch``) for either
+    leaf engine of ``_flow``.
     """
 
     def __init__(self, path: OperatorPath, records=None):
@@ -337,31 +347,33 @@ class _PathData:
         _check_shape(m, t, *self._first)
         return m
 
-    def _frames(self, f):
-        """The frames of a solve: (X, Y) of a block, (V,) of a plain matrix,
-        None for the singular values alone."""
-        return f if f is None or self.chiral else (f,)
-
     def at(self, t: float):
         """The record at t, solved alone if it is new."""
-        key = self._key(t)
-        rec = self._cache.get(key)
-        if rec is None:
-            m = self._evaluate(key)
-            sv, f = skew_singular_system(m, self.chiral, compute_uv=not self.constant)
-            rec = self._cache[key] = (m, sv, self._frames(f))
-        return rec
+        rec = self._cache.get(self._key(t))
+        return rec if rec is not None else self.solve(np.array([t], dtype=float))[0]
 
     def solve(self, ts) -> list:
-        """The records at ts, the new ones solved by one stacked call
-        through the ``linalg`` module (flow's own name is the one-matrix
-        boundary that ``bench/spans.py`` traces)."""
+        """The records at ts.  The new parameters, in order, are read and
+        validated as one stack (``_record_matrix`` of their list) and solved
+        by one stacked ``linalg.skew_singular_system`` (flow's own name is
+        the one-matrix boundary that ``bench/spans.py`` traces), each record
+        bitwise the system of its matrix alone.  A stack that fails to read,
+        validate or keep the first evaluation's shape is read again one t at
+        a time, so the first failing t raises what it raises alone."""
         keys = [self._start] * len(ts) if self.constant else ts.tolist()
         new = [t for t in dict.fromkeys(keys) if t not in self._cache]
         if new:
-            m = np.array([self._evaluate(t) for t in new])
+            m = None
+            if len(new) > 1:  # one read of the stack; on any failure one t at a time
+                with contextlib.suppress(Exception):
+                    stack, first = _record_matrix(self.path, new), self._first
+                    first = first or (new[0], stack.shape[-2:])
+                    _check_shape(stack[0], new[0], *first)
+                    m, self._first = stack, first
+            if m is None:
+                m = _stack([self._evaluate(t) for t in new])
             sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
-            f = self._frames(f)
+            f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
             for i, t in enumerate(new):
                 self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
         return [self._cache[t] for t in keys]
@@ -370,13 +382,9 @@ class _PathData:
         """``at`` with the frames, solving them now for a constant record."""
         rec = self.at(t)
         if rec[2] is None:
-            rec = self._cache[self._key(t)] = (rec[0], rec[1], self._frames(
-                skew_singular_system(rec[0], self.chiral)[1]))
+            f = skew_singular_system(rec[0], self.chiral)[1]
+            rec = self._cache[self._key(t)] = (rec[0], rec[1], f if self.chiral else (f,))
         return rec
-
-    def solved(self, ts) -> bool:
-        """Whether every parameter of ts is already in the cache."""
-        return all(self._key(t) in self._cache for t in ts.tolist())
 
     @property
     def evaluations(self) -> int:
@@ -414,13 +422,12 @@ def _arc_growth(arc, interval, members=None):
 def _require_arc(s, t, m_s, m_t, grown):
     """Refuse an arc declared to grow by ``grown`` from s to t if the path
     matrices m_s and m_t held there are further apart: max |M(t) - M(s)|
-    <= ||M(t) - M(s)||_2 <= arc(t) - arc(s) for an honest arc, which is
-    checked within ``tol.sym`` of the larger matrix's scale.  Stacks of
-    matrices are checked pair by pair in one pass, with one s, t and
-    ``grown`` per pair (or one for all); the message names the first pair
-    that fails.  The slack is never negative, so only a pair whose step
-    exceeds ``grown`` reads its matrices' scales.  The check sees only the
-    matrices it is given, not a path that moves and returns between them."""
+    <= ||M(t) - M(s)||_2 <= arc(t) - arc(s) for an honest arc, checked
+    within ``tol.sym`` of the larger matrix's scale.  Stacks are checked
+    pair by pair in one pass (one s, t and ``grown`` per pair, or one for
+    all), and the message names the first pair that fails; only a pair
+    whose step exceeds ``grown`` reads its scales.  A path that moves and
+    returns between the given matrices passes."""
     with np.errstate(over="ignore"):  # a step past the largest float is inf
         moved = np.abs(m_t - m_s).max(axis=(-2, -1), initial=0.0)
     over = moved > grown
@@ -438,6 +445,11 @@ def _require_arc(s, t, m_s, m_t, grown):
             f"the declared arc grows by {grown[j]:.3e} from t={s[j]} to t={t[j]}, "
             f"but the path moves by max |M(t) - M(s)| = {moved[j]:.3e} there; the "
             "arc must bound ||M(t) - M(s)||_2")
+
+
+def _stack(mats: list) -> np.ndarray:
+    """The arrays along a leading axis: a view of a lone one, else a copy."""
+    return mats[0][None] if len(mats) == 1 else np.array(mats)
 
 
 def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
@@ -469,23 +481,16 @@ def _pairwise_window_continuity(bases: np.ndarray) -> bool:
                                   bases[..., j, :, :]).min() >= _COS_MIN)
 
 
-def _endpoint_window(rec_lo, rec_hi, lo: float, hi: float, grown: float, rng):
-    """Rank-0 window (a, 0) of a certified segment from the records of its
-    endpoints, or None: the envelope of ``_segment_window`` over one step of
-    arc ``grown`` keeps sigma_min >= floor = (s0 + s1 - grown) / 2, which
-    must clear the margin on both sides; a is midway.  A rank-0 window has
-    no subspace to check.  An arc that grows by less than the two endpoint
-    matrices differ raises ``ConfigError`` (``_require_arc``)."""
-    (m0, sv0, _), (m1, sv1, _) = rec_lo, rec_hi
-    if not sv0.size:
-        return None
-    _require_arc(lo, hi, m0, m1, grown)
-    floor = float(sv0[0]) / 2.0 + float(sv1[0]) / 2.0 - grown / 2.0
-    margin = 4.0 * tol.gap(max(float(sv0[-1]), float(sv1[-1])))
-    if not floor > 2.0 * margin:
-        return None
-    u = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
-    return margin + u * (floor - 2.0 * margin), 0
+def _endpoint_rule(low0, low1, high, grown, rng):
+    """The two-endpoint rule over steps of arc ``grown`` whose ends have
+    smallest singular values low0 and low1 and largest ``high`` (arrays of
+    them, or one step's floats): sigma_min >= floor = (low0 + low1 -
+    grown) / 2 must clear the margin 4 tol.gap(high) on both sides.
+    Returns whether each floor clears, and each radius midway."""
+    floor = low0 / 2.0 + low1 / 2.0 - grown / 2.0
+    margin = 4.0 * tol.gap(high)
+    u = 0.5 if rng is None else rng.uniform(0.3, 0.7, np.shape(floor))
+    return floor > 2.0 * margin, margin + u * (floor - 2.0 * margin)
 
 
 def _segment_grid(lo: float, hi: float) -> np.ndarray:
@@ -493,8 +498,7 @@ def _segment_grid(lo: float, hi: float) -> np.ndarray:
     midpoint a + (b - a) / 2 of its two neighbours of the coarser grid, as
     ``refine`` bisects: a half's even samples are then bitwise its parent's
     samples, so the halves of a refused segment find them solved.  Python
-    floats round each step as numpy does, and take a fraction of the time
-    of array operations on 9 values."""
+    floats round each step as numpy does, faster than arrays of 9 values."""
     lo, hi = float(lo), float(hi)
     m4 = lo + (hi - lo) / 2.0
     m2, m6 = lo + (m4 - lo) / 2.0, m4 + (hi - m4) / 2.0
@@ -502,145 +506,138 @@ def _segment_grid(lo: float, hi: float) -> np.ndarray:
                      m4 + (m6 - m4) / 2.0, m6, m6 + (hi - m6) / 2.0, hi])
 
 
-def _segment_window(data: _PathData, lo: float, hi: float, rng):
-    """Try to find a valid window radius for one segment.
+def _level_windows(data: _PathData, segments, rng) -> list:
+    """The window search of one refinement level: for each segment
+    (lo, hi), a window radius and rank (a, rank), or None to bisect it.
 
-    Returns (a, rank) or None when the segment must be bisected.  A valid
-    radius lies, with a margin 4 tol.gap on each side, between an upper
-    envelope of the singular values below it and a lower one of those above
-    it over the whole segment (Weyl: |sigma_j(M) - sigma_j(M')| <=
-    ||M - M'||_2), so the window rank is constant over the segment (a
-    crossing inside it is forced into a positive-rank window).  The windowed
-    subspaces of all samples must also be pairwise WINDOW_EPS-close.  The
-    samples are the segment's 9-point grid (``_segment_grid``), whose new
-    parameters are solved by one stacked solve (``_PathData.solve``); the
-    search over them is ``_sampled_window``.
-
-    On a path that declares an arc modulus (``_PathData.arc``), the arc
-    distances of a point between samples t_i and t_i+1 to both sum to the
-    step d_i, so every sigma_j lies within (sigma_j(t_i) + sigma_j(t_i+1)
-    -+ d_i) / 2 there.  That envelope holds at any sample spacing, so such
-    a path tries the samples it has already solved before it solves new
-    ones: first its two endpoints, for a rank-0 window
-    (``_endpoint_window``), then, when all five are solved (exactly when
-    the segment is a half of a refused one), the even points of its grid,
-    which are its parent's samples, for a window of any rank under the same
-    envelopes, margins, rank cap and pairwise check; only then the whole
-    grid.  The arc is read once, on the whole grid, and the two tries take
-    their values from that read.  A window certified from five samples is
-    as certain of its rank as one from nine.  Such a path cannot jump, so
-    no step bound applies.  On an opaque path the envelopes are the extreme
-    sampled values widened by 0.75 times the largest sampled step
-    ||M_i+1 - M_i||_2, and a step above the path's step bound (a tenth of
-    the largest endpoint singular value, so the partition does not refine
-    as the endpoints approach a kernel) refuses the segment: a jump does not
-    shrink under bisection.  Spacing is what makes that safe, so an opaque
-    segment always takes its whole grid.  The step norms are solved only
-    when they decide: max |sigma(M_i+1) - sigma(M_i)| bounds every step from
-    below, and a segment that already fails the bound or has no candidate
-    gap with that slack is refused without them.
-
-    The window rank is capped at max(2, k_near), k_near the number of
-    singular values whose minimum over the samples is below half the
-    smallest endpoint singular value, rounded up to even: a long segment
-    cannot fall back to a full-rank window, the endpoint oracle, unless T
-    has only two singular values.
+    A valid radius lies, with a margin 4 tol.gap on each side, between an
+    upper envelope of the singular values below it and a lower one of those
+    above it over the segment (Weyl), so the window rank is constant there,
+    and the windowed subspaces of the samples must be pairwise
+    WINDOW_EPS-close; the samples are the segment's 9-point grid, searched
+    by ``_sampled_windows``.  A declared arc bounds every sigma_j between
+    samples t_i and t_i+1 by (sigma_j(t_i) + sigma_j(t_i+1) -+ d_i) / 2, d_i
+    the arc step, at any spacing, so such a path tries the samples it has
+    solved first: its endpoints for a rank-0 window (``_endpoint_rule``;
+    the arc read once for the level, all pairs audited by one
+    ``_require_arc``), then the even grid points of a half of a refused
+    segment, its parent's samples; only then the whole grid.  On an opaque
+    path the envelopes are the extreme sampled values widened by 0.75 times
+    the largest step ||M_i+1 - M_i||_2, and a step above the path's step
+    bound (a tenth of the largest endpoint singular value) refuses the
+    segment, as a jump does not shrink under bisection.  The rank is capped
+    at max(2, k_near), k_near the count, rounded up to even, of values whose
+    sampled minimum is below half the smallest endpoint singular value.  A
+    verdict depends only on its segment's samples (and rng draws), so a
+    level of one segment is searched as the depth-first order searches it.
     """
-    ts = _segment_grid(lo, hi)
-    if data.arc is None:
-        return _sampled_window(data, ts, None, rng)
-    ends = data.at(lo), data.at(hi)  # solved one by one, before the arc is read
-    arcs = _read_arc(data.arc, ts)
-    window = _endpoint_window(*ends, lo, hi, float(arcs[-1]) - float(arcs[0]), rng)
-    if window is None and data.solved(ts[::2]):
-        window = _sampled_window(data, ts[::2], arcs[::2], rng)
-    if window is None:
-        window = _sampled_window(data, ts, arcs, rng)
-    return window
+    grids = _stack([_segment_grid(lo, hi) for lo, hi in segments])
+    verdicts, arcs = [None] * len(segments), None
+    if data.arc is not None:
+        ends = [(data.at(a), data.at(b)) for a, b in segments]
+        arcs = _read_arc(data.arc, grids.ravel()).reshape(grids.shape)
+        if ends[0][0][1].size:  # a 0-dimensional path has no floor
+            grown = (arcs[:, -1] - arcs[:, 0]).tolist()
+            _require_arc(*zip(*segments), *(_stack([e[j][0] for e in ends]) for j in (0, 1)),
+                         np.array(grown))
+            for i, ((_, s0, _), (_, s1, _)) in enumerate(ends):
+                clears, a = _endpoint_rule(float(s0[0]), float(s1[0]),
+                                           float(max(s0[-1], s1[-1])), grown[i], rng)
+                verdicts[i] = (float(a), 0) if clears else None
+            if None not in verdicts:
+                return verdicts
+    for step in (2, 1) if arcs is not None else (1,):  # the parent's samples, then all
+        todo = [i for i, window in enumerate(verdicts)
+                if window is None and (step == 1 or all(
+                    data._key(t) in data._cache for t in grids[i, ::2].tolist()))]
+        rows = todo if len(todo) < len(verdicts) else slice(None)
+        for i, window in zip(todo, todo and _sampled_windows(
+                data, grids[rows, ::step], None if arcs is None else arcs[rows, ::step], rng)):
+            verdicts[i] = window
+    return verdicts
 
 
-def _sampled_window(data: _PathData, ts: np.ndarray, arcs, rng):
-    """The window search of ``_segment_window`` over the samples ``ts``,
-    with their arc values ``arcs`` (None on an opaque path).
-
-    The samples' singular values are stacked once, and one vectorised pass
-    takes their envelopes over the arc steps and the gap of every candidate
-    rank; the candidates are then tried in order, with the frames stacked
-    once for all of them."""
-    recs = data.solve(ts)
-    svs = np.array([r[1] for r in recs])
-    n = svs.shape[1]
-    hi_env = svs.min(axis=0)
-    s_seg = float(svs.max()) if n else 0.0
-    margin = 4.0 * tol.gap(max(s_seg, 1e-300))
-
-    # windows hold at most the values that come near zero on the segment
-    k_near = int(np.count_nonzero(hi_env < data.near_zero))
-    ranks = np.arange(0, min(n, max(2, k_near + k_near % 2)) + 1, 2)
-
+def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
+    """The window search of ``_level_windows`` over the samples of each row
+    of ``grids``, with their arc values ``arcs`` (None on an opaque path):
+    the rows' new samples are solved as one stack, one pass over their
+    (rows, samples, n) singular values takes the envelopes and gaps, and
+    each row tries its candidate ranks, its frames stacked once."""
+    recs = data.solve(grids.ravel())
+    svs = np.array([r[1] for r in recs]).reshape(grids.shape + recs[0][1].shape)
+    rows, size, n = svs.shape
+    near = svs.min(axis=1)
+    s_seg = svs.max(axis=(1, 2), initial=0.0).tolist()
     if arcs is not None:
-        halves = svs / 2.0
-        mid = halves[:-1] + halves[1:]
-        half = (arcs[1:] - arcs[:-1])[:, None] / 2.0
+        mid = svs[:, :-1] / 2.0 + svs[:, 1:] / 2.0
+        half = (arcs[:, 1:] - arcs[:, :-1])[:, :, None] / 2.0
         with np.errstate(over="ignore"):  # a bound past the largest float is inf
-            lo_env = (mid + half).max(axis=0)
-        hi_env = (mid - half).min(axis=0)
+            lo_env = (mid + half).max(axis=1)
+        hi_env = (mid - half).min(axis=1)
     else:
-        lo_env = svs.max(axis=0)
-    # the gap (glo, ghi) of rank k lies between the envelopes of the k
+        lo_env, hi_env = svs.max(axis=1), near
+        lower = np.abs(svs[:, 1:] - svs[:, :-1]).max(axis=(1, 2), initial=0.0).tolist()
+    # the gap (glo, ghi) of rank 2j lies between the envelopes of the 2j
     # values below and of those above
-    glo = np.concatenate(([0.0], lo_env))[ranks].tolist()
-    ghi = np.concatenate((hi_env, [math.inf]))[ranks].tolist()
+    glo = [[0.0] + row[1::2] for row in lo_env.tolist()]
+    ghi = [row[::2] + [math.inf] for row in hi_env.tolist()]
+    near, ends = near.tolist(), svs[:, [0, -1]].reshape(rows, -1).tolist()
 
-    def fits(margin):
-        return [j for j, (low, high) in enumerate(zip(glo, ghi))
-                if high - low > 2.0 * margin]
+    def window(i):
+        # windows hold at most the values that come near zero on the segment
+        k_near = sum(v < data.near_zero for v in near[i])
+        count = min(n, max(2, k_near + k_near % 2)) // 2 + 1
+        low_env, high_env = glo[i][:count], ghi[i][:count]
+        row, margin = recs[i * size:(i + 1) * size], 4.0 * tol.gap(max(s_seg[i], 1e-300))
 
-    if arcs is None:
-        lower = float(np.abs(svs[1:] - svs[:-1]).max(initial=0.0))
-        if lower > data.step_bound or not fits(margin + 0.75 * lower):
+        def fits(margin):
+            return [j for j, (low, high) in enumerate(zip(low_env, high_env))
+                    if high - low > 2.0 * margin]
+
+        if arcs is None:
+            if lower[i] > data.step_bound or not fits(margin + 0.75 * lower[i]):
+                return None
+            steps = _step_norms(np.array([r[0] for r in row]))
+            if steps.max() > data.step_bound:
+                return None
+            margin += 0.75 * float(steps.max())
+        candidates = fits(margin)
+        if not candidates:
             return None
-        steps = _step_norms(np.array([r[0] for r in recs]))
-        if steps.max() > data.step_bound:
-            return None
-        margin += 0.75 * float(steps.max())
-    candidates = fits(margin)
-    if not candidates:
+        # preferred radius: half the smallest endpoint singular value above
+        # the margin; candidates whose gap holds it come first, each group
+        # by rank
+        positive = [v for v in ends[i] if v > margin]
+        pref = min(positive) / 2.0 if positive else None
+        inside = [pref is not None and low + margin < pref < high - margin
+                  for low, high in zip(low_env, high_env)]
+        candidates.sort(key=lambda j: not inside[j])
+        if rng is not None:
+            rng.shuffle(candidates)
+        frames = None
+        for j in candidates:
+            k, low, high = 2 * j, low_env[j], high_env[j]
+            if math.isinf(high):
+                a = low + margin + max(s_seg[i], low, 1.0) * 0.75
+            elif inside[j] and rng is None:
+                a = pref
+            else:
+                u = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
+                a = (low + margin) + u * ((high - margin) - (low + margin))
+            if a <= margin:
+                continue
+            if k:  # a rank-0 window has no subspace to check
+                if frames is None:  # one stack per side; a constant's frames solved once
+                    if row[0][2] is None:
+                        row = [data.framed(t) for t in grids[i].tolist()]
+                    frames = [np.array(side) for side in zip(*(r[2] for r in row))]
+                # an admissible block is square, so both sides have one shape
+                if not _pairwise_window_continuity(np.array(_window_frames(frames, k))):
+                    continue
+            return a, k
         return None
 
-    # preferred radius: half the smallest endpoint singular value above the
-    # margin; candidates whose gap holds it come first, each group by rank
-    end_sv = svs[[0, -1]]
-    positive = end_sv[end_sv > margin]
-    pref = float(positive.min()) / 2.0 if positive.size else None
-    inside = [pref is not None and glo[j] + margin < pref < ghi[j] - margin
-              for j in range(len(glo))]
-    candidates.sort(key=lambda j: not inside[j])
-    if rng is not None:
-        rng.shuffle(candidates)
-
-    frames = None
-    for j in candidates:
-        k, low, high = int(ranks[j]), glo[j], ghi[j]
-        if math.isinf(high):
-            a = low + margin + max(s_seg, low, 1.0) * 0.75
-        elif inside[j] and rng is None:
-            a = pref
-        else:
-            u = 0.5 if rng is None else float(rng.uniform(0.3, 0.7))
-            a = (low + margin) + u * ((high - margin) - (low + margin))
-        if a <= margin:
-            continue
-        if k:  # a rank-0 window has no subspace to check
-            if frames is None:  # one stack per side; a constant's frames solved once
-                if recs[0][2] is None:
-                    recs = [data.framed(t) for t in ts]
-                frames = [np.array(side) for side in zip(*(r[2] for r in recs))]
-            # an admissible block is square, so both sides have one shape
-            if not _pairwise_window_continuity(np.array(_window_frames(frames, k))):
-                continue
-        return a, k
-    return None
+    return [window(i) for i in range(rows)]
 
 
 def _window_frames(frames, k: int):
@@ -662,11 +659,10 @@ def _kernel_lift(data: _PathData, t: float, a_min: float,
     Directions strictly below delta/2 count as kernel, delta = a_min/10
     (kept inside both adjacent windows), so the lift dominates them and the
     unlifted part is untouched (the cluster spans an invariant subspace).
-    On a chiral block path the i-th left null vector x_i of B is paired
-    with the i-th right one y_i: R = delta * sum x_i y_i^T is an
-    n_plus x n_minus block, whose doubling joins [x_i; 0] with [0; y_i] in
-    a chiral 2x2 skew block.  On a plain skew path consecutive kernel
-    directions are joined by n x n skew blocks.
+    On a chiral block path the i-th left and right null vectors of B are
+    paired: R = delta * sum x_i y_i^T joins [x_i; 0] with [0; y_i] in a
+    chiral 2x2 skew block of the doubling.  On a plain skew path
+    consecutive kernel directions are joined by skew blocks.
     """
     delta = a_min / 10.0
     if rng is not None:
@@ -705,46 +701,32 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
     every window with its radius, rank and Z2 factor; their product is the
     flow.
 
-    On a path that declares an arc modulus every segment first tries its two
-    endpoints (see ``_segment_window``): with smallest singular values s0
-    and s1 there and segment arc L, sigma_min >= (s0 + s1 - L) / 2 throughout
-    (Weyl).  A path whose floor clears the gap margins is one rank-0 window
-    from the two endpoint solves, and its flow is +1.  The envelope holds at
-    any sample spacing, so a half of a refused segment then tries its
-    parent's five solved samples for a window of any rank before it solves
-    its four new ones: a rank certified from five samples is as certain as
-    one from nine.
+    Each refinement level is searched as one stack (``_level_windows``).
+    On a path that declares an arc modulus a segment of arc L first tries
+    its endpoints, sigma_min >= (s0 + s1 - L) / 2 (Weyl): a path whose
+    floor clears the margins is one rank-0 window of flow +1 from the two
+    endpoint solves.
 
-    The doubling of a declared direct sum (``OperatorPath.direct_sum``) is
-    solved part by part: the flow is multiplicative over direct sums, so
-    each distinct part is solved once, and a part listed c times
-    contributes its flow to the power c and its windows c times, tagged
-    with the part's position (``SpectralWindow.summand``).  The report
-    counts the evaluations of the distinct parts and their deepest
-    refinement.  A part whose declared arc does not increase over the
-    interval is one matrix, solved once at the start for its singular
-    values alone, and is the rank-0 window of the two-endpoint rule.  The
-    members of a path family (``PathFamily``) are taken together first:
-    both endpoint stacks are solved at once, a member whose two-endpoint
-    floor clears its margins is one rank-0 window from those 2
-    evaluations, and only the others are walked (``_family_batch``).
-    This structural walk (``_flow``) is shared with ``parity_via_pairs``,
-    which hands its leaves to the phase-pair engine instead.
+    Declared structure is walked first (``_flow``, shared with
+    ``parity_via_pairs``).  The doubling of a declared direct sum
+    (``OperatorPath.direct_sum``) is solved part by part, each distinct part
+    once: the flow is multiplicative, so a part listed c times contributes
+    its flow to the power c and its windows c times, tagged with its
+    position (``SpectralWindow.summand``), and the report counts the
+    distinct parts' evaluations and deepest refinement.  A part whose arc
+    does not increase is one matrix, solved once for its singular values.
+    The calm members of a path family (``PathFamily``) are rank-0 windows
+    from one solve of each endpoint stack (``_family_batch``).  A block
+    path that declares its low-rank motion ``(p, q, c)`` (see
+    ``OperatorPath``) is solved on its r x r reduced path (``_reduced``),
+    which has the parity of B; its windows are listed, its evaluations
+    counted plus B's two, and ``motion_rank`` is r.
 
     A declared arc is checked, at no solve, wherever the engine holds two
-    matrices: the ends of a segment, of a family member and of a declared
-    motion's c, and a constant path or part at its end against its one
-    matrix.  An arc that grows from s to t by less than max |M(t) - M(s)|
-    raises ``ConfigError``; a path that moves and returns between the held
-    matrices passes.
-
-    A block path that declares its low-rank motion ``(p, q, c)`` (see
-    ``OperatorPath``) is solved on its r x r reduced path A(t) = I +
-    q^T B(t0)^-1 p c(t) (``_reduced``), which has the parity of B: B costs
-    two endpoint checks and one solve with r right-hand sides, and the
-    windows listed are those of A.  The report counts A's evaluations plus
-    B's two and sets ``motion_rank`` to r.  Declared sums come first, so a
-    part may declare a motion of its own.
+    matrices (the ends of a segment, of a family member, of a motion's c,
+    and a constant path's end against its one matrix): one that grows from
+    s to t by less than max |M(t) - M(s)| raises ``ConfigError``; a path
+    that moves and returns between the held matrices passes.
 
     A generator ``rng`` randomizes all admissible choices (partition,
     radii, lift perturbations); by the well-definedness of the flow the
@@ -756,21 +738,18 @@ def sf2_path(path: OperatorPath, *, rng=None) -> FlowResult:
 
 
 def _family_batch(family, members, rng):
-    """The two-endpoint rule of ``_endpoint_window`` for the listed
+    """The two-endpoint rule (``_endpoint_rule``) for the listed
     ``members`` (ascending indices) of a path family, all at once.
 
     The family is evaluated once at each endpoint, and the blocks of its
-    moving members (those whose arc grows, or is opaque) are solved by one
-    stacked ``skew_singular_system``, bitwise the solves of their records
-    one by one.  Every one of them must be admissible at both ends
-    (``_require_admissible``), and a declared arc must grow by at least
-    max |B(t1) - B(t0)| (``_require_arc``).  The floor, the margin and the
-    radius are the float operations of ``_endpoint_window`` in its order,
-    so a certified member's radius is bitwise the one of its own walk;
-    under ``rng`` the radii take their u from one draw.  Returns the radius
-    of each certified member and, for every other moving member, its two
-    endpoint records; a member whose arc does not grow is left to its
-    leaf engine (see ``_flow``), which solves its one matrix.
+    moving members (whose arc grows, or is opaque) are solved by one stacked
+    ``skew_singular_system``, bitwise their own records.  Each must be
+    admissible at both ends (``_require_admissible``) and grow by at least
+    max |B(t1) - B(t0)| along a declared arc (``_require_arc``).  The
+    radius is bitwise the member's own walk's (under ``rng``, u from one
+    draw).  Returns the radius of each certified member and, for every
+    other moving member, its two endpoint records; a member whose arc does
+    not grow is left to its leaf engine (``_flow``).
     """
     members = np.asarray(members)
     t0, t1 = family.interval
@@ -797,12 +776,10 @@ def _family_batch(family, members, rng):
         arcs = _read_arc(family.arc, np.array([t0, t1]), len(family))
         grown = arcs[1, members[declared]] - arcs[0, members[declared]]
         _require_arc(t0, t1, b0, b1, grown)
-        floor = s0[:, 0] / 2.0 + s1[:, 0] / 2.0 - grown / 2.0
-        margin = 4.0 * tol.gap(np.maximum(s0[:, -1], s1[:, -1]))
-        u = 0.5 if rng is None else rng.uniform(0.3, 0.7, floor.size)
-        a = margin + u * (floor - 2.0 * margin)
+        clears, a = _endpoint_rule(s0[:, 0], s1[:, 0], np.maximum(s0[:, -1], s1[:, -1]),
+                                   grown, rng)
         # a radius no endpoint value lies below is rank 0 at both ends
-        calm = (floor > 2.0 * margin) & (a <= s0[:, 0]) & (a <= s1[:, 0])
+        calm = clears & (a <= s0[:, 0]) & (a <= s1[:, 0])
         radii = dict(zip(members[declared][calm].tolist(), a[calm].tolist()))
     records = {}
     for j, i in enumerate(members.tolist()):
@@ -861,15 +838,13 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     the chiral skew doubling of the r x r path A(t) = I + K c(t), with
     K = q^T B(t0)^-1 p.
 
-    By Sylvester's identity det B(t) = det B(t0) det A(t): in the basis
-    [Q, Q_perp] B(t0)^-1 B(t) is block triangular with the diagonal blocks
-    A and the identity.  B is evaluated at its two endpoints only, which
-    must be admissible on their singular values (``_require_admissible``,
-    as every endpoint) and must satisfy the declaration within ``tol.sym``
-    of the block's scale (``ConfigError``; at t0 this asks p c(t0) q^T =
-    0); shapes that do not fit raise ``DimensionError``.  A declares the
-    arc ||K||_2 arc_c when c declares arc_c, which must grow by at least
-    max |c(t1) - c(t0)| of the two matrices of c read there."""
+    By Sylvester's identity det B(t) = det B(t0) det A(t).  B is evaluated
+    at its two endpoints only, which must be admissible
+    (``_require_admissible``) and satisfy the declaration within
+    ``tol.sym`` of the block's scale (``ConfigError``; at t0 this asks
+    p c(t0) q^T = 0); shapes that do not fit raise ``DimensionError``.  A
+    declares the arc ||K||_2 arc_c when c declares arc_c, which must grow by
+    at least max |c(t1) - c(t0)| of the two matrices of c read there."""
     p, q, c = path.evaluator.motion
     p, q = as_real_matrix(p), as_real_matrix(q)
     if not (isinstance(c, OperatorPath) and c.symmetry_tag == "general"
@@ -916,10 +891,9 @@ def _reduced(path: OperatorPath) -> OperatorPath:
 
 def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
     """The windowed flow of one path (see ``sf2_path``), its cache seeded
-    with ``records``: the adaptive partition (``refine`` of
-    ``_segment_window``), the kernel lifts at its interior points, each
-    solved alone and in order, and the factors of all its windows from one
-    pass over the accepted partition (``_window_factors``)."""
+    with ``records``: the partition searched level by level (``_refine`` of
+    ``_level_windows``), the kernel lifts at its interior points, in order,
+    and all window factors from one pass over it (``_window_factors``)."""
     data = _PathData(path, records)
     t0, t1 = path.interval
 
@@ -940,8 +914,8 @@ def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
             if c - points[-1] > guard and t1 - c > guard:
                 points.append(float(c))
     points.append(t1)
-    accepted, max_depth = refine(
-        points, lambda lo, hi: _segment_window(data, lo, hi, rng),
+    accepted, max_depth = _refine(
+        points, lambda level: _level_windows(data, level, rng),
         "valid spectral window")
 
     # shared kernel lifts at interior partition points
@@ -957,10 +931,14 @@ def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
 
 
 def _endpoint_spectra(data: _PathData):
-    """Both endpoint spectra; a singular one raises ``NotAdmissibleError``.
-    A constant path is also evaluated at its end, which it does not solve,
-    and its matrix there must be its one matrix (``_require_arc``)."""
+    """Both endpoint spectra, from one ``_PathData.solve`` (one by one if it
+    fails, so a singular t0 is refused before t1 is evaluated); a singular
+    one raises ``NotAdmissibleError``.  A constant path is also evaluated at
+    its end, not solved there, and must hold its one matrix there
+    (``_require_arc``)."""
     t0, t1 = data.path.interval
+    with contextlib.suppress(Exception):
+        data.solve(np.array([t0, t1], dtype=float))
     for t in (t0, t1):
         _require_admissible(t, data.at(t)[1])
     if data.constant:
@@ -1010,16 +988,14 @@ def _factor_pass(data: _PathData, accepted, lifts) -> list:
     partition points at once.  The windows of positive rank are grouped
     by rank, and each group is one stacked pass: one ``_polar`` of all its
     transport overlaps (the frames at hi carried onto those at lo),
-    batched restrictions at both ends, and one stacked
-    ``linalg.checked_signs`` of them.  On a block window,
-    Pf [[0, S], [-S^T, 0]] = (-1)^(m(m-1)/2) det S for the m x m
-    restriction S; the sign (-1)^(m(m-1)/2) is the same at both ends, so
-    the factor is sign det S_lo * sign det S_hi, from one stacked
-    ``slogdet``; a plain skew window's is the product of the Pfaffian signs
-    (``pfaffian_sign``, one matrix at a time).  Nothing is drawn from an
-    rng.  A drifted rank or a singular restricted end raises
-    ``RefinementError``, and a transport below its floor
-    ``TransportError``.
+    batched restrictions at both ends, and one ``linalg.checked_signs``.
+    A block window's factor is sign det S_lo * sign det S_hi of its m x m
+    restrictions S, as Pf [[0, S], [-S^T, 0]] = (-1)^(m(m-1)/2) det S; a
+    plain skew window's is the product of the Pfaffian signs of its
+    restrictions, exactly antisymmetric by construction and so signed
+    without ``pfaffian_sign``'s checks.  Nothing is drawn from an rng.  A
+    drifted rank or a singular restricted end raises ``RefinementError``,
+    and a transport below its floor ``TransportError``.
     """
     points = [lo for lo, _, _ in accepted] + [accepted[-1][1]]
     radii, ranks = zip(*(window for _, _, window in accepted))
@@ -1043,7 +1019,7 @@ def _factor_pass(data: _PathData, accepted, lifts) -> list:
         m = np.array([[r[0] + lifts[t] if t in lifts else r[0] for t, r in zip(ts, rs)]
                       for ts, rs in zip(ends, recs)])
         signs, sigma_min = linalg.checked_signs(
-            _restricted(m, frames), None if data.chiral else pfaffian_sign)
+            _restricted(m, frames), None if data.chiral else linalg._skew_pfaffian_sign)
         product = signs[:, 0] * signs[:, 1]  # NaN or 0 where an end fails
         failed = np.flatnonzero(np.abs(product) != 1)
         if failed.size:
@@ -1113,15 +1089,12 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     (U[:, :k] away from a cluster), W_i = C_i Q_i for the running product
     Q_i = polar(C_i^T C_i-1) Q_i-1 of k x k factors.
 
-    The 65-point starting grid is known up front: its blocks are factored
-    by one stacked SVD, the smallest principal cosines of its consecutive
-    frames are one batched ``_smallest_cosines``, and ``refine`` reads a
-    grid pair's cosine from that batch when the pair's left frame is the
-    one the batch used; bisection midpoints are solved as they come up.
-    The polar factors of all overlaps C_i^T C_i-1 are one stacked
-    ``_polar``, and the products Q_i and blocks W_i^T B_i are batched
-    matmuls.  A shape change of the evaluator raises ``DimensionError``
-    before anything is stacked.
+    The 65-point starting grid is factored by one stacked SVD and its
+    consecutive frames compared by one batched ``_smallest_cosines``, which
+    ``refine`` (depth first: each frame continues its left neighbour's)
+    reads where the left frame is the batch's; bisection midpoints are
+    solved as they come up.  The polar factors, products Q_i and blocks
+    W_i^T B_i are batched.  A shape change raises ``DimensionError``.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)

@@ -50,7 +50,7 @@ def as_real_matrix(m) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Max-norm of a matrix; 0 for empty matrices."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def require_square(a: np.ndarray) -> int:
@@ -125,15 +125,15 @@ def _reduce_skew(a: np.ndarray):
 _SAFE_EXP = 500
 
 
-def _pfaffian_factors(m):
-    """The one Pfaffian route: validate m and reduce it.  Returns the
-    reflection sign, the factors a[k, k+1] at even k and an exponent e; the
-    Pfaffian is the sign times the product of the factors, each times 2^e.
-    A matrix whose largest entry lies beyond 2^(+-_SAFE_EXP) is first
-    divided by the power of two 2^e that brings it to that bound, which is
-    exact, so neither the skew check nor a norm of the reduction over- or
-    underflows; any other matrix is not scaled (e = 0)."""
-    a = as_real_matrix(m)
+def _pfaffian_factors(m, check: bool = True):
+    """The one Pfaffian route: validate m (unless ``check`` is off) and
+    reduce it.  Returns the reflection sign, the factors a[k, k+1] at even
+    k and an exponent e; the Pfaffian is the sign times the product of the
+    factors, each times 2^e.  A matrix whose largest entry lies beyond
+    2^(+-_SAFE_EXP) is first divided by the power of two 2^e that brings it
+    to that bound, which is exact, so neither the skew check nor a norm of
+    the reduction over- or underflows; any other matrix is not scaled."""
+    a = as_real_matrix(m) if check else m
     n = require_square(a)
     if n % 2:
         raise DimensionError(f"Pfaffian requires even dimension, got {n}")
@@ -142,7 +142,7 @@ def _pfaffian_factors(m):
     e -= min(max(e, -_SAFE_EXP), _SAFE_EXP)
     if e:
         a, top = np.ldexp(a, -e), math.ldexp(top, -e)
-    if max_abs(a + a.T) > tol.sym(top):
+    if check and max_abs(a + a.T) > tol.sym(top):
         raise SymmetryError("matrix is not skew-symmetric within tolerance")
     tri, sign = _reduce_skew((a - a.T) / 2.0)
     return sign, tri.diagonal(1)[::2], e
@@ -171,6 +171,13 @@ def pfaffian_sign(m) -> int:
     of finite entries.
     """
     sign, factors, _ = _pfaffian_factors(m)
+    return int(sign * math.prod(np.sign(factors).tolist()))
+
+
+def _skew_pfaffian_sign(a: np.ndarray) -> int:
+    """``pfaffian_sign`` of an even-order float matrix built exactly
+    antisymmetric (a window restriction), without checking it again."""
+    sign, factors, _ = _pfaffian_factors(a, check=False)
     return int(sign * math.prod(np.sign(factors).tolist()))
 
 

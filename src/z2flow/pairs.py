@@ -7,28 +7,21 @@ read off the kernel of the sum; it agrees with the straight-line flow
 between the two structures and feeds the index map over grading-preserving
 orthogonals.
 
-Everything that only depends on the structures is computed on their n x n
-blocks: the kernel of I0 + I1 is twice that of U0 + U1, the straight line
-is the doubling of (1 - t) U0 + t U1, solved on the r x r reduced path of
-its motion in the rank r of U1 - U0, and the phases along a path are the
-orthogonal blocks X Y^T of the flow engine's chiral records, one chiral
-core for both routes.  Both routes also take one structural walk of a
-declared sum, family or motion (``flow._flow``) and differ in the leaf
-engine alone: the windowed flow for ``sf2_path``, the phase pairs of
-``_pair_leaf`` for ``parity_via_pairs``.
-
-The checks and the index map read the blocks too.  ``ComplexStructure``
-and the grading-preserving orthogonals O = diag(O+, O-) check
-orthogonality as the Grams of their two nonzero blocks; only where a block
-taken for zero is zero within tolerance but not exactly do they form the
-2n x 2n Gram.  O I O^T is the structure of the block O+ U O-^T, the
-cross-check of ``pi_index`` is one values-only SVD of U0 - U1, and the
-right-hand side of the index theorem one of (O+ + U O- U^T) / 2: these
-always read U, O+ and O-, whatever the blocks taken for zero hold.
+Everything is computed on the n x n blocks: the kernel of I0 + I1 is twice
+that of U0 + U1; the straight line is the doubling of (1 - t) U0 + t U1,
+solved on the reduced path of its rank-r motion; the phases along a path
+are the blocks X Y^T of the flow engine's chiral records, and both routes
+share the structural walk ``flow._flow``, with ``_pair_leaf`` as this
+route's leaf engine.  Orthogonality is checked on the Grams of the two
+nonzero blocks (the 2n x 2n Gram only where a block taken for zero is zero
+within tolerance but not exactly); O I O^T is the structure of O+ U O-^T,
+the cross-check of ``pi_index`` one values-only SVD of U0 - U1, and the
+index theorem's right-hand side one of (O+ + U O- U^T) / 2.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +34,8 @@ from .errors import (
     SymmetryError,
 )
 from .flow import (FlowResult, _endpoint_spectra, _flow, _PathData,
-                   _random_orthogonal, _read_arc, _require_arc, embed_chiral,
-                   embed_chiral_path, refine, sf2_path)
+                   _random_orthogonal, _read_arc, _refine, _require_arc,
+                   embed_chiral, embed_chiral_path, sf2_path)
 from .linalg import as_real_matrix, max_abs, singular_values, skew_singular_system
 from .paths import ChiralFrame, OperatorPath
 from .z2 import PLUS, Z2, z2_product
@@ -111,22 +104,17 @@ def _block(structure: ComplexStructure) -> np.ndarray:
     return structure.matrix[:n, n:]
 
 
-def _half_kernel(u_sum: np.ndarray, kernel_tol: float) -> int:
-    """Certified kernel dimension of a sum U0 + U1 of orthogonal blocks.
+def _half_kernel(sv: np.ndarray, kernel_tol: float) -> int | None:
+    """Certified kernel dimension of a sum U0 + U1 of orthogonal blocks,
+    from its singular values ``sv`` (ascending).
 
     The singular values below ``kernel_tol`` are the kernel proxy; the rest
     must lie above the structural gap ``PAIR_GAP_MIN``, or the pair is not
-    certified.  The doubled sum I0 + I1 has twice this kernel.
+    certified (None).  The doubled sum I0 + I1 has twice this kernel.
     """
-    sv = singular_values(u_sum)
     cluster = int((sv < kernel_tol).sum())
     rest = sv[cluster:]
-    if rest.size and float(rest.min()) <= tol.PAIR_GAP_MIN:
-        raise NotFredholmPairError(
-            "no spectral gap: singular values of the sum fall between "
-            f"{kernel_tol:.1e} and {tol.PAIR_GAP_MIN}"
-        )
-    return cluster
+    return None if rest.size and float(rest.min()) <= tol.PAIR_GAP_MIN else cluster
 
 
 @dataclass(frozen=True)
@@ -146,8 +134,12 @@ class FredholmPair:
     def __post_init__(self):
         if self.first.dim != self.second.dim or self.first.frame != self.second.frame:
             raise DimensionError("pair members must share shape and frame")
-        cluster = _half_kernel(_block(self.first) + _block(self.second),
+        cluster = _half_kernel(singular_values(_block(self.first) + _block(self.second)),
                                tol.pair_kernel())
+        if cluster is None:
+            raise NotFredholmPairError(
+                "no spectral gap: singular values of the sum fall between "
+                f"{tol.pair_kernel():.1e} and {tol.PAIR_GAP_MIN}")
         object.__setattr__(self, "gap_certificate", 2 * cluster)
 
 
@@ -238,24 +230,23 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
     reaches machine zero), so everything below the looser partition bound
     ``PAIR_PARTITION_ABS`` counts as kernel.
 
-    The phases come from the flow engine's record of the path
-    (``flow._PathData``): the phase at t is X Y^T = W V^T, X and Y the
-    frames of the chiral record of B = W S V^T = ``path.block(t)``, solved
-    once per t: the 9-point start grid by one stacked solve
-    (``_PathData.solve``), bisection midpoints one by one.  A part whose
+    The phase at t is X Y^T = W V^T, X and Y the frames of the flow
+    engine's chiral record of B = W S V^T = ``path.block(t)``
+    (``flow._PathData``), solved once per t.  The pairs are certified level
+    by level (``flow._refine``): each level's new points by one stacked
+    solve, its phase-pair sums by one stacked values-only SVD.  A part whose
     declared arc does not increase is solved at t0 alone and contributes +1
     (U + U = 2U has every singular value 2).  A block singular at an
     endpoint raises ``NotAdmissibleError``, as in ``sf2_path``.  ``rng``
     mixes the kernel columns of X (values below ``tol.gap(max(sigma_max,
     1))``) once per interior t.
 
-    Declared structure is walked as by ``sf2_path`` (``flow._flow``),
-    which hands every leaf to ``_pair_leaf``: a direct sum part by part
-    (parity is multiplicative), a path family's calm members from its
-    endpoint stacks, and a low-rank motion on its reduced path.  A declared
-    arc must grow between the two ends of every certified phase pair by at
-    least the largest entry of the difference of their blocks, or
-    ``ConfigError`` is raised.
+    Declared structure is walked as by ``sf2_path`` (``flow._flow``): a
+    direct sum part by part, a path family's calm members from its endpoint
+    stacks, a low-rank motion on its reduced path.  A declared arc must grow
+    between the two ends of every certified phase pair by at least the
+    largest entry of the difference of their blocks, or ``ConfigError`` is
+    raised.
     """
     if path.symmetry_tag != "chiral-skew":
         raise DimensionError("parity_via_pairs expects a chiral-skew path")
@@ -286,16 +277,16 @@ def _pair_leaf(path: OperatorPath, rng, records=None) -> FlowResult:
             phases[t] = x @ y.T
         return phases[t]
 
-    def certify(a, b):
-        try:
-            k = _half_kernel(phase(a) + phase(b), cluster_tol)
-        except NotFredholmPairError:
-            return None
-        return Z2(1) if k % 2 == 0 else Z2(-1)
+    def certify(level):
+        data.solve(np.array(sorted({t for segment in level for t in segment})))
+        sums = np.array([phase(a) + phase(b) for a, b in level])
+        svs = (np.linalg.svd(sums, compute_uv=False)[:, ::-1] if sums.size
+               else np.zeros(sums.shape[:2]))
+        halves = [_half_kernel(sv, cluster_tol) for sv in svs]
+        return [None if k is None else Z2(1) if k % 2 == 0 else Z2(-1) for k in halves]
 
     grid = np.linspace(t0, t1, 9)
-    data.solve(grid)  # the start grid, in one stacked solve
-    certified, depth = refine(grid, certify, "certifiable phase pair")
+    certified, depth = _refine(grid, certify, "certifiable phase pair")
     if data.arc is not None:  # the arc must bound every certified pair
         ts = np.array([t0] + [hi for _, hi, _ in certified])
         blocks = np.array([rec[0] for rec in data.solve(ts)])
@@ -305,7 +296,13 @@ def _pair_leaf(path: OperatorPath, rng, records=None) -> FlowResult:
                       data.evaluations)
 
 
+# an orthogonal that ``cli.run`` checked once for both sides of the index theorem
+_CheckedOrthogonal = namedtuple("_CheckedOrthogonal", "matrix")
+
+
 def _require_grading_orthogonal(o_mat, frame: ChiralFrame) -> np.ndarray:
+    if isinstance(o_mat, _CheckedOrthogonal):
+        return o_mat.matrix
     o = as_real_matrix(o_mat)
     n = o.shape[0]
     if o.shape[0] != o.shape[1] or n != frame.dim:

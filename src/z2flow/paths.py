@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ConfigError, DimensionError, SymmetryError
-from .linalg import _real_array, _step_norms, as_real_matrix, max_abs
+from .linalg import _real_array, _step_norms, as_real_matrix
 
 __all__ = ["SYMMETRY_TAGS", "ChiralFrame", "OperatorPath", "PathFamily",
            "validate_symmetry"]
@@ -45,32 +45,59 @@ def validate_symmetry(mat: np.ndarray, tag: str,
                       frame: Optional[ChiralFrame]) -> np.ndarray:
     """Check that a matrix satisfies its declared symmetry class, and
     return it as a real matrix (``as_real_matrix``)."""
-    m = as_real_matrix(mat)
+    return _validated(as_real_matrix(mat), tag, frame)
+
+
+def _stacked(path: "OperatorPath", ts: list, block: bool = False) -> np.ndarray:
+    """``path.at`` (``path.block`` with ``block``) of each parameter of ts
+    along a leading axis, validated as one stack; a doubling's blocks are
+    its declared ``source`` path's, another declared ``block`` read t by t."""
+    ev = path.evaluator
+    if block and getattr(ev, "block", None) is not None:
+        source = getattr(ev, "source", None)
+        return (_stacked(source, ts, True) if source is not None
+                else np.array([ev.block(t) for t in ts]))
+    if block and path.symmetry_tag == "skew":
+        raise ConfigError("a plain skew path has no chiral block")
+    m = np.array([ev(t) for t in ts])
+    if m.ndim != 3:
+        raise DimensionError(f"expected matrices, got arrays of ndim={m.ndim - 1}")
+    k, p, q = m.shape  # one coercion of the stack, read as one tall matrix
+    m = _validated(as_real_matrix(m.reshape(k * p, q)).reshape(k, p, q),
+                   path.symmetry_tag, path.frame)
+    return path._cut(m) if block else m
+
+
+def _peak(m: np.ndarray) -> np.ndarray:
+    """``max_abs`` of each matrix of m, along its last two axes."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
+
+
+def _validated(m: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -> np.ndarray:
+    """The checks of ``validate_symmetry`` on a real matrix, or on a stack
+    of them along leading axes, each within ``tol.sym`` of its own scale,
+    in one pass; returns m."""
     if tag == "general":
         return m
-    t = tol.sym(max_abs(m))
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{tag} requires a square matrix, got {m.shape}")
-    if tag == "skew":
-        if max_abs(m + m.T) > t:
-            raise SymmetryError("matrix is not skew-symmetric within tolerance")
-        return m
-    if frame is None:
-        raise ConfigError(f"symmetry tag {tag!r} requires a chiral frame")
-    if frame.dim != m.shape[0]:
-        raise DimensionError("chiral frame does not match matrix dimension")
-    np_, nm = frame.n_plus, frame.n_minus
-    if tag == "chiral-skew":
-        if max_abs(m + m.T) > t:
-            raise SymmetryError("matrix is not skew-symmetric within tolerance")
-    elif tag == "chiral-selfadjoint":
-        if max_abs(m - m.T) > t:
+    t = tol.sym(_peak(m))
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"{tag} requires a square matrix, got {m.shape[-2:]}")
+    if tag != "skew":
+        if frame is None:
+            raise ConfigError(f"symmetry tag {tag!r} requires a chiral frame")
+        if frame.dim != m.shape[-1]:
+            raise DimensionError("chiral frame does not match matrix dimension")
+        if tag not in ("chiral-skew", "chiral-selfadjoint"):
+            raise ConfigError(f"unknown symmetry tag {tag!r}")
+    if tag == "chiral-selfadjoint":
+        if (_peak(m - m.swapaxes(-1, -2)) > t).any():
             raise SymmetryError("matrix is not symmetric within tolerance")
-    else:
-        raise ConfigError(f"unknown symmetry tag {tag!r}")
-    # chiral operators are exactly off-diagonal in the grading
-    if max_abs(m[:np_, :np_]) > t or max_abs(m[np_:, np_:]) > t:
-        raise SymmetryError("matrix does not anticommute with the chiral grading")
+    elif (_peak(m + m.swapaxes(-1, -2)) > t).any():
+        raise SymmetryError("matrix is not skew-symmetric within tolerance")
+    if tag != "skew":  # chiral operators are exactly off-diagonal in the grading
+        p = frame.n_plus
+        if (_peak(m[..., :p, :p]) > t).any() or (_peak(m[..., p:, p:]) > t).any():
+            raise SymmetryError("matrix does not anticommute with the chiral grading")
     return m
 
 
@@ -90,23 +117,22 @@ class OperatorPath:
     The evaluator must return matrices of a fixed shape; the symmetry tag is
     validated at every evaluated parameter.  ``declared_index`` is the block
     index rows - cols of the off-diagonal block (0 for square families).
-    An evaluator may declare an arc modulus ``arc(ts)``, elementwise and
-    nondecreasing, with ||M(t) - M(s)||_2 <= |arc(t) - arc(s)| for M the
-    path's matrix or its chiral ``block`` (``L * ts`` on an L-Lipschitz
-    path): the flow engine then certifies segments by arc length instead of
-    sampling the evaluator as an opaque callable.  Next to ``arc``, the
-    evaluator of a block path may declare its direct-sum ``parts``, the
-    (part, rows, cols) triples of ``direct_sum``: the flow engine and the
-    pair route then solve each distinct part once instead of the assembled
-    block.  A part may be a member of a ``PathFamily``, m parts of one
-    shape declared by one evaluator: the engines then certify the family's
-    calm members together, from one solve of each endpoint stack.  The
-    evaluator of a square block path may also declare its
-    low-rank ``motion = (p, q, c)``: n x r arrays p and q and an r x r
-    ``general`` path c on the same interval, with c(t0) = 0 and a declared
-    arc, such that B(t) = B(t0) + p c(t) q^T.  The flow engine and the pair
-    route then solve the r x r reduced path I + q^T B(t0)^-1 p c(t), which
-    has the parity of B, after checking the declaration at both endpoints.
+    The evaluator may declare:
+
+    - an arc modulus ``arc(ts)``, elementwise and nondecreasing, with
+      ||M(t) - M(s)||_2 <= |arc(t) - arc(s)| for M the path's matrix or its
+      chiral ``block`` (``L * ts`` on an L-Lipschitz path): the flow engine
+      then certifies segments by arc length, not as an opaque callable;
+    - on a block path, its direct-sum ``parts``, the (part, rows, cols)
+      triples of ``direct_sum``, whose distinct parts the engines solve
+      once each (a ``PathFamily``'s calm members together, from one solve
+      of each endpoint stack);
+    - on a square block path, its low-rank ``motion = (p, q, c)``: n x r
+      arrays p and q and an r x r ``general`` path c on the same interval,
+      with c(t0) = 0 and a declared arc, such that B(t) = B(t0) +
+      p c(t) q^T; the engines then solve the r x r reduced path
+      I + q^T B(t0)^-1 p c(t), which has the parity of B, after checking
+      the declaration at both endpoints.
     """
 
     interval: tuple
@@ -173,13 +199,16 @@ class OperatorPath:
             return source(t)
         if self.symmetry_tag == "skew":
             raise ConfigError("a plain skew path has no chiral block")
-        m = self.at(t)
+        return self._cut(self.at(t))
+
+    def _cut(self, m: np.ndarray) -> np.ndarray:
+        """``block`` of validated matrices m of this path, stacked or not."""
         if self.symmetry_tag == "general":
             return m
         p = self.frame.n_plus
         if self.symmetry_tag == "chiral-selfadjoint":
-            return m[:p, p:]
-        return (m[:p, p:] - m[p:, :p].T) / 2.0
+            return m[..., :p, p:]
+        return (m[..., :p, p:] - m[..., p:, :p].swapaxes(-1, -2)) / 2.0
 
     @staticmethod
     def direct_sum(parts: Sequence["OperatorPath"], rows=None,
@@ -189,15 +218,12 @@ class OperatorPath:
         Part i fills the rows ``rows[i]`` and the columns ``cols[i]`` of the
         block, zeros elsewhere (by default the next rows and columns, a
         block diagonal); together the placements must take every row and
-        every column once.  The parts share one interval, and one part may
-        be listed several times.  A listing may name a member
-        ``family[i]`` of a ``PathFamily`` in place of a part.  The evaluator
-        declares ``parts``, the (part, rows, cols) triples, and the block's
-        ``block_shape``, which chiral doublings forward, so the flow engine
-        solves each distinct part once, and takes a family's members
-        together; assembling the block evaluates each distinct part and each
-        family once too, and fills all their listings with one assignment
-        each.
+        every column once.  The parts share one interval; a part may be
+        listed several times, and a listing may name a member ``family[i]``
+        of a ``PathFamily``.  The evaluator declares ``parts``, the
+        (part, rows, cols) triples, and the ``block_shape``, which chiral
+        doublings forward; assembling the block evaluates each distinct
+        part and family once and fills all its listings by one assignment.
         """
         parts = list(parts)
         if not parts:
@@ -343,12 +369,9 @@ class PathFamily:
     at t, and ``arc(ts)``, if given, a (len(ts), m) array whose column i is
     the arc modulus of member i (see ``OperatorPath``); without an arc
     every member is opaque.  ``family[i]`` is member i, which
-    ``OperatorPath.direct_sum`` lists in place of a part.  The one
-    structural walk of the flow engine and the pair route evaluates a
-    family once at each endpoint, solves both stacks at once and certifies
-    every member whose two-endpoint floor clears its margins there (see
-    ``sf2_path``); only the other members go to the route's leaf engine,
-    each as a part of its own.
+    ``OperatorPath.direct_sum`` lists in place of a part.  The engines'
+    structural walk certifies the calm members from one solve of each
+    endpoint stack (see ``sf2_path``) and walks the others as parts.
     """
 
     def __init__(self, interval, evaluator, arc=None):

@@ -293,6 +293,45 @@ class TestRefine:
                             (0.375, 0.5, 0.125), (0.5, 1.0, 0)]
         assert depth == 2
 
+    def test_left_to_right_bisection_by_level(self):
+        # the level order of the same refusals: one call per level, the
+        # same accepted segments in partition order and the same depth
+        from z2flow.flow import _refine
+
+        levels = []
+
+        def accept(level):
+            levels.append(list(level))
+            return [None if lo < 0.3 < hi and hi - lo > 0.2
+                    else 0 if hi == 1.0 else hi - lo for lo, hi in level]
+
+        segments, depth = _refine([0.0, 0.5, 1.0], accept, "thing")
+        assert levels == [[(0.0, 0.5), (0.5, 1.0)], [(0.0, 0.25), (0.25, 0.5)],
+                          [(0.25, 0.375), (0.375, 0.5)]]
+        assert segments == [(0.0, 0.25, 0.25), (0.25, 0.375, 0.125),
+                            (0.375, 0.5, 0.125), (0.5, 1.0, 0)]
+        assert depth == 2
+
+    def test_level_order_replays_depth_first(self):
+        # an error the level order meets first (on [0.5, 1]) gives way to
+        # the one the depth-first order meets first: the floor on [0, 0.5];
+        # the replay calls accept on one-segment lists
+        from z2flow.flow import _refine
+
+        calls = []
+
+        def accept(level):
+            calls.append(len(level))
+            if any(lo == 0.5 for lo, _ in level):
+                raise ValueError("met only by the level order")
+            return [None] * len(level)
+
+        with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
+            _refine([0.0, 0.5, 1.0], _bounded(accept), "thing")
+        assert calls[0] == 2 and set(calls[1:]) == {1}
+        with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
+            refine([0.0, 0.5, 1.0], lambda lo, hi: accept([(lo, hi)])[0], "thing")
+
     def test_floor_names_the_segment(self):
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
             refine([0.0, 1.0], lambda lo, hi: None, "thing")
@@ -322,8 +361,8 @@ class TestRefine:
     def test_unbisectable_crossing_raises(self, monkeypatch):
         import z2flow.flow as flow_module
 
-        monkeypatch.setattr(flow_module, "_segment_window",
-                            _bounded(flow_module._segment_window))
+        monkeypatch.setattr(flow_module, "_level_windows",
+                            _bounded(flow_module._level_windows))
         path = OperatorPath((1.0, 1.0 + 2 * _EPS), lambda t: np.diag(
             [(t - 1.0) / (2 * _EPS) - 0.5, 1.0]))
         assert parity_finite(path) == -1
@@ -1207,15 +1246,17 @@ class TestSolvedSampleReuse:
         import z2flow.flow as flow_module
 
         segments = []  # (new samples solved, refused) per segment
-        inner = flow_module._segment_window
+        inner = flow_module._level_windows
 
-        def spy(data, lo, hi, rng):
-            before = data.evaluations
-            window = inner(data, lo, hi, rng)
-            segments.append((data.evaluations - before, window is None))
-            return window
+        def spy(data, level, rng):  # the level's segments searched one by one
+            windows = []
+            for segment in level:
+                before = data.evaluations
+                windows += inner(data, [segment], rng)
+                segments.append((data.evaluations - before, windows[-1] is None))
+            return windows
 
-        monkeypatch.setattr(flow_module, "_segment_window", spy)
+        monkeypatch.setattr(flow_module, "_level_windows", spy)
         rng = np.random.default_rng(5)
         path = OperatorPath.from_samples(np.linspace(0.3, 1.7, 4),
                                          rng.standard_normal((4, 3, 3)))
@@ -1687,15 +1728,23 @@ class TestChiralCore:
         blocks[-1, 0] *= -np.sign(np.linalg.det(blocks[0]) * np.linalg.det(blocks[-1]))
         path = OperatorPath.from_samples(ts, [embed_chiral(b) for b in blocks],
                                          "chiral-skew", ChiralFrame(3, 3))
+        import z2flow.flow as flow_module
+
         evaluated = []
-        block = OperatorPath.block
+        block, stacked = OperatorPath.block, flow_module._stacked
 
         def spy_block(self, t):
             if self is path:
                 evaluated.append(float(t))
             return block(self, t)
 
+        def spy_stacked(p, ts, *args):  # a stacked read of several parameters
+            if p is path:
+                evaluated.extend(float(t) for t in ts)
+            return stacked(p, ts, *args)
+
         monkeypatch.setattr(OperatorPath, "block", spy_block)
+        monkeypatch.setattr(flow_module, "_stacked", spy_stacked)
         solves = spy_solves(monkeypatch)
         value = parity_via_pairs(
             path, rng=np.random.default_rng(3) if randomized else None)
@@ -1832,14 +1881,20 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_one_validation_per_evaluation(self, monkeypatch, seed):
+        import z2flow.flow as flow_module
         import z2flow.paths as paths_module
 
         calls = {"at": 0, "as_real_matrix": 0}
         at, coerce = OperatorPath.at, paths_module.as_real_matrix
+        stacked = flow_module._stacked
 
         def spy_at(self, t):
             calls["at"] += 1
             return at(self, t)
+
+        def spy_stacked(path, ts, *args):  # one read of several parameters
+            calls["at"] += 1
+            return stacked(path, ts, *args)
 
         def spy_coerce(m):
             calls["as_real_matrix"] += 1
@@ -1847,6 +1902,7 @@ class TestValidateOnce:
 
         paths = self.paths(np.random.default_rng(61))
         monkeypatch.setattr(OperatorPath, "at", spy_at)
+        monkeypatch.setattr(flow_module, "_stacked", spy_stacked)
         monkeypatch.setattr(paths_module, "as_real_matrix", spy_coerce)
         for path in paths:
             rng = None if seed is None else np.random.default_rng(seed)
@@ -1915,6 +1971,162 @@ class TestBatchedSegmentChecks:
             outcomes.append(expected)
         assert set(outcomes) == {True, False}
         assert _pairwise_window_continuity(np.zeros((3, 4, 0)))
+
+
+def _skew_block_path(f, arc=None, bad_t=None):
+    """4 x 4 skew path [[0, f], [-f, 0]] + [[0, 3], [-3, 0]], with an
+    optional arc and one evaluation at ``bad_t`` that is not skew."""
+    def evaluator(t):
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 0], m[2, 3], m[3, 2] = f(t), -f(t), 3.0, -3.0
+        if t == bad_t:
+            m[0, 0] = 1.0
+        return m
+
+    if arc is not None:
+        evaluator.arc = arc
+    return OperatorPath((0.0, 1.0), evaluator, "skew")
+
+
+class TestLevelOrder:
+    """Each refinement level is searched as one stack; the first error,
+    type and message, is still the one of the depth-first search."""
+
+    @staticmethod
+    def level_errors(monkeypatch):
+        """Spy on the level search: the exception of each call that raised,
+        with the number of segments it was given."""
+        import z2flow.flow as flow_module
+
+        errors, inner = [], flow_module._level_windows
+
+        def spy(data, level, rng):
+            try:
+                return inner(data, level, rng)
+            except Exception as exc:
+                errors.append((len(level), exc))
+                raise
+
+        monkeypatch.setattr(flow_module, "_level_windows", spy)
+        return errors
+
+    def test_floor_comes_before_a_later_shape_change(self, monkeypatch):
+        # a jump at 0.1 reaches the refinement floor depth first, before
+        # the segments right of 0.9 are solved; by level, the 3 x 3 matrix
+        # at t = 0.9375 comes up first
+        def evaluator(t):
+            if 0.9 < t < 0.95:
+                return np.eye(3)
+            return np.diag([-1.0 if t <= 0.1 else 1.0, 1.0])
+
+        errors = self.level_errors(monkeypatch)
+        with pytest.raises(RefinementError) as info:
+            parity_path(OperatorPath((0.0, 1.0), evaluator))
+        assert str(info.value) == (
+            "no valid spectral window above segment length 1e-06 on "
+            "[0.09999942779541016, 0.10000038146972656]")
+        size, first = errors[0]
+        assert size > 1 and isinstance(first, DimensionError)
+        assert "at t=0.9375" in str(first)
+
+    def test_symmetry_failure_comes_before_a_lying_arc_to_its_right(self, monkeypatch):
+        # by level, the endpoint audit of [0.5, 1] refuses the arc before
+        # the new samples of [0, 0.5] are solved; depth first, the
+        # evaluation at 3/16, which is not skew, comes first
+        f = lambda t: float(np.interp(t, [0.0, 0.5, 1.0], [-1.0, 1.0, 0.5]))
+        arc = lambda ts: (40.0 * np.minimum(ts, 0.5)
+                          + 0.01 * np.maximum(np.asarray(ts) - 0.5, 0.0))
+        errors = self.level_errors(monkeypatch)
+        with pytest.raises(SymmetryError,
+                           match="^matrix is not skew-symmetric within tolerance$"):
+            sf2_path(_skew_block_path(f, arc, bad_t=3 / 16))
+        size, first = errors[0]
+        assert size == 2 and isinstance(first, ConfigError)
+        assert "from t=0.5 to t=1.0" in str(first)
+
+    @pytest.mark.parametrize("fault", ["decreasing", "shape"])
+    def test_faulty_arc_in_the_second_segment_of_a_level(self, monkeypatch, fault):
+        # the arc is read once for the level [0, 0.5], [0.5, 1] and fails at
+        # 0.5625, on the second segment's grid; the depth-first replay reads
+        # that grid alone, and the message names it
+        def arc(ts):
+            ts = np.asarray(ts, dtype=float)
+            values = np.where(ts <= 0.5, 0.1 * ts, 0.05 + 40.0 * (ts - 0.5))
+            if fault == "decreasing":
+                return np.where(ts == 0.5625, 0.0, values)
+            return np.append(values, 0.0) if (ts == 0.5625).any() else values
+
+        f = lambda t: float(np.interp(t, [0.0, 0.5, 1.0], [1.0, 1.0, -1.0]))
+        errors = self.level_errors(monkeypatch)
+        with pytest.raises(ConfigError, match=re.escape(
+                "nondecreasing in t; it does not on [0.5, 1.0]")):
+            sf2_path(_skew_block_path(f, arc))
+        assert errors[0][0] == 2
+
+    def test_singular_start_refused_before_the_end_is_read(self):
+        def evaluator(t):
+            return np.zeros((2, 2)) if t == 0.0 else np.eye(3)
+
+        with pytest.raises(NotAdmissibleError, match=r"at t=0\.0 is singular"):
+            parity_path(OperatorPath((0.0, 1.0), evaluator))
+
+    def test_both_endpoints_in_one_solve(self, monkeypatch):
+        import z2flow.flow as flow_module
+        from z2flow import linalg
+
+        stacks = []
+        inner = linalg.skew_singular_system
+
+        def spy(mat, *args, **kwargs):
+            stacks.append(np.shape(mat))
+            return inner(mat, *args, **kwargs)
+
+        path = to_skew_path(OperatorPath((0.0, 1.0), lambda t: np.diag([t - 0.5, 1.0])))
+        monkeypatch.setattr(linalg, "skew_singular_system", spy)
+        flow_module._endpoint_spectra(flow_module._PathData(path))
+        assert stacks == [(2, 2, 2)]
+
+    def test_one_stack_per_level(self, monkeypatch):
+        # a level's new samples are evaluated, validated and solved as one
+        # stack: every solve of the flow below is one level's
+        import z2flow.paths as paths_module
+        from z2flow import linalg
+
+        solves, checks = [], []
+        inner, validated = linalg.skew_singular_system, paths_module._validated
+
+        def spy_solve(mat, *args, **kwargs):
+            solves.append(len(mat))
+            return inner(mat, *args, **kwargs)
+
+        def spy_validated(m, tag, frame):
+            checks.append(m.shape[:-2])
+            return validated(m, tag, frame)
+
+        levels = []
+        errors = self.level_errors(monkeypatch)
+        import z2flow.flow as flow_module
+        search = flow_module._level_windows
+
+        def spy_level(data, level, rng):
+            levels.append(len(level))
+            return search(data, level, rng)
+
+        path = OperatorPath.from_samples(
+            [0.0, 0.4, 1.0], [np.diag([1.0, 2.0, 1.0]), np.diag([-1.0, 0.5, 1.5]),
+                              np.diag([-1.0, 2.0, -1.0])], "general")
+        expected = parity_finite(path)
+        monkeypatch.setattr(flow_module, "_level_windows", spy_level)
+        monkeypatch.setattr(linalg, "skew_singular_system", spy_solve)
+        monkeypatch.setattr(paths_module, "_validated", spy_validated)
+        res = sf2_path(to_skew_path(path))
+        assert res.value == expected and not errors
+        # the endpoints, then at most one stack per level, each validated
+        # whole: no matrix is validated alone
+        assert solves[0] == 2 and len(solves) - 1 <= len(levels)
+        assert max(levels) > 1 and sum(solves) == res.evaluations
+        assert checks and all(len(shape) == 1 for shape in checks)
+        assert [n for (n,) in checks] == solves
 
 
 class TestParityPath:

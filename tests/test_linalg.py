@@ -164,6 +164,46 @@ class TestPfaffian:
         assert pfaffian_sign(m) == 1
 
 
+class TestUncheckedPfaffianSign:
+    """The window factor pass signs its restrictions, which it builds
+    exactly antisymmetric, without ``pfaffian_sign``'s checks."""
+
+    def test_matches_the_checked_sign(self):
+        from z2flow.linalg import _skew_pfaffian_sign
+
+        rng = np.random.default_rng(71)
+        for n in (2, 4, 6, 8):
+            for scale in (1.0, 1e-200, 1e200):
+                g = rng.standard_normal((n, n))
+                a = (g - g.T) / 2.0 * scale
+                assert _skew_pfaffian_sign(a) == pfaffian_sign(a)
+
+    def test_factor_pass_reads_no_checked_sign(self, monkeypatch):
+        import z2flow.flow as flow_module
+        import z2flow.linalg as linalg_module
+        from z2flow.flow import sf2_path
+        from z2flow.paths import OperatorPath
+
+        # a line whose first 2 x 2 block passes through zero: a crossing,
+        # so a window of rank 2 on a plain skew path
+        q = np.linalg.qr(np.random.default_rng(72).standard_normal((4, 4)))[0]
+        ends = [q @ np.array([[0.0, s, 0.0, 0.0], [-s, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]]) @ q.T
+                for s in (1.0, -1.0)]
+        ends = [(m - m.T) / 2.0 for m in ends]
+        path = OperatorPath.from_samples([0.0, 1.0], ends, "skew")
+        expected = sf2_finite(*ends)
+
+        def refuse(m):
+            raise AssertionError("the factor pass re-checked a restriction")
+
+        monkeypatch.setattr(flow_module, "pfaffian_sign", refuse)
+        monkeypatch.setattr(linalg_module, "pfaffian_sign", refuse)
+        res = sf2_path(path)
+        assert res.value == expected
+        assert any(w.rank for w in res.windows)
+
+
 class TestSignDet:
     def test_identity(self):
         for n in (1, 3, 7):

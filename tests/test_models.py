@@ -108,11 +108,12 @@ class TestExamplePaths:
 
         tags = []
 
-        def spy(mat, tag, frame, _fn=paths_module.validate_symmetry):
+        def spy(mat, tag, frame, _fn=paths_module._validated):
             tags.append(tag)
             return _fn(mat, tag, frame)
 
-        monkeypatch.setattr(paths_module, "validate_symmetry", spy)
+        # every validation, of one matrix or of a stack, runs its checks here
+        monkeypatch.setattr(paths_module, "_validated", spy)
         sf2_path(build_example_path(name))
         assert tags and not [t for t in tags if t.startswith("chiral")]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import z2flow.pairs as pairs_module
 from z2flow import tolerances as tol
 from z2flow.errors import (
     DimensionError,
@@ -297,6 +298,36 @@ class TestStraightLine:
                            (0, 1, 1) if r == 0 else (0, 9, 1)), (n, r)
 
 
+class TestPairLevels:
+    def test_one_solve_per_level(self, monkeypatch):
+        # the pair route certifies level by level: the endpoints, then one
+        # stacked solve of each level's new points
+        import z2flow.flow as flow_module
+        from z2flow import linalg
+
+        solves, levels = [], []
+        inner, bisect = linalg.skew_singular_system, flow_module._refine
+
+        def spy_solve(mat, *args, **kwargs):
+            solves.append(len(mat))
+            return inner(mat, *args, **kwargs)
+
+        def spy_refine(points, accept, what, depth_first=False):
+            def counted(level):
+                levels.append(len(level))
+                return accept(level)
+            return bisect(points, counted, what, depth_first)
+
+        path = embed_chiral_path(OperatorPath.from_samples(
+            [0.0, 0.3, 1.0], [np.diag([1.0, 2.0]), np.diag([-0.5, 1.0]),
+                              np.diag([-1.0, -2.0])]))
+        monkeypatch.setattr(linalg, "skew_singular_system", spy_solve)
+        monkeypatch.setattr(pairs_module, "_refine", spy_refine)
+        assert parity_via_pairs(path) == 1
+        assert solves[0] == 2 and len(solves) <= 1 + len(levels)
+        assert levels[0] == 8 and max(levels) > 1
+
+
 class TestPhaseComplete:
     def test_invertible_matches_polar_phase(self):
         rng = np.random.default_rng(8)
@@ -404,6 +435,51 @@ class TestParityViaPairs:
 
 
 class TestIndexMap:
+    def test_index_theorem_checks_o_once(self, monkeypatch):
+        # the CLI checks O once for both sides of the theorem: one call of
+        # the grading-preserving check, one Gram per block of O
+        from z2flow.cli import RunConfig, run
+
+        grams = []
+        inner = pairs_module._orthogonality_defect
+
+        def spy(m, n, chiral):
+            grams.append(chiral)
+            return inner(m, n, chiral)
+
+        monkeypatch.setattr(pairs_module, "_orthogonality_defect", spy)
+        report = run(RunConfig("index-theorem", params={"n": 6}))
+        assert (report["result"], report["index_rhs_mod2"], report["agree"]) == (-1, 1, True)
+        # O once; the structure of the model and the conjugate O I O^T
+        assert grams.count(False) == 1 and grams.count(True) == 2
+
+    @pytest.mark.parametrize("defect, message", [
+        ("not orthogonal", "^matrix is not orthogonal$"),
+        ("mixes the grading", "^matrix does not commute with the grading$")])
+    def test_refusals_keep_their_text(self, defect, message):
+        from z2flow.cli import RunConfig, run
+
+        structure, o = build_rank_one_pair(3)
+        bad = o.copy()
+        if defect == "not orthogonal":
+            bad[0, 0] *= 1.5
+        else:  # orthogonal, but it swaps a + and a - direction
+            bad = bad[[3, 1, 2, 0, 4, 5]]
+        for call in (lambda: j_index(structure, bad),
+                     lambda: index_pairing_rhs(structure, bad)):
+            with pytest.raises(SymmetryError, match=message):
+                call()
+
+    def test_conjugate_keeps_its_orthogonality_check(self):
+        # U and O each pass within the tolerance, but O+ U O-^T = (1 + d)^3
+        # does not: the conjugate's own check still refuses it
+        n, d = 3, 4.5e-10
+        structure = ComplexStructure(embed_chiral((1.0 + d) * np.eye(n)), ChiralFrame(n, n))
+        o = (1.0 + d) * np.eye(2 * n)
+        assert index_pairing_rhs(structure, o) == 0
+        with pytest.raises(SymmetryError, match="^complex structure must be orthogonal$"):
+            j_index(structure, o)
+
     def test_identity_orthogonal(self):
         structure, _ = build_rank_one_pair(4)
         assert j_index(structure, np.eye(8)) == 1

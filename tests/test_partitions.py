@@ -9,11 +9,15 @@ fixture is written by running this module as a script from the root of the
 checkout::
 
     PYTHONPATH=src python tests/test_partitions.py
+
+and ``--check`` in place of writing it exits nonzero unless regeneration
+gives the committed file (``_check_fixture``).
 """
 
 import functools
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -162,7 +166,23 @@ def test_partition_unchanged(name, path, chiral):
             assert actual[key] == expected[key], f"{name}.{key}"
 
 
+def _check_fixture():
+    """Fail unless the fixture is what this script writes: its bytes are
+    the script's own layout of its content, and that content is the
+    regenerated records' (``test_partition_unchanged``, each radius to the
+    relative 1e-9 that the suite allows for the last bits of BLAS)."""
+    with open(FIXTURE, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == json.dumps(_golden(), indent=1) + "\n", "fixture not in the written layout"
+    test_fixture_lists_every_case()
+    for name, path, chiral in CASES:
+        test_partition_unchanged(name, path, chiral)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        _check_fixture()
+        sys.exit(0)
     golden = {name: record(path, chiral) for name, path, chiral in partition_cases()}
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)

@@ -5,7 +5,7 @@ import pytest
 
 from z2flow import tolerances as tol
 from z2flow.errors import ConfigError, DimensionError, SymmetryError
-from z2flow.paths import ChiralFrame, OperatorPath, validate_symmetry
+from z2flow.paths import ChiralFrame, OperatorPath, _stacked, validate_symmetry
 from z2flow.z2 import MINUS, PLUS, Z2, z2_product
 
 
@@ -148,6 +148,68 @@ class TestValidateSymmetry:
             validate_symmetry([[0.0, 1.0], [1.0, 0.0]], "skew", None)
         with pytest.raises(DimensionError):
             validate_symmetry([[0.0, 1.0]], "skew", None)
+
+
+class TestStackedReads:
+    """``paths._stacked`` reads a list of parameters as one stack, validated
+    in one pass, equal to the matrices read one by one."""
+
+    def test_stack_equals_single_reads(self):
+        from z2flow.flow import embed_chiral_path
+
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((3, 2, 2))
+        general = OperatorPath.from_samples([0.0, 0.5, 1.0], g)
+        chiral = OperatorPath((0.0, 1.0), lambda t: np.block(
+            [[np.zeros((2, 2)), t * g[0]], [-t * g[0].T, np.zeros((2, 2))]]),
+            "chiral-skew", ChiralFrame(2, 2))
+        ts = [0.1, 0.25, 0.9]
+        for path in (general, chiral, embed_chiral_path(general)):
+            np.testing.assert_array_equal(_stacked(path, ts), [path.at(t) for t in ts])
+            np.testing.assert_array_equal(_stacked(path, ts, True),
+                                          [path.block(t) for t in ts])
+
+    def test_each_matrix_against_its_own_scale(self):
+        # the second matrix is skew within its own tolerance, the third is not
+        mats = {0.0: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                1.0: 1e-20 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                2.0: np.array([[0.0, 1e-20], [0.0, 0.0]])}
+        path = OperatorPath((0.0, 2.0), lambda t: mats[t], "skew")
+        assert _stacked(path, [0.0, 1.0]).shape == (2, 2, 2)
+        with pytest.raises(SymmetryError):
+            _stacked(path, [0.0, 1.0, 2.0])
+        with pytest.raises(DimensionError):
+            _stacked(OperatorPath((0.0, 1.0), lambda t: np.zeros((2, 2, 2))), [0.0, 1.0])
+        with pytest.raises(ConfigError, match="no chiral block"):
+            _stacked(path, [0.0, 1.0], True)
+
+    def test_doubling_stacks_its_source(self, monkeypatch):
+        import z2flow.paths as paths_module
+        from z2flow.flow import embed_chiral_path
+
+        doubled = embed_chiral_path(OperatorPath((0.0, 1.0), lambda t: np.array([[t - 0.5]])))
+        passes, inner = [], paths_module._validated
+        monkeypatch.setattr(paths_module, "_validated",
+                            lambda m, *a: passes.append(m.shape) or inner(m, *a))
+        np.testing.assert_array_equal(_stacked(doubled, [0.0, 1.0], True),
+                                      [[[-0.5]], [[0.5]]])
+        assert passes == [(2, 1, 1)]  # the source's two matrices, in one pass
+
+    def test_declared_block_read_one_t_at_a_time(self):
+        seen = []
+
+        def evaluator(t):
+            raise AssertionError("the declared block answers")
+
+        def block(t):
+            seen.append(t)
+            return np.array([[t - 0.5]])
+
+        evaluator.block = block
+        path = OperatorPath((0.0, 1.0), evaluator, "chiral-skew", ChiralFrame(1, 1))
+        np.testing.assert_array_equal(_stacked(path, [0.0, 1.0], True),
+                                      [[[-0.5]], [[0.5]]])
+        assert seen == [0.0, 1.0]
 
 
 class TestToleranceScale:
