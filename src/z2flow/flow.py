@@ -49,7 +49,6 @@ __all__ = [
     "parity_path",
     "parity_path_general",
     "to_skew_path",
-    "refine",
     "leray_schauder_degree",
     "selfadjoint_to_skew",
     "selfadjoint_path_to_skew",
@@ -201,25 +200,14 @@ def _sign_failure(signs, sigma_min, det: bool):
 # refinement and transport
 
 
-def refine(points, accept, what: str = "acceptable segment"):
-    """Adaptive partition of the segments between consecutive ``points``,
-    depth first (``_refine``): ``accept(lo, hi)`` returns None to bisect a
-    segment, whose halves come next, or its kept value.  Returns the
-    accepted ``(lo, hi, value)`` in order and the deepest bisection level.
-    A segment refused below the floor, ``MIN_SEGMENT`` times the interval's
-    length, or too short to bisect in floating point raises
-    ``RefinementError``."""
-    return _refine(points, lambda level: [accept(*level[0])], what, depth_first=True)
-
-
 def _refine(points, accept, what: str, depth_first: bool = False):
     """The one bisection loop, by default in level order: ``accept`` takes
     one level's pending ``(lo, hi)`` segments, left to right, and returns a
     verdict for each; refused ones bisect into the next level, and the
     accepted ones are sorted into partition order.  Depth first, it takes
-    one-segment lists (``refine``).  Any exception in level order replays
-    the search depth first from the records already solved, so the error
-    raised is the one the depth-first order meets first."""
+    one-segment lists (``_square_block_path``).  Any exception in level
+    order replays the search depth first from the records already solved,
+    so the error raised is the one the depth-first order meets first."""
     try:
         floor = tol.MIN_SEGMENT * (points[-1] - points[0])
         pending = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])]
@@ -292,12 +280,12 @@ def _smallest_cosines(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _record_matrix(path: OperatorPath, t) -> np.ndarray:
-    """The matrix the engine solves at t: the block of a chiral-skew path,
-    the antisymmetrized matrix of a plain skew path; for a list of
-    parameters, their matrices along a leading axis, read and validated as
-    one stack (``paths._stacked``)."""
+    """The matrix the engine solves at t: the block of a chiral-skew path
+    or of a general one (its own block), the antisymmetrized matrix of a
+    plain skew path; for a list of parameters, their matrices along a
+    leading axis, read and validated as one stack (``paths._stacked``)."""
     stacked = isinstance(t, list)
-    if path.symmetry_tag == "chiral-skew":
+    if path.symmetry_tag != "skew":
         return _stacked(path, t, True) if stacked else path.block(t)
     m = _stacked(path, t) if stacked else path.at(t)
     return (m - m.swapaxes(-1, -2)) / 2.0
@@ -307,11 +295,11 @@ class _PathData:
     """Caches path evaluations and their skew singular systems per parameter.
 
     A record is (M, singular values of T ascending, frames).  A chiral-skew
-    path is carried by its block: M = B = ``path.block(t)`` and the frames
-    are the left and right singular vectors (X, Y) of B (see
-    ``skew_singular_system``); the doubled T is never formed.  A plain skew
-    path has M = T antisymmetrized and the one frame (V,).  M is also the
-    step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
+    path is carried by its block, a general one is its own: M = B =
+    ``path.block(t)`` and the frames are the left and right singular
+    vectors (X, Y) of B (see ``skew_singular_system``); the doubled T is
+    never formed.  A plain skew path has M = T antisymmetrized and the one
+    frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -325,7 +313,7 @@ class _PathData:
 
     def __init__(self, path: OperatorPath, records=None):
         self.path = path
-        self.chiral = path.symmetry_tag == "chiral-skew"
+        self.chiral = path.symmetry_tag != "skew"
         arc = getattr(path.evaluator, "arc", None)
         growth = _arc_growth(arc, path.interval)
         self.arc = arc if math.isfinite(growth) else None
@@ -496,7 +484,7 @@ def _endpoint_rule(low0, low1, high, grown, rng):
 def _segment_grid(lo: float, hi: float) -> np.ndarray:
     """The ``_SEGMENT_SAMPLES`` = 9 equispaced samples of [lo, hi], each the
     midpoint a + (b - a) / 2 of its two neighbours of the coarser grid, as
-    ``refine`` bisects: a half's even samples are then bitwise its parent's
+    ``_refine`` bisects: a half's even samples are then bitwise its parent's
     samples, so the halves of a refused segment find them solved.  Python
     floats round each step as numpy does, faster than arrays of 9 values."""
     lo, hi = float(lo), float(hi)
@@ -1089,45 +1077,32 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     (U[:, :k] away from a cluster), W_i = C_i Q_i for the running product
     Q_i = polar(C_i^T C_i-1) Q_i-1 of k x k factors.
 
-    The 65-point starting grid is factored by one stacked SVD and its
-    consecutive frames compared by one batched ``_smallest_cosines``, which
-    ``refine`` (depth first: each frame continues its left neighbour's)
-    reads where the left frame is the batch's; bisection midpoints are
-    solved as they come up.  The polar factors, products Q_i and blocks
-    W_i^T B_i are batched.  A shape change raises ``DimensionError``.
+    The samples are ``_PathData`` records of the path read as opaque (U is
+    X, Y for a wide B, read backwards): the 65-point grid is solved as one
+    stack, bisection midpoints as they come up.  The grid's consecutive
+    frames are compared by one batched ``_smallest_cosines``, which the
+    depth-first ``_refine`` reads where the left frame is the batch's.  The
+    polar factors, products Q_i and blocks W_i^T B_i are batched.  A shape
+    change raises ``DimensionError``.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)
     t0, t1 = path.interval
     grid = np.linspace(t0, t1, 65)
-    first = None  # (t, shape) of the first evaluation
-    cache = {}
+    grid = grid[np.diff(grid, prepend=-np.inf) > 0]  # fewer if 65 floats do not fit
+    data = _PathData(OperatorPath(path.interval, lambda t: path.evaluator(t),
+                                  "general", None, path.declared_index))
+    data.solve(grid)
 
-    def solve(ts):  # (B, singular values descending, (U[:, k:], U[:, :k])) per t
-        nonlocal first
-        bs = []
-        for t in ts:
-            b = path.at(t)
-            first = first or (t, b.shape)
-            _check_shape(b, t, *first)
-            bs.append(b.T if wide else b)
-        us, ss, _ = np.linalg.svd(np.stack(bs))
-        k = ss.shape[1]
-        for t, b, u, s in zip(ts, bs, us, ss):
-            cache[t] = (b, s, (u[:, k:], u[:, :k]))
-
-    def at(t):
-        if t not in cache:
-            solve([t])
-        return cache[t]
-
-    solve(grid)
+    def at(t):  # singular values of B tall, descending, and its U
+        _, sv, (x, y) = data.at(t)
+        return sv[d::2][::-1], (y if wide else x)[:, ::-1]
 
     # endpoint admissibility: kernel dimension exactly the block index; the
     # near-cokernel cluster is read against the endpoints' largest value
     sigma_max = 0.0
     for t in (t0, t1):
-        s = at(t)[1]
+        s = at(t)[0]
         sigma_max = max(sigma_max, s.max(initial=0.0))
         extra = 2 * int((s <= tol.inv(s.max(initial=0.0)) * 10).sum())
         if extra:
@@ -1139,17 +1114,17 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     def kernel_frame(t, prev):
         """(F, C) at t: the near-cokernel frame continued from the left
         neighbour's (F, C) ``prev``, and a basis of its complement."""
-        _, s, structural = at(t)
+        s, u = at(t)
         cluster = s < cluster_floor
+        f, c = u[:, s.size:], u[:, :s.size]
         if prev is None or not cluster.any():
-            return structural
-        f, c = structural
+            return f, c
         near = np.concatenate([f, c[:, cluster]], axis=1)
         p, rest = _polar_split(near.T @ prev[0], tol.transport())
         return near @ p, np.concatenate([c[:, ~cluster], near @ rest], axis=1)
 
     # the grid's frames, each continued from its left neighbour, as far as
-    # they transport; refine meets the pair that does not, or bisects first
+    # they transport; _refine meets the pair that does not, or bisects first
     chain = [kernel_frame(t0, None)]
     for t in grid[1:]:
         try:
@@ -1161,7 +1136,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     position = {t: i for i, t in enumerate(grid[:cosines.size])}
 
     # kernel frames on the grid refined until consecutive frames are
-    # WINDOW_EPS-close; refine's left-to-right order makes every frame the
+    # WINDOW_EPS-close; _refine's left-to-right order makes every frame the
     # transport of its left neighbour
     frames = {t0: chain[0]}
 
@@ -1177,7 +1152,8 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         frames[b] = fc
         return fc
 
-    segments, _ = refine(grid, continue_frame, "continuous kernel family")
+    segments, _ = _refine(grid, lambda level: [continue_frame(*level[0])],
+                          "continuous kernel family", depth_first=True)
     ts = [t0] + [hi for _, hi, _ in segments]
 
     # complement frames W_i = C_i Q_i, transported along the samples; the
@@ -1190,7 +1166,8 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         q[span:] = q[span:] @ q[:-span]
         span *= 2
     w = c @ q
-    blocks = w.transpose(0, 2, 1) @ np.stack([at(t)[0] for t in ts])
+    blocks = w.transpose(0, 2, 1) @ np.stack([b.T if wide else b
+                                              for b, _, _ in data.solve(np.array(ts))])
     return OperatorPath.from_samples(ts, blocks, "general")
 
 

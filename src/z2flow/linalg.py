@@ -251,7 +251,8 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False,
     and [0; y_i].  The directions are the pair (X, Y) of the left and the
     right singular vectors, the full U and V read backwards (views), with
     the structural kernel first; X Y^T = W V^T is the phase of a square
-    B = W S V^T that the pair route reads.
+    B = W S V^T that the pair route reads.  A wide B is solved as its
+    transpose, sides swapped: the longer side is always a tall SVD's U.
 
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
@@ -259,6 +260,9 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False,
     and the directions are None.  A stack of matrices is solved by one
     batched SVD, each entry bitwise the system of its matrix alone.
     """
+    if chiral and mat.shape[-2] < mat.shape[-1]:
+        s, f = skew_singular_system(mat.swapaxes(-1, -2), True, compute_uv)
+        return s, f and f[::-1]
     if compute_uv:
         u, s, vt = np.linalg.svd(mat)
         v = vt[..., ::-1, :].swapaxes(-1, -2)

@@ -377,12 +377,32 @@ class TestIngestPath:
         assert invoke("sf2", "--path-file", str(f)).returncode == 4
 
     def test_tall_file_with_crossing_on_a_grid_node(self):
-        # data/rect_tall.json, also run by CI: the 3x1 block vanishes at
-        # t = 0, node 32 of the reduction's 65-point grid on [-1, 1]
-        f = os.path.join(os.path.dirname(__file__), "data", "rect_tall.json")
-        report = parse_stdout(invoke("parity", "--path-file", f, "--report-windows",
-                                     env_extra={"PYTHONWARNINGS": "error"}))
-        assert report["result"] == -1
+        # data/rect_tall.json and its transpose data/rect_wide.json, also
+        # run by CI: the 3x1 block vanishes at t = 0, node 32 of the
+        # reduction's 65-point grid on [-1, 1]; both reduce to one 1x1 path
+        reports = []
+        for name in ("rect_tall.json", "rect_wide.json"):
+            f = os.path.join(os.path.dirname(__file__), "data", name)
+            reports.append(parse_stdout(invoke(
+                "parity", "--path-file", f, "--report-windows",
+                env_extra={"PYTHONWARNINGS": "error"})))
+            assert reports[-1]["result"] == -1
+        tall, wide = reports
+        assert wide["input_digest"] == tall["input_digest"]
+        assert wide["windows"] == tall["windows"]
+
+    def test_rectangular_file_too_short_to_bisect_exits_3(self, tmp_path):
+        # an interval with fewer than 65 floats: the reduction's grid is
+        # deduplicated, and the flow of its crossing fails as the square
+        # twin's does (RefinementError, exit 3), not on repeated knots
+        samples = [{"t": t, "matrix": [[s, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+                   for t, s in ((1.0, -1.0), (1.0000000000000004, 1.0))]
+        f = tmp_path / "short.json"
+        f.write_text(json.dumps({"symmetry": "general", "samples": samples}))
+        proc = invoke("parity", "--path-file", str(f),
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot be bisected in floating point" in proc.stderr
 
     def test_non_dyadic_file_reuses_solved_samples(self):
         # data/nondyadic_crossing.json, also run by CI: knots on [0.3, 1.7],

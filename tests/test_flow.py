@@ -19,13 +19,14 @@ from z2flow.errors import (
     TransportError,
 )
 import z2flow.pairs as pairs_module
-from z2flow import tolerances as tol
+from z2flow import linalg, tolerances as tol
 from z2flow.flow import (
     _COS_MIN,
     _SEGMENT_SAMPLES,
     _PathData,
     _pairwise_window_continuity,
     _reduced,
+    _refine,
     _square_block_path,
     _step_norms,
     embed_chiral,
@@ -35,7 +36,6 @@ from z2flow.flow import (
     parity_finite,
     parity_path,
     parity_path_general,
-    refine,
     selfadjoint_path_to_skew,
     selfadjoint_to_skew,
     sf2_finite,
@@ -286,7 +286,8 @@ class TestRefine:
                 return None
             return 0 if hi == 1.0 else hi - lo  # any value but None is kept
 
-        segments, depth = refine([0.0, 0.5, 1.0], accept)
+        segments, depth = _refine([0.0, 0.5, 1.0], lambda level: [accept(*level[0])],
+                                  "thing", depth_first=True)
         assert visited == [(0.0, 0.5), (0.0, 0.25), (0.25, 0.5),
                            (0.25, 0.375), (0.375, 0.5), (0.5, 1.0)]
         assert segments == [(0.0, 0.25, 0.25), (0.25, 0.375, 0.125),
@@ -296,8 +297,6 @@ class TestRefine:
     def test_left_to_right_bisection_by_level(self):
         # the level order of the same refusals: one call per level, the
         # same accepted segments in partition order and the same depth
-        from z2flow.flow import _refine
-
         levels = []
 
         def accept(level):
@@ -316,8 +315,6 @@ class TestRefine:
         # an error the level order meets first (on [0.5, 1]) gives way to
         # the one the depth-first order meets first: the floor on [0, 0.5];
         # the replay calls accept on one-segment lists
-        from z2flow.flow import _refine
-
         calls = []
 
         def accept(level):
@@ -330,11 +327,11 @@ class TestRefine:
             _refine([0.0, 0.5, 1.0], _bounded(accept), "thing")
         assert calls[0] == 2 and set(calls[1:]) == {1}
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
-            refine([0.0, 0.5, 1.0], lambda lo, hi: accept([(lo, hi)])[0], "thing")
+            _refine([0.0, 0.5, 1.0], accept, "thing", depth_first=True)
 
     def test_floor_names_the_segment(self):
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
-            refine([0.0, 1.0], lambda lo, hi: None, "thing")
+            _refine([0.0, 1.0], lambda level: [None], "thing", depth_first=True)
 
     def test_floor_is_relative_to_the_interval(self):
         # the same refusal pattern bisects equally deep on [0, 1] and on
@@ -343,10 +340,12 @@ class TestRefine:
             def accept(lo, hi, _l=length):
                 refused = lo < 0.3 * _l < hi and hi - lo > 1e-5 * _l
                 return None if refused else hi - lo
-            segments, depth = refine([0.0, length], accept)
+            segments, depth = _refine([0.0, length], lambda level: [accept(*level[0])],
+                                      "thing", depth_first=True)
             assert depth == 17 and len(segments) == 18
         with pytest.raises(RefinementError):
-            refine([0.0, 1e-9], lambda lo, hi: None if hi - lo > 1e-16 else 0)
+            _refine([0.0, 1e-9], lambda level: [None if level[0][1] - level[0][0] > 1e-16
+                                                else 0], "thing", depth_first=True)
 
     @pytest.mark.parametrize("interval", [(1.0, 1.0 + 2 * _EPS), (0.0, 1e-320)])
     def test_unbisectable_segment_raises(self, interval):
@@ -356,7 +355,8 @@ class TestRefine:
         accept = _bounded(lambda lo, hi: 0 if hi <= lo else None)
         with pytest.raises(RefinementError,
                            match="cannot be bisected in floating point"):
-            refine(list(interval), accept, "thing")
+            _refine(list(interval), lambda level: [accept(*level[0])], "thing",
+                    depth_first=True)
 
     def test_unbisectable_crossing_raises(self, monkeypatch):
         import z2flow.flow as flow_module
@@ -1276,7 +1276,7 @@ class TestSolvedSampleReuse:
             grid = _segment_grid(lo, hi)
             np.testing.assert_allclose(grid, np.linspace(lo, hi, _SEGMENT_SAMPLES),
                                        rtol=0, atol=1e-15)
-            mid = lo + (hi - lo) / 2.0  # refine's midpoint
+            mid = lo + (hi - lo) / 2.0  # _refine's midpoint
             assert grid[_SEGMENT_SAMPLES // 2] == mid
             assert list(_segment_grid(lo, mid)[::2]) == list(grid[:_SEGMENT_SAMPLES // 2 + 1])
             assert list(_segment_grid(mid, hi)[::2]) == list(grid[_SEGMENT_SAMPLES // 2:])
@@ -1284,7 +1284,7 @@ class TestSolvedSampleReuse:
 
     @staticmethod
     def bisected(lo, hi):
-        """The grid by three rounds of refine's midpoint a + (b - a) / 2."""
+        """The grid by three rounds of _refine's midpoint a + (b - a) / 2."""
         ts = [lo, hi]
         while len(ts) < _SEGMENT_SAMPLES:
             grid = ts[:1]
@@ -2228,7 +2228,7 @@ class TestParityPathGeneral:
             parity_path(path)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "FOUND at the one-copy-of-each-kernel change (ROADMAP item 8): the "
+        "FOUND at the one-copy-of-each-kernel change (ROADMAP item 6): the "
         "65-point grid of _square_block_path has no step check and its "
         "cosine test cannot see sign, so a fast-turning path aliases"))
     @pytest.mark.parametrize("seed", [None, 1])
@@ -2291,7 +2291,8 @@ def _per_point_square_blocks(path):
         frames[b] = f
         return f
 
-    segments, _ = refine(np.linspace(t0, t1, 65), continue_frame)
+    segments, _ = _refine(np.linspace(t0, t1, 65), lambda level: [continue_frame(*level[0])],
+                          "continuous kernel family", depth_first=True)
     ts = [t0] + [hi for _, hi, _ in segments]
     _, u, s = at(t0)
     w = u[:, :s.size]
@@ -2379,20 +2380,68 @@ class TestSquareBlockReduction:
 
     def test_grid_takes_a_few_batched_svds(self, monkeypatch):
         # a rotated 5x3 path without bisection or clusters: the grid's
-        # blocks, frame cosines and complement polars are one batch each
+        # blocks are one stacked solve of its _PathData, and its frame
+        # cosines and complement polars are one batch each
         path = self.rotated(np.random.default_rng(7), 3, 2)
         ts, _ = self.reduce(path, monkeypatch)
         assert len(ts) == 65
-        calls = []
-        svd = np.linalg.svd
+        calls, solves = [], []
+        svd, solve = np.linalg.svd, linalg.skew_singular_system
 
         def counted(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
+        def stacked(mat, *args):
+            solves.append((mat.shape, args))
+            return solve(mat, *args)
+
         monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(linalg, "skew_singular_system", stacked)
         _square_block_path(path)
         assert len(calls) <= 6
+        assert solves == [((65, 5, 3), (True, True))]
+
+    def test_declared_arc_is_not_read(self):
+        # the evaluator declares arc = 0, which would make the path one
+        # matrix, while its block moves through a crossing: the reduction
+        # reads the path as opaque and keeps its square core's parity
+        core = lambda t: np.array([[t - 0.3, 0.0], [0.0, 1.0]])
+
+        def ev(t):
+            return np.vstack([core(t), np.zeros((1, 2))])
+
+        ev.arc = lambda ts: np.zeros_like(np.asarray(ts, dtype=float))
+        path = OperatorPath((0.0, 1.0), ev, "general", None, 1)
+        expected = parity_finite(OperatorPath((0.0, 1.0), core))
+        assert expected == -1
+        assert parity_path_general(path) == expected
+        wide = OperatorPath((0.0, 1.0), lambda t: ev(t).T, "general", None, -1)
+        wide.evaluator.arc = ev.arc
+        assert parity_path_general(wide) == expected
+
+    @pytest.mark.parametrize("interval, expected", [
+        ((0.0, 5e-324), RefinementError), ((1.0, 1.0 + 4 * _EPS), -1),
+        ((1e300, float(np.nextafter(1e300, 2e300))), RefinementError)])
+    def test_interval_shorter_than_the_grid(self, interval, expected):
+        # fewer than 65 floats in the interval: the grid drops its repeated
+        # points, and the rectangular path ends as its square twin does,
+        # with its value or the same error, not with repeated knots
+        def outcome(rows):
+            mats = [np.array([[s, 0.0], [0.0, 1.0]] + rows) for s in (-1.0, 1.0)]
+            path = OperatorPath.from_samples(list(interval), mats, "general")
+            try:
+                return int(parity_path_general(path))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        square = outcome([])
+        assert outcome([[0.0, 0.0]]) == square
+        if expected == -1:
+            assert square == -1
+        else:
+            assert square[0] is expected
+            assert "cannot be bisected in floating point" in square[1]
 
 
 class TestShapeChanges:

@@ -422,6 +422,27 @@ class TestStackedSolve:
                                  compute_uv)
 
 
+class TestWideBlocks:
+    """A wide block B is solved as B^T with its two sides swapped, bitwise:
+    the longer side's vectors always come from the U of a tall SVD."""
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 7), (3, 8), (20, 32)])
+    def test_transpose_with_sides_swapped(self, shape, compute_uv):
+        rng = np.random.default_rng(sum(shape) + 110)
+        stack = rng.standard_normal((6,) + shape)
+        for b in (stack, stack[2]):  # stacked and single
+            sv, frames = skew_singular_system(b, True, compute_uv)
+            sv_t, frames_t = skew_singular_system(
+                np.ascontiguousarray(b.swapaxes(-1, -2)), True, compute_uv)
+            assert np.array_equal(sv, sv_t)
+            if compute_uv:
+                assert all(np.array_equal(f, g) for f, g in zip(frames, frames_t[::-1]))
+                assert [f.shape[-2] for f in frames] == list(shape)
+            else:
+                assert frames is None and frames_t is None
+
+
 class TestStackedSigns:
     """The window factor pass reads the signs of every restricted end of a
     group of windows from one stacked values-only SVD and one stacked
