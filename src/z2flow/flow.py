@@ -200,20 +200,22 @@ def _sign_failure(signs, sigma_min, det: bool):
 # refinement and transport
 
 
-def _refine(points, accept, what: str, depth_first: bool = False):
+def _refine(points, accept, what: str, depth_first: bool = False, floor=None):
     """The one bisection loop, by default in level order: ``accept`` takes
     one level's pending ``(lo, hi)`` segments, left to right, and returns a
     verdict for each; refused ones bisect into the next level, and the
     accepted ones are sorted into partition order.  Depth first, it takes
-    one-segment lists (``_square_block_path``).  Any exception in level
-    order replays the search depth first from the records already solved,
-    so the error raised is the one the depth-first order meets first."""
+    one-segment lists off a stack that a refused segment pushes its halves
+    onto (``_square_block_path``).  No segment below ``floor`` (default:
+    ``tol.MIN_SEGMENT`` of the points' span) is bisected.  Any exception in
+    level order replays the search depth first from the records already
+    solved, so the error raised is the one the depth-first order meets first."""
     try:
-        floor = tol.MIN_SEGMENT * (points[-1] - points[0])
-        pending = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])]
+        floor = tol.MIN_SEGMENT * (points[-1] - points[0]) if floor is None else floor
+        pending = [(lo, hi, 0) for lo, hi in zip(points[:-1], points[1:])][::-1]
         accepted, max_depth = [], 0
         while pending:
-            level = pending[:1] if depth_first else pending
+            level, pending = ([pending.pop()], pending) if depth_first else (pending[::-1], [])
             bisected = []
             for (lo, hi, depth), value in zip(level, accept([s[:2] for s in level])):
                 max_depth = max(max_depth, depth)
@@ -232,11 +234,11 @@ def _refine(points, accept, what: str, depth_first: bool = False):
                         "cannot be bisected in floating point"
                     )
                 bisected += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
-            pending = bisected + pending[len(level):]
+            pending += bisected[::-1]
     except Exception:
         if depth_first:
             raise
-        return _refine(points, accept, what, True)
+        return _refine(points, accept, what, True, floor)
     accepted.sort(key=lambda segment: segment[0])
     return accepted, max_depth
 
@@ -306,15 +308,16 @@ class _PathData:
     finite float bounds nothing (``arc`` None, an opaque path), and none
     declares one matrix (``constant``), whose every parameter reads the
     start's record, solved for its singular values alone until ``framed``
-    needs its frames.  ``records`` seeds the cache with records solved
-    elsewhere (a family's endpoint stacks, ``_family_batch``) for either
-    leaf engine of ``_flow``.
+    needs its frames.  A ``general`` path, solved only by the rectangular
+    reduction, is opaque: its arc is not read.  ``records`` seeds the cache
+    with records solved elsewhere (a family's endpoint stacks,
+    ``_family_batch``) for either leaf engine of ``_flow``.
     """
 
     def __init__(self, path: OperatorPath, records=None):
         self.path = path
         self.chiral = path.symmetry_tag != "skew"
-        arc = getattr(path.evaluator, "arc", None)
+        arc = None if path.symmetry_tag == "general" else getattr(path.evaluator, "arc", None)
         growth = _arc_growth(arc, path.interval)
         self.arc = arc if math.isfinite(growth) else None
         self.constant = growth == 0
@@ -341,30 +344,34 @@ class _PathData:
         return rec if rec is not None else self.solve(np.array([t], dtype=float))[0]
 
     def solve(self, ts) -> list:
-        """The records at ts.  The new parameters, in order, are read and
-        validated as one stack (``_record_matrix`` of their list) and solved
-        by one stacked ``linalg.skew_singular_system`` (flow's own name is
-        the one-matrix boundary that ``bench/spans.py`` traces), each record
-        bitwise the system of its matrix alone.  A stack that fails to read,
-        validate or keep the first evaluation's shape is read again one t at
-        a time, so the first failing t raises what it raises alone."""
+        """The records at ts, the new parameters solved as one ``stack``."""
         keys = [self._start] * len(ts) if self.constant else ts.tolist()
         new = [t for t in dict.fromkeys(keys) if t not in self._cache]
         if new:
-            m = None
-            if len(new) > 1:  # one read of the stack; on any failure one t at a time
-                with contextlib.suppress(Exception):
-                    stack, first = _record_matrix(self.path, new), self._first
-                    first = first or (new[0], stack.shape[-2:])
-                    _check_shape(stack[0], new[0], *first)
-                    m, self._first = stack, first
-            if m is None:
-                m = _stack([self._evaluate(t) for t in new])
-            sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
-            f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
-            for i, t in enumerate(new):
-                self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
+            self.stack(new)
         return [self._cache[t] for t in keys]
+
+    def stack(self, new: list):
+        """Solve the distinct uncached ts ``new`` as one stack, read and
+        validated as one (``_record_matrix`` of their list; one t at a time
+        if that fails, so the first failing t raises alone) and solved by one
+        stacked ``linalg.skew_singular_system`` (flow's own name is the
+        one-matrix boundary ``bench/spans.py`` traces); cache the records,
+        each bitwise its matrix's own, and return the stacks (M, sv, f)."""
+        m = None
+        if len(new) > 1:  # one read of the stack; on any failure one t at a time
+            with contextlib.suppress(Exception):
+                stack, first = _record_matrix(self.path, new), self._first
+                first = first or (new[0], stack.shape[-2:])
+                _check_shape(stack[0], new[0], *first)
+                m, self._first = stack, first
+        if m is None:
+            m = _stack([self._evaluate(t) for t in new])
+        sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
+        f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
+        for i, t in enumerate(new):
+            self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
+        return m, sv, f
 
     def framed(self, t: float):
         """``at`` with the frames, solving them now for a constant record."""
@@ -1077,88 +1084,85 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     (U[:, :k] away from a cluster), W_i = C_i Q_i for the running product
     Q_i = polar(C_i^T C_i-1) Q_i-1 of k x k factors.
 
-    The samples are ``_PathData`` records of the path read as opaque (U is
-    X, Y for a wide B, read backwards): the 65-point grid is solved as one
-    stack, bisection midpoints as they come up.  The grid's consecutive
-    frames are compared by one batched ``_smallest_cosines``, which the
-    depth-first ``_refine`` reads where the left frame is the batch's.  The
-    polar factors, products Q_i and blocks W_i^T B_i are batched.  A shape
-    change raises ``DimensionError``.
+    The samples are ``_PathData`` records of the opaque path (U is X, Y for
+    a wide B, read backwards).  The 65-point grid is one batch: one stacked
+    solve, F and C of all points as one slice, only the cluster points
+    transported, left to right, and one ``_smallest_cosines`` of all grid
+    pairs.  The segments before the first refused pair, or before the first
+    frame that does not transport, stand; the depth-first ``_refine`` starts
+    there, each frame continued from its settled left neighbour.  Polar
+    factors, products Q_i and blocks W_i^T B_i are batched.  A shape change
+    raises ``DimensionError``.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)
     t0, t1 = path.interval
     grid = np.linspace(t0, t1, 65)
     grid = grid[np.diff(grid, prepend=-np.inf) > 0]  # fewer if 65 floats do not fit
-    data = _PathData(OperatorPath(path.interval, lambda t: path.evaluator(t),
-                                  "general", None, path.declared_index))
-    data.solve(grid)
-
-    def at(t):  # singular values of B tall, descending, and its U
-        _, sv, (x, y) = data.at(t)
-        return sv[d::2][::-1], (y if wide else x)[:, ::-1]
+    data = _PathData(path)
+    m, sv, sides = data.stack(grid.tolist())
+    # singular values of B tall, descending, and its U
+    s, u = sv[:, d::2][:, ::-1], sides[wide][..., ::-1]
 
     # endpoint admissibility: kernel dimension exactly the block index; the
     # near-cokernel cluster is read against the endpoints' largest value
-    sigma_max = 0.0
-    for t in (t0, t1):
-        s = at(t)[0]
-        sigma_max = max(sigma_max, s.max(initial=0.0))
-        extra = 2 * int((s <= tol.inv(s.max(initial=0.0)) * 10).sum())
-        if extra:
+    ends = s[[0, -1]]
+    extra = 2 * (ends <= tol.inv(ends.max(1, initial=0.0, keepdims=True)) * 10).sum(1)
+    for t, e in zip((t0, t1), extra):
+        if e:
             raise NotAdmissibleError(
-                f"endpoint kernel dimension {d + extra} != |index| {d} at t={t}"
-            )
-    cluster_floor = tol.inv(max(sigma_max, 1e-300)) * 10
+                f"endpoint kernel dimension {d + e} != |index| {d} at t={t}")
+    cluster_floor = tol.inv(max(ends.max(initial=0.0), 1e-300)) * 10
 
-    def kernel_frame(t, prev):
-        """(F, C) at t: the near-cokernel frame continued from the left
-        neighbour's (F, C) ``prev``, and a basis of its complement."""
-        s, u = at(t)
+    def kernel_frame(s, u, prev):
+        """(F, C) of the point with values s and U = u: the near-cokernel frame,
+        continued from the left neighbour's frame prev where s clusters."""
         cluster = s < cluster_floor
-        f, c = u[:, s.size:], u[:, :s.size]
-        if prev is None or not cluster.any():
+        f, c = u[:, -d:], u[:, :-d]
+        if not cluster.any():
             return f, c
         near = np.concatenate([f, c[:, cluster]], axis=1)
-        p, rest = _polar_split(near.T @ prev[0], tol.transport())
+        p, rest = _polar_split(near.T @ prev, tol.transport())
         return near @ p, np.concatenate([c[:, ~cluster], near @ rest], axis=1)
 
-    # the grid's frames, each continued from its left neighbour, as far as
-    # they transport; _refine meets the pair that does not, or bisects first
-    chain = [kernel_frame(t0, None)]
-    for t in grid[1:]:
+    # the grid's frames: one slice, the cluster points (not t0) transported
+    # from their left neighbours, as far as they transport
+    moved = (s < cluster_floor).any(axis=1) & (np.arange(grid.size) > 0)
+    f, c = u[:, :, -d:].copy(), u[:, :, :-d].copy()
+
+    # a point not moved is read as views of its U, laid out as its record's,
+    # so products with its frames round as they do in the depth-first search
+    def frame(i):
+        return (f[i], c[i]) if moved[i] else (u[i, :, -d:], u[i, :, :-d])
+
+    for i in np.flatnonzero(moved):
         try:
-            chain.append(kernel_frame(t, chain[-1]))
+            f[i], c[i] = kernel_frame(s[i], u[i], frame(i - 1)[0])
         except TransportError:
+            f = f[:i]
             break
-    f = np.stack([fc[0] for fc in chain])
-    cosines = _smallest_cosines(f[:-1], f[1:])
-    position = {t: i for i, t in enumerate(grid[:cosines.size])}
+    # the grid pairs before the first refused one stand; the depth-first
+    # search continues from there, left to right, each frame from the last
+    # settled one (it meets the frame that does not transport, or bisects)
+    refused = np.flatnonzero(_smallest_cosines(f[:-1], f[1:]) < _COS_MIN)
+    j = refused[0] if refused.size else len(f) - 1
+    settled = [frame(j)]
 
-    # kernel frames on the grid refined until consecutive frames are
-    # WINDOW_EPS-close; _refine's left-to-right order makes every frame the
-    # transport of its left neighbour
-    frames = {t0: chain[0]}
+    def continue_frame(t):
+        _, sv_t, sides_t = data.at(t)
+        fc = kernel_frame(sv_t[d::2][::-1], sides_t[wide][:, ::-1], settled[-1][0])
+        if _smallest_cosines(settled[-1][0], fc[0]) >= _COS_MIN:
+            settled.append(fc)
+            return fc
 
-    def continue_frame(a, b):
-        i = position.get(a)
-        if i is not None and b == grid[i + 1] and frames[a] is chain[i]:
-            fc, cosine = chain[i + 1], cosines[i]
-        else:
-            fc = kernel_frame(b, frames[a])
-            cosine = _smallest_cosines(frames[a][0], fc[0])
-        if cosine < _COS_MIN:
-            return None
-        frames[b] = fc
-        return fc
-
-    segments, _ = _refine(grid, lambda level: [continue_frame(*level[0])],
-                          "continuous kernel family", depth_first=True)
-    ts = [t0] + [hi for _, hi, _ in segments]
+    segments, _ = _refine(grid[j:], lambda level: [continue_frame(level[0][1])],
+                          "continuous kernel family", True,
+                          tol.MIN_SEGMENT * (grid[-1] - grid[0]))
+    tail = [grid[j]] + [hi for _, hi, _ in segments]
 
     # complement frames W_i = C_i Q_i, transported along the samples; the
     # running products Q_i of the polar factors by a doubling scan
-    c = np.stack([frames[t][1] for t in ts])
+    c = np.concatenate([c[:j], [fc[1] for fc in settled]])
     q = np.concatenate([np.eye(c.shape[2])[None],
                         _polar(c[1:].transpose(0, 2, 1) @ c[:-1], tol.transport())])
     span = 1
@@ -1166,9 +1170,9 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         q[span:] = q[span:] @ q[:-span]
         span *= 2
     w = c @ q
-    blocks = w.transpose(0, 2, 1) @ np.stack([b.T if wide else b
-                                              for b, _, _ in data.solve(np.array(ts))])
-    return OperatorPath.from_samples(ts, blocks, "general")
+    b = [r[0].T if wide else r[0] for r in data.solve(np.array(tail))]
+    blocks = w.transpose(0, 2, 1) @ np.concatenate([(m.swapaxes(1, 2) if wide else m)[:j], b])
+    return OperatorPath.from_samples(np.concatenate([grid[:j], tail]), blocks, "general")
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,46 @@ class TestRefine:
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
             _refine([0.0, 0.5, 1.0], accept, "thing", depth_first=True)
 
+    def test_long_first_level(self):
+        # 64 grid segments: depth first visits them left to right, each
+        # refused one's halves before the next segment, and the level order
+        # accepts the same partition; an error met only by the level order
+        # (its first call takes all 64) replays depth first, whose error on
+        # the first segment is raised
+        points = np.linspace(0.0, 1.0, 65)
+        refused = lambda lo, hi: lo < 0.3 < hi and hi - lo > 1e-3
+        visited, expected = [], []
+
+        def accept(lo, hi):
+            visited.append((lo, hi))
+            return None if refused(lo, hi) else hi - lo
+
+        def walk(lo, hi):
+            expected.append((lo, hi))
+            if refused(lo, hi):
+                mid = lo + (hi - lo) / 2.0
+                walk(lo, mid)
+                walk(mid, hi)
+
+        for lo, hi in zip(points[:-1], points[1:]):
+            walk(lo, hi)
+        segments, depth = _refine(points, lambda level: [accept(*level[0])],
+                                  "thing", depth_first=True)
+        assert visited == expected
+        assert [s[:2] for s in segments] == [s for s in expected if not refused(*s)]
+        assert depth == 4
+        by_level = _refine(points, lambda level: [None if refused(lo, hi) else hi - lo
+                                                  for lo, hi in level], "thing")
+        assert by_level == (segments, depth)
+
+        def failing(level):
+            if len(level) > 1:
+                raise ValueError("met only by the level order")
+            return [None if level[0][0] == 0.0 else 0]
+
+        with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
+            _refine(points, _bounded(failing), "thing")
+
     def test_floor_names_the_segment(self):
         with pytest.raises(RefinementError, match=r"no thing above .* on \[0\.0, "):
             _refine([0.0, 1.0], lambda level: [None], "thing", depth_first=True)
@@ -2399,8 +2439,58 @@ class TestSquareBlockReduction:
         monkeypatch.setattr(np.linalg, "svd", counted)
         monkeypatch.setattr(linalg, "skew_singular_system", stacked)
         _square_block_path(path)
-        assert len(calls) <= 6
+        assert len(calls) == 3
         assert solves == [((65, 5, 3), (True, True))]
+
+    @pytest.mark.parametrize("bisects", [False, True])
+    def test_one_evaluation_per_sample(self, bisects, monkeypatch):
+        # the caller's evaluator runs once per grid point and once per
+        # bisection midpoint, and not once more to learn the block's shape
+        if bisects:  # the kernel turns by 40/64 rad between grid nodes
+            source = lambda t: np.array([[np.cos(40 * t)], [np.sin(40 * t)]])
+        else:
+            source = self.rotated(np.random.default_rng(7), 2, 1).evaluator
+        calls = []
+        path = OperatorPath((0.0, 1.0), lambda t: calls.append(t) or source(t),
+                            "general", None, 1)
+        calls.clear()  # building the path read its block shape
+        ts, _ = self.reduce(path, monkeypatch)
+        assert sorted(calls) == ts
+        assert len(ts) > 65 if bisects else len(ts) == 65
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_batch_then_depth_first(self, wide, monkeypatch):
+        # a seeded 4x2 block whose cokernel turns fast on [0.4, 0.6] only
+        # and whose core is singular at t = 0.75, grid node 48: the grid
+        # pairs up to 0.390625 stand as the batch settled them, the
+        # depth-first search bisects from the first refused pair on, and
+        # transports the cluster frame at 0.75 from the frames it settled
+        import z2flow.flow as flow_module
+
+        rng = np.random.default_rng(29)
+        o = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        p, q = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+
+        def ev(t):
+            angle = 100 * min(max(t - 0.4, 0.0), 0.2)
+            turn = np.eye(4)
+            turn[[0, 0, 3, 3], [0, 3, 0, 3]] = (np.cos(angle), -np.sin(angle),
+                                                np.sin(angle), np.cos(angle))
+            core = p @ np.diag([t - 0.75, 1.0 + t]) @ q
+            b = o @ turn @ np.vstack([core, np.zeros((2, 2))])
+            return b.T if wide else b
+
+        path = OperatorPath((0.0, 1.0), ev, "general", None, -2 if wide else 2)
+        assert np.linalg.svd(ev(0.75), compute_uv=False)[-1] < 1e-15
+        transports, split = [], flow_module._polar_split
+        monkeypatch.setattr(flow_module, "_polar_split",
+                            lambda x, floor: transports.append(x.shape) or split(x, floor))
+        ts = self.assert_matches_per_point(path, monkeypatch)
+        grid = np.linspace(0.0, 1.0, 65).tolist()
+        assert ts[:26] == grid[:26] and grid[25] < ts[26] < grid[26]
+        assert ts[-26:] == grid[39:] and ts[-27] not in grid
+        assert (3, 2) in transports  # near-cokernel frame and cluster column
+        assert parity_path_general(path) == -1
 
     def test_declared_arc_is_not_read(self):
         # the evaluator declares arc = 0, which would make the path one
