@@ -307,11 +307,15 @@ class _PathData:
     interval's 9-point grid (``_arc_growth``): an increase that is not a
     finite float bounds nothing (``arc`` None, an opaque path), and none
     declares one matrix (``constant``), whose every parameter reads the
-    start's record, solved for its singular values alone until ``framed``
-    needs its frames.  A ``general`` path, solved only by the rectangular
-    reduction, is opaque: its arc is not read.  ``records`` seeds the cache
-    with records solved elsewhere (a family's endpoint stacks,
-    ``_family_batch``) for either leaf engine of ``_flow``.
+    start's record: its singular values alone, pinned without a solve by
+    the Weyl bounds of a square block whose off-diagonal is zero and whose
+    diagonal magnitudes are equal, such as the ring's identity
+    (``linalg._pinned_values``, bitwise the values-only SVD), else from a
+    values-only solve; its frames are solved when ``framed`` needs them.
+    A ``general`` path, solved only by the rectangular reduction, is
+    opaque: its arc is not read.  ``records`` seeds the cache with records
+    solved elsewhere (a family's endpoint stacks, ``_family_batch``) for
+    either leaf engine of ``_flow``.
     """
 
     def __init__(self, path: OperatorPath, records=None):
@@ -354,10 +358,11 @@ class _PathData:
     def stack(self, new: list):
         """Solve the distinct uncached ts ``new`` as one stack, read and
         validated as one (``_record_matrix`` of their list; one t at a time
-        if that fails, so the first failing t raises alone) and solved by one
-        stacked ``linalg.skew_singular_system`` (flow's own name is the
-        one-matrix boundary ``bench/spans.py`` traces); cache the records,
-        each bitwise its matrix's own, and return the stacks (M, sv, f)."""
+        if that fails, so the first failing t raises alone) and solved,
+        unless a constant record's values are pinned, by one stacked
+        ``linalg.skew_singular_system`` (flow's own name is the one-matrix
+        boundary ``bench/spans.py`` traces); cache the records, each bitwise
+        its matrix's own, and return the stacks (M, sv, f)."""
         m = None
         if len(new) > 1:  # one read of the stack; on any failure one t at a time
             with contextlib.suppress(Exception):
@@ -367,7 +372,12 @@ class _PathData:
                 m, self._first = stack, first
         if m is None:
             m = _stack([self._evaluate(t) for t in new])
-        sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
+        # a constant block whose values Weyl's bounds pin needs no solve
+        pinned = linalg._pinned_values(m[0]) if self.constant and self.chiral else None
+        if pinned is not None:
+            sv, f = np.repeat(pinned, 2)[None], None
+        else:
+            sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
         f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
         for i, t in enumerate(new):
             self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
@@ -834,12 +844,16 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     K = q^T B(t0)^-1 p.
 
     By Sylvester's identity det B(t) = det B(t0) det A(t).  B is evaluated
-    at its two endpoints only, which must be admissible
-    (``_require_admissible``) and satisfy the declaration within
-    ``tol.sym`` of the block's scale (``ConfigError``; at t0 this asks
-    p c(t0) q^T = 0); shapes that do not fit raise ``DimensionError``.  A
-    declares the arc ||K||_2 arc_c when c declares arc_c, which must grow by
-    at least max |c(t1) - c(t0)| of the two matrices of c read there."""
+    at its two endpoints only, which must be admissible: each is certified
+    without an SVD (``linalg._certified_invertible``: its Weyl bounds, such
+    as an identity's, else a Gram-Cholesky proof), and only an endpoint
+    neither proves is solved for its singular values and refused if
+    singular (``_require_admissible``, the same text and sigma_min).  Both
+    must satisfy the declaration within ``tol.sym`` of the block's scale
+    (``ConfigError``; at t0 this asks p c(t0) q^T = 0); shapes that do
+    not fit raise ``DimensionError``.  A declares the arc ||K||_2 arc_c
+    when c declares arc_c, which must grow by at least max |c(t1) - c(t0)|
+    of the two matrices of c read there."""
     p, q, c = path.evaluator.motion
     p, q = as_real_matrix(p), as_real_matrix(q)
     if not (isinstance(c, OperatorPath) and c.symmetry_tag == "general"
@@ -859,7 +873,8 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     bound = tol.sym(max(max_abs(b0), max_abs(b1)))
     ends = [c.at(t) for t in (t0, t1)]
     for t, b, ct in zip((t0, t1), (b0, b1), ends):
-        _require_admissible(t, skew_singular_system(b, True, compute_uv=False)[0])
+        if not linalg._certified_invertible(b):
+            _require_admissible(t, skew_singular_system(b, True, compute_uv=False)[0])
         residual = max_abs(b - b0 - p @ ct @ q.T)
         if residual > bound:
             raise ConfigError(

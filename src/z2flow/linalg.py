@@ -66,6 +66,128 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[::-1].copy()
 
 
+# ---------------------------------------------------------------------------
+# certificates: sigma_min above the floor without an SVD
+
+_U = 2.0 ** -53      # unit roundoff
+_ETA = 2.0 ** -1074  # smallest positive subnormal
+
+# diagonal magnitudes a values-only SVD leaves unscaled: there it returns
+# the |d_i| of a diagonal matrix bitwise (its bidiagonal reduction leaves a
+# diagonal alone, and the qd solver only sorts one)
+_PIN_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def _weyl_bounds(a: np.ndarray):
+    """Bounds lo <= sigma_i(a) <= hi on every singular value of a square
+    matrix a, in O(n^2), or None (an empty, non-square or non-finite case).
+
+    With d the diagonal of a and E = a - diag(d), Weyl's inequality gives
+    |sigma_i(a) - sigma_i(diag d)| <= ||E||_2 <= ||E||_F, so lo = min|d_i| -
+    ||E||_F and hi = max|d_i| + ||E||_F.  The computed ||E||_F (of E scaled
+    by its largest entry, so no square over- or underflows to a wrong
+    bound) is widened by its rounding, gamma_{n^2 + 6}, and hi by one more
+    rounding.  When E = 0 the bounds are min|d_i| and max|d_i| exactly, so
+    lo == hi pins every singular value.
+    """
+    n = a.shape[-1]
+    if a.ndim != 2 or a.shape[0] != n or n == 0:
+        return None
+    d = np.abs(a.diagonal())
+    if np.count_nonzero(a) == np.count_nonzero(d):  # E = 0
+        return float(d.min()), float(d.max())
+    e = a.copy()
+    np.fill_diagonal(e, 0.0)
+    top = max_abs(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = top * (float(np.linalg.norm(e / top)) * (1.0 + _gamma(n * n + 6)))
+        lo, hi = float(d.min()) - f, (float(d.max()) + f) * (1.0 + 2.0 * _U)
+    return (lo, hi) if math.isfinite(hi) else None
+
+
+def _pinned_values(a: np.ndarray):
+    """The singular values of a square matrix that ``_weyl_bounds`` pins
+    (lo == hi), ascending and bitwise those of a values-only SVD, or None:
+    lo must be 0 or in ``_PIN_RANGE``, where the SVD does not rescale."""
+    bounds = _weyl_bounds(a)
+    if bounds is None or bounds[0] != bounds[1]:
+        return None
+    s = bounds[0]
+    if s and not _PIN_RANGE[0] <= s <= _PIN_RANGE[1]:
+        return None
+    return np.full(a.shape[0], s)
+
+
+def _proof_floor(hi: float, n: int) -> float:
+    """The sigma_min that the certificates must prove for a square n x n
+    matrix of sigma_max <= hi: twice the admissibility floor tol.inv(hi),
+    and at least the Gram's resolution sqrt(2 (n + 2) u) hi.  A values-only
+    SVD, whose sigma_min is off by about n u sigma_max, then refuses
+    nothing the certificates accept."""
+    return max(2.0 * tol.inv(hi), math.sqrt(2.0 * (n + 2) * _U) * hi)
+
+
+def _gram_certificate(b: np.ndarray, theta: float) -> bool:
+    """Whether a floating-point Cholesky proves sigma_min(b) > theta for a
+    square n x n matrix b; False means "not proven", not "singular".
+
+    sigma_min(b)^2 = lambda_min(b^T b), and G = fl(b^T b) is factored as
+    fl(G - c I).  The shift c covers three terms (u the unit roundoff,
+    gamma_k = k u / (1 - k u), eta the smallest subnormal):
+    - theta^2;
+    - the rounding of the Gram: |G - b^T b| <= gamma_n |b|^T |b|
+      entrywise, so ||G - b^T b||_2 <= gamma_n ||b||_F^2 <= gamma_n s for
+      s = tr(G) / (1 - gamma_{2n}) >= ||b||_F^2, plus n^2 eta for products
+      that underflow;
+    - Rump's bound (*Verification of positive definiteness*, BIT 2006):
+      if the floating-point Cholesky of fl(A - c' I) runs to completion
+      for a symmetric A and c' >= gamma_{n+1} / (1 - gamma_{n+1}) tr(A) +
+      4 n (2 (n + 2) + max A_ii) eta, then A is positive definite.  Here
+      A = G - (theta^2 + gamma_n s + n^2 eta) I, with tr(A) <= s.
+    The two gamma terms are taken together as 2 gamma_{n+2} s, whose
+    slack covers the roundings of c and of the diagonal subtraction.  A
+    completed factorization thus proves lambda_min(G) > theta^2 + gamma_n
+    s + n^2 eta, so lambda_min(b^T b) > theta^2.  A Gram that is not
+    finite, a square of theta that over- or underflows, or a failed
+    factorization (any ``LinAlgError``) proves nothing, without a numpy
+    warning.
+    """
+    n = b.shape[0]
+    with np.errstate(all="ignore"):
+        g = b.T @ b
+        theta2 = theta * theta
+        if not (np.isfinite(g).all() and math.isfinite(theta2)) or (theta and not theta2):
+            return False
+        diag = g.diagonal()
+        s = float(diag.sum()) / (1.0 - _gamma(2 * n))
+        c = (theta2 + 2.0 * _gamma(n + 2) * s
+             + (4 * n * (2 * (n + 2) + float(diag.max())) + n * n) * _ETA)
+        if not math.isfinite(c):
+            return False
+        g[np.diag_indices(n)] -= c
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
+def _certified_invertible(b: np.ndarray) -> bool:
+    """Whether sigma_min(b) > ``_proof_floor`` is proven for a square
+    block b without an SVD: by its Weyl bounds (``_weyl_bounds``), else by
+    a Gram-Cholesky proof (``_gram_certificate``) at the floor of their hi.
+    False means "not proven"; the caller solves the SVD then."""
+    bounds = _weyl_bounds(b)
+    if bounds is None:
+        return False
+    floor = _proof_floor(bounds[1], b.shape[0])
+    return bounds[0] > floor or _gram_certificate(b, floor)
+
+
 def _step_norms(steps: np.ndarray) -> np.ndarray:
     """2-norms of the differences of consecutive stacked step matrices.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ConfigError, NotAdmissibleError
-from .linalg import singular_values
+from .linalg import _pinned_values, singular_values
 from .flow import _doubling, embed_chiral, embed_chiral_path
 from .pairs import ComplexStructure
 from .paths import ChiralFrame, OperatorPath, PathFamily
@@ -130,6 +130,26 @@ def _ring_arc(ts):
     return 1.0 - np.cos(np.pi * np.asarray(ts))
 
 
+def _ring_listings(spec: RingShiftSpec) -> list:
+    """The listings of one fiber copy of the ring's block, as (part, ring
+    rows i): the 1 x 1 link part [[cos(pi t)]] once per link row i = l -
+    k + 1, ..., l (mod M), then one constant identity part, of arc 0, on
+    the other M - k rows l + 1, ... (see ``_ring_blocks``).  The two
+    distinct parts are the same objects in every listing."""
+    m, k = spec.sites, spec.shift_power
+    identity = lambda t: np.eye(m - k)
+    identity.arc = lambda ts: np.zeros(np.shape(ts))
+    # built before any placement: an identity too large to allocate
+    # raises MemoryError here, at once
+    rest = OperatorPath((0.0, 1.0), identity)
+    weak = lambda t: np.array([[math.cos(math.pi * t)]])
+    weak.arc = _ring_arc
+    link = OperatorPath((0.0, 1.0), weak)
+    moving = (spec.link_site + np.arange(1 - k, 1)) % m
+    others = (spec.link_site + np.arange(1, m - k + 1)) % m
+    return [(link, moving[j:j + 1]) for j in range(k)] + [(rest, others)]
+
+
 def _ring_blocks(spec: RingShiftSpec) -> OperatorPath:
     """The ring's block path on [0, 1], B(t) tensored with the fiber, as
     the direct sum of the parts that move and the part that does not.
@@ -140,31 +160,20 @@ def _ring_blocks(spec: RingShiftSpec) -> OperatorPath:
     column i + k (mod M).  Copy a of the N-dim fiber takes the rows
     a + N i and the columns a + N (i + k): it lists the 1 x 1 link part
     [[cos(pi t)]] once per link row, then one constant identity part, of
-    arc 0, on its other rows.  The engine solves the two distinct parts
-    once each, whatever M, k and N; parity is multiplicative, and the
-    identity, whose arc does not grow, contributes +1 from one solve.
+    arc 0, on its other rows (``_ring_listings``).  The engine solves the
+    link part once and reads the identity's values, all 1, from its Weyl
+    bounds without a solve, whatever M, k and N; parity is
+    multiplicative, and the identity, whose arc does not grow, contributes
+    +1.
     """
     m, k, n = spec.sites, spec.shift_power, spec.fiber_dim
-    identity = lambda t: np.eye(m - k)
-    identity.arc = lambda ts: np.zeros(np.shape(ts))
-    # built before any placement: an identity too large to allocate
-    # raises MemoryError here, at once
-    rest = OperatorPath((0.0, 1.0), identity)
-    weak = lambda t: np.array([[math.cos(math.pi * t)]])
-    weak.arc = _ring_arc
-    link = OperatorPath((0.0, 1.0), weak)
-    # the link rows l - k + 1, ..., l, then the other rows l + 1, ...
-    moving = (spec.link_site + np.arange(1 - k, 1)) % m
-    others = (spec.link_site + np.arange(1, m - k + 1)) % m
+    listings = _ring_listings(spec)
     parts, rows, cols = [], [], []
     for a in range(n):
-        for i in moving:
-            parts.append(link)
-            rows.append([a + n * i])
-            cols.append([a + n * ((i + k) % m)])
-        parts.append(rest)
-        rows.append(a + n * others)
-        cols.append(a + n * ((others + k) % m))
+        for part, i in listings:
+            parts.append(part)
+            rows.append(a + n * i)
+            cols.append(a + n * ((i + k) % m))
     ring = OperatorPath.direct_sum(parts, rows, cols)
     ring.evaluator.arc = _ring_arc  # the link parts move together
     return ring
@@ -185,11 +194,12 @@ def build_insulator_path(spec: RingShiftSpec) -> OperatorPath:
     at t = 1/2 the link opens and the chain disconnects, producing
     protected zero modes.  The block is declared as the direct sum of the
     1 x 1 link parts [[cos(pi t)]] and one constant identity part per fiber
-    copy (see ``_ring_blocks``), so the flow engine solves two small parts,
+    copy (see ``_ring_blocks``), so the flow engine reads two small parts,
     9 + 1 evaluations for any M, k and N: the link part's T is
     2-dimensional, so its one rank-2 window over [0, 1] is allowed by the
     window rank cap, and the constant identity is one rank-0 window from
-    its one values-only solve at t = 0.  ``parity_via_pairs`` takes the same parts.
+    its one evaluation at t = 0, whose values, all 1, its Weyl bounds pin
+    without a solve.  ``parity_via_pairs`` takes the same parts.
     """
     return _ring_path(spec, _ring_blocks(spec))
 
@@ -255,14 +265,22 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
 def half_flux_kernel_dim(spec: RingShiftSpec) -> int:
     """Kernel dimension of the ring Hamiltonian at the open-link point:
     twice that of its block.  The block is the direct sum of the ring's
-    parts (``_ring_blocks``), so each distinct part is solved once, for its
-    singular values, and its values below ``tol.gap`` of the largest value
-    of any part count once per listing."""
-    parts = _ring_blocks(spec).evaluator.parts
-    values = {id(part): singular_values(part.at(0.5)) for part, _, _ in parts}
+    parts (``_ring_listings``), so each distinct part is read once at
+    t = 1/2: a part whose values its Weyl bounds pin (the 1 x 1 link part
+    and the identity) is counted from them, any other is solved for its
+    singular values, bitwise the same values.  Those below ``tol.gap`` of
+    the largest value of any part count once per listing, in each of the N
+    fiber copies."""
+    listings = _ring_listings(spec)
+    values = {}
+    for part, _ in listings:
+        if id(part) not in values:
+            b = part.at(0.5)
+            pinned = _pinned_values(b)
+            values[id(part)] = singular_values(b) if pinned is None else pinned
     smax = max(max(float(sv[-1]) for sv in values.values()), 1e-300)
-    return 2 * sum(int((values[id(part)] < tol.gap(smax)).sum())
-                   for part, _, _ in parts)
+    return 2 * spec.fiber_dim * sum(int((values[id(part)] < tol.gap(smax)).sum())
+                                    for part, _ in listings)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,14 @@ def random_certified_pair(rng, n, max_tries=60):
     raise RuntimeError("could not generate a certified pair")
 
 
+def with_singular_values(rng, values):
+    """A dense square matrix with the given singular values, between two
+    random orthogonal factors."""
+    n = len(values)
+    left, right = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (left * np.asarray(values, dtype=float)) @ right.T
+
+
 def random_chiral_skew_path(rng, n, knots=3, margin=0.3):
     """Chiral skew path obtained by doubling a random square-block path."""
     ts = np.linspace(0.0, 1.0, knots)

@@ -67,6 +67,7 @@ from conftest import (
     random_invertible_path,
     random_orthogonal_path,
     spy_solves,
+    with_singular_values,
 )
 
 
@@ -1275,12 +1276,12 @@ class TestSolvedSampleReuse:
         res = sf2_path(to_skew_path(build_insulator_path(RingShiftSpec(12))))
         solved = [(m.shape, m.tobytes()) for m, _, _ in solves]
         assert res.value == -1
-        assert res.evaluations == len(solved) == 10
-        # the link part [[cos(pi t)]] at 9 parameters, the constant identity
-        # part at one
+        assert res.evaluations == 10 and len(solved) == 9
+        # the link part [[cos(pi t)]] solved at 9 parameters; the constant
+        # identity part evaluated at one, its values pinned without a solve
         links = [b for shape, b in solved if shape == (1, 1)]
         assert len(links) == len(set(links)) == 9
-        assert [shape for shape, _ in solved if shape != (1, 1)] == [(11, 11)]
+        assert [shape for shape, _ in solved if shape != (1, 1)] == []
 
     def test_halves_solve_four_new_samples(self, monkeypatch):
         import z2flow.flow as flow_module
@@ -1493,7 +1494,8 @@ class TestDirectSum:
         assert shapes() and max(shapes()) == (2, 2)
         solves.clear()
         assert cli.main(["insulator", "--M", "64", "--N", "4"]) == 0
-        assert shapes() and max(shapes()) == (63, 63)  # the identity part
+        # the identity part's values are pinned, not solved
+        assert shapes() and max(shapes()) == (1, 1)
         assert cli.main(["insulator", "--M", "8", "--N", "2"]) == 0
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["result"] for r in reports] == [-1, 1, 1]
@@ -1502,8 +1504,8 @@ class TestDirectSum:
 
 class TestConstantRecords:
     """A part whose declared arc does not grow is one matrix, solved for its
-    singular values; its frames are solved once, and only when a
-    positive-rank window needs them."""
+    singular values unless its Weyl bounds pin them; its frames are solved
+    once, and only when a positive-rank window needs them."""
 
     @staticmethod
     def spy_solves(monkeypatch):
@@ -1539,7 +1541,51 @@ class TestConstantRecords:
         calls = self.spy_solves(monkeypatch)
         ring = to_skew_path(build_insulator_path(RingShiftSpec(12)))
         assert sf2_path(ring).value == parity_via_pairs(ring) == -1
-        assert [c for c in calls() if c[0] != (1, 1)] == [((11, 11), False)] * 2
+        # its values pinned by its Weyl bounds: neither route solves it
+        assert [c for c in calls() if c[0] != (1, 1)] == []
+
+    @pytest.mark.parametrize("m", [8, 64, 400])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pinned_ring_identity_is_the_values_only_svd(self, monkeypatch, m, k, n):
+        ring = to_skew_path(build_insulator_path(RingShiftSpec(m, k, n)))
+        (identity,) = {id(part): part for part, rows, _ in ring.evaluator.parts
+                       if len(rows) > 1}.values()
+        oracle = linalg.skew_singular_system(identity.block(0.0), True, False)[0]
+        calls = self.spy_solves(monkeypatch)
+        data = _PathData(embed_chiral_path(identity))
+        assert data.constant
+        assert data.at(0.0)[1].tobytes() == oracle.tobytes()
+        assert calls() == []
+
+    @staticmethod
+    def dense_constant(sigma_min):
+        """A constant dense 4 x 4 part of singular values 1, 0.7, 0.3 and
+        sigma_min."""
+        b = with_singular_values(np.random.default_rng(37), [1.0, 0.7, 0.3, sigma_min])
+        flat = lambda t: b.copy()
+        flat.arc = lambda ts: np.zeros(np.shape(ts))
+        return embed_chiral_path(OperatorPath((0.0, 1.0), flat)), b
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_constant_part_near_the_floor(self, monkeypatch, factor):
+        # not pinned: solved for its values, accepted a hair above the floor
+        # and refused a hair below it, with the SVD's text
+        path, b = self.dense_constant(factor * tol.inv(1.0))
+        sv = linalg.skew_singular_system(b, True, False)[0]
+        calls = self.spy_solves(monkeypatch)
+        if factor > 1.0:
+            res = sf2_path(path)
+            assert res.value == parity_via_pairs(path) == 1
+            assert res.evaluations == 1
+            assert calls()[0] == ((4, 4), False)
+            return
+        text = f"path endpoint at t=0.0 is singular (sigma_min={sv[0]:.3e})"
+        for engine in (sf2_path, parity_via_pairs):
+            with pytest.raises(NotAdmissibleError) as info:
+                engine(path)
+            assert str(info.value) == text
+        assert calls() == [((4, 4), False)] * 2
 
 
 class TestDeclaredMotion:
@@ -1664,6 +1710,83 @@ class TestDeclaredMotion:
             with pytest.raises(NotAdmissibleError,
                                match=r"path endpoint at t=1\.0 is singular"):
                 engine()
+
+    @staticmethod
+    def endpoint_checks(solves, n):
+        """The values-only solves of n x n blocks: the endpoint checks that
+        no certificate proved."""
+        return [m for m, _, uv in solves if m.shape == (n, n) and not uv]
+
+    def test_certified_endpoints_take_no_solve(self, monkeypatch):
+        path = self.motion_path(np.random.default_rng(78), 6, 1, scale=2.0)
+        solves = spy_solves(monkeypatch)
+        assert parity_path(path) == parity_finite(path)
+        assert self.endpoint_checks(solves, 6) == []
+
+    def test_ill_conditioned_endpoint_falls_back_to_the_svd(self, monkeypatch):
+        # sigma_min(B(t0)) = 1e-9 sigma_max lies above the floor but below
+        # the Gram's resolution: the endpoint is solved, and admissible
+        b0 = with_singular_values(np.random.default_rng(79), [1.0, 0.6, 0.2, 1e-9])
+        p, q = np.eye(4)[:, :1], np.eye(4)[:, 1:2]
+        step = lambda t: t * np.eye(1)
+        step.arc = lambda ts: np.asarray(ts, dtype=float)
+        block = lambda t: b0 + t * (p @ q.T)
+        block.motion = (p, q, OperatorPath((0.0, 1.0), step))
+        path = OperatorPath((0.0, 1.0), block)
+        assert not linalg._certified_invertible(b0)
+        solves = spy_solves(monkeypatch)
+        oracle = parity_finite(path)
+        solves.clear()
+        assert parity_path(path) == parity_via_pairs(to_skew_path(path)) == oracle
+        checked = self.endpoint_checks(solves, 4)
+        assert checked and all(m.tobytes() == b0.tobytes() for m in checked)
+
+    def test_singular_endpoint_keeps_the_svds_text(self):
+        path = self.motion_path(np.random.default_rng(76), 3, 1)
+        p, q, _ = path.evaluator.motion
+        b0 = path.block(0.0)
+        q = q / (q.T @ np.linalg.solve(b0, p))[0, 0]
+        step = lambda t: -t * np.eye(1)
+        step.arc = lambda ts: np.asarray(ts, dtype=float)
+        block = lambda t: b0 - t * (p @ q.T)
+        block.motion = (p, q, OperatorPath((0.0, 1.0), step))
+        singular = OperatorPath((0.0, 1.0), block)
+        sv = linalg.skew_singular_system(block(1.0), True, False)[0]
+        text = f"path endpoint at t=1.0 is singular (sigma_min={sv[0]:.3e})"
+        for engine in (lambda: parity_path(singular),
+                       lambda: parity_via_pairs(to_skew_path(singular))):
+            with pytest.raises(NotAdmissibleError) as info:
+                engine()
+            assert str(info.value) == text
+
+    def test_cholesky_that_fails_by_a_hair_falls_back(self, monkeypatch):
+        # a proof floor a hair above sigma_min(B(t0)): theta^2 in the shift
+        # exceeds sigma_min^2, the factorization fails, and the SVD accepts
+        path = self.motion_path(np.random.default_rng(80), 5, 1, scale=2.0)
+        b0 = path.block(0.0)
+        sigma_min = float(np.linalg.svd(b0, compute_uv=False)[-1])
+        floor = sigma_min * (1.0 + 1e-6)
+        assert not linalg._gram_certificate(b0, floor)
+        monkeypatch.setattr(linalg, "_proof_floor", lambda hi, n: floor)
+        solves = spy_solves(monkeypatch)
+        assert parity_path(path) == parity_finite(path)
+        assert any(m.tobytes() == b0.tobytes() for m in self.endpoint_checks(solves, 5))
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_extreme_scales_fall_back_without_warnings(self, monkeypatch, size):
+        path = self.motion_path(np.random.default_rng(81), 5, 1, scale=3.0)
+        p, q, c = path.evaluator.motion
+        b0 = size * path.block(0.0)
+        block = lambda t: b0 + (size * p) @ c.at(t) @ q.T
+        block.motion = (size * p, q, c)
+        scaled = OperatorPath((0.0, 1.0), block)
+        solves = spy_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = parity_finite(scaled)
+            solves.clear()
+            assert parity_path(scaled) == oracle
+        assert len(self.endpoint_checks(solves, 5)) == 2
 
     def test_a_motion_inside_a_declared_sum(self):
         path = self.motion_path(np.random.default_rng(77), 3, 1, scale=4.0)

@@ -1,6 +1,7 @@
 """Unit tests for the dense linear-algebra kernels."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +16,20 @@ from z2flow.errors import (
 )
 from z2flow.flow import _polar, sf2_finite
 from z2flow.linalg import (
+    _certified_invertible,
+    _gram_certificate,
+    _pinned_values,
     _reduce_skew,
+    _weyl_bounds,
     checked_signs,
     pfaffian,
     pfaffian_sign,
     sign_det,
+    singular_values,
     skew_singular_system,
 )
 
-from conftest import pf_matchings
+from conftest import pf_matchings, with_singular_values
 
 
 def skew(rng, dim):
@@ -540,3 +546,93 @@ class TestTransport:
             self.transport(np.eye(2)[:, :1], np.diag([0.0, 1.0]))
         # an ill-conditioned transport is a refinement failure
         assert issubclass(TransportError, RefinementError)
+
+
+def admissible(a):
+    """The SVD's verdict on a square block, as ``flow._require_admissible``."""
+    sv = skew_singular_system(a, True, compute_uv=False)[0]
+    return bool(sv[0] > tol.inv(sv[-1]))
+
+
+class TestCertificates:
+    """Weyl bounds and the Gram-Cholesky proof of sigma_min above the floor
+    prove admissibility or say nothing; the SVD decides the rest."""
+
+    def test_weyl_bounds_enclose_every_singular_value(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            a = np.diag(rng.uniform(-3.0, 3.0, n))
+            a += rng.uniform(0.0, 0.3) * rng.standard_normal((n, n))
+            lo, hi = _weyl_bounds(a)
+            sv = singular_values(a)
+            assert lo <= sv[0] and sv[-1] <= hi
+        assert _weyl_bounds(np.ones((2, 3))) is None
+        assert _weyl_bounds(np.zeros((0, 0))) is None
+
+    def test_pinned_values_are_the_svds_bitwise(self):
+        link = np.array([[np.cos(np.pi * 0.5)]])
+        for a in (np.eye(7), -2.5 * np.eye(3), np.diag([3.0, -3.0, 3.0]),
+                  np.zeros((4, 4)), link, np.eye(399)):
+            pinned = _pinned_values(a)
+            assert pinned.tobytes() == singular_values(a).tobytes()
+        coupled = np.eye(4)
+        coupled[0, 1] = 1e-300
+        for a in (coupled, np.diag([1.0, 2.0]), np.ones((2, 3)),
+                  1e-200 * np.eye(3), 1e200 * np.eye(3)):
+            assert _pinned_values(a) is None
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_near_the_floor_falls_back(self, factor):
+        # a constant diagonal and a dense block with sigma_min a hair above
+        # or below tol.inv(sigma_max): neither certificate proves them, and
+        # the SVD accepts the one above and refuses the one below
+        rng = np.random.default_rng(32)
+        sigma_min = factor * tol.inv(1.0)
+        for a in (np.diag([1.0, 0.5, sigma_min]),
+                  with_singular_values(rng, [1.0, 0.7, 0.3, sigma_min])):
+            assert not _certified_invertible(a)
+            assert admissible(a) == (factor > 1.0)
+
+    def test_between_the_floor_and_the_grams_resolution(self):
+        # sigma_min = 1e-9 sigma_max: admissible, but below sqrt(n u)
+        # sigma_max, where the Gram cannot prove it
+        a = with_singular_values(np.random.default_rng(33), [1.0, 0.6, 0.2, 1e-9])
+        assert not _certified_invertible(a)
+        assert admissible(a)
+
+    def test_cholesky_fails_by_a_hair(self):
+        a = with_singular_values(np.random.default_rng(34), [2.0, 1.0, 0.5])
+        sigma_min = float(singular_values(a)[0])
+        assert _gram_certificate(a, sigma_min * (1.0 - 1e-6))
+        # theta^2 in the shift just above sigma_min^2: the factorization fails
+        assert not _gram_certificate(a, sigma_min * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_fall_back_without_warnings(self, scale):
+        a = scale * with_singular_values(np.random.default_rng(35), [1.0, 0.8, 0.5, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _gram_certificate(a, 0.0)
+            assert not _certified_invertible(a)
+            assert admissible(a)
+
+    def test_certified_blocks_are_admissible(self):
+        # whatever a certificate proves, the SVD accepts with room to spare
+        rng = np.random.default_rng(36)
+        assert _certified_invertible(np.eye(5))
+        assert not _certified_invertible(np.zeros((3, 3)))
+        shift = np.roll(np.eye(64), 1, axis=1)
+        assert _certified_invertible(shift + 0.1 * rng.standard_normal((64, 64)) / 8.0)
+        proven = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            values = 10.0 ** rng.uniform(-12.0, 0.0, n)
+            a = with_singular_values(rng, values)
+            if rng.integers(2):
+                a = np.diag(rng.uniform(1.0, 2.0, n)) + 1e-3 * a
+            if _certified_invertible(a):
+                proven += 1
+                sv = singular_values(a)
+                assert sv[0] > 2.0 * tol.inv(sv[-1])
+        assert proven > 50

@@ -228,10 +228,11 @@ class TestInsulator:
         solved = spy_solves(monkeypatch)
         assert parity_via_pairs(ring) == -1
         solves = [m.shape for m, _, _ in solved]
-        # solved at the start; evaluated at the end only to compare
+        # evaluated at the start, its values pinned there without a solve;
+        # evaluated at the end only to compare
         assert evaluated == [0.0, 1.0]
-        assert [s for s in solves if s != (1, 1)] == [(11, 11)]
-        assert len(solves) == 9 + 1  # the link part's 9-point grid
+        assert [s for s in solves if s != (1, 1)] == []
+        assert len(solves) == 9  # the link part's 9-point grid
 
     def test_singular_constant_part_refused(self):
         # a constant part is taken from one solve, which still checks that
