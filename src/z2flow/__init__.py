@@ -22,17 +22,15 @@ from .flow import (
     SpectralWindow,
     embed_chiral,
     embed_chiral_path,
-    k_real_reduce,
     leray_schauder_degree,
     parity_finite,
     parity_path,
     parity_path_general,
     selfadjoint_path_to_skew,
-    selfadjoint_to_skew,
     sf2_finite,
     sf2_path,
 )
-from .linalg import pfaffian, pfaffian_sign, sign_det
+from .linalg import pfaffian_sign, sign_det
 from .models import (
     GalerkinSpec,
     RingShiftSpec,

@@ -53,7 +53,7 @@ from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath
 
 SCHEMA = "z2flow/5"
 COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
-            "bifurcation", "example")
+            "bifurcation")
 
 _EXIT_OK = 0
 _EXIT_NOT_ADMISSIBLE = 2
@@ -249,17 +249,10 @@ def run(config: RunConfig) -> dict:
     }
     path = None  # set by the path commands, whose flow is run below
 
-    if config.command in ("sf2", "parity", "example"):
-        if config.command == "example":
-            name = config.params.get("name") or config.model
-            if name is None:
-                raise ConfigError("example requires --name")
-            path = build_example_path(name, config.params.get("s"))
-            report["model"] = name
-        else:
-            path = _resolve_model_path(config)
-            if config.model:
-                report["model"] = config.model
+    if config.command in ("sf2", "parity"):
+        path = _resolve_model_path(config)
+        if config.model:
+            report["model"] = config.model
         if config.command == "sf2" and path.symmetry_tag not in (
                 "skew", "chiral-skew"):
             raise ConfigError("sf2 requires a skew or chiral-skew path")
@@ -353,11 +346,6 @@ def _build_parser() -> _Parser:
                        help="strength for doubled_perturbed")
         common(p)
 
-    p = sub.add_parser("example")
-    p.add_argument("--name", required=True, choices=EXAMPLE_NAMES)
-    p.add_argument("--s", type=float, default=None)
-    common(p)
-
     p = sub.add_parser("pi-index")
     p.add_argument("--n", type=int, default=4)
     common(p)
@@ -385,7 +373,7 @@ def _build_parser() -> _Parser:
 def config_from_args(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     params = {}
-    for key in ("s", "name", "n", "M", "k", "N", "link_site", "disorder",
+    for key in ("s", "n", "M", "k", "N", "link_site", "disorder",
                 "kmax", "delta", "center"):
         if hasattr(args, key) and getattr(args, key) is not None:
             params[key] = getattr(args, key)

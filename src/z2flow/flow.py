@@ -23,7 +23,6 @@ from .errors import (
     NotAdmissibleError,
     RefinementError,
     SingularError,
-    SymmetryError,
     TransportError,
 )
 from .linalg import (
@@ -35,7 +34,7 @@ from .linalg import (
     singular_values,
     skew_singular_system,
 )
-from .paths import ChiralFrame, FamilyMember, OperatorPath, _stacked, validate_symmetry
+from .paths import ChiralFrame, FamilyMember, OperatorPath, _stacked
 from .z2 import MINUS, PLUS, Z2, z2_product
 
 __all__ = [
@@ -50,9 +49,7 @@ __all__ = [
     "parity_path_general",
     "to_skew_path",
     "leray_schauder_degree",
-    "selfadjoint_to_skew",
     "selfadjoint_path_to_skew",
-    "k_real_reduce",
 ]
 
 # pairwise window continuity: ||Q(t) - Q(t')|| < WINDOW_EPS, expressed as a
@@ -94,9 +91,6 @@ class FlowResult:
     refinement_depth: int
     evaluations: int
     motion_rank: int = 0
-
-    def window_product(self) -> Z2:
-        return z2_product(w.factor for w in self.windows)
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +237,15 @@ def _refine(points, accept, what: str, depth_first: bool = False, floor=None):
     return accepted, max_depth
 
 
-def _polar(x: np.ndarray, floor: float) -> np.ndarray:
-    """Orthogonal factor of the polar decomposition of a tall matrix.
-
-    The columns of x are the images of an orthonormal frame; the result is
-    the orthonormal frame of the same span closest to them.  A smallest
-    singular value below ``floor`` means the frame was carried too far to
-    be transported and raises ``TransportError``.  A stack of matrices x
-    is factored by one batched SVD and checked against the one floor.
-    """
-    return _polar_split(x, floor)[0]
-
-
 def _polar_split(x: np.ndarray, floor: float):
-    """``_polar`` of x and an orthonormal basis of the orthogonal complement
-    of its span (no columns for a square x)."""
+    """Orthogonal factor of the polar decomposition of a tall matrix x, and
+    an orthonormal basis of the orthogonal complement of its span (no
+    columns for a square x).  The columns of x are the images of an
+    orthonormal frame; the factor is the orthonormal frame of the same span
+    closest to them.  A smallest singular value below ``floor`` means the
+    frame was carried too far to be transported and raises
+    ``TransportError``.  A stack of matrices x is factored by one batched
+    SVD and checked against the one floor."""
     w, s, vt = np.linalg.svd(x)
     smallest = s[..., -1:]
     low = smallest[smallest < floor]
@@ -996,7 +984,7 @@ def _factor_pass(data: _PathData, accepted, lifts) -> list:
 
     Every window's rank is checked against the stacked spectra of the
     partition points at once.  The windows of positive rank are grouped
-    by rank, and each group is one stacked pass: one ``_polar`` of all its
+    by rank, and each group is one stacked pass: one polar factor of all its
     transport overlaps (the frames at hi carried onto those at lo),
     batched restrictions at both ends, and one ``linalg.checked_signs``.
     A block window's factor is sign det S_lo * sign det S_hi of its m x m
@@ -1025,7 +1013,7 @@ def _factor_pass(data: _PathData, accepted, lifts) -> list:
         frames = np.array([[r[2] for r in rs] for rs in recs])
         frames = frames[..., :k // frames.shape[2]]
         at_lo, at_hi = frames[:, 0], frames[:, 1]
-        frames[:, 1] = at_hi @ _polar(at_hi.swapaxes(-1, -2) @ at_lo, floor)
+        frames[:, 1] = at_hi @ _polar_split(at_hi.swapaxes(-1, -2) @ at_lo, floor)[0]
         m = np.array([[r[0] + lifts[t] if t in lifts else r[0] for t, r in zip(ts, rs)]
                       for ts, rs in zip(ends, recs)])
         signs, sigma_min = linalg.checked_signs(
@@ -1165,7 +1153,11 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
 
     def continue_frame(t):
         _, sv_t, sides_t = data.at(t)
-        fc = kernel_frame(sv_t[d::2][::-1], sides_t[wide][:, ::-1], settled[-1][0])
+        # a frame that does not transport refuses its segment, which bisects
+        try:
+            fc = kernel_frame(sv_t[d::2][::-1], sides_t[wide][:, ::-1], settled[-1][0])
+        except TransportError:
+            return None
         if _smallest_cosines(settled[-1][0], fc[0]) >= _COS_MIN:
             settled.append(fc)
             return fc
@@ -1178,8 +1170,8 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     # complement frames W_i = C_i Q_i, transported along the samples; the
     # running products Q_i of the polar factors by a doubling scan
     c = np.concatenate([c[:j], [fc[1] for fc in settled]])
-    q = np.concatenate([np.eye(c.shape[2])[None],
-                        _polar(c[1:].transpose(0, 2, 1) @ c[:-1], tol.transport())])
+    q, _ = _polar_split(c[1:].transpose(0, 2, 1) @ c[:-1], tol.transport())
+    q = np.concatenate([np.eye(c.shape[2])[None], q])
     span = 1
     while span < len(q):  # q[i] = P_i ... P_i-2span+1 from P_i ... P_i-span+1
         q[span:] = q[span:] @ q[:-span]
@@ -1218,58 +1210,9 @@ def leray_schauder_degree(k_mat) -> Z2:
     return Z2(1) if count % 2 == 0 else Z2(-1)
 
 
-def selfadjoint_to_skew(h_mat, frame: ChiralFrame) -> np.ndarray:
-    """Convert a chiral self-adjoint matrix to its chiral skew-adjoint form.
-
-    For H = [[0, B], [B^T, 0]] the result is [[0, B], [-B^T, 0]]; this is the
-    real form of conjugation by the square root of the grading.
-    """
-    h = as_real_matrix(h_mat)
-    validate_symmetry(h, "chiral-selfadjoint", frame)
-    return embed_chiral(h[:frame.n_plus, frame.n_plus:])
-
-
 def selfadjoint_path_to_skew(path: OperatorPath) -> OperatorPath:
     """Pointwise chiral-selfadjoint to chiral-skew conversion of a path;
     its block is the source's block (``OperatorPath.block``)."""
     if path.symmetry_tag != "chiral-selfadjoint":
         raise ConfigError("expected a chiral-selfadjoint path")
     return _doubling(path, path.frame, "chiral-skew")
-
-
-def k_real_reduce(h_mat, k_mat, frame: ChiralFrame) -> np.ndarray:
-    """Reduce a K-real chiral self-adjoint complex matrix to its real form.
-
-    K must be a real symmetric involution commuting with the grading, and H
-    must satisfy K conj(H) K = H.  Conjugation by the root of K with spectrum
-    {1, i} produces a real symmetric chiral matrix with the same spectrum.
-    """
-    h = np.asarray(h_mat, dtype=complex)
-    if h.size and not np.isfinite(h).all():
-        raise ConfigError("H entries must be finite")
-    k = as_real_matrix(k_mat)
-    n = k.shape[0]
-    if k.shape[0] != k.shape[1] or h.shape != k.shape or frame.dim != n:
-        raise DimensionError("H, K and the frame must share one dimension")
-    scale_k = max(max_abs(k), 1.0)
-    t_k = tol.sym(scale_k)
-    if max_abs(k - k.T) > t_k or max_abs(k @ k - np.eye(n)) > 10 * t_k:
-        raise SymmetryError("K is not a symmetric involution")
-    j = frame.grading()
-    if max_abs(k @ j - j @ k) > t_k:
-        raise SymmetryError("K does not commute with the grading")
-    scale_h = max(float(np.max(np.abs(h))) if h.size else 0.0, 1e-300)
-    t_h = tol.sym(scale_h)
-    if float(np.max(np.abs(h - h.conj().T))) > t_h:
-        raise SymmetryError("H is not self-adjoint")
-    if float(np.max(np.abs(j @ h @ j + h))) > t_h:
-        raise SymmetryError("H is not chiral")
-    if float(np.max(np.abs(k @ h.conj() @ k - h))) > t_h:
-        raise SymmetryError("H is not K-real")
-    p_minus = (np.eye(n) - k) / 2.0
-    l_root = (np.eye(n) - p_minus) + 1j * p_minus
-    reduced = l_root.conj().T @ h @ l_root
-    if float(np.max(np.abs(reduced.imag))) > 10 * t_h:
-        raise SymmetryError("reduction did not produce a real matrix")
-    out = reduced.real
-    return (out + out.T) / 2.0

@@ -1,6 +1,6 @@
 """Dense real linear algebra with exact sign bookkeeping.
 
-Pfaffians, determinant signs and the singular system of skew matrices that
+Pfaffian and determinant signs and the singular system of skew matrices that
 the windowed engine cuts its spectral windows from; that system is one SVD,
 of T itself or of the off-diagonal block of a chiral T.  Matrices are plain
 two-dimensional float64 numpy arrays (the universal operator carrier
@@ -20,7 +20,6 @@ from .z2 import Z2
 __all__ = [
     "as_real_matrix",
     "max_abs",
-    "pfaffian",
     "pfaffian_sign",
     "sign_det",
     "skew_singular_system",
@@ -270,27 +269,13 @@ def _pfaffian_factors(m, check: bool = True):
     return sign, tri.diagonal(1)[::2], e
 
 
-def pfaffian(m) -> float:
-    """Pfaffian of an even-dimensional real skew-symmetric matrix.
-
-    Normalized so that the canonical symplectic block [[0, 1], [-1, 0]] has
-    Pfaffian +1 and the empty matrix has Pfaffian 1.  Every even dimension
-    takes one route (``_pfaffian_factors``): Householder reflections at the
-    even steps with explicit sign tracking (none for n = 2), after an exact
-    power-of-two scaling at extreme scales; the Pfaffian is the sign times
-    the product of the entries a[k, k+1] at even k, each scaled back first.
-    """
-    sign, factors, e = _pfaffian_factors(m)
-    return float(sign * np.prod(np.ldexp(factors, e)))
-
-
 def pfaffian_sign(m) -> int:
     """Sign of the Pfaffian, computed without forming the possibly huge value.
 
     Returns +1, -1 or 0 (0 when some factor vanishes exactly).
-    It is the product of the factor signs of ``pfaffian``'s route, whose
-    power-of-two scaling keeps it free of over- and underflow at any scale
-    of finite entries.
+    It is the product of the factor signs of ``_pfaffian_factors``'s route,
+    whose power-of-two scaling keeps it free of over- and underflow at any
+    scale of finite entries.
     """
     sign, factors, _ = _pfaffian_factors(m)
     return int(sign * math.prod(np.sign(factors).tolist()))

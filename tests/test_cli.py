@@ -41,7 +41,7 @@ class TestCommands:
 
     def test_example_perturbed(self):
         report = parse_stdout(
-            invoke("example", "--name", "doubled_perturbed", "--s", "0.4"))
+            invoke("parity", "--model", "doubled_perturbed", "--s", "0.4"))
         assert report["result"] == 1
 
     def test_insulator(self):

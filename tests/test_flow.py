@@ -31,13 +31,11 @@ from z2flow.flow import (
     _step_norms,
     embed_chiral,
     embed_chiral_path,
-    k_real_reduce,
     leray_schauder_degree,
     parity_finite,
     parity_path,
     parity_path_general,
     selfadjoint_path_to_skew,
-    selfadjoint_to_skew,
     sf2_finite,
     sf2_path,
     to_skew_path,
@@ -69,6 +67,7 @@ from conftest import (
     spy_solves,
     with_singular_values,
 )
+from oracles import k_real_reduce, selfadjoint_to_skew, window_product
 
 
 class TestParityFinite:
@@ -183,7 +182,7 @@ class TestSf2Path:
 
     def test_window_product_matches_value(self):
         res = sf2_path(build_example_path("examp"))
-        assert res.window_product() == res.value
+        assert window_product(res) == res.value
         for w in res.windows:
             assert w.rank % 2 == 0
             assert w.t_lo < w.t_hi
@@ -893,7 +892,7 @@ class TestArcEnvelope:
             for seed in (None, 5):
                 rng = None if seed is None else np.random.default_rng(seed)
                 res = sf2_path(skew, rng=rng)
-                assert res.value == res.window_product()
+                assert res.value == window_product(res)
                 for w in res.windows:
                     ts = np.linspace(w.t_lo, w.t_hi, 65)
                     svs = np.linalg.svd(np.stack([skew.at(t) for t in ts]),
@@ -1630,7 +1629,7 @@ class TestDeclaredMotion:
             skew = to_skew_path(path)
             res = sf2_path(skew)
             assert res.motion_rank == min(r, n)
-            assert res.value == res.window_product() == oracle
+            assert res.value == window_product(res) == oracle
             for route in (lambda: parity_path(path, rng=np.random.default_rng(2)),
                           lambda: parity_via_pairs(skew),
                           lambda: parity_via_pairs(skew, rng=np.random.default_rng(2)),
@@ -1966,11 +1965,10 @@ class TestBlockPaths:
         import z2flow.flow as flow_module
 
         calls = []
-        for name in ("embed_chiral", "selfadjoint_to_skew"):
-            def counted(*args, _fn=getattr(flow_module, name), _name=name):
-                calls.append(_name)
-                return _fn(*args)
-            monkeypatch.setattr(flow_module, name, counted)
+        def counted(*args, _fn=flow_module.embed_chiral):
+            calls.append("embed_chiral")
+            return _fn(*args)
+        monkeypatch.setattr(flow_module, "embed_chiral", counted)
         general = random_admissible_path(np.random.default_rng(46), 4)
         assert parity_path(general) == parity_finite(general)
         assert parity_path(build_insulator_path(RingShiftSpec(12))) == -1
@@ -2613,6 +2611,34 @@ class TestSquareBlockReduction:
         assert ts[:26] == grid[:26] and grid[25] < ts[26] < grid[26]
         assert ts[-26:] == grid[39:] and ts[-27] not in grid
         assert (3, 2) in transports  # near-cokernel frame and cluster column
+        assert parity_path_general(path) == -1
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_untransportable_cluster_frame_bisects(self, wide, monkeypatch):
+        # R(32 pi t) [[t - 0.5, 0], [0, 1], [0, 0]], R turning the (e2, e3)
+        # plane: the cokernel turns by 90 degrees between grid nodes, and at
+        # node 32 (t = 0.5), where the core is singular, the cluster frame
+        # span{e1, e3} is orthogonal to node 31's cokernel e2.  The batch
+        # keeps the frames of nodes 0..31 only, and the depth-first search
+        # refuses and bisects the segments whose frame does not transport
+        # instead of raising TransportError
+        import z2flow.flow as flow_module
+
+        def ev(t):
+            c, s = np.cos(32 * np.pi * t), np.sin(32 * np.pi * t)
+            turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+            b = turn @ np.array([[t - 0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
+            return b.T if wide else b
+
+        path = OperatorPath((0.0, 1.0), ev, "general", None, -1 if wide else 1)
+        cosine_pairs, cosines = [], flow_module._smallest_cosines
+        monkeypatch.setattr(flow_module, "_smallest_cosines",
+                            lambda f, g: cosine_pairs.append(len(f)) or cosines(f, g))
+        ts = self.assert_matches_per_point(path, monkeypatch)
+        assert cosine_pairs[0] == 31  # the batch's pairs of nodes 0..31
+        assert 0.5 in ts and len(ts) > 65
+        core = OperatorPath((0.0, 1.0), lambda t: np.array([[t - 0.5, 0.0], [0.0, 1.0]]))
+        assert parity_finite(core) == -1
         assert parity_path_general(path) == -1
 
     def test_declared_arc_is_not_read(self):

@@ -19,6 +19,7 @@ from z2flow.pairs import parity_via_pairs  # noqa: E402
 from z2flow.paths import ChiralFrame, OperatorPath  # noqa: E402
 
 from conftest import random_orthogonal_path  # noqa: E402
+from oracles import window_product  # noqa: E402
 
 # fixed examples, no example database: the same cases on every run
 FIXED = settings(derandomize=True, deadline=None, max_examples=30,
@@ -83,7 +84,7 @@ def test_skew_flow_matches_oracle(seed, n, knots, randomized):
     path, mats = _sampled_path(seed, n, knots, _skew, "skew")
     rng = np.random.default_rng(seed) if randomized else None
     res = sf2_path(path, rng=rng)
-    assert res.value == res.window_product() == sf2_finite(mats[0], mats[-1])
+    assert res.value == window_product(res) == sf2_finite(mats[0], mats[-1])
 
 
 @FIXED
@@ -98,7 +99,7 @@ def test_chiral_flow_matches_block_determinants(seed, n, knots, randomized):
     expected = _det_sign(blocks[0]) * _det_sign(blocks[-1])
     mix = np.random.default_rng(seed) if randomized else None
     res = sf2_path(path, rng=mix)
-    assert res.value == res.window_product() == expected
+    assert res.value == window_product(res) == expected
     mix = np.random.default_rng(seed) if randomized else None
     assert parity_via_pairs(path, rng=mix) == expected
 
@@ -194,7 +195,7 @@ def test_direct_sum_parity_matches_parts(seed, kinds, listing):
     for part in parts:
         expected *= parity_finite(part)
     res = sf2_path(embed_chiral_path(total))
-    assert res.value == res.window_product() == parity_finite(total) == expected
+    assert res.value == window_product(res) == parity_finite(total) == expected
     assert parity_path(total) == expected
     assert {w.summand for w in res.windows} == set(range(len(parts)))
     for seed_rng in range(2):
