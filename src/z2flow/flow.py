@@ -289,7 +289,10 @@ class _PathData:
     ``path.block(t)`` and the frames are the left and right singular
     vectors (X, Y) of B (see ``skew_singular_system``); the doubled T is
     never formed.  A plain skew path has M = T antisymmetrized and the one
-    frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2.
+    frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2,
+    and the step norm of each consecutive sample pair an opaque search
+    reads is kept under the pair's two parameters (``steps``), so a half
+    that tries its parent's samples finds their steps solved.
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -318,6 +321,7 @@ class _PathData:
         # (t, shape) of the first evaluation
         self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
                            None)
+        self._steps = {}  # step norm per sample pair (t_i, t_i+1)
         self.step_bound = math.inf
         self.near_zero = 0.0
 
@@ -367,9 +371,20 @@ class _PathData:
         else:
             sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
         f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
-        for i, t in enumerate(new):
-            self._cache[t] = (m[i], sv[i], f and tuple(x[i] for x in f))
+        self._cache.update(zip(new, zip(m, sv, zip(*f) if f else [None] * len(new))))
         return m, sv, f
+
+    def steps(self, ts: list, row: list) -> list:
+        """The step norms ||M_i+1 - M_i||_2 of the consecutive samples ts
+        with records ``row``.  Each pair is stepped once per path: its norm
+        is kept under its two parameters, and a row's new pairs are solved
+        as one values-only stack (``_step_norms``, bitwise each pair's own)."""
+        pairs = list(zip(ts[:-1], ts[1:]))
+        new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
+        if new:  # a (pairs, 2, n, m) stack
+            norms = _step_norms(np.array([[row[i][0], row[i + 1][0]] for i in new]))
+            self._steps.update(zip((pairs[i] for i in new), norms[:, 0].tolist()))
+        return [self._steps[pair] for pair in pairs]
 
     def framed(self, t: float):
         """``at`` with the frames, solving them now for a constant record."""
@@ -510,15 +525,18 @@ def _level_windows(data: _PathData, segments, rng) -> list:
     WINDOW_EPS-close; the samples are the segment's 9-point grid, searched
     by ``_sampled_windows``.  A declared arc bounds every sigma_j between
     samples t_i and t_i+1 by (sigma_j(t_i) + sigma_j(t_i+1) -+ d_i) / 2, d_i
-    the arc step, at any spacing, so such a path tries the samples it has
-    solved first: its endpoints for a rank-0 window (``_endpoint_rule``;
-    the arc read once for the level, all pairs audited by one
-    ``_require_arc``), then the even grid points of a half of a refused
-    segment, its parent's samples; only then the whole grid.  On an opaque
-    path the envelopes are the extreme sampled values widened by 0.75 times
-    the largest step ||M_i+1 - M_i||_2, and a step above the path's step
-    bound (a tenth of the largest endpoint singular value) refuses the
-    segment, as a jump does not shrink under bisection.  The rank is capped
+    the arc step, at any spacing, so such a path first tries its endpoints
+    for a rank-0 window (``_endpoint_rule``; the arc read once for the
+    level, all pairs audited by one ``_require_arc``).  On an opaque path
+    the envelopes are the extreme sampled values widened by 0.75 times the
+    largest step ||M_i+1 - M_i||_2, and a step above the path's step bound
+    (a tenth of the largest endpoint singular value) refuses the segment,
+    as a jump does not shrink under bisection.  Both rules read only
+    consecutive sample pairs (a sign change between two samples forces
+    their step to at least sigma_min), so every path then tries the even
+    grid points of a half of a refused segment, its parent's samples, which
+    are pairs its parent solved and, opaque, stepped at the same spacing
+    (``_PathData.steps``); only then the whole grid.  The rank is capped
     at max(2, k_near), k_near the count, rounded up to even, of values whose
     sampled minimum is below half the smallest endpoint singular value.  A
     verdict depends only on its segment's samples (and rng draws), so a
@@ -539,7 +557,7 @@ def _level_windows(data: _PathData, segments, rng) -> list:
                 verdicts[i] = (float(a), 0) if clears else None
             if None not in verdicts:
                 return verdicts
-    for step in (2, 1) if arcs is not None else (1,):  # the parent's samples, then all
+    for step in (2, 1):  # the parent's samples, then all
         todo = [i for i, window in enumerate(verdicts)
                 if window is None and (step == 1 or all(
                     data._key(t) in data._cache for t in grids[i, ::2].tolist()))]
@@ -555,7 +573,9 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
     of ``grids``, with their arc values ``arcs`` (None on an opaque path):
     the rows' new samples are solved as one stack, one pass over their
     (rows, samples, n) singular values takes the envelopes and gaps, and
-    each row tries its candidate ranks, its frames stacked once."""
+    each row tries its candidate ranks, its frames stacked once.  An opaque
+    row whose singular-value steps leave a candidate reads its step norms
+    from ``_PathData.steps``, which solves only the pairs not yet stepped."""
     recs = data.solve(grids.ravel())
     svs = np.array([r[1] for r in recs]).reshape(grids.shape + recs[0][1].shape)
     rows, size, n = svs.shape
@@ -590,10 +610,10 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
         if arcs is None:
             if lower[i] > data.step_bound or not fits(margin + 0.75 * lower[i]):
                 return None
-            steps = _step_norms(np.array([r[0] for r in row]))
-            if steps.max() > data.step_bound:
+            step = max(data.steps(grids[i].tolist(), row))
+            if step > data.step_bound:
                 return None
-            margin += 0.75 * float(steps.max())
+            margin += 0.75 * step
         candidates = fits(margin)
         if not candidates:
             return None

@@ -188,21 +188,24 @@ def _certified_invertible(b: np.ndarray) -> bool:
 
 
 def _step_norms(steps: np.ndarray) -> np.ndarray:
-    """2-norms of the differences of consecutive stacked step matrices.
+    """2-norms of the differences of consecutive matrices stacked along the
+    third-to-last axis of ``steps``; leading axes stack more such
+    sequences, as a (pairs, 2, n, m) stack of separate pairs does.
 
-    Differences that overflow are taken of the steps scaled by their
-    largest entry; a norm beyond the float range is then inf, without a
-    numpy warning.
+    A difference with an entry that overflows has a norm beyond the float
+    range (the 2-norm is at least every entry): it is inf, taken without a
+    numpy warning and without an SVD.  Each norm thus depends on its own
+    two matrices alone, bitwise the same in any stack.
     """
     with np.errstate(over="ignore"):
-        diffs = np.diff(steps, axis=0)
+        diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
     if diffs.size == 0:
-        return np.zeros(diffs.shape[0])
-    if not np.isfinite(diffs).all():
-        scale = max_abs(steps)
-        with np.errstate(over="ignore"):
-            return _step_norms(steps / scale) * scale
-    return np.linalg.svd(diffs, compute_uv=False)[:, 0]
+        return np.zeros(diffs.shape[:-2])
+    over = ~np.isfinite(diffs).all(axis=(-2, -1))
+    diffs[over] = 0.0
+    norms = np.linalg.svd(diffs, compute_uv=False)[..., 0]
+    norms[over] = math.inf
+    return norms
 
 
 # ---------------------------------------------------------------------------

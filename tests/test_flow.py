@@ -1266,9 +1266,76 @@ def _block_diag(*blocks):
 
 
 class TestSolvedSampleReuse:
-    """A half of a refused certified segment first tries its parent's
-    samples, which it finds solved, and solves only the odd points of its
-    own grid when they do not certify it."""
+    """A half of a refused segment, certified or opaque, first tries its
+    parent's samples, which it finds solved (on an opaque path with their
+    step norms), and solves only the odd points of its own grid when they
+    do not certify it."""
+
+    @staticmethod
+    def per_segment(monkeypatch):
+        """Spy on the level search one segment at a time: per segment, its
+        (lo, hi), the matrices solved, the step-norm stacks taken, the new
+        evaluations and the verdict."""
+        import z2flow.flow as flow_module
+
+        solves, stacks, segments = spy_solves(monkeypatch), [], []
+        inner, norms = flow_module._level_windows, flow_module._step_norms
+
+        def spy_norms(steps):
+            stacks.append(steps)
+            return norms(steps)
+
+        def spy(data, level, rng):
+            windows = []
+            for segment in level:
+                before = len(solves), len(stacks), data.evaluations
+                windows += inner(data, [segment], rng)
+                segments.append((segment, len(solves) - before[0], len(stacks) - before[1],
+                                 data.evaluations - before[2], windows[-1]))
+            return windows
+
+        monkeypatch.setattr(flow_module, "_step_norms", spy_norms)
+        monkeypatch.setattr(flow_module, "_level_windows", spy)
+        return segments, stacks
+
+    def test_opaque_half_certified_on_its_parents_samples(self, monkeypatch):
+        segments, _ = self.per_segment(monkeypatch)
+        res = sf2_path(embed_chiral_path(_fixed_line()))
+        assert res.value == -1
+        # halves accepted on their parent's 5 samples and step norms: no
+        # solve, no step stack, no new evaluation
+        reused = [segment for segment, solved, stacked, new, window in segments
+                  if window is not None and (solved, stacked, new) == (0, 0, 0)]
+        assert len(reused) == 5
+        # every other half solves its 4 odd points
+        assert {new for _, _, _, new, _ in segments[1:]} == {0, 4}
+        assert res.evaluations == _SEGMENT_SAMPLES + sum(s[3] for s in segments[1:])
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_no_pair_is_stepped_twice(self, monkeypatch, seed):
+        rng = np.random.default_rng(17)
+        paths = [_fixed_line(),
+                 _diagonal_path(lambda t: np.sin(40 * np.pi * t + 0.1), lambda t: 1.0),
+                 _opaque(random_admissible_path(rng, 5, knots=4))]
+        _, stacks = self.per_segment(monkeypatch)
+        for path in paths:
+            stacks.clear()
+            res = sf2_path(embed_chiral_path(path),
+                           rng=None if seed is None else np.random.default_rng(seed))
+            assert res.value == parity_finite(path)
+            # the flow steps separate pairs, each (pairs, 2, n, n) stack new
+            assert stacks and all(s.ndim == 4 and s.shape[1] == 2 for s in stacks)
+            pairs = [pair.tobytes() for s in stacks for pair in s]
+            assert len(pairs) == len(set(pairs))
+
+    def test_opaque_paths_match_the_oracle(self):
+        rng = np.random.default_rng(61)
+        for i in range(64):
+            dim = 1 + i % 8
+            path = (random_invertible_path(rng, dim) if i % 4 == 3
+                    else random_admissible_path(rng, dim, knots=2 + i % 3))
+            flow_rng = np.random.default_rng(i) if i % 2 else None
+            assert parity_path(_opaque(path), rng=flow_rng) == parity_finite(path), i
 
     def test_ring_solves_each_parameter_once(self, monkeypatch):
         solves = spy_solves(monkeypatch)
@@ -1863,7 +1930,7 @@ class TestChiralCore:
         chiral = embed_chiral_path(line)
         res = sf2_path(chiral)
         assert res.value == parity_finite(line) == -1
-        assert (len(res.windows), res.evaluations, res.refinement_depth) == (11, 89, 5)
+        assert (len(res.windows), res.evaluations, res.refinement_depth) == (11, 69, 5)
         plain = sf2_path(self.as_plain_skew(chiral))
         assert plain.value == res.value
         assert plain.evaluations == res.evaluations
@@ -2106,6 +2173,31 @@ class TestBatchedSegmentChecks:
                     for a, b in zip(steps[:-1], steps[1:])]
             np.testing.assert_allclose(_step_norms(steps), loop, rtol=1e-14)
 
+    def test_step_norm_of_a_pair_is_its_own_in_any_stack(self):
+        # a pair whose difference overflows has the norm inf (at least its
+        # largest entry), and no pair's norm depends on the others in its
+        # stack
+        rng = np.random.default_rng(47)
+        big = 1.7e308 * np.sign(rng.standard_normal((3, 3)))
+        near = [1e308 * rng.uniform(0.5, 1.0, (3, 3)) for _ in range(4)]
+        pairs = [(big, -big), (rng.standard_normal((3, 3)), rng.standard_normal((3, 3))),
+                 (near[0], -near[1]), (near[2], near[3]),
+                 (np.full((3, 3), 1e-300), np.full((3, 3), -1e-300))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = [_step_norms(np.array(pair)) for pair in pairs]
+            assert all(a.shape == (1,) for a in alone)
+            assert [math.isinf(a[0]) for a in alone] == [True, False, True, False, False]
+            for i in (1, 3, 4):
+                m0, m1 = pairs[i]
+                np.testing.assert_allclose(alone[i][0], np.linalg.norm(m1 - m0, 2), rtol=1e-14)
+            stacked = _step_norms(np.array(pairs))[:, 0]
+            for order in ([2, 0, 1, 3, 4], [4, 3, 1, 2, 0]):
+                consecutive = _step_norms(np.array([m for i in order for m in pairs[i]]))
+                assert [consecutive[2 * j].tobytes() for j in range(len(order))] == \
+                    [alone[i][0].tobytes() for i in order]
+            assert [x.tobytes() for x in stacked] == [a[0].tobytes() for a in alone]
+
     def test_window_continuity_matches_loop(self):
         def loop(bases):
             for i in range(len(bases)):
@@ -2174,11 +2266,12 @@ class TestLevelOrder:
     def test_floor_comes_before_a_later_shape_change(self, monkeypatch):
         # a jump at 0.1 reaches the refinement floor depth first, before
         # the segments right of 0.9 are solved; by level, the 3 x 3 matrix
-        # at t = 0.9375 comes up first
+        # at t = 0.9375 comes up first (a second jump, at 0.7, keeps the
+        # step bound from accepting [0.5, 1] on its parent's samples)
         def evaluator(t):
             if 0.9 < t < 0.95:
                 return np.eye(3)
-            return np.diag([-1.0 if t <= 0.1 else 1.0, 1.0])
+            return np.diag([-1.0 if t <= 0.1 else 1.0, -1.0 if t > 0.7 else 1.0])
 
         errors = self.level_errors(monkeypatch)
         with pytest.raises(RefinementError) as info:
