@@ -292,7 +292,9 @@ class _PathData:
     frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2,
     and the step norm of each consecutive sample pair an opaque search
     reads is kept under the pair's two parameters (``steps``), so a half
-    that tries its parent's samples finds their steps solved.
+    that tries its parent's samples finds their steps solved.  A step norm
+    is an upper bound, within ``tol.gap`` of the 2-norm, where the step is
+    a near-copy of its stack's largest (``linalg._step_norms``).
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -378,7 +380,9 @@ class _PathData:
         """The step norms ||M_i+1 - M_i||_2 of the consecutive samples ts
         with records ``row``.  Each pair is stepped once per path: its norm
         is kept under its two parameters, and a row's new pairs are solved
-        as one values-only stack (``_step_norms``, bitwise each pair's own)."""
+        as one values-only stack (``_step_norms``): the near-copies of the
+        row's largest step share its SVD and take upper bounds within
+        ``tol.gap``, and every other pair's norm is bitwise its own."""
         pairs = list(zip(ts[:-1], ts[1:]))
         new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
         if new:  # a (pairs, 2, n, m) stack

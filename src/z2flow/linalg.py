@@ -188,23 +188,70 @@ def _certified_invertible(b: np.ndarray) -> bool:
 
 
 def _step_norms(steps: np.ndarray) -> np.ndarray:
-    """2-norms of the differences of consecutive matrices stacked along the
-    third-to-last axis of ``steps``; leading axes stack more such
-    sequences, as a (pairs, 2, n, m) stack of separate pairs does.
+    """Upper bounds on the 2-norms of the differences of consecutive
+    matrices stacked along the third-to-last axis of ``steps``; leading
+    axes stack more such sequences, as a (pairs, 2, n, m) stack of separate
+    pairs does.
 
     A difference with an entry that overflows has a norm beyond the float
     range (the 2-norm is at least every entry): it is inf, taken without a
-    numpy warning and without an SVD.  Each norm thus depends on its own
-    two matrices alone, bitwise the same in any stack.
+    numpy warning and without an SVD.  The finite differences share one
+    values-only SVD (``_shared_norms``): near-copies of the stack's anchor
+    take its norm plus their distance to it, within ``tol.gap`` of their
+    own, and every other difference its own norm, which then depends on
+    its two matrices alone, bitwise the same in any stack.
     """
     with np.errstate(over="ignore"):
         diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
     if diffs.size == 0:
         return np.zeros(diffs.shape[:-2])
-    over = ~np.isfinite(diffs).all(axis=(-2, -1))
-    diffs[over] = 0.0
-    norms = np.linalg.svd(diffs, compute_uv=False)[..., 0]
-    norms[over] = math.inf
+    flat = diffs.reshape(-1, *diffs.shape[-2:])
+    top = max_abs(flat)  # inf if and only if a difference overflows
+    if math.isfinite(top):
+        norms = _shared_norms(flat, top)
+    else:
+        norms = np.full(len(flat), math.inf)
+        finite = np.isfinite(flat).all(axis=(-2, -1))
+        if finite.any():
+            ok = flat[finite]
+            norms[finite] = _shared_norms(ok, max_abs(ok))
+    return norms.reshape(diffs.shape[:-2])
+
+
+def _shared_norms(d: np.ndarray, top: float) -> np.ndarray:
+    """Upper bounds on the 2-norms of a (k, n, m) stack d of finite
+    matrices whose largest entry is ``top``, from one values-only SVD.
+
+    The anchor a is the matrix of largest Frobenius norm, and a near-copy
+    is a matrix j with ||d_j - d_a||_F <= tol.gap(||d_a||_F / sqrt(min(n,
+    m))), GAP_REL times a lower bound on ||d_a||_2.  The SVD solves the
+    anchor and every matrix that is not a near-copy, each bitwise its own
+    norm.  A near-copy bitwise equal to d_a takes ||d_a||_2, and any other
+    (||d_a||_2 + ||d_j - d_a||_F)(1 + 4u), an upper bound on ||d_j||_2 by
+    the triangle inequality, whose factor covers the rounding of the
+    distance.  Frobenius norms and distances are taken on d divided by the
+    power of two above ``top``, which is exact, so no square overflows.
+    """
+    k = len(d)
+    if k == 1:
+        return np.linalg.svd(d, compute_uv=False)[:, 0]
+    flat = d.reshape(k, -1)
+    e = math.frexp(top)[1]
+    scaled = np.ldexp(flat, -e)
+    frob2 = np.einsum("ij,ij->i", scaled, scaled)
+    a = int(frob2.argmax())
+    diff = scaled - scaled[a]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    near = dist <= tol.gap(math.sqrt(frob2[a] / min(d.shape[1:])))
+    near[a] = False
+    if not near.any():
+        return np.linalg.svd(d, compute_uv=False)[:, 0]
+    norms = np.empty(k)
+    norms[~near] = np.linalg.svd(d[~near], compute_uv=False)[:, 0]
+    anchor = norms[a]
+    with np.errstate(over="ignore"):
+        norms[near] = (anchor + np.ldexp(dist[near], e)) * (1.0 + 4.0 * _U)
+    norms[near & (flat == flat[a]).all(axis=1)] = anchor
     return norms
 
 

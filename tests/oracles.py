@@ -2,10 +2,13 @@
 
 ``pfaffian`` is the value whose sign ``pfaffian_sign`` takes,
 ``selfadjoint_to_skew`` the pointwise form of ``selfadjoint_path_to_skew``,
-``window_product`` the product of a result's window factors, and
+``window_product`` the product of a result's window factors,
 ``k_real_reduce`` the K-real reduction of a chiral self-adjoint complex
-matrix to its real form.
+matrix to its real form, and ``exact_step_norms`` the step norms that
+``linalg._step_norms`` bounds, each from its own SVD.
 """
+
+import math
 
 import numpy as np
 
@@ -27,6 +30,22 @@ def pfaffian(m) -> float:
     """
     sign, factors, e = _pfaffian_factors(m)
     return float(sign * np.prod(np.ldexp(factors, e)))
+
+
+def exact_step_norms(steps: np.ndarray) -> np.ndarray:
+    """2-norms of the differences of consecutive matrices stacked along the
+    third-to-last axis of ``steps`` (leading axes stack more sequences),
+    one SVD row per difference; a difference with an entry that overflows
+    is inf, without a numpy warning and without an SVD."""
+    with np.errstate(over="ignore"):
+        diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
+    if diffs.size == 0:
+        return np.zeros(diffs.shape[:-2])
+    over = ~np.isfinite(diffs).all(axis=(-2, -1))
+    diffs[over] = 0.0
+    norms = np.linalg.svd(diffs, compute_uv=False)[..., 0]
+    norms[over] = math.inf
+    return norms
 
 
 def window_product(result: FlowResult) -> Z2:

@@ -67,7 +67,7 @@ from conftest import (
     spy_solves,
     with_singular_values,
 )
-from oracles import k_real_reduce, selfadjoint_to_skew, window_product
+from oracles import exact_step_norms, k_real_reduce, selfadjoint_to_skew, window_product
 
 
 class TestParityFinite:
@@ -2198,6 +2198,65 @@ class TestBatchedSegmentChecks:
                     [alone[i][0].tobytes() for i in order]
             assert [x.tobytes() for x in stacked] == [a[0].tobytes() for a in alone]
 
+    @staticmethod
+    def line(rng, n=32, samples=9):
+        """Samples of a straight line between two n x n matrices, whose
+        differences are one matrix up to rounding."""
+        a, b = rng.standard_normal((2, n, n))
+        return np.array([(1.0 - t) * a + t * b for t in np.linspace(0.0, 1.0, samples)])
+
+    @staticmethod
+    def within_gap(norms, exact):
+        # upper bounds on each norm, within GAP_REL of it
+        assert np.all(norms >= exact)
+        assert np.all(norms <= exact * (1.0 + 2.0 * tol.GAP_REL))
+
+    def test_straight_line_takes_one_svd_row(self, monkeypatch):
+        steps = self.line(np.random.default_rng(48))
+        rows, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            rows.append(math.prod(np.shape(a)[:-2]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        norms = _step_norms(steps)
+        assert rows == [1]
+        monkeypatch.undo()
+        self.within_gap(norms, exact_step_norms(steps))
+        # so does a (pairs, 2, n, n) stack of its pairs
+        pairs = np.stack([steps[:-1], steps[1:]], axis=1)
+        self.within_gap(_step_norms(pairs), exact_step_norms(pairs))
+
+    def test_repeated_difference_takes_the_anchor_norm_bitwise(self):
+        # integer matrices: every difference is the same matrix, bitwise
+        rng = np.random.default_rng(49)
+        base, step = rng.integers(-9, 10, (2, 5, 5)).astype(float)
+        steps = np.array([base + k * step for k in range(6)])
+        norms = _step_norms(steps)
+        anchor = exact_step_norms(steps[:2])[0]
+        assert [x.tobytes() for x in norms] == [anchor.tobytes()] * 5
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaled_stacks_raise_no_warning(self, scale):
+        steps = self.line(np.random.default_rng(50), n=6) * scale
+        # entries near 1e308, whose squares overflow: a line's differences,
+        # one that overflows and one that is not a near-copy
+        rng = np.random.default_rng(51)
+        a, b = 1e308 * rng.uniform(0.5, 1.0, (2, 3, 3))
+        top = np.full((3, 3), 1.7e308)
+        huge = np.array([(1.0 - t) * a - t * b for t in np.linspace(0.0, 1.0, 5)]
+                        + [top, 0.9 * top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.within_gap(_step_norms(steps), exact_step_norms(steps))
+            exact = exact_step_norms(huge)
+            norms = _step_norms(huge)
+        assert np.isinf(exact).tolist() == np.isinf(norms).tolist() == \
+            [False, False, False, False, True, False]
+        finite = np.isfinite(exact)
+        self.within_gap(norms[finite], exact[finite])
+
     def test_window_continuity_matches_loop(self):
         def loop(bases):
             for i in range(len(bases)):
@@ -2224,6 +2283,84 @@ class TestBatchedSegmentChecks:
             outcomes.append(expected)
         assert set(outcomes) == {True, False}
         assert _pairwise_window_continuity(np.zeros((3, 4, 0)))
+
+
+class TestSharedStepNorms:
+    """Step norms that bound near-copies of a stack's anchor change no
+    partition: opaque flows equal those on the exact norms of
+    ``exact_step_norms``, one SVD row per difference."""
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """Count the flow's step-norm stacks and the SVD rows they solve."""
+        import z2flow.flow as flow_module
+
+        count, svd, norms = {"stacks": 0, "rows": 0, "on": False}, np.linalg.svd, \
+            flow_module._step_norms
+
+        def spy_svd(a, *args, **kwargs):
+            count["rows"] += math.prod(np.shape(a)[:-2]) if count["on"] else 0
+            return svd(a, *args, **kwargs)
+
+        def spy_norms(steps):
+            count["stacks"], count["on"] = count["stacks"] + 1, True
+            try:
+                return norms(steps)
+            finally:
+                count["on"] = False
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(flow_module, "_step_norms", spy_norms)
+        return count
+
+    @staticmethod
+    def outcome(path):
+        res = sf2_path(path)
+        return (res.value, res.evaluations, res.refinement_depth,
+                [(w.t_lo, w.t_hi, w.rank, w.factor) for w in res.windows])
+
+    def test_fixed_line_takes_one_row_per_stack(self, monkeypatch):
+        import z2flow.flow as flow_module
+
+        path = embed_chiral_path(_fixed_line())
+        counts = []
+        for norms in (exact_step_norms, _step_norms):
+            monkeypatch.setattr(flow_module, "_step_norms", norms)
+            count = self.spy_rows(monkeypatch)
+            res = sf2_path(path)
+            assert (res.value, len(res.windows), res.evaluations, res.refinement_depth) == \
+                (-1, 11, 69, 5)
+            counts.append((count["rows"], count["stacks"]))
+            monkeypatch.undo()
+        assert counts == [(100, 14), (14, 14)]
+
+    def test_opaque_sweep_matches_exact_norms(self, monkeypatch):
+        import z2flow.flow as flow_module
+        import z2flow.paths as paths_module
+
+        paths = [embed_chiral_path(_fixed_line())]
+        for seed in range(60):
+            rng = np.random.default_rng(330 + seed)
+            dim, knots = 1 + seed % 8, 2 + seed % 4
+            kind = seed % 3
+            if kind == 0:
+                path = to_skew_path(_opaque(random_admissible_path(rng, dim, knots)))
+            elif kind == 1:
+                path = _opaque(random_chiral_skew_path(rng, dim, knots))
+            else:
+                path = to_skew_path(random_invertible_path(rng, dim))
+            paths.append(path)
+        count = self.spy_rows(monkeypatch)
+        shared = [self.outcome(path) for path in paths]
+        shared_rows = count["rows"]
+        monkeypatch.undo()
+        for module in (flow_module, paths_module):
+            monkeypatch.setattr(module, "_step_norms", exact_step_norms)
+        count = self.spy_rows(monkeypatch)
+        exact = [self.outcome(path) for path in paths]
+        assert shared == exact
+        # the pieces of the sample paths are lines, whose steps share rows
+        assert shared_rows < count["rows"]
 
 
 def _skew_block_path(f, arc=None, bad_t=None):
