@@ -292,9 +292,12 @@ class _PathData:
     frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2,
     and the step norm of each consecutive sample pair an opaque search
     reads is kept under the pair's two parameters (``steps``), so a half
-    that tries its parent's samples finds their steps solved.  A step norm
-    is an upper bound, within ``tol.gap`` of the 2-norm, where the step is
-    a near-copy of its stack's largest (``linalg._step_norms``).
+    that tries its parent's samples finds their steps solved.  The path's
+    step anchor (``linalg._StepAnchor``) is its first stack's largest
+    step: a step that is a near-multiple of it, as every step of a line
+    is, or a near-copy of its own stack's largest takes an upper bound
+    within 2 ``tol.gap`` of its 2-norm without an SVD
+    (``linalg._step_norms``).
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -324,6 +327,7 @@ class _PathData:
         self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
                            None)
         self._steps = {}  # step norm per sample pair (t_i, t_i+1)
+        self._anchor = linalg._StepAnchor()  # the path's step direction
         self.step_bound = math.inf
         self.near_zero = 0.0
 
@@ -380,13 +384,19 @@ class _PathData:
         """The step norms ||M_i+1 - M_i||_2 of the consecutive samples ts
         with records ``row``.  Each pair is stepped once per path: its norm
         is kept under its two parameters, and a row's new pairs are solved
-        as one values-only stack (``_step_norms``): the near-copies of the
-        row's largest step share its SVD and take upper bounds within
-        ``tol.gap``, and every other pair's norm is bitwise its own."""
+        as one values-only stack (``_step_norms``) against the path's step
+        anchor: a near-multiple of the anchor takes an upper bound within
+        2 ``tol.gap`` without an SVD, so a path that moves along one matrix
+        direction solves one step SVD in all; of the rest, the near-copies
+        of the row's largest step share its SVD and take upper bounds
+        within ``tol.gap``, and every other pair's norm is bitwise its
+        own.  The opaque rule reads only upper bounds: the step bound and
+        the 0.75-step margin only grow."""
         pairs = list(zip(ts[:-1], ts[1:]))
         new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
         if new:  # a (pairs, 2, n, m) stack
-            norms = _step_norms(np.array([[row[i][0], row[i + 1][0]] for i in new]))
+            norms = _step_norms(np.array([[row[i][0], row[i + 1][0]] for i in new]),
+                                self._anchor)
             self._steps.update(zip((pairs[i] for i in new), norms[:, 0].tolist()))
         return [self._steps[pair] for pair in pairs]
 

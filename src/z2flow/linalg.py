@@ -187,7 +187,90 @@ def _certified_invertible(b: np.ndarray) -> bool:
     return bounds[0] > floor or _gram_certificate(b, floor)
 
 
-def _step_norms(steps: np.ndarray) -> np.ndarray:
+# step stacks whose largest entry lies in 2^(+-_NORM_EXP) are normed
+# unscaled: no square of theirs overflows, and none that a bound reads
+# underflows (for n m < 2^250)
+_NORM_EXP = 250
+
+
+def _norm_exp(top: float) -> int:
+    """The exponent e of the power of two 2^e that a step stack of largest
+    entry ``top`` is divided by before its Frobenius norms are taken
+    (exact but for entries that underflow): 0 inside 2^(+-_NORM_EXP), else
+    the exponent above ``top``."""
+    e = math.frexp(top)[1]
+    return e if top and not -_NORM_EXP <= e <= _NORM_EXP else 0
+
+
+class _StepAnchor:
+    """One path's step direction: the largest difference of the first step
+    stack of the path that ``_step_norms`` solves, by which it bounds the
+    near-multiples of every stack, that first one included, without an SVD.
+
+    ``direction`` is that difference D_a divided by the power of two 2^e
+    of its stack (``_norm_exp``), flattened; ``frob2`` its squared
+    Frobenius norm and ``norm`` the values-only SVD of D_a divided by 2^e.
+    It stays None while every difference solved is zero.
+    """
+
+    __slots__ = ("direction", "frob2", "norm")
+
+    def __init__(self):
+        self.direction, self.frob2, self.norm = None, 0.0, 0.0
+
+    def bounds(self, d: np.ndarray, top: float) -> np.ndarray:
+        """Upper bounds on the 2-norms of the near-multiples of the
+        direction in a (k, n, m) stack d of finite matrices whose largest
+        entry is ``top``, NaN for every other matrix.  Without a direction
+        the stack's matrix of largest Frobenius norm is solved and becomes
+        it, and its bound is its SVD norm (a stack of zeros has the bounds
+        0 and sets none).
+
+        With S the direction and a matrix D of the stack divided by its
+        power of two 2^e (``_norm_exp``), D = c S + R for c = <D, S>_F /
+        ||S||_F^2.  D is a near-multiple when ||R||_F <= tol.gap(|c|
+        ||S||_F / sqrt(min(n, m))), GAP_REL times a lower bound on
+        ||D||_2, and |c| ||S||_F >= 2^-_NORM_EXP, so that what underflows
+        is negligible.  Then ||D||_2 <= |c| ||S||_2 + ||R||_F for the
+        computed c, within twice that gap of ||D||_2.  The bound is that
+        sum widened by (1 + gamma_k), k = n m + 2 min(n, m) + 8, and
+        multiplied back by 2^e: n m + 2 covers the computed ||R||_F (n m
+        squares, their sum, a square root), min(n, m) the rounding of c S,
+        at most u |c| ||S||_F <= u sqrt(min(n, m)) |c| ||S||_2, another
+        min(n, m) the relative error of the SVD that gave ||S||_2 (a few
+        u in practice), and 8 the remaining roundings and underflows.  Nothing overflows before that
+        last product, and a bound beyond the float range is inf.
+        """
+        k, n, m = d.shape
+        e = _norm_exp(top)
+        flat = np.ldexp(d.reshape(k, -1), -e) if e else d.reshape(k, -1)
+        a = None
+        if self.direction is None:
+            if not top:
+                return np.zeros(k)
+            a = int(np.einsum("ij,ij->i", flat, flat).argmax())
+            norm = np.linalg.svd(d[a:a + 1], compute_uv=False)[0, 0]
+            self.direction, self.norm = flat[a].copy(), math.ldexp(norm, -e)
+            self.frob2 = float(self.direction @ self.direction)
+        c = (flat @ self.direction) / self.frob2
+        r = np.einsum("i,j->ij", c, self.direction)
+        np.subtract(flat, r, out=r)
+        res = np.sqrt(np.einsum("ij,ij->i", r, r))
+        c = np.abs(c)
+        frob = c * math.sqrt(self.frob2)
+        near = ((res <= tol.gap(frob / math.sqrt(min(n, m))))
+                & (frob >= math.ldexp(1.0, -_NORM_EXP)))
+        bounds = (c * self.norm + res) * (1.0 + _gamma(n * m + 2 * min(n, m) + 8))
+        if e:
+            with np.errstate(over="ignore"):
+                bounds = np.ldexp(bounds, e)
+        bounds[~near] = math.nan
+        if a is not None:
+            bounds[a] = norm
+        return bounds
+
+
+def _step_norms(steps: np.ndarray, anchor: _StepAnchor | None = None) -> np.ndarray:
     """Upper bounds on the 2-norms of the differences of consecutive
     matrices stacked along the third-to-last axis of ``steps``; leading
     axes stack more such sequences, as a (pairs, 2, n, m) stack of separate
@@ -195,11 +278,21 @@ def _step_norms(steps: np.ndarray) -> np.ndarray:
 
     A difference with an entry that overflows has a norm beyond the float
     range (the 2-norm is at least every entry): it is inf, taken without a
-    numpy warning and without an SVD.  The finite differences share one
-    values-only SVD (``_shared_norms``): near-copies of the stack's anchor
-    take its norm plus their distance to it, within ``tol.gap`` of their
-    own, and every other difference its own norm, which then depends on
-    its two matrices alone, bitwise the same in any stack.
+    numpy warning and without an SVD, and its stack skips ``anchor``.  The
+    finite differences of a stack share one values-only SVD
+    (``_shared_norms``): near-copies of the stack's largest take its norm
+    plus their distance to it, within ``tol.gap`` of their own, and every
+    other difference its own norm, which then depends on its two matrices
+    alone, bitwise the same in any stack.
+
+    ``anchor``, one per path (``flow._PathData``), carries the path's step
+    direction from stack to stack (``_StepAnchor``): the first stack
+    solved solves its largest difference first and takes it as the
+    direction, and in that stack and every later one a near-multiple of
+    the direction takes an upper bound within 2 ``tol.gap`` of its norm
+    without an SVD; only the rest go to ``_shared_norms``.  A path that
+    moves along one matrix direction, M(t) = A + f(t) D such as a straight
+    line, so solves one step SVD in all.
     """
     with np.errstate(over="ignore"):
         diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
@@ -207,14 +300,20 @@ def _step_norms(steps: np.ndarray) -> np.ndarray:
         return np.zeros(diffs.shape[:-2])
     flat = diffs.reshape(-1, *diffs.shape[-2:])
     top = max_abs(flat)  # inf if and only if a difference overflows
-    if math.isfinite(top):
-        norms = _shared_norms(flat, top)
-    else:
+    if not math.isfinite(top):
         norms = np.full(len(flat), math.inf)
         finite = np.isfinite(flat).all(axis=(-2, -1))
         if finite.any():
             ok = flat[finite]
             norms[finite] = _shared_norms(ok, max_abs(ok))
+    elif anchor is None:
+        norms = _shared_norms(flat, top)
+    else:
+        norms = anchor.bounds(flat, top)
+        rest = np.isnan(norms)
+        if rest.any():
+            d = flat[rest]
+            norms[rest] = _shared_norms(d, max_abs(d))
     return norms.reshape(diffs.shape[:-2])
 
 
@@ -222,36 +321,50 @@ def _shared_norms(d: np.ndarray, top: float) -> np.ndarray:
     """Upper bounds on the 2-norms of a (k, n, m) stack d of finite
     matrices whose largest entry is ``top``, from one values-only SVD.
 
-    The anchor a is the matrix of largest Frobenius norm, and a near-copy
-    is a matrix j with ||d_j - d_a||_F <= tol.gap(||d_a||_F / sqrt(min(n,
-    m))), GAP_REL times a lower bound on ||d_a||_2.  The SVD solves the
-    anchor and every matrix that is not a near-copy, each bitwise its own
-    norm.  A near-copy bitwise equal to d_a takes ||d_a||_2, and any other
-    (||d_a||_2 + ||d_j - d_a||_F)(1 + 4u), an upper bound on ||d_j||_2 by
-    the triangle inequality, whose factor covers the rounding of the
-    distance.  Frobenius norms and distances are taken on d divided by the
-    power of two above ``top``, which is exact, so no square overflows.
+    A stack of at most 3 matrices, or of matrices with a side of at most
+    2, is solved as it is: there the passes below cost about what the SVD
+    rows they could save cost.  In any other, the matrix d_a of largest
+    Frobenius norm is solved, and a near-copy is a matrix j with ||d_j -
+    d_a||_F <= tol.gap(||d_a||_F / sqrt(min(n, m))), GAP_REL times a lower
+    bound on ||d_a||_2.  The SVD solves d_a and every matrix that is not a
+    near-copy, each bitwise its own norm.  A near-copy bitwise equal to
+    d_a takes ||d_a||_2, and any other (||d_a||_2 + ||d_j - d_a||_F)(1 +
+    4u), an upper bound on ||d_j||_2 by the triangle inequality, whose
+    factor covers the rounding of the distance.  Distances are taken only
+    for the matrices whose Frobenius norm is within twice that gap of
+    ||d_a||_F (every near-copy's is within one gap), so a stack without
+    near-copies costs one pass over its entries before its SVD.  Frobenius
+    norms and distances are taken on d divided by the power of two of
+    ``_norm_exp``, which only a ``top`` outside 2^(+-_NORM_EXP) needs, so
+    no square over- or underflows to a wrong bound.
     """
     k = len(d)
-    if k == 1:
+    if k <= 3 or min(d.shape[1:]) <= 2:
         return np.linalg.svd(d, compute_uv=False)[:, 0]
     flat = d.reshape(k, -1)
-    e = math.frexp(top)[1]
-    scaled = np.ldexp(flat, -e)
+    e = _norm_exp(top)
+    scaled = np.ldexp(flat, -e) if e else flat
     frob2 = np.einsum("ij,ij->i", scaled, scaled)
     a = int(frob2.argmax())
-    diff = scaled - scaled[a]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    near = dist <= tol.gap(math.sqrt(frob2[a] / min(d.shape[1:])))
-    near[a] = False
-    if not near.any():
+    gap = tol.gap(math.sqrt(frob2[a] / min(d.shape[1:])))
+    lo = max(math.sqrt(frob2[a]) - 2.0 * gap, 0.0)
+    near = np.flatnonzero(frob2 >= lo * lo)  # every near-copy, and d_a
+    if len(near) == 1:
         return np.linalg.svd(d, compute_uv=False)[:, 0]
+    near = near[near != a]
+    diff = scaled[near] - scaled[a]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    near, dist = near[dist <= gap], dist[dist <= gap]
+    if len(near) == 0:
+        return np.linalg.svd(d, compute_uv=False)[:, 0]
+    solve = np.ones(k, dtype=bool)
+    solve[near] = False
     norms = np.empty(k)
-    norms[~near] = np.linalg.svd(d[~near], compute_uv=False)[:, 0]
-    anchor = norms[a]
+    norms[solve] = np.linalg.svd(d[solve], compute_uv=False)[:, 0]
+    norm_a = norms[a]
     with np.errstate(over="ignore"):
-        norms[near] = (anchor + np.ldexp(dist[near], e)) * (1.0 + 4.0 * _U)
-    norms[near & (flat == flat[a]).all(axis=1)] = anchor
+        norms[near] = (norm_a + np.ldexp(dist, e)) * (1.0 + 4.0 * _U)
+    norms[near[(flat[near] == flat[a]).all(axis=1)]] = norm_a
     return norms
 
 

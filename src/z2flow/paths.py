@@ -309,7 +309,9 @@ class OperatorPath:
         Differences that are near-copies of the largest share its SVD
         (``linalg._step_norms``): their norms are upper bounds within
         ``tol.gap``, so the arc may be that much longer, and still bounds
-        ||M(t) - M(s)||_2.
+        ||M(t) - M(s)||_2.  The knots are one stack, solved once, so no
+        path step anchor applies: near-multiples of the largest difference
+        that are not near-copies are solved.
         A knot arc too long for a float is infinite, and the flow engine
         then treats the path as opaque.
         """

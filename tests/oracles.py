@@ -32,11 +32,12 @@ def pfaffian(m) -> float:
     return float(sign * np.prod(np.ldexp(factors, e)))
 
 
-def exact_step_norms(steps: np.ndarray) -> np.ndarray:
+def exact_step_norms(steps: np.ndarray, anchor=None) -> np.ndarray:
     """2-norms of the differences of consecutive matrices stacked along the
     third-to-last axis of ``steps`` (leading axes stack more sequences),
     one SVD row per difference; a difference with an entry that overflows
-    is inf, without a numpy warning and without an SVD."""
+    is inf, without a numpy warning and without an SVD.  A path's step
+    ``anchor`` is accepted and ignored."""
     with np.errstate(over="ignore"):
         diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
     if diffs.size == 0:

@@ -783,7 +783,7 @@ class TestPiecewiseAffine:
         import z2flow.cli as cli
         import z2flow.flow as flow_module
 
-        def refuse(steps):
+        def refuse(steps, anchor=None):
             raise AssertionError("step norms solved on a certified path")
 
         monkeypatch.setattr(flow_module, "_step_norms", refuse)
@@ -1281,9 +1281,9 @@ class TestSolvedSampleReuse:
         solves, stacks, segments = spy_solves(monkeypatch), [], []
         inner, norms = flow_module._level_windows, flow_module._step_norms
 
-        def spy_norms(steps):
+        def spy_norms(steps, anchor=None):
             stacks.append(steps)
-            return norms(steps)
+            return norms(steps, anchor)
 
         def spy(data, level, rng):
             windows = []
@@ -2228,6 +2228,17 @@ class TestBatchedSegmentChecks:
         pairs = np.stack([steps[:-1], steps[1:]], axis=1)
         self.within_gap(_step_norms(pairs), exact_step_norms(pairs))
 
+    @pytest.mark.parametrize("n, samples", [(32, 4), (2, 9), (1, 65)])
+    def test_small_stacks_are_solved_as_they_are(self, monkeypatch, n, samples):
+        # at most 3 differences, or sides of at most 2: one SVD of every
+        # difference, each norm bitwise its own
+        steps = self.line(np.random.default_rng(56), n, samples)
+        rows = TestPathStepAnchor.svd_rows(monkeypatch)
+        norms = _step_norms(steps)
+        assert rows == [samples - 1]
+        monkeypatch.undo()
+        assert norms.tobytes() == exact_step_norms(steps).tobytes()
+
     def test_repeated_difference_takes_the_anchor_norm_bitwise(self):
         # integer matrices: every difference is the same matrix, bitwise
         rng = np.random.default_rng(49)
@@ -2302,10 +2313,10 @@ class TestSharedStepNorms:
             count["rows"] += math.prod(np.shape(a)[:-2]) if count["on"] else 0
             return svd(a, *args, **kwargs)
 
-        def spy_norms(steps):
+        def spy_norms(steps, anchor=None):
             count["stacks"], count["on"] = count["stacks"] + 1, True
             try:
-                return norms(steps)
+                return norms(steps, anchor)
             finally:
                 count["on"] = False
 
@@ -2332,7 +2343,7 @@ class TestSharedStepNorms:
                 (-1, 11, 69, 5)
             counts.append((count["rows"], count["stacks"]))
             monkeypatch.undo()
-        assert counts == [(100, 14), (14, 14)]
+        assert counts == [(100, 14), (1, 14)]
 
     def test_opaque_sweep_matches_exact_norms(self, monkeypatch):
         import z2flow.flow as flow_module
@@ -2361,6 +2372,160 @@ class TestSharedStepNorms:
         assert shared == exact
         # the pieces of the sample paths are lines, whose steps share rows
         assert shared_rows < count["rows"]
+
+
+class TestPathStepAnchor:
+    """A path's step anchor (``linalg._StepAnchor``): its first step stack
+    solves only its largest difference, and in that stack and every later
+    one a near-multiple of that difference takes an upper bound within
+    2 GAP_REL of its norm without an SVD."""
+
+    @staticmethod
+    def svd_rows(monkeypatch):
+        """The rows of every ``np.linalg.svd`` call, in order."""
+        rows, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            rows.append(math.prod(np.shape(a)[:-2]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return rows
+
+    @staticmethod
+    def within_gaps(norms, exact):
+        # upper bounds on each norm, within 4 GAP_REL of it
+        assert np.all(norms >= exact)
+        assert np.all(norms <= exact * (1.0 + 4.0 * tol.GAP_REL))
+
+    @staticmethod
+    def multiples(rng, direction, scales):
+        """A (pairs, 2, n, m) stack whose differences are c direction for
+        each c in ``scales``, up to a relative 1e-12 perturbation."""
+        pairs = []
+        for c in scales:
+            start = abs(c) * rng.standard_normal(direction.shape)
+            step = c * direction + abs(c) * 1e-12 * rng.standard_normal(direction.shape)
+            pairs.append((start, start + step))
+        return np.array(pairs)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (8, 3), (2, 7), (1, 1)])
+    def test_near_multiples_take_bounds_without_an_svd(self, monkeypatch, shape):
+        rng = np.random.default_rng(53)
+        direction = rng.standard_normal(shape)
+        first = np.array([(np.zeros(shape), c * direction) for c in (1.0, -0.5, 0.25, 0.75)])
+        signs = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+        scales = np.concatenate([[2.0 ** -30, -2.0 ** -30, 2.0 ** 30, -2.0 ** 30],
+                                 signs * 2.0 ** rng.uniform(-30.0, 30.0, 40)])
+        # near-multiples, and rounded multiples fl(c direction), whose
+        # bounds only the rounding widening keeps above the oracle
+        later = np.concatenate([self.multiples(rng, direction, scales),
+                                [(np.zeros(shape), c * direction) for c in scales]])
+        anchor = linalg._StepAnchor()
+        rows = self.svd_rows(monkeypatch)
+        norms = [_step_norms(first, anchor)] + \
+            [_step_norms(later[i:i + 11], anchor) for i in range(0, len(later), 11)]
+        assert rows == [1]  # the first stack's largest difference alone
+        monkeypatch.undo()
+        exact = exact_step_norms(first)
+        assert norms[0][0, 0].tobytes() == exact[0, 0].tobytes()
+        self.within_gaps(norms[0], exact)
+        self.within_gaps(np.concatenate(norms[1:]), exact_step_norms(later))
+
+    def test_other_differences_are_solved_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        direction = rng.standard_normal((5, 5))
+        anchor = linalg._StepAnchor()
+        _step_norms(self.multiples(rng, direction, [1.0]), anchor)
+        mixed = np.concatenate([self.multiples(rng, direction, [2.0, -3.0]),
+                                rng.standard_normal((3, 2, 5, 5)),
+                                self.multiples(rng, direction + 1e-6, [1.0])])
+        rows = self.svd_rows(monkeypatch)
+        norms = _step_norms(mixed, anchor)[:, 0]
+        assert rows == [4]  # the random pairs and the one 1e-6 off the direction
+        monkeypatch.undo()
+        exact = exact_step_norms(mixed)[:, 0]
+        assert [x.tobytes() for x in norms[2:]] == [x.tobytes() for x in exact[2:]]
+        self.within_gaps(norms[:2], exact[:2])
+
+    @pytest.mark.parametrize("learned", [1.0, 1e200, 1e-200])
+    def test_anchored_scaled_stacks_raise_no_warning(self, monkeypatch, learned):
+        rng = np.random.default_rng(55)
+        direction = rng.standard_normal((4, 4))
+        # differences with entries near 1e308, whose squares overflow
+        c = 0.4e308 / np.abs(direction).max()
+        huge = np.array([(-t * c * direction, (1.0 - t) * c * direction)
+                         for t in (0.5, 0.25, 0.75)])
+        top = 1.7e308 * np.sign(rng.standard_normal((4, 4)))
+        stacks = [self.multiples(rng, direction, scale * np.array([1.0, -3.0, 0.5]))
+                  for scale in (1e200, 1e-200, 1.0)] + [huge]
+        # a difference 1e-300 times its stack's largest, whose residual
+        # squares underflow, is not taken for a multiple
+        tiny = self.multiples(rng, direction, [1.0, 2.0])
+        tiny[1, 1] = tiny[1, 0] + 1e-300 * rng.standard_normal((4, 4))
+        stacks.append(tiny)
+        # a stack with a difference that overflows skips the anchor
+        stacks.append(np.concatenate([huge, [(top, -top)]]))
+        anchor = linalg._StepAnchor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _step_norms(self.multiples(rng, direction, [learned]), anchor)
+            rows = self.svd_rows(monkeypatch)
+            norms = [_step_norms(stack, anchor)[:, 0] for stack in stacks]
+            monkeypatch.undo()
+            exact = [exact_step_norms(stack)[:, 0] for stack in stacks]
+        assert rows == [1, 3]  # the tiny difference; the last stack's finite ones
+        assert np.isinf(norms[-1]).tolist() == np.isinf(exact[-1]).tolist() == \
+            [False, False, False, True]
+        norms[-1], exact[-1] = norms[-1][:3], exact[-1][:3]
+        self.within_gaps(np.concatenate(norms), np.concatenate(exact))
+
+    def test_curved_path_takes_no_anchored_bound(self, monkeypatch):
+        # a quadratic path turns its step direction: every step is solved,
+        # one row per difference, as by the exact oracle
+        import z2flow.flow as flow_module
+
+        a, c, b = np.random.default_rng(4).standard_normal((3, 8, 8))
+        path = OperatorPath((0.0, 1.0),
+                            lambda t: (1 - t) ** 2 * a + 2 * t * (1 - t) * c + t ** 2 * b)
+        outcomes, counts = [], []
+        for norms in (exact_step_norms, _step_norms):
+            monkeypatch.setattr(flow_module, "_step_norms", norms)
+            count = TestSharedStepNorms.spy_rows(monkeypatch)
+            outcomes.append(TestSharedStepNorms.outcome(embed_chiral_path(path)))
+            counts.append((count["rows"], count["stacks"]))
+            monkeypatch.undo()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:3] == (parity_finite(path), 85, 5)
+        assert counts == [(112, 18), (112, 18)]
+
+    def test_paths_solved_in_alternation_keep_their_own_anchor(self, monkeypatch):
+        # the sine wave is solved inside the line's flow, from the line's
+        # 30th evaluation on: each flow and its step rows are as solo
+        line = _fixed_line()
+        wave = embed_chiral_path(
+            _diagonal_path(lambda t: np.sin(40 * np.pi * t + 0.1), lambda t: 1.0))
+        count = TestSharedStepNorms.spy_rows(monkeypatch)
+        solo = []
+        for path in (embed_chiral_path(line), wave):
+            rows = count["rows"]
+            solo.append(TestSharedStepNorms.outcome(path))
+            solo.append(count["rows"] - rows)
+        assert solo[1] == solo[3] == 1
+        inner, calls = [], []
+
+        def evaluator(t):
+            calls.append(t)
+            if len(calls) == 30:
+                rows = count["rows"]
+                inner.append(TestSharedStepNorms.outcome(wave))
+                inner.append(count["rows"] - rows)
+            return line.evaluator(t)
+
+        rows = count["rows"]
+        outer = TestSharedStepNorms.outcome(
+            embed_chiral_path(OperatorPath(line.interval, evaluator, "general")))
+        assert [outer, count["rows"] - rows - inner[1]] + inner == solo
 
 
 def _skew_block_path(f, arc=None, bad_t=None):
