@@ -295,9 +295,8 @@ class _PathData:
     that tries its parent's samples finds their steps solved.  The path's
     step anchor (``linalg._StepAnchor``) is its first stack's largest
     step: a step that is a near-multiple of it, as every step of a line
-    is, or a near-copy of its own stack's largest takes an upper bound
-    within 2 ``tol.gap`` of its 2-norm without an SVD
-    (``linalg._step_norms``).
+    is, takes an upper bound within 2 ``tol.gap`` of its 2-norm without an
+    SVD, and every other step is solved exactly (``linalg._step_norms``).
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -387,11 +386,9 @@ class _PathData:
         as one values-only stack (``_step_norms``) against the path's step
         anchor: a near-multiple of the anchor takes an upper bound within
         2 ``tol.gap`` without an SVD, so a path that moves along one matrix
-        direction solves one step SVD in all; of the rest, the near-copies
-        of the row's largest step share its SVD and take upper bounds
-        within ``tol.gap``, and every other pair's norm is bitwise its
-        own.  The opaque rule reads only upper bounds: the step bound and
-        the 0.75-step margin only grow."""
+        direction solves one step SVD in all; every other pair's norm is
+        solved, bitwise its own.  The opaque rule reads only upper bounds:
+        the step bound and the 0.75-step margin only grow."""
         pairs = list(zip(ts[:-1], ts[1:]))
         new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
         if new:  # a (pairs, 2, n, m) stack

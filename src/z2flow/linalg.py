@@ -238,8 +238,9 @@ class _StepAnchor:
         squares, their sum, a square root), min(n, m) the rounding of c S,
         at most u |c| ||S||_F <= u sqrt(min(n, m)) |c| ||S||_2, another
         min(n, m) the relative error of the SVD that gave ||S||_2 (a few
-        u in practice), and 8 the remaining roundings and underflows.  Nothing overflows before that
-        last product, and a bound beyond the float range is inf.
+        u in practice), and 8 the remaining roundings and underflows.
+        Nothing overflows before that last product, and a bound beyond the
+        float range is inf.
         """
         k, n, m = d.shape
         e = _norm_exp(top)
@@ -278,21 +279,18 @@ def _step_norms(steps: np.ndarray, anchor: _StepAnchor | None = None) -> np.ndar
 
     A difference with an entry that overflows has a norm beyond the float
     range (the 2-norm is at least every entry): it is inf, taken without a
-    numpy warning and without an SVD, and its stack skips ``anchor``.  The
-    finite differences of a stack share one values-only SVD
-    (``_shared_norms``): near-copies of the stack's largest take its norm
-    plus their distance to it, within ``tol.gap`` of their own, and every
-    other difference its own norm, which then depends on its two matrices
-    alone, bitwise the same in any stack.
+    numpy warning and without an SVD, and its stack skips ``anchor``.
 
     ``anchor``, one per path (``flow._PathData``), carries the path's step
     direction from stack to stack (``_StepAnchor``): the first stack
     solved solves its largest difference first and takes it as the
     direction, and in that stack and every later one a near-multiple of
     the direction takes an upper bound within 2 ``tol.gap`` of its norm
-    without an SVD; only the rest go to ``_shared_norms``.  A path that
-    moves along one matrix direction, M(t) = A + f(t) D such as a straight
-    line, so solves one step SVD in all.
+    without an SVD.  A path that moves along one matrix direction, M(t) =
+    A + f(t) D such as a straight line, so solves one step SVD in all.
+    Every other difference is solved exactly, by one values-only SVD of
+    the stack's rest: its norm depends on its two matrices alone, bitwise
+    the same in any stack.
     """
     with np.errstate(over="ignore"):
         diffs = steps[..., 1:, :, :] - steps[..., :-1, :, :]
@@ -302,70 +300,16 @@ def _step_norms(steps: np.ndarray, anchor: _StepAnchor | None = None) -> np.ndar
     top = max_abs(flat)  # inf if and only if a difference overflows
     if not math.isfinite(top):
         norms = np.full(len(flat), math.inf)
-        finite = np.isfinite(flat).all(axis=(-2, -1))
-        if finite.any():
-            ok = flat[finite]
-            norms[finite] = _shared_norms(ok, max_abs(ok))
+        solve = np.isfinite(flat).all(axis=(-2, -1))
     elif anchor is None:
-        norms = _shared_norms(flat, top)
+        norms, solve = np.empty(len(flat)), slice(None)
     else:
         norms = anchor.bounds(flat, top)
-        rest = np.isnan(norms)
-        if rest.any():
-            d = flat[rest]
-            norms[rest] = _shared_norms(d, max_abs(d))
+        solve = np.isnan(norms)
+    d = flat[solve]  # the differences solved exactly
+    if len(d):
+        norms[solve] = np.linalg.svd(d, compute_uv=False)[:, 0]
     return norms.reshape(diffs.shape[:-2])
-
-
-def _shared_norms(d: np.ndarray, top: float) -> np.ndarray:
-    """Upper bounds on the 2-norms of a (k, n, m) stack d of finite
-    matrices whose largest entry is ``top``, from one values-only SVD.
-
-    A stack of at most 3 matrices, or of matrices with a side of at most
-    2, is solved as it is: there the passes below cost about what the SVD
-    rows they could save cost.  In any other, the matrix d_a of largest
-    Frobenius norm is solved, and a near-copy is a matrix j with ||d_j -
-    d_a||_F <= tol.gap(||d_a||_F / sqrt(min(n, m))), GAP_REL times a lower
-    bound on ||d_a||_2.  The SVD solves d_a and every matrix that is not a
-    near-copy, each bitwise its own norm.  A near-copy bitwise equal to
-    d_a takes ||d_a||_2, and any other (||d_a||_2 + ||d_j - d_a||_F)(1 +
-    4u), an upper bound on ||d_j||_2 by the triangle inequality, whose
-    factor covers the rounding of the distance.  Distances are taken only
-    for the matrices whose Frobenius norm is within twice that gap of
-    ||d_a||_F (every near-copy's is within one gap), so a stack without
-    near-copies costs one pass over its entries before its SVD.  Frobenius
-    norms and distances are taken on d divided by the power of two of
-    ``_norm_exp``, which only a ``top`` outside 2^(+-_NORM_EXP) needs, so
-    no square over- or underflows to a wrong bound.
-    """
-    k = len(d)
-    if k <= 3 or min(d.shape[1:]) <= 2:
-        return np.linalg.svd(d, compute_uv=False)[:, 0]
-    flat = d.reshape(k, -1)
-    e = _norm_exp(top)
-    scaled = np.ldexp(flat, -e) if e else flat
-    frob2 = np.einsum("ij,ij->i", scaled, scaled)
-    a = int(frob2.argmax())
-    gap = tol.gap(math.sqrt(frob2[a] / min(d.shape[1:])))
-    lo = max(math.sqrt(frob2[a]) - 2.0 * gap, 0.0)
-    near = np.flatnonzero(frob2 >= lo * lo)  # every near-copy, and d_a
-    if len(near) == 1:
-        return np.linalg.svd(d, compute_uv=False)[:, 0]
-    near = near[near != a]
-    diff = scaled[near] - scaled[a]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    near, dist = near[dist <= gap], dist[dist <= gap]
-    if len(near) == 0:
-        return np.linalg.svd(d, compute_uv=False)[:, 0]
-    solve = np.ones(k, dtype=bool)
-    solve[near] = False
-    norms = np.empty(k)
-    norms[solve] = np.linalg.svd(d[solve], compute_uv=False)[:, 0]
-    norm_a = norms[a]
-    with np.errstate(over="ignore"):
-        norms[near] = (norm_a + np.ldexp(dist, e)) * (1.0 + 4.0 * _U)
-    norms[near[(flat[near] == flat[a]).all(axis=1)]] = norm_a
-    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -306,12 +306,9 @@ class OperatorPath:
         sample differences interpolated linearly (between samples the path
         moves along a line at constant speed), computed on first use over
         (t - t0) / (t1 - t0), which stays finite on a subnormal interval.
-        Differences that are near-copies of the largest share its SVD
-        (``linalg._step_norms``): their norms are upper bounds within
-        ``tol.gap``, so the arc may be that much longer, and still bounds
-        ||M(t) - M(s)||_2.  The knots are one stack, solved once, so no
-        path step anchor applies: near-multiples of the largest difference
-        that are not near-copies are solved.
+        The knots are one stack, solved once without a path step anchor
+        (``linalg._step_norms``): each difference's norm is its own SVD's,
+        so the arc is exact up to rounding.
         A knot arc too long for a float is infinite, and the flow engine
         then treats the path as opaque.
         """

@@ -765,6 +765,15 @@ class TestPiecewiseAffine:
         lo, hi = np.searchsorted(grid, piece)
         assert dist[(i == lo) & (j == hi)][0] == pytest.approx(arc[hi] - arc[lo])
 
+    def test_knot_arc_is_exact(self):
+        # the knots are one stack without a path step anchor: each step of
+        # the arc is its difference's own SVD norm, bitwise
+        ts = np.linspace(0.0, 1.0, 65)
+        mats = TestBatchedSegmentChecks.line(np.random.default_rng(57), n=4, samples=65)
+        arc = OperatorPath.from_samples(ts, mats).evaluator.arc(ts)
+        exact = np.concatenate([[0.0], np.cumsum(exact_step_norms(mats))])
+        assert arc.tobytes() == exact.tobytes()
+
     def test_declared_arcs_reach_the_engine(self, monkeypatch):
         bifurcation = build_bifurcation_path(GalerkinSpec(mode_cutoff=4))
         assert to_skew_path(bifurcation).evaluator.arc is bifurcation.evaluator.arc
@@ -2220,17 +2229,17 @@ class TestBatchedSegmentChecks:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        norms = _step_norms(steps)
+        norms = _step_norms(steps, linalg._StepAnchor())
         assert rows == [1]
         monkeypatch.undo()
         self.within_gap(norms, exact_step_norms(steps))
         # so does a (pairs, 2, n, n) stack of its pairs
         pairs = np.stack([steps[:-1], steps[1:]], axis=1)
-        self.within_gap(_step_norms(pairs), exact_step_norms(pairs))
+        self.within_gap(_step_norms(pairs, linalg._StepAnchor()), exact_step_norms(pairs))
 
-    @pytest.mark.parametrize("n, samples", [(32, 4), (2, 9), (1, 65)])
+    @pytest.mark.parametrize("n, samples", [(32, 4), (2, 9), (1, 65), (32, 9)])
     def test_small_stacks_are_solved_as_they_are(self, monkeypatch, n, samples):
-        # at most 3 differences, or sides of at most 2: one SVD of every
+        # a stack without an anchor is solved as it is: one SVD of every
         # difference, each norm bitwise its own
         steps = self.line(np.random.default_rng(56), n, samples)
         rows = TestPathStepAnchor.svd_rows(monkeypatch)
@@ -2240,7 +2249,8 @@ class TestBatchedSegmentChecks:
         assert norms.tobytes() == exact_step_norms(steps).tobytes()
 
     def test_repeated_difference_takes_the_anchor_norm_bitwise(self):
-        # integer matrices: every difference is the same matrix, bitwise
+        # integer matrices: every difference is the same matrix, bitwise,
+        # and so is its norm
         rng = np.random.default_rng(49)
         base, step = rng.integers(-9, 10, (2, 5, 5)).astype(float)
         steps = np.array([base + k * step for k in range(6)])
@@ -2252,7 +2262,7 @@ class TestBatchedSegmentChecks:
     def test_scaled_stacks_raise_no_warning(self, scale):
         steps = self.line(np.random.default_rng(50), n=6) * scale
         # entries near 1e308, whose squares overflow: a line's differences,
-        # one that overflows and one that is not a near-copy
+        # one that overflows and one off the line
         rng = np.random.default_rng(51)
         a, b = 1e308 * rng.uniform(0.5, 1.0, (2, 3, 3))
         top = np.full((3, 3), 1.7e308)
@@ -2297,9 +2307,10 @@ class TestBatchedSegmentChecks:
 
 
 class TestSharedStepNorms:
-    """Step norms that bound near-copies of a stack's anchor change no
-    partition: opaque flows equal those on the exact norms of
-    ``exact_step_norms``, one SVD row per difference."""
+    """Step norms that bound near-multiples of a path's step anchor, and
+    solve everything else exactly, change no partition: opaque flows equal
+    those on the exact norms of ``exact_step_norms``, one SVD row per
+    difference."""
 
     @staticmethod
     def spy_rows(monkeypatch):
@@ -2370,7 +2381,8 @@ class TestSharedStepNorms:
         count = self.spy_rows(monkeypatch)
         exact = [self.outcome(path) for path in paths]
         assert shared == exact
-        # the pieces of the sample paths are lines, whose steps share rows
+        # the pieces of the sample paths are lines, whose steps take the
+        # anchor's bounds
         assert shared_rows < count["rows"]
 
 
