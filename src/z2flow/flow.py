@@ -56,6 +56,13 @@ __all__ = [
 # lower bound on the smallest principal cosine between the two subspaces
 _COS_MIN = math.sqrt(1.0 - tol.WINDOW_EPS ** 2)
 
+# records of blocks of at most this order (plain skew matrices: twice
+# it) are solved with their frames at once (``_eager``): on 9-stacks of
+# 8 x 8 blocks, 1 BLAS thread, a values-only SVD and a later shifted solve
+# each cost about two thirds of a full SVD, and on smaller blocks the
+# shifted solve alone costs about what the directions add to an SVD
+_EAGER_MAX = 8
+
 # equispaced samples per partition segment, endpoints included: 2^3 + 1,
 # three bisections of the segment, written out by _segment_grid
 _SEGMENT_SAMPLES = 9
@@ -281,22 +288,45 @@ def _record_matrix(path: OperatorPath, t) -> np.ndarray:
     return (m - m.swapaxes(-1, -2)) / 2.0
 
 
+def _eager(shape: tuple, chiral: bool) -> bool:
+    """Whether the records of matrices of ``shape`` solve their frames with
+    their values: blocks of order at most ``_EAGER_MAX``, plain skew
+    matrices of at most twice that."""
+    return min(shape[-2:]) <= _EAGER_MAX * (1 if chiral else 2)
+
+
 class _PathData:
     """Caches path evaluations and their skew singular systems per parameter.
 
-    A record is (M, singular values of T ascending, frames).  A chiral-skew
-    path is carried by its block, a general one is its own: M = B =
-    ``path.block(t)`` and the frames are the left and right singular
-    vectors (X, Y) of B (see ``skew_singular_system``); the doubled T is
-    never formed.  A plain skew path has M = T antisymmetrized and the one
-    frame (V,).  M is also the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2,
-    and the step norm of each consecutive sample pair an opaque search
-    reads is kept under the pair's two parameters (``steps``), so a half
-    that tries its parent's samples finds their steps solved.  The path's
-    step anchor (``linalg._StepAnchor``) is its first stack's largest
-    step: a step that is a near-multiple of it, as every step of a line
-    is, takes an upper bound within 2 ``tol.gap`` of its 2-norm without an
-    SVD, and every other step is solved exactly (``linalg._step_norms``).
+    A record is (M, singular values of T ascending), solved values-only: a
+    chiral-skew path is carried by its block, a general one is its own, so
+    M = B = ``path.block(t)`` and the doubled T is never formed; a plain
+    skew path has M = T antisymmetrized.  M is also the step matrix:
+    ||T_i - T_j||_2 = ||B_i - B_j||_2, and the step norm of each consecutive
+    sample pair an opaque search reads is kept under the pair's two
+    parameters (``steps``), so a half that tries its parent's samples finds
+    their steps solved.  The path's step anchor (``linalg._StepAnchor``) is
+    its first stack's largest step: a step that is a near-multiple of it,
+    as every step of a line is, takes an upper bound within 2 ``tol.gap`` of
+    its 2-norm without an SVD, and every other step is solved exactly
+    (``linalg._step_norms``).
+
+    Frames are read only where a window of positive rank is tried, and are
+    cached per record as its j smallest directions on each side: the left
+    and right singular vectors (X, Y) of a block (see
+    ``skew_singular_system``), the right ones (V,) of a plain record.
+    ``frames`` solves the missing ones of a request as one stack: the one
+    pair (x_1, y_1) of a rank-2 window of a square block by one certified
+    shifted solve (``linalg._smallest_pair``), every other request, and a
+    pair the certificate refuses, by the SVD's full directions; the values
+    stay those the search read.  A record keeps the frames of its first
+    request: a certified pair lies within ``linalg._PAIR_SIN`` of the SVD's
+    directions, so a cosine the search reads moves by about that much with
+    the request order.  ``full`` (the rectangular reduction and
+    the pair route, which read every direction) solves each stack's frames
+    with its values instead, as does a block of order at most
+    ``_EAGER_MAX`` (a plain matrix of twice that), where values-first saves
+    nothing (``_eager``); ``sides`` reads a record's full frames.
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -306,22 +336,26 @@ class _PathData:
     the Weyl bounds of a square block whose off-diagonal is zero and whose
     diagonal magnitudes are equal, such as the ring's identity
     (``linalg._pinned_values``, bitwise the values-only SVD), else from a
-    values-only solve; its frames are solved when ``framed`` needs them.
-    A ``general`` path, solved only by the rectangular reduction, is
-    opaque: its arc is not read.  ``records`` seeds the cache with records
-    solved elsewhere (a family's endpoint stacks, ``_family_batch``) for
-    either leaf engine of ``_flow``.
+    values-only solve, also under ``full``.  A ``general`` path, solved
+    only by the rectangular reduction, is opaque: its arc is not read.
+    ``records`` seeds the cache with records solved elsewhere, as
+    (M, sv, frames or None) (a family's endpoint stacks, ``_family_batch``),
+    for either leaf engine of ``_flow``.
     """
 
-    def __init__(self, path: OperatorPath, records=None):
+    def __init__(self, path: OperatorPath, records=None, full: bool = False):
         self.path = path
         self.chiral = path.symmetry_tag != "skew"
+        self.full = full
         arc = None if path.symmetry_tag == "general" else getattr(path.evaluator, "arc", None)
         growth = _arc_growth(arc, path.interval)
         self.arc = arc if math.isfinite(growth) else None
         self.constant = growth == 0
         self._start = float(path.interval[0])
-        self._cache = dict(records or {})
+        records = records or {}
+        self._cache = {t: rec[:2] for t, rec in records.items()}
+        # the directions solved per record, a tuple of sides
+        self._frames = {t: rec[2] for t, rec in records.items() if rec[2] is not None}
         # (t, shape) of the first evaluation
         self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
                            None)
@@ -357,9 +391,10 @@ class _PathData:
         validated as one (``_record_matrix`` of their list; one t at a time
         if that fails, so the first failing t raises alone) and solved,
         unless a constant record's values are pinned, by one stacked
-        ``linalg.skew_singular_system`` (flow's own name is the one-matrix
-        boundary ``bench/spans.py`` traces); cache the records, each bitwise
-        its matrix's own, and return the stacks (M, sv, f)."""
+        ``linalg.skew_singular_system``, values-only unless ``full`` (flow's
+        own name is the one-matrix boundary ``bench/spans.py`` traces);
+        cache the records, each bitwise its matrix's own, and return the
+        stacks (M, sv, frames), the frames None unless solved."""
         m = None
         if len(new) > 1:  # one read of the stack; on any failure one t at a time
             with contextlib.suppress(Exception):
@@ -374,9 +409,12 @@ class _PathData:
         if pinned is not None:
             sv, f = np.repeat(pinned, 2)[None], None
         else:
-            sv, f = linalg.skew_singular_system(m, self.chiral, not self.constant)
+            eager = self.full or _eager(m.shape, self.chiral)
+            sv, f = linalg.skew_singular_system(m, self.chiral, eager and not self.constant)
         f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
-        self._cache.update(zip(new, zip(m, sv, zip(*f) if f else [None] * len(new))))
+        self._cache.update(zip(new, zip(m, sv)))
+        if f is not None:
+            self._frames.update(zip(new, zip(*f)))
         return m, sv, f
 
     def steps(self, ts: list, row: list) -> list:
@@ -387,23 +425,62 @@ class _PathData:
         anchor: a near-multiple of the anchor takes an upper bound within
         2 ``tol.gap`` without an SVD, so a path that moves along one matrix
         direction solves one step SVD in all; every other pair's norm is
-        solved, bitwise its own.  The opaque rule reads only upper bounds:
-        the step bound and the 0.75-step margin only grow."""
+        solved, bitwise its own.  A row whose every pair is new is one
+        (samples, n, m) stack of its matrices, each stacked once; a row with
+        some pairs stepped stacks its new pairs as (pairs, 2, n, m).  The
+        opaque rule reads only upper bounds: the step bound and the
+        0.75-step margin only grow."""
         pairs = list(zip(ts[:-1], ts[1:]))
         new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
-        if new:  # a (pairs, 2, n, m) stack
+        if len(new) == len(pairs):  # a new row: each sample stacked once
+            norms = _step_norms(np.array([r[0] for r in row]), self._anchor)
+        elif new:  # some pairs stepped: the new ones as separate pairs
             norms = _step_norms(np.array([[row[i][0], row[i + 1][0]] for i in new]),
-                                self._anchor)
-            self._steps.update(zip((pairs[i] for i in new), norms[:, 0].tolist()))
+                                self._anchor)[:, 0]
+        if new:
+            self._steps.update(zip((pairs[i] for i in new), norms.tolist()))
         return [self._steps[pair] for pair in pairs]
 
-    def framed(self, t: float):
-        """``at`` with the frames, solving them now for a constant record."""
-        rec = self.at(t)
-        if rec[2] is None:
-            f = skew_singular_system(rec[0], self.chiral)[1]
-            rec = self._cache[self._key(t)] = (rec[0], rec[1], f if self.chiral else (f,))
-        return rec
+    def frames(self, ts: list, k: int) -> np.ndarray:
+        """The frames of the window of the k > 0 smallest values of the
+        records at the floats ts, stacked (sides, len(ts), n, k / sides):
+        the first k directions of a plain record, the first k / 2 of each
+        side of a block (an admissible block is square).  The records whose
+        cache holds fewer directions are solved as one stack: for k = 2 on
+        a square block by ``linalg._smallest_pair``, and the rows it does
+        not certify, as every other request, by the SVD's full frames."""
+        keys = [self._start] * len(ts) if self.constant else ts
+        j, cache = k // 2 if self.chiral else k, self._frames
+        todo = [t for t in dict.fromkeys(keys) if t not in cache or cache[t][0].shape[-1] < j]
+        if todo:
+            self._solve_frames(todo, j == 1 and self.chiral)
+        return np.array([[cache[t][side][:, :j] for t in keys]
+                         for side in range(2 if self.chiral else 1)])
+
+    def sides(self, t: float) -> tuple:
+        """The full frames of the record at t, (X, Y) or (V,), solved now if
+        its cache holds fewer directions (a record seeded or values-only)."""
+        self.at(t)
+        key = self._key(t)
+        f = self._frames.get(key)
+        if f is None or f[0].shape[-1] < f[0].shape[-2]:
+            self._solve_frames([key], False)
+        return self._frames[key]
+
+    def _solve_frames(self, keys: list, pair: bool):
+        """Solve the frames of the cached records ``keys`` as one stack: by
+        ``linalg._smallest_pair`` if ``pair`` (a block's one smallest pair),
+        then by the SVD's full frames for the rows not yet certified."""
+        m = _stack([self._cache[t][0] for t in keys])
+        if pair:  # an admissible block is square
+            sv = np.array([self._cache[t][1][::2] for t in keys])
+            x, y, certified = linalg._smallest_pair(m, sv)
+            self._frames.update((t, (x[i, :, None], y[i, :, None]))
+                                for i, t in enumerate(keys) if certified[i])
+            keys, m = [t for t, ok in zip(keys, certified) if not ok], m[~certified]
+        if keys:
+            f = linalg.skew_singular_system(m, self.chiral)[1]
+            self._frames.update(zip(keys, zip(*(f if self.chiral else (f,)))))
 
     @property
     def evaluations(self) -> int:
@@ -562,7 +639,7 @@ def _level_windows(data: _PathData, segments, rng) -> list:
             grown = (arcs[:, -1] - arcs[:, 0]).tolist()
             _require_arc(*zip(*segments), *(_stack([e[j][0] for e in ends]) for j in (0, 1)),
                          np.array(grown))
-            for i, ((_, s0, _), (_, s1, _)) in enumerate(ends):
+            for i, ((_, s0), (_, s1)) in enumerate(ends):
                 clears, a = _endpoint_rule(float(s0[0]), float(s1[0]),
                                            float(max(s0[-1], s1[-1])), grown[i], rng)
                 verdicts[i] = (float(a), 0) if clears else None
@@ -584,9 +661,10 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
     of ``grids``, with their arc values ``arcs`` (None on an opaque path):
     the rows' new samples are solved as one stack, one pass over their
     (rows, samples, n) singular values takes the envelopes and gaps, and
-    each row tries its candidate ranks, its frames stacked once.  An opaque
-    row whose singular-value steps leave a candidate reads its step norms
-    from ``_PathData.steps``, which solves only the pairs not yet stepped."""
+    each row tries its candidate ranks, the frames of each rank requested
+    as one stack (``_PathData.frames``).  An opaque row whose singular-value
+    steps leave a candidate reads its step norms from ``_PathData.steps``,
+    which solves only the pairs not yet stepped."""
     recs = data.solve(grids.ravel())
     svs = np.array([r[1] for r in recs]).reshape(grids.shape + recs[0][1].shape)
     rows, size, n = svs.shape
@@ -618,10 +696,11 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
             return [j for j, (low, high) in enumerate(zip(low_env, high_env))
                     if high - low > 2.0 * margin]
 
+        ts = grids[i].tolist()
         if arcs is None:
             if lower[i] > data.step_bound or not fits(margin + 0.75 * lower[i]):
                 return None
-            step = max(data.steps(grids[i].tolist(), row))
+            step = max(data.steps(ts, row))
             if step > data.step_bound:
                 return None
             margin += 0.75 * step
@@ -638,7 +717,6 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
         candidates.sort(key=lambda j: not inside[j])
         if rng is not None:
             rng.shuffle(candidates)
-        frames = None
         for j in candidates:
             k, low, high = 2 * j, low_env[j], high_env[j]
             if math.isinf(high):
@@ -650,30 +728,14 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
                 a = (low + margin) + u * ((high - margin) - (low + margin))
             if a <= margin:
                 continue
-            if k:  # a rank-0 window has no subspace to check
-                if frames is None:  # one stack per side; a constant's frames solved once
-                    if row[0][2] is None:
-                        row = [data.framed(t) for t in grids[i].tolist()]
-                    frames = [np.array(side) for side in zip(*(r[2] for r in row))]
-                # an admissible block is square, so both sides have one shape
-                if not _pairwise_window_continuity(np.array(_window_frames(frames, k))):
-                    continue
+            # a rank-0 window has no subspace to check; the sides of a
+            # block's window are checked as two sets of samples
+            if k and not _pairwise_window_continuity(data.frames(ts, k)):
+                continue
             return a, k
         return None
 
     return [window(i) for i in range(rows)]
-
-
-def _window_frames(frames, k: int):
-    """Frames of the window of the k smallest singular values, of one
-    record's ``frames`` or of stacks of them: the first k directions of a
-    plain record; on a block, the longer side's d structural directions and
-    both sides' directions of (k - d) / 2 values of B."""
-    if len(frames) == 1:
-        return [frames[0][..., :k]]
-    r = min(f.shape[-1] for f in frames)
-    pairs = (k - sum(f.shape[-1] - r for f in frames)) // 2
-    return [f[..., :f.shape[-1] - r + pairs] for f in frames]
 
 
 def _kernel_lift(data: _PathData, t: float, a_min: float,
@@ -699,7 +761,7 @@ def _kernel_lift(data: _PathData, t: float, a_min: float,
         raise RefinementError(
             f"odd near-kernel cluster of size {m} at t={t}; cannot lift"
         )
-    kernels = _window_frames(data.framed(t)[2], m)
+    kernels = list(data.frames([float(t)], m)[:, 0])
     if rng is not None:
         kernels = [c @ _random_orthogonal(rng, c.shape[1]) for c in kernels]
     if data.chiral:  # an admissible chiral path has no structural kernel
@@ -767,7 +829,10 @@ def _family_batch(family, members, rng):
 
     The family is evaluated once at each endpoint, and the blocks of its
     moving members (whose arc grows, or is opaque) are solved by one stacked
-    ``skew_singular_system``, bitwise their own records.  Each must be
+    ``skew_singular_system``, each bitwise the record of the member's own
+    windowed walk: values-only, and the walk solves frames where it reads
+    them, unless the blocks are small enough to solve their frames with
+    their values (``_eager``).  Each must be
     admissible at both ends (``_require_admissible``) and grow by at least
     max |B(t1) - B(t0)| along a declared arc (``_require_arc``).  The
     radius is bitwise the member's own walk's (under ``rng``, u from one
@@ -785,7 +850,7 @@ def _family_batch(family, members, rng):
     ends = [family.stack(t)[members] for t in (t0, t1)]
     # the stack is solved through the linalg module: flow's own name is the
     # one-matrix boundary that bench/spans.py traces
-    solves = [linalg.skew_singular_system(b, True) for b in ends]
+    solves = [linalg.skew_singular_system(b, True, _eager(b.shape, True)) for b in ends]
     svs = [sv for sv, _ in solves]
     if not svs[0].shape[1]:  # 0 x 0 blocks have no floor: walked
         declared[:] = False
@@ -808,8 +873,8 @@ def _family_batch(family, members, rng):
     records = {}
     for j, i in enumerate(members.tolist()):
         if i not in radii:
-            records[i] = {float(t): (b[j], sv[j], (x[j], y[j]))
-                          for t, b, (sv, (x, y)) in zip((t0, t1), ends, solves)}
+            records[i] = {float(t): (b[j], sv[j], f and (f[0][j], f[1][j]))
+                          for t, b, (sv, f) in zip((t0, t1), ends, solves)}
     return radii, records
 
 
@@ -986,12 +1051,11 @@ def _require_admissible(t: float, sv: np.ndarray):
 
 def _restricted(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Restrictions of record operators M, lifts added, to window frames
-    stacked with their sides along the third-to-last axis: F^T M F
-    antisymmetrized for one side (a plain record), or for a block's sides
-    (X, Y) the square S = X^T M Y that carries the window's
-    [[0, S], [-S^T, 0]]."""
-    s = frames[..., 0, :, :].swapaxes(-1, -2) @ m @ frames[..., -1, :, :]
-    return (s - s.swapaxes(-1, -2)) / 2.0 if frames.shape[-3] == 1 else s
+    stacked with their sides along the first axis: F^T M F antisymmetrized
+    for one side (a plain record), or for a block's sides (X, Y) the square
+    S = X^T M Y that carries the window's [[0, S], [-S^T, 0]]."""
+    s = frames[0].swapaxes(-1, -2) @ m @ frames[-1]
+    return (s - s.swapaxes(-1, -2)) / 2.0 if len(frames) == 1 else s
 
 
 def _window_factors(data: _PathData, accepted, lifts) -> list:
@@ -1037,16 +1101,13 @@ def _factor_pass(data: _PathData, accepted, lifts) -> list:
     for k in sorted(set(ranks) - {0}):
         group = [i for i, rank in enumerate(ranks) if rank == k]
         ends = [(points[i], points[i + 1]) for i in group]
-        recs = [[data.framed(t) for t in ts] for ts in ends]
-        # (window, end, side, n, k / sides): a plain record's window is its
-        # first k directions, and an admissible block is square, so each of
-        # its sides' windows is its first k / 2 (``_window_frames``)
-        frames = np.array([[r[2] for r in rs] for rs in recs])
-        frames = frames[..., :k // frames.shape[2]]
-        at_lo, at_hi = frames[:, 0], frames[:, 1]
-        frames[:, 1] = at_hi @ _polar_split(at_hi.swapaxes(-1, -2) @ at_lo, floor)[0]
-        m = np.array([[r[0] + lifts[t] if t in lifts else r[0] for t, r in zip(ts, rs)]
-                      for ts, rs in zip(ends, recs)])
+        # (side, window, end, n, k / sides), one request for the group
+        frames = data.frames([t for ts in ends for t in ts], k)
+        frames = frames.reshape(len(frames), len(group), 2, *frames.shape[2:])
+        at_lo, at_hi = frames[:, :, 0], frames[:, :, 1]
+        frames[:, :, 1] = at_hi @ _polar_split(at_hi.swapaxes(-1, -2) @ at_lo, floor)[0]
+        m = np.array([[data.at(t)[0] + lifts[t] if t in lifts else data.at(t)[0]
+                       for t in ts] for ts in ends])
         signs, sigma_min = linalg.checked_signs(
             _restricted(m, frames), None if data.chiral else linalg._skew_pfaffian_sign)
         product = signs[:, 0] * signs[:, 1]  # NaN or 0 where an end fails
@@ -1118,8 +1179,9 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     (U[:, :k] away from a cluster), W_i = C_i Q_i for the running product
     Q_i = polar(C_i^T C_i-1) Q_i-1 of k x k factors.
 
-    The samples are ``_PathData`` records of the opaque path (U is X, Y for
-    a wide B, read backwards).  The 65-point grid is one batch: one stacked
+    The samples are ``_PathData`` records of the opaque path, solved with
+    their frames (``full``; U is X, Y for a wide B, read backwards).  The
+    65-point grid is one batch: one stacked
     solve, F and C of all points as one slice, only the cluster points
     transported, left to right, and one ``_smallest_cosines`` of all grid
     pairs.  The segments before the first refused pair, or before the first
@@ -1133,7 +1195,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     t0, t1 = path.interval
     grid = np.linspace(t0, t1, 65)
     grid = grid[np.diff(grid, prepend=-np.inf) > 0]  # fewer if 65 floats do not fit
-    data = _PathData(path)
+    data = _PathData(path, full=True)  # every direction of U is read
     m, sv, sides = data.stack(grid.tolist())
     # singular values of B tall, descending, and its U
     s, u = sv[:, d::2][:, ::-1], sides[wide][..., ::-1]
@@ -1183,7 +1245,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
     settled = [frame(j)]
 
     def continue_frame(t):
-        _, sv_t, sides_t = data.at(t)
+        sv_t, sides_t = data.at(t)[1], data.sides(t)
         # a frame that does not transport refuses its segment, which bisects
         try:
             fc = kernel_frame(sv_t[d::2][::-1], sides_t[wide][:, ::-1], settled[-1][0])

@@ -2,13 +2,17 @@
 
 Pfaffian and determinant signs and the singular system of skew matrices that
 the windowed engine cuts its spectral windows from; that system is one SVD,
-of T itself or of the off-diagonal block of a chiral T.  Matrices are plain
-two-dimensional float64 numpy arrays (the universal operator carrier
-throughout the package); inputs are never mutated.
+of T itself or of the off-diagonal block of a chiral T, and the smallest
+singular pair of a block can instead come from one certified shifted
+solve.  Matrices are plain two-dimensional float64 numpy arrays (the
+universal operator carrier throughout the package); inputs are never
+mutated.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -471,8 +475,11 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False,
     Both routes resolve singular values down to eps * sigma_max and never
     square the entries, so they neither over- nor underflow where T itself
     does not.  Without ``compute_uv`` only the singular values are solved,
-    and the directions are None.  A stack of matrices is solved by one
-    batched SVD, each entry bitwise the system of its matrix alone.
+    and the directions are None: the windowed engine's records are solved
+    so, and their directions later, only where a window reads them
+    (``_smallest_pair``, else this solve with ``compute_uv``).  A stack of
+    matrices is solved by one batched SVD, each entry bitwise the system of
+    its matrix alone.
     """
     if chiral and mat.shape[-2] < mat.shape[-1]:
         s, f = skew_singular_system(mat.swapaxes(-1, -2), True, compute_uv)
@@ -488,3 +495,93 @@ def skew_singular_system(mat: np.ndarray, chiral: bool = False,
     return (np.concatenate([np.zeros(s.shape[:-1] + (d,)),
                             np.repeat(s[..., ::-1], 2, axis=-1)], axis=-1),
             (u[..., ::-1], v) if compute_uv else None)
+
+
+# the sin(theta) bound below which a pair from one shifted solve stands in
+# for the SVD's directions: orders of magnitude below WINDOW_EPS
+_PAIR_SIN = 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _start_vector(size: int) -> np.ndarray:
+    """A fixed generic right-hand side of ``size`` entries (one seeded
+    normal draw, read-only): no block's smallest pair is orthogonal to it
+    by structure, as it can be to a vector of ones."""
+    r = np.random.default_rng(size).standard_normal((size, 1))
+    r.flags.writeable = False
+    return r
+
+
+def _smallest_pair(b: np.ndarray, s: np.ndarray):
+    """The singular pair (u, v) of the smallest singular value of each
+    square block of a stack b (k, n, n), given the blocks' singular values
+    s (k, n) ascending (a values-only SVD's), from one stacked solve; and
+    whether each pair is certified.  Returns u and v (k, n), unit, and a
+    boolean mask (k,); an uncertified row holds no usable pair, and its
+    caller takes the SVD's directions.
+
+    Each block and its values are divided by the power of two above
+    sigma_max (exact), so that nothing below over- or underflows (a
+    subnormal sigma_max, whose scale overflows, certifies nothing).  The
+    solve is one step of inverse iteration on the symmetric
+    A = [[-s I, B], [B^T, -s I]] at the shift s = sigma_1 + 8 eps sigma_max
+    (eps the unit roundoff).  A has the eigenvalues +-sigma_i - s with the
+    eigenvectors [u_i; +-v_i] / sqrt(2).  Only sigma_1 - s, and -sigma_1 - s
+    for sigma_1 near 0, are of the size of the offset, and their
+    eigenvectors lie in the span of [u_1; 0] and [0; v_1].  So A x = r for
+    a generic r (``_start_vector``) amplifies those components over the
+    rest by about (sigma_2 - sigma_1) / (8 eps sigma_max): the two halves of
+    x, normalized, are u_1 and v_1.  The offset keeps an exact kernel
+    (sigma_1 = 0) from making A exactly singular; a solve that fails
+    anyway (``LinAlgError``) certifies nothing.
+
+    The certificate is Wedin's sin(theta) theorem for one pair of a square
+    matrix.  Write B = sum_i sigma_i u_i v_i^T, u = sum_i a_i u_i and
+    v = sum_i b_i v_i, and take the residuals r = B v - rho u and
+    q = B^T u - rho v for any 0 <= rho <= sigma_2.  Then (r_i, q_i) is
+    [[-rho, sigma_i], [sigma_i, -rho]] (a_i, b_i), whose eigenvalues
+    -rho +- sigma_i have magnitudes of at least sigma_i - rho >= sigma_2 -
+    rho for i >= 2.  Hence ||r||^2 + ||q||^2 >= (sigma_2 - rho)^2
+    (sin^2 theta_u + sin^2 theta_v), where sin^2 theta_u = 1 - a_1^2 is
+    the squared sine between u and u_1, and likewise for v:
+
+        sqrt(sin^2 theta_u + sin^2 theta_v)
+            <= sqrt(||r||^2 + ||q||^2) / (sigma_2 - rho).
+
+    Here rho is the given sigma_1 and sigma_2 the given one, which a
+    values-only SVD gives within a few n eps sigma_max of the exact value.
+    The computed residual is widened, and the gap narrowed, by 4 n eps
+    sigma_max, which covers that error and the roundings of the residual.
+    A pair whose widened residual over its narrowed gap is at most
+    ``_PAIR_SIN`` is certified.  A gap that closes (sigma_1 = sigma_2)
+    certifies nothing, and a 1 x 1 block has no sigma_2, so its pair is
+    certified by a finite residual.  Each row is bitwise the call on its
+    block alone.
+    """
+    k, n = s.shape
+    r = _start_vector(2 * n)
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(s[:, -1])[1])  # 1 / the power of two above sigma_max
+        low, top = s[:, 0] * scale, s[:, -1] * scale
+        shift = low + 8.0 * _U * top
+        a = np.zeros((k, 2 * n, 2 * n))
+        np.multiply(b, scale[:, None, None], out=a[:, :n, n:])
+        a[:, n:, :n] = a[:, :n, n:].swapaxes(-1, -2)
+        a.reshape(k, -1)[:, ::2 * n + 1] = -shift[:, None]
+        try:
+            x = np.linalg.solve(a, r)
+        except np.linalg.LinAlgError:  # a row at a time: only the failing rows fail
+            x = np.full((k, 2 * n, 1), np.nan)
+            for i in range(k):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    x[i] = np.linalg.solve(a[i], r)
+        w = x.reshape(k, 2, n)
+        w = w / np.sqrt(np.square(w).sum(-1, keepdims=True))  # [u; v], each unit
+        # [B v - sigma_1 u; B^T u - sigma_1 v] = (A + (s - sigma_1) I) [u; v]
+        uv = w.reshape(k, 2 * n, 1)
+        res = (a @ uv)[..., 0] + (shift - low)[:, None] * uv[..., 0]
+        res = np.sqrt(np.square(res).sum(-1))
+        slack = 4.0 * n * _U * top
+        gap = s[:, 1] * scale - low - slack if n > 1 else np.full(k, math.inf)
+        certified = (res + slack <= _PAIR_SIN * gap) & (gap > 0)
+    return w[:, 0], w[:, 1], certified

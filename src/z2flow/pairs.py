@@ -258,7 +258,7 @@ def parity_via_pairs(path: OperatorPath, *, rng=None) -> Z2:
 def _pair_leaf(path: OperatorPath, rng, records=None) -> FlowResult:
     """The pair route's leaf engine of ``flow._flow``: the phase-pair parity
     of a path, its cache seeded with ``records``, and no windows."""
-    data = _PathData(path, records)
+    data = _PathData(path, records, full=True)  # every phase reads all directions
     _endpoint_spectra(data)
     if data.constant:
         return FlowResult(PLUS, [], 0, data.evaluations)
@@ -268,7 +268,7 @@ def _pair_leaf(path: OperatorPath, rng, records=None) -> FlowResult:
 
     def phase(t):
         if t not in phases:
-            _, sv, (x, y) = data.at(t)
+            sv, (x, y) = data.at(t)[1], data.sides(t)
             if rng is not None and t not in (t0, t1):
                 j = int((sv[::2] < tol.gap(float(sv.max(initial=1.0)))).sum())
                 if j:

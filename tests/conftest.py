@@ -138,7 +138,8 @@ def spy_solves(monkeypatch):
     """List every matrix the engines solve, as (matrix, chiral,
     compute_uv): wraps the one-matrix ``flow.skew_singular_system`` and the
     stacked ``linalg.skew_singular_system``, and lists each row of a stack
-    as one matrix."""
+    as one matrix.  A block whose smallest pair is taken from the shifted
+    solve ``linalg._smallest_pair`` is listed as (block, True, "pair")."""
     solved = []
 
     def wrap(solve):
@@ -148,9 +149,16 @@ def spy_solves(monkeypatch):
             return solve(mat, chiral, compute_uv)
         return spy
 
+    pair = linalg_module._smallest_pair
+
+    def spy_pair(b, s):
+        solved.extend((m, True, "pair") for m in b)
+        return pair(b, s)
+
     for module in (flow_module, linalg_module):
         monkeypatch.setattr(module, "skew_singular_system",
                             wrap(module.skew_singular_system))
+    monkeypatch.setattr(linalg_module, "_smallest_pair", spy_pair)
     return solved
 
 

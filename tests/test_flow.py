@@ -1283,7 +1283,8 @@ class TestSolvedSampleReuse:
     @staticmethod
     def per_segment(monkeypatch):
         """Spy on the level search one segment at a time: per segment, its
-        (lo, hi), the matrices solved, the step-norm stacks taken, the new
+        (lo, hi), the records solved (values-only; frames are solved where
+        a window reads them), the step-norm stacks taken, the new
         evaluations and the verdict."""
         import z2flow.flow as flow_module
 
@@ -1299,7 +1300,8 @@ class TestSolvedSampleReuse:
             for segment in level:
                 before = len(solves), len(stacks), data.evaluations
                 windows += inner(data, [segment], rng)
-                segments.append((segment, len(solves) - before[0], len(stacks) - before[1],
+                records = sum(uv is False for _, _, uv in solves[before[0]:])
+                segments.append((segment, records, len(stacks) - before[1],
                                  data.evaluations - before[2], windows[-1]))
             return windows
 
@@ -1312,7 +1314,7 @@ class TestSolvedSampleReuse:
         res = sf2_path(embed_chiral_path(_fixed_line()))
         assert res.value == -1
         # halves accepted on their parent's 5 samples and step norms: no
-        # solve, no step stack, no new evaluation
+        # record solve, no step stack, no new evaluation
         reused = [segment for segment, solved, stacked, new, window in segments
                   if window is not None and (solved, stacked, new) == (0, 0, 0)]
         assert len(reused) == 5
@@ -1332,9 +1334,10 @@ class TestSolvedSampleReuse:
             res = sf2_path(embed_chiral_path(path),
                            rng=None if seed is None else np.random.default_rng(seed))
             assert res.value == parity_finite(path)
-            # the flow steps separate pairs, each (pairs, 2, n, n) stack new
-            assert stacks and all(s.ndim == 4 and s.shape[1] == 2 for s in stacks)
-            pairs = [pair.tobytes() for s in stacks for pair in s]
+            # a row of new pairs is one (samples, n, n) stack of its
+            # consecutive matrices, each stacked once
+            assert stacks and all(s.ndim == 3 for s in stacks)
+            pairs = [s[i:i + 2].tobytes() for s in stacks for i in range(len(s) - 1)]
             assert len(pairs) == len(set(pairs))
 
     def test_opaque_paths_match_the_oracle(self):
@@ -1580,7 +1583,8 @@ class TestDirectSum:
 class TestConstantRecords:
     """A part whose declared arc does not grow is one matrix, solved for its
     singular values unless its Weyl bounds pin them; its frames are solved
-    once, and only when a positive-rank window needs them."""
+    once, and only when a positive-rank window needs them (a rank-2
+    window's by the shifted solve of its smallest pair)."""
 
     @staticmethod
     def spy_solves(monkeypatch):
@@ -1603,7 +1607,7 @@ class TestConstantRecords:
         res = sf2_path(self.near_singular_constant(), rng=rng)
         assert res.value == 1 and res.evaluations == 1
         assert 2 in [w.rank for w in res.windows]
-        assert calls() == [((3, 3), False), ((3, 3), True)]
+        assert calls() == [((3, 3), False), ((3, 3), "pair")]
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_pair_route_reads_only_its_values(self, monkeypatch, seed):
@@ -1661,6 +1665,85 @@ class TestConstantRecords:
                 engine(path)
             assert str(info.value) == text
         assert calls() == [((4, 4), False)] * 2
+
+
+class TestValuesFirstRecords:
+    """The windowed engine solves each record values-only, once, and the
+    frames only of the records a window reads: a rank-2 window's pair by
+    the certified shifted solve, every other request, and a pair the
+    certificate refuses, by the SVD.  Blocks of order at most
+    ``_EAGER_MAX``, the rectangular reduction and the pair route solve
+    values and frames together."""
+
+    @staticmethod
+    def spy_frames(monkeypatch):
+        """The record matrices at the parameters each frames request reads."""
+        read, frames = [], _PathData.frames
+
+        def spy(self, ts, k):
+            read.extend(self.at(t)[0].tobytes() for t in ts)
+            return frames(self, ts, k)
+
+        monkeypatch.setattr(_PathData, "frames", spy)
+        return read
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_values_once_and_frames_where_read(self, monkeypatch, seed):
+        solves = spy_solves(monkeypatch)
+        read = self.spy_frames(monkeypatch)
+        path = _fixed_line()
+        res = sf2_path(embed_chiral_path(path),
+                       rng=None if seed is None else np.random.default_rng(seed))
+        assert res.value == parity_finite(path) == -1
+        values = [m.tobytes() for m, _, uv in solves if uv is False]
+        assert len(values) == len(set(values)) == res.evaluations
+        pairs = [m.tobytes() for m, _, uv in solves if uv == "pair"]
+        full = [m.tobytes() for m, _, uv in solves if uv is True]
+        # every framed record is one the search read, each solved at most
+        # once per route, and most by the certified pair
+        assert len(pairs) == len(set(pairs)) and len(full) == len(set(full))
+        assert set(pairs) | set(full) == set(read) <= set(values)
+        assert len(pairs) > len(full)
+
+    def test_closed_gap_takes_the_svds_frames(self, monkeypatch):
+        # a repeated smallest value: the pair is refused, and the frames
+        # are the SVD's, the values still the values-only solve's
+        b = with_singular_values(np.random.default_rng(145),
+                                 [0.5, 0.5] + [1.0 + i for i in range(10)])
+        data = _PathData(embed_chiral_path(OperatorPath((0.0, 1.0), lambda t: b)))
+        calls = TestConstantRecords.spy_solves(monkeypatch)
+        sv = data.at(0.0)[1]
+        frames = data.frames([0.0], 2)
+        assert calls() == [((12, 12), False), ((12, 12), "pair"), ((12, 12), True)]
+        x, y = linalg.skew_singular_system(b, True)[1]
+        assert frames.shape == (2, 1, 12, 1)
+        assert frames[0, 0].tobytes() == np.ascontiguousarray(x[:, :1]).tobytes()
+        assert frames[1, 0].tobytes() == np.ascontiguousarray(y[:, :1]).tobytes()
+        assert sv.tobytes() == linalg.skew_singular_system(b, True, False)[0].tobytes()
+
+    def test_small_blocks_solve_frames_with_their_values(self, monkeypatch):
+        from z2flow.flow import _EAGER_MAX
+
+        solves = spy_solves(monkeypatch)
+        rng = np.random.default_rng(148)
+        path = random_admissible_path(rng, _EAGER_MAX, knots=4)
+        assert sf2_path(embed_chiral_path(path)).value == parity_finite(path)
+        # and a plain skew path of twice that order
+        mats = [m - m.T for m in rng.standard_normal((3, 2 * _EAGER_MAX, 2 * _EAGER_MAX))]
+        skew = OperatorPath.from_samples([0.0, 0.5, 1.0], mats, "skew")
+        assert sf2_path(skew).value == sf2_finite(mats[0], mats[-1])
+        assert {uv for _, _, uv in solves} == {True}
+
+    def test_pair_route_and_rectangular_reduction_solve_frames_eagerly(self, monkeypatch):
+        solves = spy_solves(monkeypatch)
+        path = _fixed_line()
+        assert parity_via_pairs(embed_chiral_path(path)) == -1
+        assert {uv for _, _, uv in solves} == {True}
+        solves.clear()
+        parity_path_general(TestSquareBlockReduction.rotated(np.random.default_rng(146), 10, 2))
+        # the 12 x 10 grid with its frames; the reduced 10 x 10 path values-first
+        assert {uv for m, _, uv in solves if m.shape == (12, 10)} == {True}
+        assert {uv for m, _, uv in solves if m.shape == (10, 10)} >= {False}
 
 
 class TestDeclaredMotion:

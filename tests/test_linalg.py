@@ -16,10 +16,12 @@ from z2flow.errors import (
 )
 from z2flow.flow import _polar_split, sf2_finite
 from z2flow.linalg import (
+    _PAIR_SIN,
     _certified_invertible,
     _gram_certificate,
     _pinned_values,
     _reduce_skew,
+    _smallest_pair,
     _weyl_bounds,
     checked_signs,
     pfaffian_sign,
@@ -636,3 +638,90 @@ class TestCertificates:
                 sv = singular_values(a)
                 assert sv[0] > 2.0 * tol.inv(sv[-1])
         assert proven > 50
+
+
+class TestSmallestPair:
+    """The smallest singular pair (u, v) of square blocks from one shifted
+    solve (``_smallest_pair``): where its Wedin certificate holds, within
+    1e-12 of the SVD's directions; where the gap closes or the shifted
+    matrix is exactly singular, refused, so that the engine takes the SVD's
+    frames."""
+
+    @staticmethod
+    def values(b):
+        """The ascending values-only singular values of a block or stack."""
+        return np.linalg.svd(b, compute_uv=False)[..., ::-1].copy()
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-10, 0.3, 0.62])
+    def test_pair_matches_the_svd(self, ratio):
+        # sigma_1 / sigma_2 = ratio on a 32 x 32 block
+        rng = np.random.default_rng(140)
+        values = rng.uniform(0.75, 2.25, 32)
+        values[:2] = ratio * 0.5, 0.5
+        b = with_singular_values(rng, values)
+        s = self.values(b)
+        u, v, certified = _smallest_pair(b[None], s[None])
+        assert certified.tolist() == [True]
+        w, _, vt = np.linalg.svd(b)
+        assert abs(u[0] @ w[:, -1]) >= 1.0 - 1e-12
+        assert abs(v[0] @ vt[-1]) >= 1.0 - 1e-12
+        # the certificate itself: Wedin's bound on both sines
+        residual = np.hypot(np.linalg.norm(b @ v[0] - s[0] * u[0]),
+                            np.linalg.norm(b.T @ u[0] - s[0] * v[0]))
+        assert residual / (s[1] - s[0]) <= _PAIR_SIN
+
+    def test_one_by_one_blocks(self):
+        b = np.array([[[-3.0]], [[0.5]], [[0.0]]])
+        u, v, certified = _smallest_pair(b, self.values(b))
+        # no sigma_2 to separate from; a zero block has no shift to solve at
+        assert certified.tolist() == [True, True, False]
+        assert (u[:2] * v[:2] * b[:2, 0]).ravel().tolist() == [3.0, 0.5]
+
+    def test_closed_gap_is_refused(self):
+        b = with_singular_values(np.random.default_rng(141), [0.5, 0.5, 1.0, 2.0])
+        assert _smallest_pair(b[None], self.values(b)[None])[2].tolist() == [False]
+
+    def test_exactly_singular_shift_is_refused_without_warnings(self):
+        # the zero block's shift is 0: the solve raises LinAlgError, and only
+        # its own row of a stack is refused
+        rng = np.random.default_rng(142)
+        stack = np.array([rng.standard_normal((3, 3)), np.zeros((3, 3)),
+                          rng.standard_normal((3, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v, certified = _smallest_pair(stack, self.values(stack))
+        assert certified.tolist() == [True, False, True]
+        for i in (0, 2):
+            single = _smallest_pair(stack[i:i + 1], self.values(stack[i:i + 1]))
+            assert single[0].tobytes() == u[i].tobytes()
+            assert single[1].tobytes() == v[i].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 32])
+    def test_stacked_rows_are_bitwise_their_own(self, n):
+        rng = np.random.default_rng(143 + n)
+        stack = rng.standard_normal((7, n, n)) * np.logspace(-3, 3, 7)[:, None, None]
+        u, v, certified = _smallest_pair(stack, self.values(stack))
+        for i in range(len(stack)):
+            single = _smallest_pair(stack[i:i + 1], self.values(stack[i:i + 1]))
+            assert single[0].tobytes() == u[i].tobytes()
+            assert single[1].tobytes() == v[i].tobytes()
+            assert single[2].tolist() == [certified[i]]
+
+    def test_subnormal_block_is_refused_without_warnings(self):
+        # the power of two above a subnormal sigma_max overflows
+        b = 1e-310 * with_singular_values(np.random.default_rng(147), [0.1, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified = _smallest_pair(b[None], self.values(b)[None])[2]
+        assert certified.tolist() == [False]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales_without_warnings(self, scale):
+        b = scale * with_singular_values(np.random.default_rng(144), [0.1, 0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v, certified = _smallest_pair(b[None], self.values(b)[None])
+        w, _, vt = np.linalg.svd(b)
+        assert certified.tolist() == [True]
+        assert abs(u[0] @ w[:, -1]) >= 1.0 - 1e-12
+        assert abs(v[0] @ vt[-1]) >= 1.0 - 1e-12
