@@ -298,21 +298,21 @@ def _eager(shape: tuple, chiral: bool) -> bool:
 class _PathData:
     """Caches path evaluations and their skew singular systems per parameter.
 
-    A record is (M, singular values of T ascending), solved values-only: a
-    chiral-skew path is carried by its block, a general one is its own, so
-    M = B = ``path.block(t)`` and the doubled T is never formed; a plain
-    skew path has M = T antisymmetrized.  M is also the step matrix:
-    ||T_i - T_j||_2 = ||B_i - B_j||_2, and the step norm of each consecutive
-    sample pair an opaque search reads is kept under the pair's two
-    parameters (``steps``), so a half that tries its parent's samples finds
-    their steps solved.  The path's step anchor (``linalg._StepAnchor``) is
-    its first stack's largest step: a step that is a near-multiple of it,
-    as every step of a line is, takes an upper bound within 2 ``tol.gap`` of
-    its 2-norm without an SVD, and every other step is solved exactly
-    (``linalg._step_norms``).
+    A record is (M, singular values of T ascending, frames or None), its
+    values solved values-only: a chiral-skew path is carried by its block, a
+    general one is its own, so M = B = ``path.block(t)`` and the doubled T
+    is never formed; a plain skew path has M = T antisymmetrized.  M is also
+    the step matrix: ||T_i - T_j||_2 = ||B_i - B_j||_2, and the step norm of
+    each consecutive sample pair an opaque search reads is kept under the
+    pair's two parameters (``steps``), so a half that tries its parent's
+    samples finds their steps solved.  The path's step anchor
+    (``linalg._StepAnchor``) is its first stack's largest step: a step that
+    is a near-multiple of it, as every step of a line is, takes an upper
+    bound within 2 ``tol.gap`` of its 2-norm without an SVD, and every other
+    step is solved exactly (``linalg._step_norms``).
 
     Frames are read only where a window of positive rank is tried, and are
-    cached per record as its j smallest directions on each side: the left
+    kept in the record as its j smallest directions on each side: the left
     and right singular vectors (X, Y) of a block (see
     ``skew_singular_system``), the right ones (V,) of a plain record.
     ``frames`` solves the missing ones of a request as one stack: the one
@@ -322,11 +322,11 @@ class _PathData:
     stay those the search read.  A record keeps the frames of its first
     request: a certified pair lies within ``linalg._PAIR_SIN`` of the SVD's
     directions, so a cosine the search reads moves by about that much with
-    the request order.  ``full`` (the rectangular reduction and
-    the pair route, which read every direction) solves each stack's frames
-    with its values instead, as does a block of order at most
-    ``_EAGER_MAX`` (a plain matrix of twice that), where values-first saves
-    nothing (``_eager``); ``sides`` reads a record's full frames.
+    the request order.  ``full`` (the rectangular reduction and the pair
+    route, which read every direction) solves each stack's frames with its
+    values instead, as does a block of order at most ``_EAGER_MAX`` (a plain
+    matrix of twice that), where values-first saves nothing (``_eager``);
+    ``sides`` reads a record's full frames.
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -338,9 +338,8 @@ class _PathData:
     (``linalg._pinned_values``, bitwise the values-only SVD), else from a
     values-only solve, also under ``full``.  A ``general`` path, solved
     only by the rectangular reduction, is opaque: its arc is not read.
-    ``records`` seeds the cache with records solved elsewhere, as
-    (M, sv, frames or None) (a family's endpoint stacks, ``_family_batch``),
-    for either leaf engine of ``_flow``.
+    ``records`` seeds the cache with records solved elsewhere (a family's
+    endpoint stacks, ``_family_batch``) for either leaf engine of ``_flow``.
     """
 
     def __init__(self, path: OperatorPath, records=None, full: bool = False):
@@ -352,10 +351,7 @@ class _PathData:
         self.arc = arc if math.isfinite(growth) else None
         self.constant = growth == 0
         self._start = float(path.interval[0])
-        records = records or {}
-        self._cache = {t: rec[:2] for t, rec in records.items()}
-        # the directions solved per record, a tuple of sides
-        self._frames = {t: rec[2] for t, rec in records.items() if rec[2] is not None}
+        self._cache = dict(records or {})
         # (t, shape) of the first evaluation
         self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
                            None)
@@ -412,9 +408,7 @@ class _PathData:
             eager = self.full or _eager(m.shape, self.chiral)
             sv, f = linalg.skew_singular_system(m, self.chiral, eager and not self.constant)
         f = f if f is None or self.chiral else (f,)  # (X, Y) of a block, (V,)
-        self._cache.update(zip(new, zip(m, sv)))
-        if f is not None:
-            self._frames.update(zip(new, zip(*f)))
+        self._cache.update(zip(new, zip(m, sv, zip(*f) if f else [None] * len(new))))
         return m, sv, f
 
     def steps(self, ts: list, row: list) -> list:
@@ -445,42 +439,49 @@ class _PathData:
         """The frames of the window of the k > 0 smallest values of the
         records at the floats ts, stacked (sides, len(ts), n, k / sides):
         the first k directions of a plain record, the first k / 2 of each
-        side of a block (an admissible block is square).  The records whose
-        cache holds fewer directions are solved as one stack: for k = 2 on
+        side of a block (an admissible block is square).  The records that
+        hold fewer directions are solved as one stack: for k = 2 on
         a square block by ``linalg._smallest_pair``, and the rows it does
         not certify, as every other request, by the SVD's full frames."""
         keys = [self._start] * len(ts) if self.constant else ts
-        j, cache = k // 2 if self.chiral else k, self._frames
-        todo = [t for t in dict.fromkeys(keys) if t not in cache or cache[t][0].shape[-1] < j]
-        if todo:
-            self._solve_frames(todo, j == 1 and self.chiral)
-        return np.array([[cache[t][side][:, :j] for t in keys]
-                         for side in range(2 if self.chiral else 1)])
+        j = k // 2 if self.chiral else k
+        f = [self._cache[t][2] for t in keys]
+        widths = {0 if x is None else x[0].shape[-1] for x in f}
+        if min(widths) < j:  # each record solved once
+            self._solve_frames([t for t, x in dict(zip(keys, f)).items()
+                                if x is None or x[0].shape[-1] < j], j == 1 and self.chiral)
+            f = [self._cache[t][2] for t in keys]
+            widths = {x[0].shape[-1] for x in f}
+        if len(widths) > 1:  # certified pairs among full frames: each trimmed
+            f = [[side[:, :j] for side in x] for x in f]
+        # one stack per side, as wide as the window
+        return np.array([np.array(side)[..., :j] for side in zip(*f)])
 
     def sides(self, t: float) -> tuple:
         """The full frames of the record at t, (X, Y) or (V,), solved now if
-        its cache holds fewer directions (a record seeded or values-only)."""
-        self.at(t)
-        key = self._key(t)
-        f = self._frames.get(key)
+        it holds fewer directions (a record seeded or values-only)."""
+        f = self.at(t)[2]
         if f is None or f[0].shape[-1] < f[0].shape[-2]:
-            self._solve_frames([key], False)
-        return self._frames[key]
+            self._solve_frames([self._key(t)], False)
+        return self._cache[self._key(t)][2]
 
     def _solve_frames(self, keys: list, pair: bool):
         """Solve the frames of the cached records ``keys`` as one stack: by
         ``linalg._smallest_pair`` if ``pair`` (a block's one smallest pair),
         then by the SVD's full frames for the rows not yet certified."""
-        m = _stack([self._cache[t][0] for t in keys])
+        recs = [self._cache[t] for t in keys]
+        m = _stack([r[0] for r in recs])
+        frames = [None] * len(keys)
         if pair:  # an admissible block is square
-            sv = np.array([self._cache[t][1][::2] for t in keys])
-            x, y, certified = linalg._smallest_pair(m, sv)
-            self._frames.update((t, (x[i, :, None], y[i, :, None]))
-                                for i, t in enumerate(keys) if certified[i])
-            keys, m = [t for t, ok in zip(keys, certified) if not ok], m[~certified]
-        if keys:
-            f = linalg.skew_singular_system(m, self.chiral)[1]
-            self._frames.update(zip(keys, zip(*(f if self.chiral else (f,)))))
+            x, y, certified = linalg._smallest_pair(m, np.array([r[1][::2] for r in recs]))
+            frames = [(x[i, :, None], y[i, :, None]) if ok else None
+                      for i, ok in enumerate(certified.tolist())]
+        rest = [i for i, f in enumerate(frames) if f is None]
+        if rest:
+            f = linalg.skew_singular_system(m if len(rest) == len(m) else m[rest], self.chiral)[1]
+            for i, f_i in zip(rest, zip(*(f if self.chiral else (f,)))):
+                frames[i] = f_i
+        self._cache.update((t, (r[0], r[1], f)) for t, r, f in zip(keys, recs, frames))
 
     @property
     def evaluations(self) -> int:
@@ -639,7 +640,7 @@ def _level_windows(data: _PathData, segments, rng) -> list:
             grown = (arcs[:, -1] - arcs[:, 0]).tolist()
             _require_arc(*zip(*segments), *(_stack([e[j][0] for e in ends]) for j in (0, 1)),
                          np.array(grown))
-            for i, ((_, s0), (_, s1)) in enumerate(ends):
+            for i, ((_, s0, _), (_, s1, _)) in enumerate(ends):
                 clears, a = _endpoint_rule(float(s0[0]), float(s1[0]),
                                            float(max(s0[-1], s1[-1])), grown[i], rng)
                 verdicts[i] = (float(a), 0) if clears else None
@@ -696,11 +697,10 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
             return [j for j, (low, high) in enumerate(zip(low_env, high_env))
                     if high - low > 2.0 * margin]
 
-        ts = grids[i].tolist()
         if arcs is None:
             if lower[i] > data.step_bound or not fits(margin + 0.75 * lower[i]):
                 return None
-            step = max(data.steps(ts, row))
+            step = max(data.steps(grids[i].tolist(), row))
             if step > data.step_bound:
                 return None
             margin += 0.75 * step
@@ -730,7 +730,7 @@ def _sampled_windows(data: _PathData, grids: np.ndarray, arcs, rng) -> list:
                 continue
             # a rank-0 window has no subspace to check; the sides of a
             # block's window are checked as two sets of samples
-            if k and not _pairwise_window_continuity(data.frames(ts, k)):
+            if k and not _pairwise_window_continuity(data.frames(grids[i].tolist(), k)):
                 continue
             return a, k
         return None
@@ -832,13 +832,13 @@ def _family_batch(family, members, rng):
     ``skew_singular_system``, each bitwise the record of the member's own
     windowed walk: values-only, and the walk solves frames where it reads
     them, unless the blocks are small enough to solve their frames with
-    their values (``_eager``).  Each must be
-    admissible at both ends (``_require_admissible``) and grow by at least
-    max |B(t1) - B(t0)| along a declared arc (``_require_arc``).  The
-    radius is bitwise the member's own walk's (under ``rng``, u from one
-    draw).  Returns the radius of each certified member and, for every
-    other moving member, its two endpoint records; a member whose arc does
-    not grow is left to its leaf engine (``_flow``).
+    their values (``_eager``).  Each must be admissible at both ends
+    (``_require_admissible``) and grow by at least max |B(t1) - B(t0)| along
+    a declared arc (``_require_arc``).  The radius is bitwise the member's
+    own walk's (under ``rng``, u from one draw).  Returns the radius of each
+    certified member and, for every other moving member, its two endpoint
+    records; a member whose arc does not grow is left to its leaf engine
+    (``_flow``).
     """
     members = np.asarray(members)
     t0, t1 = family.interval

@@ -1721,6 +1721,28 @@ class TestValuesFirstRecords:
         assert frames[1, 0].tobytes() == np.ascontiguousarray(y[:, :1]).tobytes()
         assert sv.tobytes() == linalg.skew_singular_system(b, True, False)[0].tobytes()
 
+    def test_pairs_and_full_frames_in_one_request(self, monkeypatch):
+        # t = 0 read at rank 4 (the SVD's frames), then both ends at rank 2:
+        # only t = 1 is solved, by its pair, and each record gives its own
+        # first direction per side
+        rng = np.random.default_rng(149)
+        a, b = (with_singular_values(rng, [0.25 * (i + 1) for i in range(12)]) for _ in "ab")
+        data = _PathData(embed_chiral_path(OperatorPath((0.0, 1.0),
+                                                        lambda t: (1 - t) * a + t * b)))
+        data.solve(np.array([0.0, 1.0]))
+        calls = TestConstantRecords.spy_solves(monkeypatch)
+        data.frames([0.0], 4)
+        frames = data.frames([0.0, 1.0], 2)
+        assert calls() == [((12, 12), True), ((12, 12), "pair")]
+        assert frames.shape == (2, 2, 12, 1)
+        x, y = linalg.skew_singular_system(a, True)[1]
+        assert frames[0, 0].tobytes() == np.ascontiguousarray(x[:, :1]).tobytes()
+        assert frames[1, 0].tobytes() == np.ascontiguousarray(y[:, :1]).tobytes()
+        u, v, certified = linalg._smallest_pair(b[None], data.at(1.0)[1][None, ::2])
+        assert certified.tolist() == [True]
+        assert frames[0, 1, :, 0].tobytes() == u[0].tobytes()
+        assert frames[1, 1, :, 0].tobytes() == v[0].tobytes()
+
     def test_small_blocks_solve_frames_with_their_values(self, monkeypatch):
         from z2flow.flow import _EAGER_MAX
 
