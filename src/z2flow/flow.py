@@ -323,10 +323,10 @@ class _PathData:
     request: a certified pair lies within ``linalg._PAIR_SIN`` of the SVD's
     directions, so a cosine the search reads moves by about that much with
     the request order.  ``full`` (the rectangular reduction and the pair
-    route, which read every direction) solves each stack's frames with its
-    values instead, as does a block of order at most ``_EAGER_MAX`` (a plain
-    matrix of twice that), where values-first saves nothing (``_eager``);
-    ``sides`` reads a record's full frames.
+    route, which read every direction from ``at``) solves each stack's
+    frames with its values instead, as does a block of order at most
+    ``_EAGER_MAX`` (a plain matrix of twice that), where values-first saves
+    nothing (``_eager``).
 
     ``arc`` is the evaluator's arc modulus (``OperatorPath``), read on the
     interval's 9-point grid (``_arc_growth``): an increase that is not a
@@ -338,11 +338,9 @@ class _PathData:
     (``linalg._pinned_values``, bitwise the values-only SVD), else from a
     values-only solve, also under ``full``.  A ``general`` path, solved
     only by the rectangular reduction, is opaque: its arc is not read.
-    ``records`` seeds the cache with records solved elsewhere (a family's
-    endpoint stacks, ``_family_batch``) for either leaf engine of ``_flow``.
     """
 
-    def __init__(self, path: OperatorPath, records=None, full: bool = False):
+    def __init__(self, path: OperatorPath, full: bool = False):
         self.path = path
         self.chiral = path.symmetry_tag != "skew"
         self.full = full
@@ -351,10 +349,8 @@ class _PathData:
         self.arc = arc if math.isfinite(growth) else None
         self.constant = growth == 0
         self._start = float(path.interval[0])
-        self._cache = dict(records or {})
-        # (t, shape) of the first evaluation
-        self._first = next(((t, rec[0].shape) for t, rec in self._cache.items()),
-                           None)
+        self._cache = {}
+        self._first = None  # (t, shape) of the first evaluation
         self._steps = {}  # step norm per sample pair (t_i, t_i+1)
         self._anchor = linalg._StepAnchor()  # the path's step direction
         self.step_bound = math.inf
@@ -414,25 +410,21 @@ class _PathData:
     def steps(self, ts: list, row: list) -> list:
         """The step norms ||M_i+1 - M_i||_2 of the consecutive samples ts
         with records ``row``.  Each pair is stepped once per path: its norm
-        is kept under its two parameters, and a row's new pairs are solved
-        as one values-only stack (``_step_norms``) against the path's step
-        anchor: a near-multiple of the anchor takes an upper bound within
-        2 ``tol.gap`` without an SVD, so a path that moves along one matrix
+        is kept under its two parameters, and a row with a pair not yet
+        stepped is solved as one values-only (samples, n, m) stack of its
+        matrices (``_step_norms``) against the path's step anchor: a
+        near-multiple of the anchor takes an upper bound within 2
+        ``tol.gap`` without an SVD, so a path that moves along one matrix
         direction solves one step SVD in all; every other pair's norm is
-        solved, bitwise its own.  A row whose every pair is new is one
-        (samples, n, m) stack of its matrices, each stacked once; a row with
-        some pairs stepped stacks its new pairs as (pairs, 2, n, m).  The
-        opaque rule reads only upper bounds: the step bound and the
-        0.75-step margin only grow."""
+        solved, bitwise its own.  A pair already stepped keeps its norm (a
+        half's parent-sample pairs are its parent's grid pairs, so a row's
+        pairs are all new or all stepped).  The opaque rule reads only upper
+        bounds: the step bound and the 0.75-step margin only grow."""
         pairs = list(zip(ts[:-1], ts[1:]))
-        new = [i for i, pair in enumerate(pairs) if pair not in self._steps]
-        if len(new) == len(pairs):  # a new row: each sample stacked once
+        if any(pair not in self._steps for pair in pairs):
             norms = _step_norms(np.array([r[0] for r in row]), self._anchor)
-        elif new:  # some pairs stepped: the new ones as separate pairs
-            norms = _step_norms(np.array([[row[i][0], row[i + 1][0]] for i in new]),
-                                self._anchor)[:, 0]
-        if new:
-            self._steps.update(zip((pairs[i] for i in new), norms.tolist()))
+            for pair, norm in zip(pairs, norms.tolist()):
+                self._steps.setdefault(pair, norm)
         return [self._steps[pair] for pair in pairs]
 
     def frames(self, ts: list, k: int) -> np.ndarray:
@@ -456,14 +448,6 @@ class _PathData:
             f = [[side[:, :j] for side in x] for x in f]
         # one stack per side, as wide as the window
         return np.array([np.array(side)[..., :j] for side in zip(*f)])
-
-    def sides(self, t: float) -> tuple:
-        """The full frames of the record at t, (X, Y) or (V,), solved now if
-        it holds fewer directions (a record seeded or values-only)."""
-        f = self.at(t)[2]
-        if f is None or f[0].shape[-1] < f[0].shape[-2]:
-            self._solve_frames([self._key(t)], False)
-        return self._cache[self._key(t)][2]
 
     def _solve_frames(self, keys: list, pair: bool):
         """Solve the frames of the cached records ``keys`` as one stack: by
@@ -830,15 +814,14 @@ def _family_batch(family, members, rng):
     The family is evaluated once at each endpoint, and the blocks of its
     moving members (whose arc grows, or is opaque) are solved by one stacked
     ``skew_singular_system``, each bitwise the record of the member's own
-    windowed walk: values-only, and the walk solves frames where it reads
-    them, unless the blocks are small enough to solve their frames with
-    their values (``_eager``).  Each must be admissible at both ends
-    (``_require_admissible``) and grow by at least max |B(t1) - B(t0)| along
-    a declared arc (``_require_arc``).  The radius is bitwise the member's
-    own walk's (under ``rng``, u from one draw).  Returns the radius of each
-    certified member and, for every other moving member, its two endpoint
-    records; a member whose arc does not grow is left to its leaf engine
-    (``_flow``).
+    windowed walk: values-only, unless the blocks are small enough to solve
+    their frames with their values (``_eager``).  Each must be admissible at
+    both ends (``_require_admissible``) and grow by at least max |B(t1) -
+    B(t0)| along a declared arc (``_require_arc``).  The radius is bitwise
+    the member's own walk's (under ``rng``, u from one draw).  Returns the
+    radius of each certified member; every other member, and one whose arc
+    does not grow, is left to its leaf engine (``_flow``), which solves its
+    endpoints again.
     """
     members = np.asarray(members)
     t0, t1 = family.interval
@@ -846,45 +829,38 @@ def _family_batch(family, members, rng):
     moving = growth != 0  # NaN included: an opaque member is solved too
     members, declared = members[moving], np.isfinite(growth[moving])
     if not members.size:
-        return {}, {}
+        return {}
     ends = [family.stack(t)[members] for t in (t0, t1)]
     # the stack is solved through the linalg module: flow's own name is the
     # one-matrix boundary that bench/spans.py traces
-    solves = [linalg.skew_singular_system(b, True, _eager(b.shape, True)) for b in ends]
-    svs = [sv for sv, _ in solves]
+    svs = [linalg.skew_singular_system(b, True, _eager(b.shape, True))[0] for b in ends]
     if not svs[0].shape[1]:  # 0 x 0 blocks have no floor: walked
         declared[:] = False
     for t, sv in zip((t0, t1), svs):
         singular = np.flatnonzero(sv[:, :1] <= tol.inv(sv[:, -1:]))
         if singular.size:
             _require_admissible(t, sv[singular[0]])
-    radii = {}
-    if declared.any():
-        b0, b1 = (b[declared] for b in ends)
-        s0, s1 = (sv[declared] for sv in svs)
-        arcs = _read_arc(family.arc, np.array([t0, t1]), len(family))
-        grown = arcs[1, members[declared]] - arcs[0, members[declared]]
-        _require_arc(t0, t1, b0, b1, grown)
-        clears, a = _endpoint_rule(s0[:, 0], s1[:, 0], np.maximum(s0[:, -1], s1[:, -1]),
-                                   grown, rng)
-        # a radius no endpoint value lies below is rank 0 at both ends
-        calm = clears & (a <= s0[:, 0]) & (a <= s1[:, 0])
-        radii = dict(zip(members[declared][calm].tolist(), a[calm].tolist()))
-    records = {}
-    for j, i in enumerate(members.tolist()):
-        if i not in radii:
-            records[i] = {float(t): (b[j], sv[j], f and (f[0][j], f[1][j]))
-                          for t, b, (sv, f) in zip((t0, t1), ends, solves)}
-    return radii, records
+    if not declared.any():
+        return {}
+    b0, b1 = (b[declared] for b in ends)
+    s0, s1 = (sv[declared] for sv in svs)
+    arcs = _read_arc(family.arc, np.array([t0, t1]), len(family))
+    grown = arcs[1, members[declared]] - arcs[0, members[declared]]
+    _require_arc(t0, t1, b0, b1, grown)
+    clears, a = _endpoint_rule(s0[:, 0], s1[:, 0], np.maximum(s0[:, -1], s1[:, -1]),
+                               grown, rng)
+    # a radius no endpoint value lies below is rank 0 at both ends
+    calm = clears & (a <= s0[:, 0]) & (a <= s1[:, 0])
+    return dict(zip(members[declared][calm].tolist(), a[calm].tolist()))
 
 
-def _flow(path: OperatorPath, rng, records=None, leaf=None) -> FlowResult:
+def _flow(path: OperatorPath, rng, leaf=None) -> FlowResult:
     """The structural walk of both engines (see ``sf2_path``): a declared
     sum part by part, a path family's calm members first from its endpoint
     stacks (``_family_batch``), a declared motion on its reduced path
-    (``_reduced``), and every other path, from ``records`` if a family
-    batch solved them, by the leaf engine ``leaf``: ``_windowed_flow``
-    unless given (``parity_via_pairs`` gives ``pairs._pair_leaf``)."""
+    (``_reduced``), and every other path by the leaf engine ``leaf``:
+    ``_windowed_flow`` unless given (``parity_via_pairs`` gives
+    ``pairs._pair_leaf``)."""
     leaf = leaf or _windowed_flow
     parts = getattr(path.evaluator, "parts", None)
     if parts is not None:
@@ -892,19 +868,17 @@ def _flow(path: OperatorPath, rng, records=None, leaf=None) -> FlowResult:
         for part, _, _ in parts:
             if isinstance(part, FamilyMember):
                 families.setdefault(part.family, set()).add(part.index)
-        solved, seeds = {}, {}
+        solved = {}
         for family, members in families.items():
-            radii, batch = _family_batch(family, sorted(members), rng)
-            for i, a in radii.items():
+            for i, a in _family_batch(family, sorted(members), rng).items():
                 solved[id(family[i])] = FlowResult(
                     PLUS, [SpectralWindow(*family.interval, a, 0, PLUS)], 0, 2)
-            seeds.update((id(family[i]), r) for i, r in batch.items())
         for part, rows, cols in parts:
             if id(part) not in solved:
                 source = part.path if isinstance(part, FamilyMember) else part
                 frame = ChiralFrame(len(rows), len(cols))
                 solved[id(part)] = _flow(_doubling(source, frame, "chiral-skew"),
-                                         rng, seeds.get(id(part)), leaf)
+                                         rng, leaf)
         results = [solved[id(part)] for part, _, _ in parts]
         windows = [SpectralWindow(w.t_lo, w.t_hi, w.a, w.rank, w.factor, i)
                    for i, r in enumerate(results) for w in r.windows]
@@ -918,7 +892,7 @@ def _flow(path: OperatorPath, rng, records=None, leaf=None) -> FlowResult:
         # the block's two endpoint evaluations, then the reduced path's
         return replace(result, evaluations=2 + result.evaluations,
                        motion_rank=reduced.frame.n_plus)
-    return leaf(path, rng, records)
+    return leaf(path, rng)
 
 
 def _reduced(path: OperatorPath) -> OperatorPath:
@@ -983,18 +957,15 @@ def _reduced(path: OperatorPath) -> OperatorPath:
     return embed_chiral_path(OperatorPath(path.interval, block))
 
 
-def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
-    """The windowed flow of one path (see ``sf2_path``), its cache seeded
-    with ``records``: the partition searched level by level (``_refine`` of
-    ``_level_windows``), the kernel lifts at its interior points, in order,
-    and all window factors from one pass over it (``_window_factors``)."""
-    data = _PathData(path, records)
+def _windowed_flow(path: OperatorPath, rng) -> FlowResult:
+    """The windowed flow of one path (see ``sf2_path``): the partition
+    searched level by level (``_refine`` of ``_level_windows``), the kernel
+    lifts at its interior points, in order, and all window factors from one
+    pass over it (``_window_factors``)."""
+    data = _PathData(path)
     t0, t1 = path.interval
 
     ends = _endpoint_spectra(data)
-    if ends[0].size % 2:
-        raise DimensionError("skew flow requires even ambient dimension")
-
     if ends[0].size:  # a 0-dimensional path keeps the infinite step bound
         data.step_bound = 0.1 * max(float(sv[-1]) for sv in ends)
         data.near_zero = 0.5 * min(float(sv[0]) for sv in ends)
@@ -1026,13 +997,18 @@ def _windowed_flow(path: OperatorPath, rng, records=None) -> FlowResult:
 
 def _endpoint_spectra(data: _PathData):
     """Both endpoint spectra, from one ``_PathData.solve`` (one by one if it
-    fails, so a singular t0 is refused before t1 is evaluated); a singular
-    one raises ``NotAdmissibleError``.  A constant path is also evaluated at
-    its end, not solved there, and must hold its one matrix there
+    fails, so a singular t0 is refused before t1 is evaluated).  A plain
+    skew matrix of odd dimension raises ``DimensionError`` before its
+    structural zero is read, at every tolerance scale; a singular endpoint
+    raises ``NotAdmissibleError`` (as a chiral record of odd dimension
+    does: its structural zero is exact).  A constant path is also evaluated
+    at its end, not solved there, and must hold its one matrix there
     (``_require_arc``)."""
     t0, t1 = data.path.interval
     with contextlib.suppress(Exception):
         data.solve(np.array([t0, t1], dtype=float))
+    if not data.chiral and data.at(t0)[1].size % 2:
+        raise DimensionError("skew flow requires even ambient dimension")
     for t in (t0, t1):
         _require_admissible(t, data.at(t)[1])
     if data.constant:
@@ -1181,14 +1157,14 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
 
     The samples are ``_PathData`` records of the opaque path, solved with
     their frames (``full``; U is X, Y for a wide B, read backwards).  The
-    65-point grid is one batch: one stacked
-    solve, F and C of all points as one slice, only the cluster points
-    transported, left to right, and one ``_smallest_cosines`` of all grid
-    pairs.  The segments before the first refused pair, or before the first
-    frame that does not transport, stand; the depth-first ``_refine`` starts
-    there, each frame continued from its settled left neighbour.  Polar
-    factors, products Q_i and blocks W_i^T B_i are batched.  A shape change
-    raises ``DimensionError``.
+    65-point grid is one batch: one stacked solve, and one
+    ``_smallest_cosines`` of the grid pairs before the first cluster point
+    (t0 excluded), their frames F sliced from U.  The segments before the
+    first refused pair of that prefix, or else before the point ahead of
+    the first cluster, stand; the depth-first ``_refine`` starts there, each
+    frame continued from its settled left neighbour, and does every
+    transport.  Polar factors, products Q_i and blocks W_i^T B_i are
+    batched.  A shape change raises ``DimensionError``.
     """
     wide = path.declared_index < 0
     d = abs(path.declared_index)
@@ -1221,31 +1197,22 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
         p, rest = _polar_split(near.T @ prev, tol.transport())
         return near @ p, np.concatenate([c[:, ~cluster], near @ rest], axis=1)
 
-    # the grid's frames: one slice, the cluster points (not t0) transported
-    # from their left neighbours, as far as they transport
-    moved = (s < cluster_floor).any(axis=1) & (np.arange(grid.size) > 0)
-    f, c = u[:, :, -d:].copy(), u[:, :, :-d].copy()
-
-    # a point not moved is read as views of its U, laid out as its record's,
-    # so products with its frames round as they do in the depth-first search
-    def frame(i):
-        return (f[i], c[i]) if moved[i] else (u[i, :, -d:], u[i, :, :-d])
-
-    for i in np.flatnonzero(moved):
-        try:
-            f[i], c[i] = kernel_frame(s[i], u[i], frame(i - 1)[0])
-        except TransportError:
-            f = f[:i]
-            break
-    # the grid pairs before the first refused one stand; the depth-first
-    # search continues from there, left to right, each frame from the last
-    # settled one (it meets the frame that does not transport, or bisects)
+    # the grid's frames up to the first cluster point (not t0), one
+    # contiguous slice for the stacked cosines; the pairs before the first
+    # refused one stand, and the depth-first search continues from there,
+    # left to right, each frame from the last settled one: it transports
+    # the cluster frames (or bisects where one does not transport)
+    cluster = np.flatnonzero((s[1:] < cluster_floor).any(axis=1))
+    end = cluster[0] + 1 if cluster.size else grid.size
+    f = u[:end, :, -d:].copy()
     refused = np.flatnonzero(_smallest_cosines(f[:-1], f[1:]) < _COS_MIN)
     j = refused[0] if refused.size else len(f) - 1
-    settled = [frame(j)]
+    # the settled frame is read as views of its U, laid out as its record's,
+    # so products with it round as they do in the depth-first search
+    settled = [(u[j, :, -d:], u[j, :, :-d])]
 
     def continue_frame(t):
-        sv_t, sides_t = data.at(t)[1], data.sides(t)
+        sv_t, sides_t = data.at(t)[1:]
         # a frame that does not transport refuses its segment, which bisects
         try:
             fc = kernel_frame(sv_t[d::2][::-1], sides_t[wide][:, ::-1], settled[-1][0])
@@ -1262,7 +1229,7 @@ def _square_block_path(path: OperatorPath) -> OperatorPath:
 
     # complement frames W_i = C_i Q_i, transported along the samples; the
     # running products Q_i of the polar factors by a doubling scan
-    c = np.concatenate([c[:j], [fc[1] for fc in settled]])
+    c = np.concatenate([u[:j, :, :-d], [fc[1] for fc in settled]])
     q, _ = _polar_split(c[1:].transpose(0, 2, 1) @ c[:-1], tol.transport())
     q = np.concatenate([np.eye(c.shape[2])[None], q])
     span = 1

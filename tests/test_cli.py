@@ -138,6 +138,22 @@ class TestReports:
         assert _digest_path(flow.to_skew_path(ring)) == digest
         assert run(config)["input_digest"] == digest
 
+    def test_one_matrix_file_digest(self, tmp_path):
+        # two equal samples: the path's knot arc does not grow, so the
+        # digest hashes its one matrix and then the 33 parameters, and the
+        # flow solves that one matrix
+        import hashlib
+
+        m = [[0.0, 2.0], [-2.0, 0.0]]
+        doc = {"symmetry": "skew",
+               "samples": [{"t": 0.0, "matrix": m}, {"t": 1.0, "matrix": m}]}
+        f = tmp_path / "constant.json"
+        f.write_text(json.dumps(doc))
+        report = run(RunConfig(command="sf2", path_file=str(f)))
+        digest = hashlib.sha256(np.array(m).tobytes() + np.linspace(0.0, 1.0, 33).tobytes())
+        assert report["input_digest"] == digest.hexdigest()
+        assert (report["result"], report["diagnostics"]["path_evaluations"]) == (1, 1)
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", ""])
     def test_invalid_tolerance_scale_env(self, value):
         proc = invoke("parity", "--model", "examp",
@@ -321,6 +337,24 @@ class TestIngestPath:
         f.write_text(json.dumps(doc))
         proc = invoke("sf2", "--path-file", str(f))
         assert parse_stdout(proc)["result"] == -1
+
+    def test_odd_skew_file_exits_4_at_every_scale(self, tmp_path):
+        # the odd dimension is refused before the structural zero's
+        # rounding residue is read against a scaled tolerance
+        a = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        doc = {"symmetry": "skew", "samples": [
+            {"t": t, "matrix": ((1.0 + t) * (a - a.T)).tolist()} for t in (0.0, 1.0)]}
+        f = tmp_path / "odd.json"
+        f.write_text(json.dumps(doc))
+        for scale in (None, "1e-12"):
+            env = dict(os.environ)
+            env.pop("Z2FLOW_TOLERANCE_SCALE", None)
+            if scale is not None:
+                env["Z2FLOW_TOLERANCE_SCALE"] = scale
+            proc = subprocess.run([sys.executable, "-m", "z2flow", "sf2", "--path-file", str(f)],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (
+                4, "error: skew flow requires even ambient dimension\n")
 
     def test_symmetry_violation(self, tmp_path):
         doc = {

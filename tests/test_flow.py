@@ -201,6 +201,28 @@ class TestSf2Path:
         with pytest.raises(NotAdmissibleError):
             sf2_path(path)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_odd_dimension_refused_at_every_scale(self, monkeypatch, scale):
+        # a 3 x 3 skew matrix is singular by structure, but its smallest
+        # singular value is a rounding residue that only the tolerance
+        # scale would sort into admissible or not: the odd dimension is
+        # refused first.  A chiral block's structural zero is exact, so an
+        # odd chiral path stays not admissible at both scales
+        monkeypatch.setattr(tol, "_scale", scale)
+
+        def odd(t):
+            a = np.array([[0.0, 1.0 + t, 2.0], [0.0, 0.0, 3.0 - t], [0.0, 0.0, 0.0]])
+            return a - a.T
+
+        with pytest.raises(DimensionError, match="even ambient dimension"):
+            sf2_path(OperatorPath((0.0, 1.0), odd, "skew"))
+        with pytest.raises(DimensionError, match="even ambient dimension"):
+            sf2_path(OperatorPath((0.0, 1.0), odd, "skew"), rng=np.random.default_rng(1))
+        tall = OperatorPath((0.0, 1.0), lambda t: np.array([[1.0 + t], [2.0]]),
+                            "general", None, 1)
+        with pytest.raises(NotAdmissibleError):
+            sf2_path(embed_chiral_path(tall))
+
     def test_wrong_tag_rejected(self):
         path = OperatorPath((0.0, 1.0), lambda t: np.eye(2), "general")
         with pytest.raises(ConfigError):
@@ -1167,14 +1189,14 @@ class TestPathFamily:
         walked = []
         windowed = flow_module._windowed_flow
 
-        def spy(path, rng, records=None):
-            walked.append(sorted(records or ()))
-            return windowed(path, rng, records)
+        def spy(path, rng):
+            walked.append(path.block(0.25).tolist())
+            return windowed(path, rng)
 
         monkeypatch.setattr(flow_module, "_windowed_flow", spy)
         stack, arc = self.mixed()
         res = sf2_path(embed_chiral_path(_family_sum(stack, arc)))
-        assert walked == [[0.0, 1.0]]  # the crossing member, seeded
+        assert walked == [stack(0.25)[2].tolist()]  # the crossing member alone
         assert [w.rank for w in res.windows if w.summand != 2] == [0, 0, 0]
 
     def test_members_without_growth_or_arc_are_walked(self):
@@ -1194,6 +1216,18 @@ class TestPathFamily:
         assert (res.value, res.evaluations) == (1, 2 + 1 + 2 + 2)
         opaque = sf2_path(embed_chiral_path(_family_sum(stack, None)))
         assert opaque.value == 1 and opaque.evaluations > res.evaluations
+
+    def test_only_constant_members_listed(self):
+        # no listed member moves: the batch solves nothing, and each
+        # distinct member is one matrix solved once, one rank-0 window per
+        # listing
+        family = PathFamily((0.0, 1.0), lambda t: _calm_stack(0.0),
+                            lambda ts: 0.0 * _calm_arc(ts))
+        path = OperatorPath.direct_sum([family[0], family[1], family[0]])
+        res = sf2_path(embed_chiral_path(path))
+        assert (res.value, res.evaluations) == (1, 2)
+        assert [(w.rank, w.summand) for w in res.windows] == [(0, 0), (0, 1), (0, 2)]
+        assert parity_via_pairs(embed_chiral_path(path)) == 1
 
     def test_member_path_evaluates_nothing(self):
         family = PathFamily((0.0, 1.0), _calm_stack, _calm_arc)
@@ -1540,9 +1574,9 @@ class TestDirectSum:
         solved = []
         windowed = flow_module._windowed_flow
 
-        def spy(path, rng, records=None):
-            solved.append((path.block_shape, sorted(records or ())))
-            return windowed(path, rng, records)
+        def spy(path, rng):
+            solved.append(path.block_shape)
+            return windowed(path, rng)
 
         monkeypatch.setattr(flow_module, "_windowed_flow", spy)
         public = []
@@ -1554,9 +1588,8 @@ class TestDirectSum:
         distinct = {id(p) for p, _, _ in path.evaluator.parts}
         assert len(distinct) < len(path.evaluator.parts) == 16
         # the calm members of the family are certified from its endpoint
-        # stacks; only the crossing member reaches the windowed engine, its
-        # cache seeded with the stacks' two endpoint records
-        assert solved == [((2, 2), [1.5, 2.5])]
+        # stacks; only the crossing member reaches the windowed engine
+        assert solved == [(2, 2)]
         assert sorted(w.summand for w in res.windows) == list(range(16))
         assert res.evaluations == 2 * (len(distinct) - 1) + 9
 
@@ -2003,10 +2036,9 @@ class TestOneWalk:
         leaves = {"flow": [], "pairs": []}
 
         def spying(route, engine):
-            def spy(path, rng, records=None):
-                leaves[route].append((path.block_shape, path.block(0.25).tolist(),
-                                      sorted(records or ())))
-                return engine(path, rng, records)
+            def spy(path, rng):
+                leaves[route].append((path.block_shape, path.block(0.25).tolist()))
+                return engine(path, rng)
             return spy
 
         monkeypatch.setattr(flow_module, "_windowed_flow",
@@ -2024,11 +2056,11 @@ class TestOneWalk:
             assert flowed == paired == oracle == -1
             assert leaves["flow"] == leaves["pairs"]
             # each distinct leaf once, in listing order: the part listed
-            # twice, the constant part, the crossing member seeded with its
-            # endpoint records (the calm members are windows of the batch),
-            # and the 1 x 1 reduced path of the motion
-            assert [(shape, seeded) for shape, _, seeded in leaves["flow"]] == [
-                ((2, 2), []), ((2, 2), []), ((2, 2), [0.0, 1.0]), ((1, 1), [])]
+            # twice, the constant part, the crossing member (the calm
+            # members are windows of the batch), and the 1 x 1 reduced path
+            # of the motion
+            assert [shape for shape, _ in leaves["flow"]] == [
+                (2, 2), (2, 2), (2, 2), (1, 1)]
 
 
 class TestChiralCore:
@@ -3123,6 +3155,43 @@ class TestSquareBlockReduction:
         assert ts[:26] == grid[:26] and grid[25] < ts[26] < grid[26]
         assert ts[-26:] == grid[39:] and ts[-27] not in grid
         assert (3, 2) in transports  # near-cokernel frame and cluster column
+        assert parity_path_general(path) == -1
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_cluster_before_the_first_refusal(self, wide, monkeypatch):
+        # the block of test_batch_then_depth_first with its core singular at
+        # t = 0.25, grid node 16, ahead of the fast turn on [0.4, 0.6]: the
+        # batch's stacked cosines stop at node 15, and the depth-first
+        # search transports the cluster frame at node 16, then bisects the
+        # turn
+        import z2flow.flow as flow_module
+
+        rng = np.random.default_rng(29)
+        o = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        p, q = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+
+        def ev(t):
+            angle = 100 * min(max(t - 0.4, 0.0), 0.2)
+            turn = np.eye(4)
+            turn[[0, 0, 3, 3], [0, 3, 0, 3]] = (np.cos(angle), -np.sin(angle),
+                                                np.sin(angle), np.cos(angle))
+            core = p @ np.diag([t - 0.25, 1.0 + t]) @ q
+            b = o @ turn @ np.vstack([core, np.zeros((2, 2))])
+            return b.T if wide else b
+
+        path = OperatorPath((0.0, 1.0), ev, "general", None, -2 if wide else 2)
+        assert np.linalg.svd(ev(0.25), compute_uv=False)[-1] < 1e-15
+        cosine_pairs, cosines = [], flow_module._smallest_cosines
+        monkeypatch.setattr(flow_module, "_smallest_cosines",
+                            lambda f, g: cosine_pairs.append(len(f)) or cosines(f, g))
+        transports, split = [], flow_module._polar_split
+        monkeypatch.setattr(flow_module, "_polar_split",
+                            lambda x, floor: transports.append(x.shape) or split(x, floor))
+        ts = self.assert_matches_per_point(path, monkeypatch)
+        grid = np.linspace(0.0, 1.0, 65).tolist()
+        assert cosine_pairs[0] == 15  # the batch's pairs of nodes 0..15
+        assert (3, 2) in transports  # near-cokernel frame and cluster column
+        assert ts[:26] == grid[:26] and len(ts) == 105
         assert parity_path_general(path) == -1
 
     @pytest.mark.parametrize("wide", [False, True])
