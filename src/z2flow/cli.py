@@ -14,8 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -52,35 +50,11 @@ from .pairs import (
 from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath
 
 SCHEMA = "z2flow/5"
-COMMANDS = ("sf2", "parity", "pi-index", "index-theorem", "insulator",
-            "bifurcation")
 
 _EXIT_OK = 0
 _EXIT_NOT_ADMISSIBLE = 2
 _EXIT_REFINEMENT = 3
 _EXIT_CONFIG = 4
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    model: Optional[str] = None
-    path_file: Optional[str] = None
-    seed: int = 0
-    output_format: str = "json"
-    output: Optional[str] = None
-    report_windows: bool = False
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        if self.output_format == "csv" and not self.output:
-            raise ConfigError("csv output requires an output file path")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +126,8 @@ def ingest_path(file) -> OperatorPath:
 # report plumbing
 
 
-def _digest_path(path: OperatorPath, n: int = 33) -> str:
-    """SHA-256 of the declared input the engine reads at n equispaced
+def _digest_path(path: OperatorPath) -> str:
+    """SHA-256 of the declared input the engine reads at 33 equispaced
     parameters ts, never of a doubled matrix or of the partition.
 
     A plain path hashes each t and its record matrix (a chiral path's
@@ -164,7 +138,7 @@ def _digest_path(path: OperatorPath, n: int = 33) -> str:
     a leaf whose arc does not grow; else its matrices at ts, a family
     member's as its rows of one family stack per t.  A sum ends with each
     listing's leaf, then its rows and columns, as int64."""
-    ts = np.linspace(path.t_start, path.t_end, n)
+    ts = np.linspace(path.t_start, path.t_end, 33)
     parts = getattr(path.evaluator, "parts", None)
     if parts is None and getattr(path.evaluator, "motion", None) is None:
         read = lambda t: _digest_arrays(_record_matrix(path, t))
@@ -229,38 +203,39 @@ def _window_rows(flow):
     ]
 
 
-def _resolve_model_path(config: RunConfig) -> OperatorPath:
-    if config.path_file:
-        return ingest_path(config.path_file)
-    if not config.model:
+def _resolve_model_path(args: argparse.Namespace) -> OperatorPath:
+    if args.path_file:
+        if args.s is not None:
+            raise ConfigError("a path file takes no strength parameter")
+        return ingest_path(args.path_file)
+    if not args.model:
         raise ConfigError("either --model or --path-file is required")
-    if config.model in EXAMPLE_NAMES:
-        return build_example_path(config.model, config.params.get("s"))
-    raise ConfigError(f"unknown model {config.model!r}")
+    return build_example_path(args.model, args.s)
 
 
-def run(config: RunConfig) -> dict:
-    """Dispatch one configured computation and assemble its report."""
+def run(args: argparse.Namespace) -> dict:
+    """Run the command of ``args``, a namespace of ``config_from_args``
+    that holds that command's options, and assemble its report."""
     started = time.perf_counter()
     report = {
         "schema": SCHEMA,
-        "command": config.command,
-        "seed": config.seed,
+        "command": args.command,
+        "seed": args.seed,
     }
     path = None  # set by the path commands, whose flow is run below
 
-    if config.command in ("sf2", "parity"):
-        path = _resolve_model_path(config)
-        if config.model:
-            report["model"] = config.model
-        if config.command == "sf2" and path.symmetry_tag not in (
+    if args.command in ("sf2", "parity"):
+        path = _resolve_model_path(args)
+        if args.model:
+            report["model"] = args.model
+        if args.command == "sf2" and path.symmetry_tag not in (
                 "skew", "chiral-skew"):
             raise ConfigError("sf2 requires a skew or chiral-skew path")
 
-    elif config.command in ("pi-index", "index-theorem"):
-        structure, o = build_rank_one_pair(int(config.params.get("n", 4)))
+    elif args.command in ("pi-index", "index-theorem"):
+        structure, o = build_rank_one_pair(args.n)
         report["input_digest"] = _sha256(*_digest_arrays(structure.matrix, o))
-        if config.command == "pi-index":
+        if args.command == "pi-index":
             pair = FredholmPair(structure, _conjugate(structure, o))
             report["result"] = int(pi_index(pair))
             report["kernel_dim"] = int(pair.gap_certificate)
@@ -274,26 +249,18 @@ def run(config: RunConfig) -> dict:
             report["index_rhs_mod2"] = int(rhs)
             report["agree"] = bool((int(lhs) == -1) == (rhs == 1))
 
-    elif config.command == "insulator":
-        spec = RingShiftSpec(
-            sites=int(config.params.get("M", 8)),
-            shift_power=int(config.params.get("k", 1)),
-            fiber_dim=int(config.params.get("N", 1)),
-            link_site=int(config.params.get("link_site", 0)),
-        )
-        strength = float(config.params.get("disorder", 0.0))
-        if strength != 0:  # the builder refuses negative and non-finite values
-            path = build_insulator_disordered(spec, strength, config.seed)
+    elif args.command == "insulator":
+        spec = RingShiftSpec(sites=args.M, shift_power=args.k,
+                             fiber_dim=args.N, link_site=args.link_site)
+        if args.disorder != 0:  # the builder refuses negative and non-finite values
+            path = build_insulator_disordered(spec, args.disorder, args.seed)
         else:
             path = build_insulator_path(spec)
         report["half_flux_kernel_dim"] = half_flux_kernel_dim(spec)
 
-    elif config.command == "bifurcation":
-        spec = GalerkinSpec(
-            mode_cutoff=int(config.params.get("kmax", 4)),
-            t_center=float(config.params.get("center", 2.0)),
-            delta=float(config.params.get("delta", 0.5)),
-        )
+    elif args.command == "bifurcation":
+        spec = GalerkinSpec(mode_cutoff=args.kmax, t_center=args.center,
+                            delta=args.delta)
         path = build_bifurcation_path(spec)
         report["crossing_modes"] = [list(m) for m in
                                     bifurcation_crossing_modes(spec)]
@@ -304,7 +271,7 @@ def run(config: RunConfig) -> dict:
         report["input_digest"] = _digest_path(skew_path)
         flow = sf2_path(skew_path)
         report["result"] = int(flow.value)
-        if config.report_windows:
+        if args.report_windows:
             report["windows"] = _window_rows(flow)
         diagnostics["refinement_depth"] = int(flow.refinement_depth)
         diagnostics["path_evaluations"] = int(flow.evaluations)
@@ -340,19 +307,16 @@ def _build_parser() -> _Parser:
 
     for name in ("sf2", "parity"):
         p = sub.add_parser(name)
-        p.add_argument("--model", choices=EXAMPLE_NAMES)
-        p.add_argument("--path-file")
-        p.add_argument("--s", type=float, default=None,
-                       help="strength for doubled_perturbed")
+        given = p.add_mutually_exclusive_group()
+        given.add_argument("--model", choices=EXAMPLE_NAMES)
+        given.add_argument("--path-file")
+        p.add_argument("--s", type=float, help="strength for doubled_perturbed")
         common(p)
 
-    p = sub.add_parser("pi-index")
-    p.add_argument("--n", type=int, default=4)
-    common(p)
-
-    p = sub.add_parser("index-theorem")
-    p.add_argument("--n", type=int, default=4)
-    common(p)
+    for name in ("pi-index", "index-theorem"):
+        p = sub.add_parser(name)
+        p.add_argument("--n", type=int, default=4)
+        common(p)
 
     p = sub.add_parser("insulator")
     p.add_argument("--M", type=int, default=8)
@@ -370,35 +334,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def config_from_args(argv) -> RunConfig:
+def config_from_args(argv) -> argparse.Namespace:
+    """The parser's namespace of ``argv``: ``command``, then one attribute
+    per option of that command (``--link-site`` as ``link_site``) at its
+    parsed or default value.  Raises ``ConfigError`` for any argument the
+    parser refuses, and for csv output without ``--output``."""
     args = _build_parser().parse_args(argv)
-    params = {}
-    for key in ("s", "n", "M", "k", "N", "link_site", "disorder",
-                "kmax", "delta", "center"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        path_file=getattr(args, "path_file", None),
-        seed=args.seed,
-        output_format=args.output_format,
-        output=args.output,
-        report_windows=args.report_windows,
-        params=params,
-    )
+    if args.output_format == "csv" and not args.output:
+        raise ConfigError("csv output requires an output file path")
+    return args
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    if config.output_format == "json" and not config.output:
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.output_format == "json" and not args.output:
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return
     try:
-        if config.output_format == "json":
-            with open(config.output, "w", encoding="utf-8") as fh:
+        if args.output_format == "json":
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(report, sort_keys=True) + "\n")
         else:
-            with open(config.output, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 _write_csv(report, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
@@ -425,9 +381,9 @@ def _write_csv(report: dict, fh) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = config_from_args(argv)
-        report = run(config)
-        _emit(report, config)
+        args = config_from_args(argv)
+        report = run(args)
+        _emit(report, args)
         return _EXIT_OK
     except NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -442,7 +398,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory, reduce the problem size: {exc}",
               file=sys.stderr)
         return _EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

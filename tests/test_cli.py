@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from z2flow.cli import RunConfig, config_from_args, ingest_path, run
+from z2flow.cli import config_from_args, ingest_path, run
 from z2flow.errors import ConfigError, SymmetryError
 
 
@@ -74,6 +74,26 @@ class TestCommands:
         assert report["index_rhs_mod2"] == 1
         assert report["agree"] is True
 
+    @pytest.mark.parametrize("argv, fields, pinned", [
+        (["insulator", "--M", "8", "--k", "1", "--N", "1", "--link-site", "0",
+          "--disorder", "0.0"],
+         ("result", "half_flux_kernel_dim", "path_evaluations"), (-1, 2, 10)),
+        (["bifurcation", "--kmax", "4", "--delta", "0.5", "--center", "2.0"],
+         ("result", "path_evaluations"), (-1, 27)),
+        (["pi-index", "--n", "4"], ("result", "kernel_dim"), (-1, 2)),
+        (["index-theorem", "--n", "4"], ("result", "agree"), (-1, True)),
+    ], ids=["insulator", "bifurcation", "pi-index", "index-theorem"])
+    def test_defaults(self, argv, fields, pinned):
+        # the command alone runs at the parser's defaults: the same report
+        # as with every default spelled out
+        bare, spelled = (run(config_from_args(a)) for a in
+                         (argv[:1], argv + ["--seed", "0", "--output-format", "json"]))
+        for report in (bare, spelled):
+            del report["diagnostics"]["wall_time_s"]
+        assert bare == spelled
+        fields_of = {**bare, **bare["diagnostics"]}
+        assert tuple(fields_of[f] for f in fields) == pinned
+
 
 class TestReports:
     def test_determinism(self):
@@ -127,7 +147,7 @@ class TestReports:
         from z2flow.cli import _digest_path
         from z2flow.models import RingShiftSpec, build_insulator_disordered
 
-        config = RunConfig(command="insulator", params={"M": 64, "disorder": 0.1})
+        config = config_from_args(["insulator", "--M", "64", "--disorder", "0.1"])
         digest = run(config)["input_digest"]
 
         def refuse(b):
@@ -149,7 +169,7 @@ class TestReports:
                "samples": [{"t": 0.0, "matrix": m}, {"t": 1.0, "matrix": m}]}
         f = tmp_path / "constant.json"
         f.write_text(json.dumps(doc))
-        report = run(RunConfig(command="sf2", path_file=str(f)))
+        report = run(config_from_args(["sf2", "--path-file", str(f)]))
         digest = hashlib.sha256(np.array(m).tobytes() + np.linspace(0.0, 1.0, 33).tobytes())
         assert report["input_digest"] == digest.hexdigest()
         assert (report["result"], report["diagnostics"]["path_evaluations"]) == (1, 1)
@@ -299,6 +319,20 @@ class TestExitStatuses:
                       env_extra={"PYTHONWARNINGS": "error"})
         assert parse_stdout(proc)["result"] == -1
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--model", "examp"],
+         "argument --path-file: not allowed with argument --model"),
+        (["--s", "0.3"], "a path file takes no strength parameter")],
+        ids=["model", "strength"])
+    def test_path_file_refuses_model_inputs(self, capsys, extra, message):
+        # the report would name the model or the strength, but the file
+        # alone is solved
+        import z2flow.cli as cli
+
+        f = os.path.join(os.path.dirname(__file__), "data", "rect_tall.json")
+        assert cli.main(["parity", *extra, "--path-file", f]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_oversized_builder_exits_4(self, capsys):
         import z2flow.cli as cli
@@ -527,19 +561,19 @@ class TestIngestPath:
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(command="nope")
+            config_from_args(["nope"])
         with pytest.raises(ConfigError):
-            RunConfig(command="sf2", output_format="xml")
+            config_from_args(["sf2", "--output-format", "xml"])
         with pytest.raises(ConfigError):
-            RunConfig(command="sf2", output_format="csv")
+            config_from_args(["sf2", "--output-format", "csv"])
 
     def test_from_args_roundtrip(self):
         cfg = config_from_args(
             ["insulator", "--M", "12", "--k", "2", "--N", "1",
              "--seed", "5", "--report-windows"])
         assert cfg.command == "insulator"
-        assert cfg.params["M"] == 12
-        assert cfg.params["k"] == 2
+        assert cfg.M == 12
+        assert cfg.k == 2
         assert cfg.seed == 5
         assert cfg.report_windows
 
@@ -558,7 +592,7 @@ class TestRunConfig:
 
     def test_run_requires_input(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(command="parity"))
+            run(config_from_args(["parity"]))
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_reports.json")

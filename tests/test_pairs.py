@@ -438,7 +438,7 @@ class TestIndexMap:
     def test_index_theorem_checks_o_once(self, monkeypatch):
         # the CLI checks O once for both sides of the theorem: one call of
         # the grading-preserving check, one Gram per block of O
-        from z2flow.cli import RunConfig, run
+        from z2flow.cli import config_from_args, run
 
         grams = []
         inner = pairs_module._orthogonality_defect
@@ -448,7 +448,7 @@ class TestIndexMap:
             return inner(m, n, chiral)
 
         monkeypatch.setattr(pairs_module, "_orthogonality_defect", spy)
-        report = run(RunConfig("index-theorem", params={"n": 6}))
+        report = run(config_from_args(["index-theorem", "--n", "6"]))
         assert (report["result"], report["index_rhs_mod2"], report["agree"]) == (-1, 1, True)
         # O once; the structure of the model and the conjugate O I O^T
         assert grams.count(False) == 1 and grams.count(True) == 2
@@ -457,8 +457,6 @@ class TestIndexMap:
         ("not orthogonal", "^matrix is not orthogonal$"),
         ("mixes the grading", "^matrix does not commute with the grading$")])
     def test_refusals_keep_their_text(self, defect, message):
-        from z2flow.cli import RunConfig, run
-
         structure, o = build_rank_one_pair(3)
         bad = o.copy()
         if defect == "not orthogonal":
