@@ -47,7 +47,7 @@ from .pairs import (
     j_index,
     pi_index,
 )
-from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath
+from .paths import SYMMETRY_TAGS, ChiralFrame, FamilyMember, OperatorPath, _stacked
 
 SCHEMA = "z2flow/5"
 
@@ -128,7 +128,9 @@ def ingest_path(file) -> OperatorPath:
 
 def _digest_path(path: OperatorPath) -> str:
     """SHA-256 of the declared input the engine reads at 33 equispaced
-    parameters ts, never of a doubled matrix or of the partition.
+    parameters ts, never of a doubled matrix or of the partition.  Each
+    leaf is read as the engine reads it (``flow._record_matrix``), through
+    the one reader: one stacked read of ts, or of its one parameter.
 
     A plain path hashes each t and its record matrix (a chiral path's
     block, a plain skew path's matrix), or its one matrix and then ts if
@@ -139,17 +141,18 @@ def _digest_path(path: OperatorPath) -> str:
     member's as its rows of one family stack per t.  A sum ends with each
     listing's leaf, then its rows and columns, as int64."""
     ts = np.linspace(path.t_start, path.t_end, 33)
+    start = lambda leaf: _record_matrix(leaf, [ts[0]])[0]
+    constant = lambda leaf: _arc_growth(getattr(leaf.evaluator, "arc", None),
+                                        leaf.interval) == 0
     parts = getattr(path.evaluator, "parts", None)
     if parts is None and getattr(path.evaluator, "motion", None) is None:
-        read = lambda t: _digest_arrays(_record_matrix(path, t))
-        if _arc_growth(getattr(path.evaluator, "arc", None), path.interval) == 0:
-            return _sha256(*read(ts[0]), ts)
-        return _sha256(*(x for t in ts for x in [t.tobytes(), *read(t)]))
-    if parts is None:  # one leaf, read as the engine reads the path
-        leaves, read = [path], _record_matrix
-    else:  # a part's block is its evaluator's matrix
-        leaves = list({id(part): part for part, _, _ in parts}.values())
-        read = lambda part, t: part.evaluator(t)
+        if constant(path):
+            return _sha256(*_digest_arrays(start(path)), ts)
+        (m,) = _digest_arrays(_record_matrix(path, list(ts)))
+        return _sha256(*(x for t, m_t in zip(ts, m) for x in [t.tobytes(), m_t]))
+    # a motion is its own leaf, a sum's leaves are its distinct parts
+    leaves = [path] if parts is None else list(
+        {id(part): part for part, _, _ in parts}.values())
     families, chunks = {}, [ts]
     for leaf in leaves:
         if isinstance(leaf, FamilyMember):
@@ -157,16 +160,14 @@ def _digest_path(path: OperatorPath) -> str:
             if id(f) not in families:  # stacks indexed member, parameter
                 families[id(f)] = (np.stack([f.stack(t) for t in ts], axis=1),
                                    _arc_growth(f.arc, f.interval, len(f)) == 0)
-            rows, constant = (a[leaf.index] for a in families[id(f)])
-            chunks += _digest_arrays(rows[:1] if constant else rows)
+            rows, fixed = (a[leaf.index] for a in families[id(f)])
+            chunks += _digest_arrays(rows[:1] if fixed else rows)
         elif getattr(leaf.evaluator, "motion", None) is not None:
             p, q, c = leaf.evaluator.motion
-            chunks += _digest_arrays(read(leaf, ts[0]), p, q,
-                                     *(c.at(t) for t in ts))
-        elif _arc_growth(getattr(leaf.evaluator, "arc", None), leaf.interval) == 0:
-            chunks += _digest_arrays(read(leaf, ts[0]))
+            chunks += _digest_arrays(start(leaf), p, q, _stacked(c, list(ts)))
         else:
-            chunks += _digest_arrays(*(read(leaf, t) for t in ts))
+            chunks += _digest_arrays(start(leaf) if constant(leaf)
+                                     else _record_matrix(leaf, list(ts)))
     if parts is not None:
         position = {id(leaf): i for i, leaf in enumerate(leaves)}
         chunks += _digest_arrays(

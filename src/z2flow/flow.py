@@ -34,7 +34,7 @@ from .linalg import (
     singular_values,
     skew_singular_system,
 )
-from .paths import ChiralFrame, FamilyMember, OperatorPath, _stacked
+from .paths import ChiralFrame, FamilyMember, OperatorPath, _check_shape, _stacked
 from .z2 import MINUS, PLUS, Z2, z2_product
 
 __all__ = [
@@ -136,16 +136,17 @@ def embed_chiral(b) -> np.ndarray:
 def _doubling(source: OperatorPath, frame: ChiralFrame, tag: str) -> OperatorPath:
     """Chiral doubling of the blocks of ``source``: [[0, B], [-B^T, 0]] for
     the tag ``chiral-skew``, [[0, B], [B^T, 0]] for ``chiral-selfadjoint``.
-    Only its ``at`` builds the doubled matrix; the engine reads ``block``
-    (stacks from the ``source`` path), and the source's ``arc``, ``parts``
-    (with their ``block_shape``) and ``motion`` if it declares them."""
+    Its evaluator declares the ``source`` path, whose blocks the reader
+    (``paths._stacked``) reads, so only ``at`` builds the doubled matrix,
+    and the source's ``arc``, ``parts`` (with their ``block_shape``) and
+    ``motion`` if it declares them."""
     def evaluator(t):
         m = embed_chiral(source.block(t))
         if tag == "chiral-selfadjoint":
             m[frame.n_plus:, :frame.n_plus] *= -1.0
         return m
 
-    evaluator.block, evaluator.source = source.block, source
+    evaluator.source = source
     evaluator.arc = getattr(source.evaluator, "arc", None)
     evaluator.parts = getattr(source.evaluator, "parts", None)
     evaluator.block_shape = getattr(source.evaluator, "block_shape", None)
@@ -276,15 +277,14 @@ def _smallest_cosines(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # windowed path engine
 
 
-def _record_matrix(path: OperatorPath, t) -> np.ndarray:
-    """The matrix the engine solves at t: the block of a chiral-skew path
-    or of a general one (its own block), the antisymmetrized matrix of a
-    plain skew path; for a list of parameters, their matrices along a
-    leading axis, read and validated as one stack (``paths._stacked``)."""
-    stacked = isinstance(t, list)
+def _record_matrix(path: OperatorPath, ts: list) -> np.ndarray:
+    """The matrices the engine solves at the list of parameters ts, along a
+    leading axis, read and validated as one stack by the one reader
+    (``paths._stacked``): the block of a chiral path or of a general one
+    (its own block), the antisymmetrized matrix of a plain skew path."""
     if path.symmetry_tag != "skew":
-        return _stacked(path, t, True) if stacked else path.block(t)
-    m = _stacked(path, t) if stacked else path.at(t)
+        return _stacked(path, ts, True)
+    m = _stacked(path, ts)
     return (m - m.swapaxes(-1, -2)) / 2.0
 
 
@@ -360,7 +360,7 @@ class _PathData:
         return self._start if self.constant else float(t)
 
     def _evaluate(self, t: float) -> np.ndarray:
-        m = _record_matrix(self.path, t)
+        m = _record_matrix(self.path, [t])[0]
         self._first = self._first or (t, m.shape)
         _check_shape(m, t, *self._first)
         return m
@@ -474,10 +474,14 @@ class _PathData:
 
 def _read_arc(arc, ts: np.ndarray, members=None) -> np.ndarray:
     """The arc at the ascending ts; ``ConfigError`` unless it gives one
-    nondecreasing value per parameter (NaN and inf bound nothing, and pass),
-    or for the arc of a family of ``members`` paths one such row per
+    real, nondecreasing value per parameter (NaN and inf bound nothing, and
+    pass), or for the arc of a family of ``members`` paths one such row per
     parameter, one column per member."""
-    values = np.asarray(arc(ts), dtype=float)
+    values = np.asarray(arc(ts))
+    if values.dtype.kind not in "biuf":
+        raise ConfigError("the evaluator's arc must return real numbers, "
+                          f"got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     shape = ts.shape if members is None else (ts.size, members)
     if values.shape != shape or (values[1:] < values[:-1]).any():
         raise ConfigError(
@@ -531,14 +535,6 @@ def _require_arc(s, t, m_s, m_t, grown):
 def _stack(mats: list) -> np.ndarray:
     """The arrays along a leading axis: a view of a lone one, else a copy."""
     return mats[0][None] if len(mats) == 1 else np.array(mats)
-
-
-def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
-    """Refuse a path matrix whose shape differs from the first evaluation's."""
-    if m.shape != shape:
-        raise DimensionError(
-            f"path matrix has shape {m.shape} at t={t} but {shape} at "
-            f"t={t_first}; the evaluator must keep one shape")
 
 
 @functools.lru_cache(maxsize=None)
@@ -1012,7 +1008,7 @@ def _endpoint_spectra(data: _PathData):
     for t in (t0, t1):
         _require_admissible(t, data.at(t)[1])
     if data.constant:
-        m1 = _record_matrix(data.path, t1)
+        m1 = _record_matrix(data.path, [t1])[0]
         _check_shape(m1, t1, *data._first)
         _require_arc(t0, t1, data.at(t0)[0], m1, 0.0)
     return [data.at(t)[1] for t in (t0, t1)]

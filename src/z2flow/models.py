@@ -240,9 +240,9 @@ def build_insulator_disordered(spec: RingShiftSpec, strength: float,
     # the clean block moves only on its k N link entries, where it is 1 at
     # t = 0 and -1 at t = 1: the rest plus w is summed once, and each
     # evaluation adds cos(pi t) there, the same floats as clean(t) + w
-    clean = _ring_blocks(spec).evaluator
-    rest = clean(0.0)
-    links = np.flatnonzero(rest != clean(1.0))
+    clean = _ring_blocks(spec)
+    rest = clean.block(0.0)
+    links = np.flatnonzero(rest != clean.block(1.0))
     rest.flat[links] = 0.0
     rest += w
 
@@ -305,13 +305,10 @@ class GalerkinSpec:
             raise ConfigError("mode cutoff must be >= 2")
         if not self.delta > 0:
             raise ConfigError("window half-width must be positive")
-        for k1, k2 in self.modes():
-            crossing = float(k1 * k1 + k2 * k2)
-            inside = abs(crossing - self.t_center) <= self.delta
-            if inside and (k1, k2) != (1, 1):
-                raise ConfigError(
-                    f"mode {(k1, k2)} also crosses inside the parameter window"
-                )
+        others = [m for m in bifurcation_crossing_modes(self) if m != (1, 1)]
+        if others:
+            raise ConfigError(
+                f"mode {others[0]} also crosses inside the parameter window")
 
     def modes(self):
         rng_ = range(1, self.mode_cutoff + 1)

@@ -49,23 +49,45 @@ def validate_symmetry(mat: np.ndarray, tag: str,
 
 
 def _stacked(path: "OperatorPath", ts: list, block: bool = False) -> np.ndarray:
-    """``path.at`` (``path.block`` with ``block``) of each parameter of ts
-    along a leading axis, validated as one stack; a doubling's blocks are
-    its declared ``source`` path's, another declared ``block`` read t by t."""
-    ev = path.evaluator
-    if block and getattr(ev, "block", None) is not None:
-        source = getattr(ev, "source", None)
-        return (_stacked(source, ts, True) if source is not None
-                else np.array([ev.block(t) for t in ts]))
+    """The one reader of evaluators: ``path.at`` (``path.block`` with
+    ``block``) of each parameter of ts along a leading axis, validated as
+    one stack (a lone matrix as a view, not a copy); matrices that do not
+    stack for their shapes raise ``DimensionError``.  A chiral path's block
+    is the upper block of its matrix, antisymmetrized if chiral-skew; a
+    doubling's blocks are its declared ``source`` path's."""
     if block and path.symmetry_tag == "skew":
         raise ConfigError("a plain skew path has no chiral block")
-    m = np.array([ev(t) for t in ts])
-    if m.ndim != 3:
-        raise DimensionError(f"expected matrices, got arrays of ndim={m.ndim - 1}")
-    k, p, q = m.shape  # one coercion of the stack, read as one tall matrix
-    m = _validated(as_real_matrix(m.reshape(k * p, q)).reshape(k, p, q),
-                   path.symmetry_tag, path.frame)
-    return path._cut(m) if block else m
+    if block and getattr(path.evaluator, "source", None) is not None:
+        return _stacked(path.evaluator.source, ts, True)
+    mats = [path.evaluator(t) for t in ts]
+    if len(mats) == 1:  # a view of the lone matrix, not a copy
+        m = as_real_matrix(mats[0])[None]
+    else:
+        try:
+            m = np.array(mats)
+        except ValueError:  # refuse a shape that differs from the first's
+            for t, a in zip(ts, mats):
+                _check_shape(np.asarray(a), t, ts[0], np.shape(mats[0]))
+            raise
+        if m.ndim != 3:
+            raise DimensionError(f"expected a matrix, got array of ndim={m.ndim - 1}")
+        k, p, q = m.shape  # one coercion of the stack, read as one tall matrix
+        m = as_real_matrix(m.reshape(k * p, q)).reshape(k, p, q)
+    m = _validated(m, path.symmetry_tag, path.frame)
+    if not block or path.symmetry_tag == "general":
+        return m
+    p = path.frame.n_plus
+    if path.symmetry_tag == "chiral-selfadjoint":
+        return m[..., :p, p:]
+    return (m[..., :p, p:] - m[..., p:, :p].swapaxes(-1, -2)) / 2.0
+
+
+def _check_shape(m: np.ndarray, t: float, t_first: float, shape: tuple):
+    """Refuse a path matrix whose shape differs from the first evaluation's."""
+    if m.shape != shape:
+        raise DimensionError(
+            f"path matrix has shape {m.shape} at t={t} but {shape} at "
+            f"t={t_first}; the evaluator must keep one shape")
 
 
 def _peak(m: np.ndarray) -> np.ndarray:
@@ -101,6 +123,15 @@ def _validated(m: np.ndarray, tag: str, frame: Optional[ChiralFrame]) -> np.ndar
     return m
 
 
+def _placement(listed: list, shape: tuple) -> np.ndarray:
+    """Listed rows (or columns) as one intp array of ``shape``;
+    ``ValueError`` unless integers (or an empty placement)."""
+    a = np.array(listed)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError
+    return a.astype(np.intp).reshape(shape)
+
+
 def _check_interval(interval):
     lo, hi = interval
     if not (np.isfinite(interval).all() and lo < hi
@@ -108,6 +139,14 @@ def _check_interval(interval):
         raise ConfigError(f"invalid parameter interval {interval}; "
                           "a finite lo < hi with a finite length hi - lo "
                           "is required")
+
+
+def _block_index(tag: str, frame: Optional[ChiralFrame], shape) -> int:
+    """Index rows - cols of a general block's ``shape()``, else of the frame."""
+    if tag == "general":
+        rows, cols = shape()
+        return rows - cols
+    return 0 if frame is None else frame.n_plus - frame.n_minus
 
 
 @dataclass(frozen=True)
@@ -147,13 +186,8 @@ class OperatorPath:
             raise ConfigError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag.startswith("chiral") and self.frame is None:
             raise ConfigError("chiral symmetry tags require a chiral frame")
-        if self.symmetry_tag == "general":
-            rows, cols = self.block_shape
-            expected = rows - cols
-        elif self.frame is not None:
-            expected = self.frame.n_plus - self.frame.n_minus
-        else:
-            expected = 0
+        expected = _block_index(self.symmetry_tag, self.frame,
+                                lambda: self.block_shape)
         if self.declared_index != expected:
             raise ConfigError(
                 f"declared index {self.declared_index} inconsistent with "
@@ -169,9 +203,8 @@ class OperatorPath:
         return self.interval[1]
 
     def at(self, t: float) -> np.ndarray:
-        """Evaluate the path and validate the matrix and its symmetry tag at
-        t, in one ``validate_symmetry``."""
-        return validate_symmetry(self.evaluator(t), self.symmetry_tag, self.frame)
+        """The matrix at t, validated: ``_stacked`` of the one parameter."""
+        return _stacked(self, [t])[0]
 
     @property
     def block_shape(self) -> tuple:
@@ -187,28 +220,9 @@ class OperatorPath:
         return self.block(self.t_start).shape
 
     def block(self, t: float) -> np.ndarray:
-        """The block B(t) that carries a chiral path T = [[0, B], [-B^T, 0]].
-
-        A general path is its own block; a chiral path gives the upper block
-        of its validated matrix, antisymmetrized if chiral-skew.  An
-        evaluator with a ``block`` attribute (the doublings built in
-        ``flow``) answers from it, without building T.
-        """
-        source = getattr(self.evaluator, "block", None)
-        if source is not None:
-            return source(t)
-        if self.symmetry_tag == "skew":
-            raise ConfigError("a plain skew path has no chiral block")
-        return self._cut(self.at(t))
-
-    def _cut(self, m: np.ndarray) -> np.ndarray:
-        """``block`` of validated matrices m of this path, stacked or not."""
-        if self.symmetry_tag == "general":
-            return m
-        p = self.frame.n_plus
-        if self.symmetry_tag == "chiral-selfadjoint":
-            return m[..., :p, p:]
-        return (m[..., :p, p:] - m[..., p:, :p].swapaxes(-1, -2)) / 2.0
+        """The block B(t) that carries a chiral path T = [[0, B], [-B^T, 0]]
+        (a general path is its own): ``_stacked`` of the one parameter."""
+        return _stacked(self, [t], True)[0]
 
     @staticmethod
     def direct_sum(parts: Sequence["OperatorPath"], rows=None,
@@ -253,9 +267,8 @@ class OperatorPath:
                 if axis is not None and len(axis := list(axis)) != len(parts):
                     raise ValueError  # one entry per listing
                 arrays = [(ends[js] - shape[i])[:, None] + np.arange(shape[i])
-                          if axis is None else np.array(
-                              [axis[j] for j in js],
-                              dtype=np.intp).reshape(len(js), shape[i])
+                          if axis is None else _placement(
+                              [axis[j] for j in js], (len(js), shape[i]))
                           for _, shape, js, _ in listed.values()]
                 if not np.array_equal(np.sort(np.concatenate(
                         [a.ravel() for a in arrays])), np.arange(ends[-1])):
@@ -355,14 +368,9 @@ class OperatorPath:
                              _unit, lengths[0])
 
         evaluator.arc = arc
-        if symmetry_tag == "general":
-            index = shape[0] - shape[1]
-        elif frame is not None:
-            index = frame.n_plus - frame.n_minus
-        else:
-            index = 0
         return OperatorPath((float(ts[0]), float(ts[-1])), evaluator,
-                            symmetry_tag, frame, index)
+                            symmetry_tag, frame,
+                            _block_index(symmetry_tag, frame, lambda: shape))
 
 
 class PathFamily:
@@ -440,7 +448,7 @@ class FamilyMember:
             return family.stack(t)[i]
 
         def arc(ts):
-            values = np.asarray(family.arc(ts), dtype=float)
+            values = np.asarray(family.arc(ts))
             # an arc of another shape is handed on whole, to be refused
             if values.shape == (np.size(ts), len(family)):
                 return values[:, i]

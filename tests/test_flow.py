@@ -982,6 +982,29 @@ class TestArcContract:
                 engine()
 
 
+    @pytest.mark.parametrize("arc", [
+        lambda ts: ts * (1 + 1j),
+        lambda ts: np.full(np.shape(ts), "x"),
+        lambda ts: None,
+    ], ids=["complex", "string", "none"])
+    def test_non_real_arc_refused(self, arc):
+        # a complex arc lost its imaginary part with a ComplexWarning, a
+        # string arc raised a bare ValueError, and None read as NaN
+        def evaluator(t):
+            return np.array([[t - 0.5]])
+
+        evaluator.arc = arc
+        path = OperatorPath((0.0, 1.0), evaluator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for engine in (lambda: parity_path(path),
+                           lambda: sf2_path(embed_chiral_path(path)),
+                           lambda: parity_via_pairs(embed_chiral_path(path))):
+                with pytest.raises(ConfigError, match="^the evaluator's arc must "
+                                                      "return real numbers, got dtype"):
+                    engine()
+
+
 def _engines(path, seed):
     """The values of the three parity engines on a general path, each with
     the generator of ``seed`` (None: no generator), as callables."""
@@ -1547,6 +1570,19 @@ class TestDirectSum:
         a = self.ramp(1.0, 2.0)
         with pytest.raises(ConfigError, match="placements"):
             OperatorPath.direct_sum([a, a], rows, cols)
+
+    @pytest.mark.parametrize("rows", [[[1.7], [0.2]], [[True], [False]]],
+                             ids=["float", "bool"])
+    def test_non_integer_placements_refused(self, rows):
+        # were cast to the rows [1] and [0]; an empty placement of a 0-row
+        # part may still be of any dtype
+        a = self.ramp(1.0, 2.0)
+        with pytest.raises(ConfigError, match="placements"):
+            OperatorPath.direct_sum([a, a], rows, [[0], [1]])
+        empty = OperatorPath((0.0, 1.0), lambda t: np.zeros((0, 1)), declared_index=-1)
+        total = OperatorPath.direct_sum([empty, a], [[], [0]], [[0], [1]])
+        assert total.block_shape == (1, 2)
+        np.testing.assert_array_equal(total.at(0.0), [[0.0, 1.0]])
 
     def test_bad_parts_refused(self):
         a = self.ramp(1.0, 2.0)
@@ -2952,6 +2988,27 @@ class TestParityPathGeneral:
         path = OperatorPath(
             (0.0, 1.0), lambda t: rotation(2, 200 * t) @ rotation(0, 140 * t)
             @ np.vstack([core(t), np.zeros((1, 2))]), "general", None, 1)
+        assert parity_finite(OperatorPath((0.0, 1.0), core)) == -1
+        rng = None if seed is None else np.random.default_rng(seed)
+        assert parity_path_general(path, rng=rng) == -1
+
+
+    @pytest.mark.xfail(strict=True, raises=RefinementError, reason=(
+        "ROADMAP item 6: "
+        "a crossing on a node of the 65-point grid of _square_block_path "
+        "under a fast rotation finds no continuous kernel family"))
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_fast_turning_crossing_on_a_grid_node(self, seed):
+        # R(50 t) [[t - 17/32], [0]]: the 1 x 1 core crosses once, at the
+        # grid node t = 17/32
+        def rotation(angle):
+            c, s = np.cos(angle), np.sin(angle)
+            return np.array([[c, -s], [s, c]])
+
+        core = lambda t: np.array([[t - 17 / 32]])
+        path = OperatorPath(
+            (0.0, 1.0), lambda t: rotation(50 * t) @ np.vstack([core(t), [[0.0]]]),
+            "general", None, 1)
         assert parity_finite(OperatorPath((0.0, 1.0), core)) == -1
         rng = None if seed is None else np.random.default_rng(seed)
         assert parity_path_general(path, rng=rng) == -1

@@ -212,19 +212,23 @@ class TestInsulator:
         assert parity_via_pairs(embed_chiral_path(assembled), rng=rng) == oracle
 
     def test_pair_route_solves_the_identity_once(self, monkeypatch):
+        import z2flow.flow as flow_module
+        import z2flow.paths as paths_module
+
         spec = RingShiftSpec(12)
         ring = selfadjoint_path_to_skew(build_insulator_path(spec))
         identity = next(part for part, rows, _ in ring.evaluator.parts
                         if len(rows) > 1)
         evaluated = []
-        block = OperatorPath.block
+        stacked = paths_module._stacked
 
-        def spy_block(self, t):
-            if self is identity:
-                evaluated.append(t)
-            return block(self, t)
+        def spy_stacked(path, ts, *args):  # every read of a path
+            if path is identity:
+                evaluated.extend(ts)
+            return stacked(path, ts, *args)
 
-        monkeypatch.setattr(OperatorPath, "block", spy_block)
+        for module in (paths_module, flow_module):
+            monkeypatch.setattr(module, "_stacked", spy_stacked)
         solved = spy_solves(monkeypatch)
         assert parity_via_pairs(ring) == -1
         solves = [m.shape for m, _, _ in solved]
@@ -408,8 +412,8 @@ class TestDisorderedMotion:
                 read.append(t)
                 return block(t)
 
-            evaluator.block, evaluator.arc = traced, skew.evaluator.arc
-            evaluator.motion = motion
+            evaluator.source = OperatorPath(skew.interval, traced)
+            evaluator.arc, evaluator.motion = skew.evaluator.arc, motion
             return OperatorPath(skew.interval, evaluator, "chiral-skew", skew.frame)
 
         def scaled(path, factor):

@@ -1,6 +1,7 @@
-"""The public surface: the names the benchmark tracer wraps, and the typed
-refusals of the public entry points."""
+"""The public surface: the names the benchmark tracer wraps, the one reader
+of path evaluators, and the typed refusals of the public entry points."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -21,9 +22,10 @@ from z2flow.flow import (
     to_skew_path,
 )
 from z2flow.pairs import ComplexStructure, FredholmPair, j_index, parity_via_pairs
-from z2flow.paths import ChiralFrame, OperatorPath, validate_symmetry
+from z2flow.paths import ChiralFrame, OperatorPath, _stacked, validate_symmetry
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_traced_names_resolve():
@@ -36,6 +38,23 @@ def test_traced_names_resolve():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in spans.TARGETS
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_one_reader_of_evaluators():
+    # paths._stacked is the one route from an evaluator to a checked matrix:
+    # no other module calls a path's evaluator or declares its block
+    found = []
+    for file in sorted((ROOT / "src" / "z2flow").glob("*.py")):
+        if file.name == "paths.py":
+            continue
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "evaluator"):
+                found.append(f"{file.name}:{node.lineno} calls an evaluator")
+            if (isinstance(node, ast.Attribute) and node.attr == "block"
+                    and isinstance(node.ctx, ast.Store)):
+                found.append(f"{file.name}:{node.lineno} assigns a block")
+    assert found == []
 
 
 def test_example_command_is_retired():
@@ -72,6 +91,11 @@ def _plain(shape, tag="general", frame=None, index=0):
     return OperatorPath((0.0, 1.0), lambda t: np.zeros(shape), tag, frame, index)
 
 
+def _ragged_stack():
+    grows = OperatorPath((0.0, 1.0), lambda t: np.eye(1 if t < 0.5 else 2))
+    return _stacked(grows, [0.0, 0.25, 0.5, 1.0])
+
+
 REFUSALS = {
     "parity_finite-rectangular": (
         lambda: parity_finite(_plain((3, 2), index=1)), DimensionError,
@@ -103,6 +127,10 @@ REFUSALS = {
     "motion-c-changes-shape": (
         _shape_changing_motion, DimensionError,
         "the motion path c has shape (2, 2) at t=0.5 but is declared (1, 1)"),
+    "stack-changes-shape": (
+        _ragged_stack, DimensionError,
+        "path matrix has shape (2, 2) at t=0.5 but (1, 1) at t=0.0; the "
+        "evaluator must keep one shape"),
     "symmetry-no-frame": (
         lambda: validate_symmetry(np.zeros((2, 2)), "chiral-skew", None), ConfigError,
         "symmetry tag 'chiral-skew' requires a chiral frame"),

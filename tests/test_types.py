@@ -195,21 +195,24 @@ class TestStackedReads:
                                       [[[-0.5]], [[0.5]]])
         assert passes == [(2, 1, 1)]  # the source's two matrices, in one pass
 
-    def test_declared_block_read_one_t_at_a_time(self):
-        seen = []
-
+    def test_block_cut_from_the_validated_matrix(self):
+        # an evaluator's ``block`` attribute declares nothing: the block is
+        # cut from the matrix the evaluator returns, after its validation
         def evaluator(t):
-            raise AssertionError("the declared block answers")
+            return np.array([[0.0, t - 0.5], [0.5 - t, 0.0]])
 
         def block(t):
-            seen.append(t)
-            return np.array([[t - 0.5]])
+            raise AssertionError("an evaluator's block is not read")
 
         evaluator.block = block
         path = OperatorPath((0.0, 1.0), evaluator, "chiral-skew", ChiralFrame(1, 1))
         np.testing.assert_array_equal(_stacked(path, [0.0, 1.0], True),
                                       [[[-0.5]], [[0.5]]])
-        assert seen == [0.0, 1.0]
+        np.testing.assert_array_equal(path.block(1.0), [[0.5]])
+        bent = lambda t: np.array([[0.0, 1.0], [1.0, 0.0]])
+        bent.block = lambda t: np.array([[1.0]])
+        with pytest.raises(SymmetryError):
+            OperatorPath((0.0, 1.0), bent, "chiral-skew", ChiralFrame(1, 1)).block(0.0)
 
 
 class TestToleranceScale:
